@@ -143,10 +143,8 @@ def build_graph(manifest: BuildManifest) -> tuple[PropertyGraph, Ontology, Build
         lambda: [discovery.ingest_workflow(load_workflow(p)) for p in manifest.workflows],
     )
     timed("link_applications", discovery.link_applications)
-    timed("create_proxied_endpoints", lambda: dataflow.create_proxied_endpoints(graph))
-    timed("resolve_http_requests", lambda: dataflow.resolve_http_requests(graph))
-    timed("resolve_storage_requests", lambda: dataflow.resolve_storage_requests(graph))
-    timed("propagate_log_flows", lambda: dataflow.propagate_log_flows(graph))
+    for name in dataflow._PASSES:
+        timed(name, lambda: getattr(dataflow, name)(graph))
     graph.freeze()
 
     node_counts, edge_counts = graph_counts(graph)

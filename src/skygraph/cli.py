@@ -87,6 +87,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(raw: str) -> int:
+    if not raw.lstrip("-").isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skygraph",
@@ -103,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("graph")
     p_query.add_argument("query", help="query text, or @file to read it from a file")
     p_query.add_argument("--format", choices=("paths", "count"), default="paths")
-    p_query.add_argument("--star-max", type=int, default=None, dest="star_max")
+    p_query.add_argument("--star-max", type=_positive_int, default=None, dest="star_max")
     p_query.add_argument(
         "--fail-if-found",
         action="store_true",

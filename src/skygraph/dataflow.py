@@ -269,11 +269,16 @@ def propagate_log_flows(graph: PropertyGraph) -> int:
     return added
 
 
+# The resolution passes in their required order, by module attribute name:
+# a pass is looked up when it runs, so a replaced attribute is what runs.
+_PASSES = (
+    "create_proxied_endpoints",
+    "resolve_http_requests",
+    "resolve_storage_requests",
+    "propagate_log_flows",
+)
+
+
 def run_all_passes(graph: PropertyGraph) -> dict[str, int]:
     """Run the four resolution passes in their required order."""
-    return {
-        "create_proxied_endpoints": create_proxied_endpoints(graph),
-        "resolve_http_requests": resolve_http_requests(graph),
-        "resolve_storage_requests": resolve_storage_requests(graph),
-        "propagate_log_flows": propagate_log_flows(graph),
-    }
+    return {name: globals()[name](graph) for name in _PASSES}

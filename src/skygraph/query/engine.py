@@ -16,7 +16,7 @@ order, then by the path's edge ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from skygraph.graph import Edge, Path, PropertyGraph
@@ -38,80 +38,97 @@ class MatchResult:
     path: Path | None = None
 
 
-@dataclass
-class _Step:
-    edge: Edge
-    forward: bool  # True when the edge points along the pattern left-to-right
+# One step of a route: the edge and whether it points along the pattern
+# left-to-right.
+_Step = tuple[Edge, bool]
 
 
 @dataclass
-class _State:
-    nodes: list[int | None]
-    segments: list[list[_Step] | None]
-    used_edges: set[int] = field(default_factory=set)
+class _Plan:
+    """What `evaluate` runs and `explain` prints.
+
+    The anchor pattern is seeded from its candidates; each hop then binds
+    its target pattern from its source, as (source, target) pattern
+    indices: rightward from the anchor, then leftward.
+    """
+
+    anchor: int
+    candidates: list[list[int]]
+    hops: list[tuple[int, int]]
+
+
+def _plan(graph: PropertyGraph, nodes: list[NodePattern]) -> _Plan:
+    candidates = [
+        graph.label_candidates(np.label) if np.label else sorted(n.id for n in graph.nodes())
+        for np in nodes
+    ]
+    anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
+    hops = [(i, i + 1) for i in range(anchor, len(nodes) - 1)]
+    hops += [(i + 1, i) for i in reversed(range(anchor))]
+    return _Plan(anchor, candidates, hops)
+
+
+def _bounds(rel: RelPattern, star_max: int) -> tuple[int, int]:
+    return rel.hops.min, rel.hops.max if rel.hops.max is not None else star_max
 
 
 def _expand(
     graph: PropertyGraph,
     node_id: int,
     rel: RelPattern,
-    toward_right: bool,
+    rightward: bool,
 ) -> Iterator[tuple[Edge, int, bool]]:
     """Single hops from `node_id` honoring the pattern's direction.
 
-    Yields (edge, neighbor, forward) with `forward` relative to the
-    pattern's left-to-right orientation.
+    Yields (edge, neighbor, forward): first the edges that point along the
+    pattern's left-to-right orientation (`forward`), then those against it.
+    An undirected self-loop comes once, as forward.
     """
-    if toward_right:
-        if rel.direction in ("right", "undirected"):
-            for edge in graph.out_edges(node_id, rel.type):
-                yield edge, edge.to_id, True
-        if rel.direction in ("left", "undirected"):
-            for edge in graph.in_edges(node_id, rel.type):
-                if rel.direction == "undirected" and edge.from_id == edge.to_id:
-                    continue  # self-loop already seen through out_edges
-                yield edge, edge.from_id, False
-    else:
-        if rel.direction in ("right", "undirected"):
-            for edge in graph.in_edges(node_id, rel.type):
-                yield edge, edge.from_id, True
-        if rel.direction in ("left", "undirected"):
-            for edge in graph.out_edges(node_id, rel.type):
-                if rel.direction == "undirected" and edge.from_id == edge.to_id:
-                    continue
-                yield edge, edge.to_id, False
+    along, against = (
+        (graph.out_edges, graph.in_edges) if rightward else (graph.in_edges, graph.out_edges)
+    )
+    if rel.direction != "left":
+        for edge in along(node_id, rel.type):
+            yield edge, edge.to_id if edge.from_id == node_id else edge.from_id, True
+    if rel.direction != "right":
+        for edge in against(node_id, rel.type):
+            if rel.direction == "undirected" and edge.from_id == edge.to_id:
+                continue
+            yield edge, edge.to_id if edge.from_id == node_id else edge.from_id, False
 
 
 def _routes(
     graph: PropertyGraph,
     start: int,
     rel: RelPattern,
-    toward_right: bool,
+    rightward: bool,
     used: set[int],
     star_max: int,
 ) -> Iterator[tuple[list[_Step], int]]:
     """Simple edge sequences walking one relationship pattern.
 
-    Steps come back in walk order; leftward walks are reversed by the
-    caller. Edges already used anywhere in the match are excluded.
+    Steps come back in walk order, in a list that is only valid until the
+    next route is drawn. Edges in `used` are excluded; each step's edge
+    stays in `used` while the route is out with the caller.
     """
-    lo = rel.hops.min
-    hi = rel.hops.max if rel.hops.max is not None else star_max
+    lo, hi = _bounds(rel, star_max)
+    steps: list[_Step] = []
 
-    def rec(node: int, steps: list[_Step]) -> Iterator[tuple[list[_Step], int]]:
+    def rec(node: int) -> Iterator[tuple[list[_Step], int]]:
         if lo <= len(steps):
-            yield list(steps), node
+            yield steps, node
         if len(steps) >= hi:
             return
-        taken = {s.edge.id for s in steps}
-        for edge, neighbor, forward in _expand(graph, node, rel, toward_right):
-            if edge.id in used or edge.id in taken:
+        for edge, neighbor, forward in _expand(graph, node, rel, rightward):
+            if edge.id in used:
                 continue
-            steps.append(_Step(edge, forward))
-            yield from rec(neighbor, steps)
+            used.add(edge.id)
+            steps.append((edge, forward))
+            yield from rec(neighbor)
             steps.pop()
+            used.discard(edge.id)
 
-    yield from rec(start, [])
+    yield from rec(start)
 
 
 def _scalar_equal(a, b) -> bool:
@@ -149,15 +166,6 @@ def _predicate_holds(graph: PropertyGraph, pred, bindings: dict[str, int]) -> bo
     raise TypeError(f"unknown predicate {pred!r}")
 
 
-def _anchor_index(graph: PropertyGraph, nodes: list[NodePattern]) -> tuple[int, list[list[int]]]:
-    candidates = [
-        graph.label_candidates(np.label) if np.label else sorted(n.id for n in graph.nodes())
-        for np in nodes
-    ]
-    anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
-    return anchor, candidates
-
-
 def evaluate(
     graph: PropertyGraph,
     ast: QueryAst,
@@ -166,121 +174,82 @@ def evaluate(
     """Every assignment of graph nodes and edge routes to the pattern."""
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
-    anchor, candidates = _anchor_index(graph, node_patterns)
-    k = len(node_patterns)
-
+    plan = _plan(graph, node_patterns)
+    nodes: list[int | None] = [None] * len(node_patterns)
+    segments: list[list[_Step]] = [[] for _ in rel_patterns]  # left-to-right
+    used: set[int] = set()
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
 
-    def var_conflict(state: _State, index: int, node_id: int) -> bool:
-        var = node_patterns[index].var
-        if var is None:
+    def bind(index: int, node_id: int) -> bool:
+        """Bind pattern `index` unless its label or a repeated variable
+        rules `node_id` out."""
+        np = node_patterns[index]
+        if np.label and not graph.node_matches_label(node_id, np.label):
             return False
-        for j, np in enumerate(node_patterns):
-            if np.var == var and state.nodes[j] is not None and state.nodes[j] != node_id:
-                return True
-        return False
+        if np.var is not None:
+            for j, other in enumerate(node_patterns):
+                if other.var == np.var and nodes[j] is not None and nodes[j] != node_id:
+                    return False
+        nodes[index] = node_id
+        return True
 
-    def emit(state: _State) -> None:
-        bindings: dict[str, int] = {}
-        for np, node_id in zip(node_patterns, state.nodes):
-            if np.var is not None:
-                bindings[np.var] = node_id
+    def emit() -> None:
+        bindings = {
+            np.var: node_id for np, node_id in zip(node_patterns, nodes) if np.var is not None
+        }
         if ast.where is not None and not _predicate_holds(graph, ast.where, bindings):
             return
-        node_ids = [state.nodes[0]]
+        node_ids = [nodes[0]]
         edge_ids: list[int] = []
         flags: list[bool] = []
-        for segment in state.segments:
-            cur = node_ids[-1]
-            for step in segment:
-                cur = step.edge.to_id if step.forward else step.edge.from_id
-                node_ids.append(cur)
-                edge_ids.append(step.edge.id)
-                flags.append(step.forward)
-        path = Path(tuple(node_ids), tuple(edge_ids), tuple(flags))
-        result = MatchResult(bindings=bindings, path=path if ast.path_var else None)
-        sort_key = tuple(state.nodes)
-        results.append((sort_key, tuple(edge_ids), result))
+        for segment in segments:
+            for edge, forward in segment:
+                node_ids.append(edge.to_id if forward else edge.from_id)
+                edge_ids.append(edge.id)
+                flags.append(forward)
+        path = Path(tuple(node_ids), tuple(edge_ids), tuple(flags)) if ast.path_var else None
+        results.append((tuple(nodes), tuple(edge_ids), MatchResult(bindings, path)))
 
-    def extend_right(state: _State, index: int) -> None:
-        if index == k - 1:
-            extend_left(state, anchor)
+    def walk(hop: int) -> None:
+        if hop == len(plan.hops):
+            emit()
             return
-        rel = rel_patterns[index]
-        start = state.nodes[index]
-        for steps, end in _routes(graph, start, rel, True, state.used_edges, star_max):
-            target = node_patterns[index + 1]
-            if target.label and not graph.node_matches_label(end, target.label):
-                continue
-            if var_conflict(state, index + 1, end):
-                continue
-            state.nodes[index + 1] = end
-            state.segments[index] = steps
-            state.used_edges.update(s.edge.id for s in steps)
-            extend_right(state, index + 1)
-            state.used_edges.difference_update(s.edge.id for s in steps)
-            state.segments[index] = None
-            state.nodes[index + 1] = None
+        source, target = plan.hops[hop]
+        rightward = target > source
+        rel_index = min(source, target)
+        rel = rel_patterns[rel_index]
+        for steps, end in _routes(graph, nodes[source], rel, rightward, used, star_max):
+            if bind(target, end):
+                segments[rel_index] = steps if rightward else steps[::-1]
+                walk(hop + 1)
+                nodes[target] = None
 
-    def extend_left(state: _State, index: int) -> None:
-        if index == 0:
-            emit(state)
-            return
-        rel = rel_patterns[index - 1]
-        start = state.nodes[index]
-        for steps, end in _routes(graph, start, rel, False, state.used_edges, star_max):
-            target = node_patterns[index - 1]
-            if target.label and not graph.node_matches_label(end, target.label):
-                continue
-            if var_conflict(state, index - 1, end):
-                continue
-            state.nodes[index - 1] = end
-            state.segments[index - 1] = list(reversed(steps))
-            state.used_edges.update(s.edge.id for s in steps)
-            extend_left(state, index - 1)
-            state.used_edges.difference_update(s.edge.id for s in steps)
-            state.segments[index - 1] = None
-            state.nodes[index - 1] = None
-
-    for seed in candidates[anchor]:
-        np = node_patterns[anchor]
-        if np.label and not graph.node_matches_label(seed, np.label):
-            continue
-        state = _State(nodes=[None] * k, segments=[None] * (k - 1))
-        state.nodes[anchor] = seed
-        extend_right(state, anchor)
+    for seed in plan.candidates[plan.anchor]:
+        if bind(plan.anchor, seed):
+            walk(0)
+            nodes[plan.anchor] = None
 
     results.sort(key=lambda item: (item[0], item[1]))
     return [result for _, _, result in results]
 
 
 def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MAX) -> str:
-    """Describe the evaluation plan: seed choice and expansion order."""
-    node_patterns = ast.node_patterns
-    rel_patterns = ast.rel_patterns
-    anchor, candidates = _anchor_index(graph, node_patterns)
-    lines = []
-    for i, np in enumerate(node_patterns):
-        label = np.label or "(any)"
-        var = np.var or "_"
-        lines.append(f"  node #{i} {var}:{label} candidates={len(candidates[i])}")
-    np = node_patterns[anchor]
-    lines.insert(
-        0,
-        f"seed at node #{anchor} {np.var or '_'}:{np.label or '(any)'} "
-        f"({len(candidates[anchor])} candidates)",
-    )
-    order = [f"right #{i}" for i in range(anchor, len(rel_patterns))]
-    order += [f"left #{i}" for i in reversed(range(anchor))]
-    if order:
-        lines.append("expansion order: " + ", ".join(order))
-    else:
-        lines.append("expansion order: none (single node pattern)")
-    for i, rel in enumerate(rel_patterns):
+    """Describe the plan `evaluate` runs: seed choice and expansion order."""
+    plan = _plan(graph, ast.node_patterns)
+
+    def node_text(i: int) -> str:
+        np = ast.node_patterns[i]
+        return f"node #{i} {np.var or '_'}:{np.label or '(any)'}"
+
+    lines = [f"seed at {node_text(plan.anchor)} ({len(plan.candidates[plan.anchor])} candidates)"]
+    lines += [f"  {node_text(i)} candidates={len(c)}" for i, c in enumerate(plan.candidates)]
+    order = [
+        f"right #{source}" if target > source else f"left #{target}"
+        for source, target in plan.hops
+    ]
+    lines.append("expansion order: " + (", ".join(order) or "none (single node pattern)"))
+    for i, rel in enumerate(ast.rel_patterns):
         if not rel.hops.is_single:
-            hi = rel.hops.max if rel.hops.max is not None else star_max
-            lines.append(
-                f"variable-length rel #{i} type={rel.type or '(any)'} "
-                f"bounds {rel.hops.min}..{hi}"
-            )
+            lo, hi = _bounds(rel, star_max)
+            lines.append(f"variable-length rel #{i} type={rel.type or '(any)'} bounds {lo}..{hi}")
     return "\n".join(lines)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from skygraph.graph import PropertyGraph
 from skygraph.query.syntax import (
@@ -89,53 +90,74 @@ def _var_ok(node_patterns, assigned, index, node_id) -> bool:
 
 
 def _hops(graph, rel, cur):
-    """Single hops from `cur` under the rel pattern's constraints."""
+    """Single hops from `cur` under the rel pattern's constraints, as
+    (edge id, neighbor, forward) with `forward` true when the edge points
+    from `cur`. An undirected self-loop is one hop, forward."""
     for edge in graph.edges():
         if rel.type is not None and edge.type != rel.type:
             continue
         if rel.direction in ("right", "undirected") and edge.from_id == cur:
-            yield edge.id, edge.to_id
-        if rel.direction in ("left", "undirected") and edge.to_id == cur:
-            yield edge.id, edge.from_id
+            yield edge.id, edge.to_id, True
+        elif rel.direction in ("left", "undirected") and edge.to_id == cur:
+            yield edge.id, edge.from_id, False
 
 
-def oracle_matches(graph: PropertyGraph, ast: QueryAst, star_max: int = 10) -> set[frozenset]:
-    """Set of binding maps by exhaustive left-to-right enumeration."""
+def oracle_paths(graph: PropertyGraph, ast: QueryAst, star_max: int = 10) -> Counter:
+    """Multiset of (bindings, path node ids, edge ids, forward flags), one
+    per match, by exhaustive left-to-right enumeration."""
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
-    out: set[frozenset] = set()
+    out: Counter = Counter()
 
-    def rec(index: int, assigned: list[int], used: frozenset) -> None:
+    def rec(index: int, assigned: list[int], route: tuple) -> None:
         if index == len(node_patterns) - 1:
             bindings = _bindings(node_patterns, assigned)
             if ast.where is None or oracle_predicate(graph, ast.where, bindings):
-                out.add(frozenset(bindings.items()))
+                node_ids = (assigned[0],) + tuple(node for _, node, _ in route)
+                edge_ids = tuple(edge_id for edge_id, _, _ in route)
+                flags = tuple(forward for _, _, forward in route)
+                out[frozenset(bindings.items()), node_ids, edge_ids, flags] += 1
             return
         rel = rel_patterns[index]
         lo = rel.hops.min
         hi = rel.hops.max if rel.hops.max is not None else star_max
+        used = {edge_id for edge_id, _, _ in route}
 
-        def walk(cur: int, steps: frozenset, depth: int) -> None:
+        def walk(cur: int, steps: tuple, depth: int) -> None:
             if lo <= depth:
                 if _label_ok(graph, cur, node_patterns[index + 1].label) and _var_ok(
                     node_patterns, assigned, index + 1, cur
                 ):
                     assigned.append(cur)
-                    rec(index + 1, assigned, used | steps)
+                    rec(index + 1, assigned, route + steps)
                     assigned.pop()
             if depth >= hi:
                 return
-            for edge_id, neighbor in _hops(graph, rel, cur):
-                if edge_id in used or edge_id in steps:
+            taken = {edge_id for edge_id, _, _ in steps}
+            for edge_id, neighbor, forward in _hops(graph, rel, cur):
+                if edge_id in used or edge_id in taken:
                     continue
-                walk(neighbor, steps | {edge_id}, depth + 1)
+                walk(neighbor, steps + ((edge_id, neighbor, forward),), depth + 1)
 
-        walk(assigned[index], frozenset(), 0)
+        walk(assigned[index], (), 0)
 
     for node in graph.nodes():
         if _label_ok(graph, node.id, node_patterns[0].label):
-            rec(0, [node.id], frozenset())
+            rec(0, [node.id], ())
     return out
+
+
+def oracle_matches(graph: PropertyGraph, ast: QueryAst, star_max: int = 10) -> set[frozenset]:
+    """Set of binding maps of `oracle_paths`."""
+    return {bindings for bindings, _, _, _ in oracle_paths(graph, ast, star_max)}
+
+
+def result_paths(results) -> Counter:
+    """Engine results in the form `oracle_paths` returns."""
+    return Counter(
+        (frozenset(r.bindings.items()), r.path.node_ids, r.path.edge_ids, r.path.forward)
+        for r in results
+    )
 
 
 def naive_matches(graph: PropertyGraph, ast: QueryAst, star_max: int = 10) -> set[frozenset]:
@@ -179,7 +201,7 @@ def naive_matches(graph: PropertyGraph, ast: QueryAst, star_max: int = 10) -> se
                     connect(ri + 1, used | steps)
                 if depth >= hi:
                     return
-                for edge_id, neighbor in _hops(graph, rel, cur):
+                for edge_id, neighbor, _ in _hops(graph, rel, cur):
                     if edge_id in used or edge_id in steps:
                         continue
                     walk(neighbor, steps | {edge_id}, depth + 1)

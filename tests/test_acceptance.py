@@ -23,9 +23,10 @@ from skygraph.query import evaluate, parse_query
 from .conftest import LISTING_FILES, data_path, listing_text
 from .reference import (
     naive_matches,
-    oracle_matches,
+    oracle_paths,
     random_graph,
     random_query,
+    result_paths,
     small_ontology_documents,
 )
 
@@ -137,28 +138,22 @@ class TestCriterion2OracleEquivalence:
                 for _ in range(2):
                     text = random_query(rng, max_nodes=3)
                     ast = parse_query(text)
-                    engine = {
-                        frozenset(r.bindings.items())
-                        for r in evaluate(graph, ast, star_max=4)
-                    }
-                    assert engine == oracle_matches(graph, ast, star_max=4), (case, text)
+                    results = evaluate(graph, ast, star_max=4)
+                    oracle = oracle_paths(graph, ast, star_max=4)
+                    assert result_paths(results) == oracle, (case, text)
                     if case % 5 == 0:
+                        engine = {frozenset(r.bindings.items()) for r in results}
                         assert engine == naive_matches(graph, ast, star_max=4), (case, text)
                 text = random_query(rng, max_nodes=4)
                 ast = parse_query(text)
-                engine = {
-                    frozenset(r.bindings.items())
-                    for r in evaluate(graph, ast, star_max=4)
-                }
-                assert engine == oracle_matches(graph, ast, star_max=4), (case, text)
+                results = evaluate(graph, ast, star_max=4)
+                assert result_paths(results) == oracle_paths(graph, ast, star_max=4), (case, text)
             assert graphs >= 200
 
             for name in LISTING_FILES:
                 ast = parse_query(listing_text(name))
-                engine = {
-                    frozenset(r.bindings.items()) for r in evaluate(testbed_graph, ast)
-                }
-                assert engine == oracle_matches(testbed_graph, ast), name
+                results = evaluate(testbed_graph, ast)
+                assert result_paths(results) == oracle_paths(testbed_graph, ast), name
             elapsed = time.perf_counter() - start
             assert elapsed < 60, f"oracle equivalence took {elapsed:.1f}s"
 

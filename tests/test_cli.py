@@ -122,6 +122,14 @@ class TestQuery:
         assert main(["query", str(built_graph_file), query, "--star-max", "1", "--format", "count"]) == 0
         assert capsys.readouterr().out.strip() == "0 results"
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_star_max_must_be_positive(self, built_graph_file, capsys, bound):
+        query = listing_text("expression-to-public-storage")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", str(built_graph_file), query, "--star-max", bound, "--fail-if-found"])
+        assert exit_info.value.code == 2
+        assert "--star-max: must be a positive integer" in capsys.readouterr().err
+
     def test_matches_in_process_evaluation(self, built_graph_file, testbed_graph, capsys):
         from .conftest import LISTING_FILES
 
