@@ -11,13 +11,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from skygraph import codefacts, dataflow
 from skygraph.discovery import Discovery, load_inventory, load_workflow
 from skygraph.errors import ManifestError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import Ontology, load_ontology
+from skygraph.yamlfile import load_yaml
 
 _MANIFEST_KEYS = {
     "ontology",
@@ -44,11 +43,7 @@ class BuildManifest:
 def load_manifest(path: str | Path) -> BuildManifest:
     """Read a manifest; relative paths resolve against the manifest file."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    doc = load_yaml(path, ManifestError)
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a mapping")
     unknown = set(doc) - _MANIFEST_KEYS
@@ -65,7 +60,7 @@ def load_manifest(path: str | Path) -> BuildManifest:
         return candidate
 
     star_max = doc.get("star_max", 10)
-    if not isinstance(star_max, int) or star_max < 1:
+    if not isinstance(star_max, int) or isinstance(star_max, bool) or star_max < 1:
         raise ManifestError(f"star_max must be a positive integer, got {star_max!r}")
     return BuildManifest(
         ontology=resolve(doc["ontology"]),

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from skygraph.errors import CodeFactsError
 from skygraph.graph import PropertyGraph, Scalar
+from skygraph.yamlfile import load_yaml
 
 HTTP_METHODS = ("GET", "POST", "PUT", "DELETE")
 STORAGE_OPERATIONS = ("create", "append", "read")
@@ -256,8 +255,7 @@ def bundle_from_document(doc: dict) -> CodeFactsBundle:
 
 
 def load_code_facts(path: str | Path) -> CodeFactsBundle:
-    with open(path, encoding="utf-8") as fh:
-        return bundle_from_document(yaml.safe_load(fh))
+    return bundle_from_document(load_yaml(path, CodeFactsError))
 
 
 # -- graph construction ------------------------------------------------------

@@ -15,7 +15,14 @@ workflows are in the graph:
 Each pass is idempotent: rerunning it leaves the edge multiset unchanged.
 URL matching compares host (without port) and path (duplicate slashes
 collapsed); scheme is ignored. Endpoints built from application code carry
-no host and match on path alone.
+no host and match on path alone; an endpoint with a `url` matches on that
+and never on a `path`.
+
+Matching is bucketed, so each pass is linear in the graph: endpoints are
+parsed once per pass into `(host, path)` and path-only buckets, storages
+are grouped by container name, and each request looks up its own buckets.
+Matches are taken in ascending node id, the order of a full scan, so edge
+ids and exports do not depend on the bucketing.
 """
 
 from __future__ import annotations
@@ -120,20 +127,21 @@ def create_proxied_endpoints(graph: PropertyGraph) -> int:
 # -- pass 2: HTTP request resolution -------------------------------------------
 
 
-def _endpoint_matches(graph: PropertyGraph, endpoint_id: int, url: UrlParts, method: str) -> bool:
-    endpoint = graph.node(endpoint_id)
-    endpoint_method = endpoint.properties.get("method")
-    if endpoint_method not in ("ANY", method):
-        return False
-    endpoint_url = endpoint.properties.get("url")
-    if endpoint_url is not None:
-        parts = parse_url(str(endpoint_url))
-        return parts.host_key == url.host_key and parts.path == url.path
-    endpoint_path = endpoint.properties.get("path")
-    if endpoint_path is not None:
-        # application-local endpoint: host is unknowable, match the path
-        return re.sub("/+", "/", str(endpoint_path)) == url.path
-    return False
+def _endpoint_buckets(
+    graph: PropertyGraph,
+) -> tuple[dict[tuple[str, str], list[int]], dict[str, list[int]]]:
+    """Endpoints by `(host_key, path)` of their url, and application-local
+    endpoints, whose host is unknowable, by path alone."""
+    by_url: dict[tuple[str, str], list[int]] = {}
+    by_path: dict[str, list[int]] = {}
+    for endpoint_id in graph.label_candidates("HttpEndpoint"):
+        props = graph.node(endpoint_id).properties
+        if props.get("url") is not None:
+            parts = parse_url(str(props["url"]))
+            by_url.setdefault((parts.host_key, parts.path), []).append(endpoint_id)
+        elif props.get("path") is not None:
+            by_path.setdefault(re.sub("/+", "/", str(props["path"])), []).append(endpoint_id)
+    return by_url, by_path
 
 
 def _handler_function(graph: PropertyGraph, endpoint_id: int) -> int | None:
@@ -152,15 +160,16 @@ def resolve_http_requests(graph: PropertyGraph) -> int:
     handler function. Unmatched requests stay in the graph. Returns the
     number of TO edges added."""
     added = 0
-    endpoint_ids = graph.label_candidates("HttpEndpoint")
+    by_url, by_path = _endpoint_buckets(graph)
     for request_id in graph.nodes_with_class("HttpRequest"):
         request = graph.node(request_id)
         url = parse_url(str(request.properties.get("url", "")))
         method = str(request.properties.get("method", ""))
         sources = graph.out_edges(request_id, "SOURCE")
         call_id = sources[0].to_id if sources else None
-        for endpoint_id in endpoint_ids:
-            if not _endpoint_matches(graph, endpoint_id, url, method):
+        candidates = by_url.get((url.host_key, url.path), []) + by_path.get(url.path, [])
+        for endpoint_id in sorted(candidates):
+            if graph.node(endpoint_id).properties.get("method") not in ("ANY", method):
                 continue
             if not graph.has_edge(request_id, endpoint_id, "TO"):
                 graph.add_edge(request_id, endpoint_id, "TO")
@@ -193,7 +202,9 @@ def resolve_storage_requests(graph: PropertyGraph) -> int:
     container name they address; anchor each request to the compute its
     application runs on. Returns the number of TO edges added."""
     added = 0
-    storage_ids = graph.label_candidates("ObjectStorage")
+    by_name: dict[str, list[int]] = {}
+    for storage_id in graph.label_candidates("ObjectStorage"):
+        by_name.setdefault(graph.node(storage_id).name, []).append(storage_id)
     for request_id in graph.nodes_with_class("ObjectStorageRequest"):
         request = graph.node(request_id)
         account_url = request.properties.get("account_url")
@@ -202,10 +213,7 @@ def resolve_storage_requests(graph: PropertyGraph) -> int:
             continue
         host = parse_url(str(account_url)).host_key
         matches = []
-        for storage_id in storage_ids:
-            storage = graph.node(storage_id)
-            if storage.name != container:
-                continue
+        for storage_id in by_name.get(container, []):
             for has in graph.out_edges(storage_id, "HAS_ENDPOINT"):
                 endpoint_url = graph.node(has.to_id).properties.get("url")
                 if endpoint_url is not None and parse_url(str(endpoint_url)).host_key == host:

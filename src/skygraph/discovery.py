@@ -15,11 +15,10 @@ import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from skygraph.errors import DiscoveryError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import Ontology
+from skygraph.yamlfile import load_yaml
 
 log = logging.getLogger(__name__)
 
@@ -129,8 +128,7 @@ def inventory_from_document(doc: dict) -> InventoryDocument:
 
 
 def load_inventory(path: str | Path) -> InventoryDocument:
-    with open(path, encoding="utf-8") as fh:
-        return inventory_from_document(yaml.safe_load(fh))
+    return inventory_from_document(load_yaml(path, DiscoveryError))
 
 
 def workflow_from_document(doc: dict) -> WorkflowDocument:
@@ -144,8 +142,7 @@ def workflow_from_document(doc: dict) -> WorkflowDocument:
 
 
 def load_workflow(path: str | Path) -> WorkflowDocument:
-    with open(path, encoding="utf-8") as fh:
-        return workflow_from_document(yaml.safe_load(fh))
+    return workflow_from_document(load_yaml(path, DiscoveryError))
 
 
 # -- security feature attachment ----------------------------------------------

@@ -82,8 +82,10 @@ class Path:
 
 
 class PropertyGraph:
-    """Labeled property graph with by-from / by-to / by-type adjacency and
-    a concrete-class label index (inheritance is resolved at query time)."""
+    """Labeled property graph with by-from / by-to / by-type adjacency, a
+    concrete-class label index (inheritance is resolved at query time), and
+    `provider_id` and `(class, name)` lookup indexes in which the
+    first-inserted node wins."""
 
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
@@ -94,6 +96,9 @@ class PropertyGraph:
         self._by_to: dict[int, list[int]] = {}
         self._by_type: dict[str, list[int]] = {}
         self._label_index: dict[str, list[int]] = {}
+        self._by_provider_id: dict[Scalar, int] = {}
+        # class -> name -> id: no key tuple per node to allocate on import
+        self._by_name: dict[str, dict[str, int]] = {}
         self._next_node = 0
         self._next_edge = 0
         self._frozen = False
@@ -131,12 +136,24 @@ class PropertyGraph:
         properties = dict(properties or {})
         self._check_properties(class_name, properties)
         node_id = self._next_node
-        self._next_node += 1
-        self._nodes[node_id] = Node(node_id, class_name, name, properties)
-        self._by_from[node_id] = []
-        self._by_to[node_id] = []
-        self._label_index.setdefault(class_name, []).append(node_id)
+        self._index_node(Node(node_id, class_name, name, properties))
         return node_id
+
+    def _index_node(self, node: Node) -> None:
+        """Enter `node` in the node table and every node index; an index
+        entry already taken by an earlier node is kept. Raises TypeError
+        when the name or provider id is unhashable."""
+        self._nodes[node.id] = node
+        self._by_from[node.id] = []
+        self._by_to[node.id] = []
+        self._label_index.setdefault(node.class_name, []).append(node.id)
+        names = self._by_name.get(node.class_name)
+        if names is None:
+            names = self._by_name[node.class_name] = {}
+        names.setdefault(node.name, node.id)
+        if "provider_id" in node.properties:
+            self._by_provider_id.setdefault(node.properties["provider_id"], node.id)
+        self._next_node = max(self._next_node, node.id + 1)
 
     def add_edge(
         self,
@@ -254,16 +271,10 @@ class PropertyGraph:
     # -- convenience lookups used by the pipeline passes -------------------
 
     def find_by_name(self, class_name: str, name: str) -> int | None:
-        for node_id in self._label_index.get(class_name, []):
-            if self._nodes[node_id].name == name:
-                return node_id
-        return None
+        return self._by_name.get(class_name, {}).get(name)
 
     def find_by_provider_id(self, provider_id: str) -> int | None:
-        for node in self._nodes.values():
-            if node.properties.get("provider_id") == provider_id:
-                return node.id
-        return None
+        return self._by_provider_id.get(provider_id)
 
     # -- serialization ------------------------------------------------------
 
@@ -302,21 +313,22 @@ class PropertyGraph:
         ontology = ontology_from_documents(doc["ontology"], doc.get("mappings", []))
         graph = cls(ontology)
         graph.settings = dict(doc.get("settings") or {})
+        star_max = graph.settings.get("star_max", 10)
+        if not isinstance(star_max, int) or isinstance(star_max, bool) or star_max < 1:
+            raise GraphError(f"settings.star_max must be a positive integer, got {star_max!r}")
         for entry in doc["nodes"]:
             try:
-                node_id = int(entry["id"])
-                node = Node(node_id, entry["class"], entry["name"], dict(entry.get("properties", {})))
+                node = Node(int(entry["id"]), entry["class"], entry["name"], dict(entry.get("properties", {})))
             except (KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed node entry {entry!r}") from exc
             if not ontology.has_class(node.class_name) and node.class_name not in CODE_CLASSES:
                 raise UnknownClassError(f"unknown node class {node.class_name!r}")
-            if node_id in graph._nodes:
-                raise GraphError(f"duplicate node id {node_id}")
-            graph._nodes[node_id] = node
-            graph._by_from[node_id] = []
-            graph._by_to[node_id] = []
-            graph._label_index.setdefault(node.class_name, []).append(node_id)
-            graph._next_node = max(graph._next_node, node_id + 1)
+            if node.id in graph._nodes:
+                raise GraphError(f"duplicate node id {node.id}")
+            try:
+                graph._index_node(node)
+            except TypeError as exc:  # an unhashable name or provider_id
+                raise GraphError(f"malformed node entry {entry!r}") from exc
         for entry in doc["edges"]:
             try:
                 edge = Edge(

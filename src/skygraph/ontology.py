@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from skygraph.errors import OntologyError, UnknownClassError, UnknownMappingError
+from skygraph.yamlfile import load_yaml
 
 CLASS_KINDS = ("resource", "framework", "functionality", "security-feature")
 PROPERTY_KINDS = ("string", "boolean", "integer")
@@ -299,10 +298,6 @@ def ontology_from_documents(ontology_doc: dict, mapping_docs: list[dict]) -> Ont
 
 def load_ontology(ontology_path: str | Path, mapping_paths: list[str | Path] = ()) -> Ontology:
     """Load the ontology document and per-provider mapping files."""
-    with open(ontology_path, encoding="utf-8") as fh:
-        ontology_doc = yaml.safe_load(fh)
-    mapping_docs = []
-    for path in mapping_paths:
-        with open(path, encoding="utf-8") as fh:
-            mapping_docs.append(yaml.safe_load(fh))
+    ontology_doc = load_yaml(ontology_path, OntologyError)
+    mapping_docs = [load_yaml(path, OntologyError) for path in mapping_paths]
     return ontology_from_documents(ontology_doc, mapping_docs)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -9,7 +11,14 @@ from skygraph.cli import main, render_path
 from skygraph.graph import import_graph
 from skygraph.query import evaluate, parse_query
 
-from .conftest import data_path, listing_text
+from .conftest import DATA, data_path, listing_text
+
+# sha256 of the `skygraph build` export of each bundled testbed; exports
+# must stay byte-identical unless a change means to alter the graph
+EXPORT_SHA256 = {
+    "bookinfo": "9cc54d6e2531f292315f988c2ef8f274f3d0597622664ff3ff9b1214ea3d65bc",
+    "bookinfo_clean": "8154e3ab5486716ec798a3a15eb07ecb459188de52d0d190f46198658af3fb7e",
+}
 
 
 @pytest.fixture
@@ -18,6 +27,20 @@ def built_graph_file(tmp_path):
     code = main(["build", data_path("fixtures/bookinfo/manifest.yaml"), "--out", str(out)])
     assert code == 0
     return out
+
+
+@pytest.fixture
+def bookinfo_copy(tmp_path):
+    """A writable copy of the bookinfo testbed, with the ontology where its
+    manifest expects it."""
+    shutil.copytree(DATA / "fixtures" / "bookinfo", tmp_path / "fixtures" / "bookinfo")
+    shutil.copytree(DATA / "ontology", tmp_path / "ontology")
+    return tmp_path / "fixtures" / "bookinfo"
+
+
+def built_export_sha256(testbed, out):
+    assert main(["build", data_path(f"fixtures/{testbed}/manifest.yaml"), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def write_query(tmp_path, name):
@@ -57,6 +80,43 @@ class TestBuild:
         )
         assert main(["build", str(manifest)]) == 2
         assert "ghost.yaml" in capsys.readouterr().err
+
+    def test_yaml_syntax_error_names_file(self, bookinfo_copy, tmp_path, capsys):
+        # tests/test_yamlfile.py covers the other YAML inputs
+        (bookinfo_copy / "inventories" / "aws.yaml").write_text(
+            "provider: [unclosed\n", encoding="utf-8"
+        )
+        out = tmp_path / "graph.json"
+        assert main(["build", str(bookinfo_copy / "manifest.yaml"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load ") and "aws.yaml" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("testbed", sorted(EXPORT_SHA256))
+    def test_export_bytes_pinned(self, tmp_path, testbed):
+        assert built_export_sha256(testbed, tmp_path / "graph.json") == EXPORT_SHA256[testbed]
+
+    def test_pure_python_yaml_fallback_builds_same_export(self, tmp_path, monkeypatch):
+        loaders = []
+        real_load = yaml.load
+
+        def spy(stream, Loader):
+            loaders.append(Loader)
+            return real_load(stream, Loader=Loader)
+
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        monkeypatch.setattr(yaml, "load", spy)
+        assert built_export_sha256("bookinfo", tmp_path / "graph.json") == EXPORT_SHA256["bookinfo"]
+        assert loaders and set(loaders) == {yaml.SafeLoader}
+
+    @pytest.mark.parametrize("bound", [0, True])
+    def test_manifest_star_max_must_be_positive(self, tmp_path, capsys, bound):
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(
+            yaml.safe_dump({"ontology": "core.yaml", "star_max": bound}), encoding="utf-8"
+        )
+        assert main(["build", str(manifest), "--out", str(tmp_path / "graph.json")]) == 2
+        assert "star_max must be a positive integer" in capsys.readouterr().err
 
     def test_reproducible_byte_identical(self, tmp_path):
         outs = []
@@ -129,6 +189,15 @@ class TestQuery:
             main(["query", str(built_graph_file), query, "--star-max", bound, "--fail-if-found"])
         assert exit_info.value.code == 2
         assert "--star-max: must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", [0, "ten", True, None])
+    def test_export_star_max_must_be_positive(self, built_graph_file, capsys, bound):
+        doc = json.loads(built_graph_file.read_text(encoding="utf-8"))
+        doc["settings"]["star_max"] = bound
+        built_graph_file.write_text(json.dumps(doc), encoding="utf-8")
+        query = listing_text("expression-to-public-storage")
+        assert main(["query", str(built_graph_file), query, "--fail-if-found"]) == 2
+        assert "settings.star_max must be a positive integer" in capsys.readouterr().err
 
     def test_matches_in_process_evaluation(self, built_graph_file, testbed_graph, capsys):
         from .conftest import LISTING_FILES

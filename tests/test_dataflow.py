@@ -392,17 +392,19 @@ def test_to_edges_land_on_http_endpoints(testbed_graph):
             assert g.node_matches_label(edge.to_id, "HttpEndpoint")
 
 
-def test_request_resolution_matches_cross_product_oracle(testbed_graph):
-    # independent matching predicate applied to every (request, endpoint) pair
-    g = testbed_graph
+def cross_product_oracle(g):
+    """(request, endpoint) pairs from the documented matching predicate,
+    applied to every pair by brute force."""
+
+    def collapse(path):
+        while "//" in path:
+            path = path.replace("//", "/")
+        return path
 
     def split(url):
         rest = url.split("://", 1)[1] if "://" in url else url
         host, _, path = rest.partition("/")
-        path = "/" + path
-        while "//" in path:
-            path = path.replace("//", "/")
-        return host.split(":")[0], path
+        return host.split(":")[0], collapse("/" + path)
 
     expected = set()
     for request_id in g.nodes_with_class("HttpRequest"):
@@ -418,14 +420,92 @@ def test_request_resolution_matches_cross_product_oracle(testbed_graph):
                 ep_host, ep_path = split(str(ep["url"]))
                 if ep_host == req_host and ep_path == req_path:
                     expected.add((request_id, node.id))
-            elif "path" in ep and str(ep["path"]) == req_path:
+            elif "path" in ep and collapse(str(ep["path"])) == req_path:
                 expected.add((request_id, node.id))
-    actual = {
+    return expected
+
+
+def resolved_pairs(g):
+    return {
         (r, e.to_id)
         for r in g.nodes_with_class("HttpRequest")
         for e in g.out_edges(r, "TO")
     }
-    assert actual == expected
+
+
+def test_request_resolution_matches_cross_product_oracle(testbed_graph):
+    assert resolved_pairs(testbed_graph) == cross_product_oracle(testbed_graph)
+
+
+def shared_path_graph(core_ontology):
+    """Two tenants serving the same local paths, and endpoints that exercise
+    host:port, `//` in local paths, ANY against GET, url-over-path
+    precedence and a proxied endpoint."""
+    graph = PropertyGraph(core_ontology)
+    apps = []
+    for tenant in ("t1", "t2"):
+        app = ingest_code_facts(
+            graph,
+            bundle_from_document(
+                {
+                    "application": f"{tenant}-reviews",
+                    "image": f"ghcr.io/acme/{tenant}-reviews",
+                    "functions": [
+                        {"name": "get", "http_handler": {"path": "/reviews", "method": "GET"}},
+                        {"name": "post", "http_handler": {"path": "//reviews//all", "method": "POST"}},
+                        {"name": "caller"},
+                    ],
+                    "calls": [
+                        {
+                            "id": f"{tenant}-{i}",
+                            "inside": "caller",
+                            "kind": "http_client",
+                            "http": {"url": url, "method": method},
+                        }
+                        for i, (url, method) in enumerate(
+                            [
+                                (f"http://{tenant}-reviews:9080/reviews", "GET"),
+                                (f"http://{tenant}-reviews:9080/reviews/all", "GET"),
+                                ("https://lb.example.io//reviews/all", "POST"),
+                            ]
+                        )
+                    ],
+                }
+            ),
+        )
+        build_http_server_nodes(graph, app)
+        build_http_client_nodes(graph, app)
+        apps.append(app)
+    storage = graph.add_node("ObjectStorage", "s", {})
+    for url in ("https://t1-reviews:443/reviews", "http://elsewhere/x"):
+        # the second one's path would match every /reviews request
+        props = {"url": url, "method": "ANY", "path": "/reviews"}
+        endpoint = graph.add_node("HttpEndpoint", url, props)
+        graph.add_edge(storage, endpoint, "HAS_ENDPOINT")
+    balancer = graph.add_node("LoadBalancer", "lb", {"url": "lb.example.io"})
+    compute = graph.add_node("Container", "c1", {})
+    graph.add_edge(balancer, compute, "TARGETS")
+    graph.add_edge(apps[0], compute, "RUNS_ON")
+    return graph
+
+
+def test_shared_path_resolution_matches_cross_product_oracle(core_ontology):
+    graph = shared_path_graph(core_ontology)
+    assert create_proxied_endpoints(graph) == 2
+    added = resolve_http_requests(graph)
+    expected = cross_product_oracle(graph)
+    assert resolved_pairs(graph) == expected
+    assert added == len(expected)
+    targets = Counter(graph.node(endpoint).name for _, endpoint in expected)
+    # each GET /reviews reaches both tenants' handlers; only t1's addresses
+    # the host of the ANY url endpoint, whose port differs
+    assert targets["/reviews"] == 2 * 2
+    assert targets["https://t1-reviews:443/reviews"] == 1
+    # GET /reviews/all misses the POST handlers; each POST reaches both
+    # tenants' local handlers and the balancer's mirror of t1's
+    assert targets["//reviews//all"] == 2 * 2
+    assert targets["lb.example.io//reviews//all"] == 2
+    assert "http://elsewhere/x" not in targets
 
 
 def test_login_expression_reaches_storage(testbed_graph):

@@ -209,6 +209,65 @@ class TestRoundTrip:
         assert edge_ids == sorted(edge_ids)
 
 
+class TestLookupIndexes:
+    def duplicates(self, graph):
+        """Ids of two nodes sharing class, name and provider id, and of a
+        third sharing only the name."""
+        first = graph.add_node("ObjectStorage", "s", {"provider_id": "p"})
+        second = graph.add_node("ObjectStorage", "s", {"provider_id": "p"})
+        other = graph.add_node("BlockStorage", "s", {"provider_id": "q"})
+        return first, second, other
+
+    def test_first_inserted_wins_when_built(self, graph):
+        first, _, other = self.duplicates(graph)
+        assert graph.find_by_name("ObjectStorage", "s") == first
+        assert graph.find_by_provider_id("p") == first
+        assert graph.find_by_name("BlockStorage", "s") == other
+        assert graph.find_by_name("ObjectStorage", "t") is None
+        assert graph.find_by_provider_id("s") is None
+
+    def test_first_inserted_wins_when_imported(self, graph):
+        first, second, other = self.duplicates(graph)
+        graph.freeze()
+        doc = graph.to_document()
+        restored = import_graph(doc)
+        assert restored.find_by_name("ObjectStorage", "s") == first
+        assert restored.find_by_provider_id("p") == first
+        assert restored.find_by_name("BlockStorage", "s") == other
+        # nodes are inserted in document order, not id order
+        doc["nodes"].reverse()
+        restored = import_graph(doc)
+        assert restored.find_by_name("ObjectStorage", "s") == second
+        assert restored.find_by_provider_id("p") == second
+
+    def test_agrees_with_scan_on_fixture(self, testbed_graph):
+        for graph in (testbed_graph, import_graph(export_graph(testbed_graph))):
+            first_by_name: dict = {}
+            first_by_provider_id: dict = {}
+            for node in graph.nodes():
+                first_by_name.setdefault((node.class_name, node.name), node.id)
+                if "provider_id" in node.properties:
+                    first_by_provider_id.setdefault(node.properties["provider_id"], node.id)
+            assert first_by_provider_id
+            for (class_name, name), node_id in first_by_name.items():
+                assert graph.find_by_name(class_name, name) == node_id
+            for provider_id, node_id in first_by_provider_id.items():
+                assert graph.find_by_provider_id(provider_id) == node_id
+
+    @pytest.mark.parametrize("field", ["name", "provider_id"])
+    def test_unhashable_key_in_document(self, graph, field):
+        graph.add_node("ObjectStorage", "s", {"provider_id": "p"})
+        graph.freeze()
+        doc = graph.to_document()
+        node = doc["nodes"][0]
+        if field == "name":
+            node["name"] = ["s"]
+        else:
+            node["properties"]["provider_id"] = {"id": "p"}
+        with pytest.raises(GraphError, match="malformed node entry"):
+            import_graph(doc)
+
+
 def test_property_value_name_fallback(core_ontology):
     graph = PropertyGraph(core_ontology)
     n = graph.add_node("CloudResource", "myvolume", {})
