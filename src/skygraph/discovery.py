@@ -92,12 +92,20 @@ def inventory_from_document(doc: dict) -> InventoryDocument:
         raise DiscoveryError("inventory needs a string 'provider'")
     resources = []
     for entry in doc.get("resources") or []:
+        if not isinstance(entry, dict):
+            raise DiscoveryError(f"resource entry must be a mapping, got {entry!r}")
+        missing = [key for key in ("id", "name", "provider_type") if key not in entry]
+        if missing:
+            raise DiscoveryError(f"resource {entry.get('id')!r} is missing {missing}")
         unknown = set(entry) - {"id", "name", "provider_type", "region", "properties", "links"}
         if unknown:
             raise DiscoveryError(
                 f"unknown keys {sorted(unknown)} on resource {entry.get('id')!r}"
             )
         props = entry.get("properties") or {}
+        link_doc = entry.get("links") or {}
+        if not isinstance(props, dict) or not isinstance(link_doc, dict):
+            raise DiscoveryError(f"properties and links of resource {entry['id']!r} must be mappings")
         bad = set(props) - RECOGNIZED_PROPERTIES
         if bad:
             raise DiscoveryError(
@@ -108,11 +116,13 @@ def inventory_from_document(doc: dict) -> InventoryDocument:
                 f"resource {entry.get('id')!r} has unknown auth value {props['auth']!r}"
             )
         links: dict[str, list[str]] = {}
-        for key, value in (entry.get("links") or {}).items():
+        for key, value in link_doc.items():
             if key not in RECOGNIZED_LINKS:
                 raise DiscoveryError(
                     f"unrecognized link {key!r} on resource {entry.get('id')!r}"
                 )
+            if not isinstance(value, (str, list)):
+                raise DiscoveryError(f"link {key!r} on resource {entry['id']!r} must be a string or list")
             links[key] = [value] if isinstance(value, str) else list(value)
         resources.append(
             InventoryResource(
@@ -128,7 +138,11 @@ def inventory_from_document(doc: dict) -> InventoryDocument:
 
 
 def load_inventory(path: str | Path) -> InventoryDocument:
-    return inventory_from_document(load_yaml(path, DiscoveryError))
+    doc = load_yaml(path, DiscoveryError)
+    try:
+        return inventory_from_document(doc)
+    except DiscoveryError as exc:
+        raise DiscoveryError(f"{path}: {exc}") from exc
 
 
 def workflow_from_document(doc: dict) -> WorkflowDocument:
@@ -136,13 +150,23 @@ def workflow_from_document(doc: dict) -> WorkflowDocument:
         raise DiscoveryError("workflow document must be a mapping")
     jobs = []
     for job in doc.get("jobs") or []:
-        steps = [WorkflowStep(run=str(s.get("run", ""))) for s in job.get("steps") or []]
+        if not isinstance(job, dict):
+            raise DiscoveryError(f"workflow job must be a mapping, got {job!r}")
+        steps = []
+        for step in job.get("steps") or []:
+            if not isinstance(step, dict):
+                raise DiscoveryError(f"workflow step must be a mapping, got {step!r}")
+            steps.append(WorkflowStep(run=str(step.get("run", ""))))
         jobs.append(WorkflowJob(name=str(job.get("name", "")), steps=steps))
     return WorkflowDocument(name=str(doc.get("name", "")), jobs=jobs)
 
 
 def load_workflow(path: str | Path) -> WorkflowDocument:
-    return workflow_from_document(load_yaml(path, DiscoveryError))
+    doc = load_yaml(path, DiscoveryError)
+    try:
+        return workflow_from_document(doc)
+    except DiscoveryError as exc:
+        raise DiscoveryError(f"{path}: {exc}") from exc
 
 
 # -- security feature attachment ----------------------------------------------

@@ -85,7 +85,12 @@ class PropertyGraph:
     """Labeled property graph with by-from / by-to / by-type adjacency, a
     concrete-class label index (inheritance is resolved at query time), and
     `provider_id` and `(class, name)` lookup indexes in which the
-    first-inserted node wins."""
+    first-inserted node wins.
+
+    Once frozen, a node's edges are also grouped by the neighbour's concrete
+    class, the first time a labelled `out_edges`/`in_edges` call reaches the
+    node, so a hub's edges to other classes are not listed again.
+    """
 
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
@@ -99,6 +104,11 @@ class PropertyGraph:
         self._by_provider_id: dict[Scalar, int] = {}
         # class -> name -> id: no key tuple per node to allocate on import
         self._by_name: dict[str, dict[str, int]] = {}
+        # label -> concrete classes it matches (None: every class)
+        self._label_classes: dict[str, frozenset[str] | None] = {}
+        # frozen only: node -> neighbour class -> edges, filled on first use
+        self._out_by_class: dict[int, dict[str, list[Edge]]] = {}
+        self._in_by_class: dict[int, dict[str, list[Edge]]] = {}
         self._next_node = 0
         self._next_edge = 0
         self._frozen = False
@@ -206,14 +216,50 @@ class PropertyGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def out_edges(self, node_id: int, type: str | None = None) -> list[Edge]:
+    def out_edges(
+        self, node_id: int, type: str | None = None, label: str | None = None
+    ) -> list[Edge]:
+        """Edges leaving `node_id`, of `type` if given, and whose target
+        matches `label` if given (grouped by the target's class then)."""
+        if label is not None:
+            return self._edges_to_label(node_id, type, label, outgoing=True)
         edges = [self._edges[e] for e in self._by_from[node_id]]
         if type is not None:
             edges = [e for e in edges if e.type == type]
         return edges
 
-    def in_edges(self, node_id: int, type: str | None = None) -> list[Edge]:
+    def in_edges(
+        self, node_id: int, type: str | None = None, label: str | None = None
+    ) -> list[Edge]:
+        """Edges entering `node_id`; `type` and `label` (on the source) as
+        in `out_edges`."""
+        if label is not None:
+            return self._edges_to_label(node_id, type, label, outgoing=False)
         edges = [self._edges[e] for e in self._by_to[node_id]]
+        if type is not None:
+            edges = [e for e in edges if e.type == type]
+        return edges
+
+    def _edges_to_label(
+        self, node_id: int, type: str | None, label: str, outgoing: bool
+    ) -> list[Edge]:
+        adjacency, buckets = (
+            (self._by_from, self._out_by_class) if outgoing else (self._by_to, self._in_by_class)
+        )
+        classes = self._classes_of(label)
+        if classes is None:
+            edges = [self._edges[e] for e in adjacency[node_id]]
+        else:
+            by_class = buckets.get(node_id) if self._frozen else None
+            if by_class is None:
+                by_class = {}
+                for e in adjacency[node_id]:
+                    edge = self._edges[e]
+                    other = edge.to_id if outgoing else edge.from_id
+                    by_class.setdefault(self._nodes[other].class_name, []).append(edge)
+                if self._frozen:
+                    buckets[node_id] = by_class
+            edges = [e for cls, group in by_class.items() if cls in classes for e in group]
         if type is not None:
             edges = [e for e in edges if e.type == type]
         return edges
@@ -230,19 +276,28 @@ class PropertyGraph:
         """Node ids whose concrete class is exactly `class_name`."""
         return list(self._label_index.get(class_name, []))
 
+    def _classes_of(self, label: str) -> frozenset[str] | None:
+        """The concrete classes matching `label`: the label itself, its
+        ontology descendants, and for `Expression` the code-graph
+        expression classes; None for the universal `Node` label."""
+        if label in self._label_classes:
+            return self._label_classes[label]
+        classes: frozenset[str] | None = None
+        if label != "Node":
+            ontology = self.ontology
+            classes = frozenset(ontology.descendants(label) if ontology.has_class(label) else {label})
+            if label == "Expression":
+                classes |= EXPRESSION_CLASSES
+        self._label_classes[label] = classes
+        return classes
+
     def label_candidates(self, label: str) -> list[int]:
         """Node ids matching `label` with inheritance resolved."""
-        if label == "Node":
+        classes = self._classes_of(label)
+        if classes is None:
             return list(self._nodes)
-        concrete: set[str]
-        if label == "Expression":
-            concrete = set(EXPRESSION_CLASSES)
-        elif self.ontology.has_class(label):
-            concrete = self.ontology.descendants(label)
-        else:
-            concrete = {label}
         out: list[int] = []
-        for cls in concrete:
+        for cls in classes:
             out.extend(self._label_index.get(cls, []))
         out.sort()
         return out
@@ -250,14 +305,8 @@ class PropertyGraph:
     def node_matches_label(self, node_id: int, label: str) -> bool:
         """Label matching: the universal Node label, the concrete class,
         ontology ancestors, and code-graph expression subtyping."""
-        cls = self._nodes[node_id].class_name
-        if label == "Node" or label == cls:
-            return True
-        if self.ontology.has_class(cls) and self.ontology.has_class(label):
-            return self.ontology.is_subclass(cls, label)
-        if label == "Expression" and cls in EXPRESSION_CLASSES:
-            return True
-        return False
+        classes = self._classes_of(label)
+        return classes is None or self._nodes[node_id].class_name in classes
 
     def property_value(self, node_id: int, key: str) -> Scalar | None:
         """Scalar property lookup; `name` falls back to the display name."""
@@ -312,7 +361,10 @@ class PropertyGraph:
                 raise GraphError(f"graph document missing {key!r} section")
         ontology = ontology_from_documents(doc["ontology"], doc.get("mappings", []))
         graph = cls(ontology)
-        graph.settings = dict(doc.get("settings") or {})
+        settings = doc.get("settings") or {}
+        if not isinstance(settings, dict):
+            raise GraphError(f"settings must be a mapping, got {type(settings).__name__}")
+        graph.settings = dict(settings)
         star_max = graph.settings.get("star_max", 10)
         if not isinstance(star_max, int) or isinstance(star_max, bool) or star_max < 1:
             raise GraphError(f"settings.star_max must be a positive integer, got {star_max!r}")
@@ -321,6 +373,8 @@ class PropertyGraph:
                 node = Node(int(entry["id"]), entry["class"], entry["name"], dict(entry.get("properties", {})))
             except (KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed node entry {entry!r}") from exc
+            if not isinstance(node.class_name, str):
+                raise GraphError(f"node {node.id} class must be a string, got {node.class_name!r}")
             if not ontology.has_class(node.class_name) and node.class_name not in CODE_CLASSES:
                 raise UnknownClassError(f"unknown node class {node.class_name!r}")
             if node.id in graph._nodes:
@@ -340,7 +394,7 @@ class PropertyGraph:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed edge entry {entry!r}") from exc
-            if edge.type not in EDGE_TYPES:
+            if not isinstance(edge.type, str) or edge.type not in EDGE_TYPES:
                 raise GraphError(f"unregistered edge type {edge.type!r}")
             if edge.from_id not in graph._nodes or edge.to_id not in graph._nodes:
                 raise GraphError(

@@ -48,13 +48,14 @@ class _Plan:
     """What `evaluate` runs and `explain` prints.
 
     The anchor pattern is seeded from its candidates; each hop then binds
-    its target pattern from its source, as (source, target) pattern
-    indices: rightward from the anchor, then leftward.
+    its target pattern from its source, as (source, target, label): the
+    pattern indices, rightward from the anchor, then leftward, and the
+    target's label, which filters the last step of the hop's segment.
     """
 
     anchor: int
     candidates: list[list[int]]
-    hops: list[tuple[int, int]]
+    hops: list[tuple[int, int, str | None]]
 
 
 def _plan(graph: PropertyGraph, nodes: list[NodePattern]) -> _Plan:
@@ -63,8 +64,8 @@ def _plan(graph: PropertyGraph, nodes: list[NodePattern]) -> _Plan:
         for np in nodes
     ]
     anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
-    hops = [(i, i + 1) for i in range(anchor, len(nodes) - 1)]
-    hops += [(i + 1, i) for i in reversed(range(anchor))]
+    hops = [(i, i + 1, nodes[i + 1].label) for i in range(anchor, len(nodes) - 1)]
+    hops += [(i + 1, i, nodes[i].label) for i in reversed(range(anchor))]
     return _Plan(anchor, candidates, hops)
 
 
@@ -77,8 +78,10 @@ def _expand(
     node_id: int,
     rel: RelPattern,
     rightward: bool,
+    label: str | None,
 ) -> Iterator[tuple[Edge, int, bool]]:
-    """Single hops from `node_id` honoring the pattern's direction.
+    """Single hops from `node_id` honoring the pattern's direction, to
+    neighbors matching `label` if given.
 
     Yields (edge, neighbor, forward): first the edges that point along the
     pattern's left-to-right orientation (`forward`), then those against it.
@@ -88,10 +91,10 @@ def _expand(
         (graph.out_edges, graph.in_edges) if rightward else (graph.in_edges, graph.out_edges)
     )
     if rel.direction != "left":
-        for edge in along(node_id, rel.type):
+        for edge in along(node_id, rel.type, label):
             yield edge, edge.to_id if edge.from_id == node_id else edge.from_id, True
     if rel.direction != "right":
-        for edge in against(node_id, rel.type):
+        for edge in against(node_id, rel.type, label):
             if rel.direction == "undirected" and edge.from_id == edge.to_id:
                 continue
             yield edge, edge.to_id if edge.from_id == node_id else edge.from_id, False
@@ -104,12 +107,15 @@ def _routes(
     rightward: bool,
     used: set[int],
     star_max: int,
+    label: str | None,
 ) -> Iterator[tuple[list[_Step], int]]:
     """Simple edge sequences walking one relationship pattern.
 
     Steps come back in walk order, in a list that is only valid until the
     next route is drawn. Edges in `used` are excluded; each step's edge
-    stays in `used` while the route is out with the caller.
+    stays in `used` while the route is out with the caller. The last step a
+    route may take only reaches nodes matching `label`: its end is all the
+    caller binds, while a shorter route's end is also a waypoint.
     """
     lo, hi = _bounds(rel, star_max)
     steps: list[_Step] = []
@@ -119,7 +125,8 @@ def _routes(
             yield steps, node
         if len(steps) >= hi:
             return
-        for edge, neighbor, forward in _expand(graph, node, rel, rightward):
+        last = label if len(steps) + 1 == hi else None
+        for edge, neighbor, forward in _expand(graph, node, rel, rightward, last):
             if edge.id in used:
                 continue
             used.add(edge.id)
@@ -214,11 +221,11 @@ def evaluate(
         if hop == len(plan.hops):
             emit()
             return
-        source, target = plan.hops[hop]
+        source, target, label = plan.hops[hop]
         rightward = target > source
         rel_index = min(source, target)
         rel = rel_patterns[rel_index]
-        for steps, end in _routes(graph, nodes[source], rel, rightward, used, star_max):
+        for steps, end in _routes(graph, nodes[source], rel, rightward, used, star_max, label):
             if bind(target, end):
                 segments[rel_index] = steps if rightward else steps[::-1]
                 walk(hop + 1)
@@ -245,9 +252,14 @@ def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MA
     lines += [f"  {node_text(i)} candidates={len(c)}" for i, c in enumerate(plan.candidates)]
     order = [
         f"right #{source}" if target > source else f"left #{target}"
-        for source, target in plan.hops
+        for source, target, _ in plan.hops
     ]
     lines.append("expansion order: " + (", ".join(order) or "none (single node pattern)"))
+    lines += [
+        f"  last step to node #{target} expands only to :{label}"
+        for _, target, label in plan.hops
+        if label
+    ]
     for i, rel in enumerate(ast.rel_patterns):
         if not rel.hops.is_single:
             lo, hi = _bounds(rel, star_max)

@@ -241,9 +241,46 @@ def random_graph(rng: random.Random, ontology, max_nodes: int = 12) -> PropertyG
     return graph
 
 
-def random_query(rng: random.Random, max_nodes: int = 3) -> str:
+def random_hub_graph(rng: random.Random, ontology) -> PropertyGraph:
+    """Random graph around one or two hubs of degree 20-40.
+
+    Each hub has a neighbour of every test-ontology and code class, then
+    edges in either direction to random neighbours, which give parallel
+    edges, to the other hub, and to itself. A few edges join neighbours.
+    """
+    graph = PropertyGraph(ontology)
+    classes = ["Thing", "Sub", "SubSub", "Other", "CallExpression", "Literal", "Expression", "FunctionDeclaration"]
+    hubs = [graph.add_node(rng.choice(classes), "hub") for _ in range(rng.randint(1, 2))]
+    leaves = []
+    for cls in classes + [rng.choice(classes) for _ in range(rng.randint(4, 12))]:
+        props = {"p": rng.choice([1, 2])} if rng.random() < 0.5 else {}
+        leaves.append(graph.add_node(cls, rng.choice(["alpha", "beta"]), props))
+    types = ["DFG", "TO", "CALLS", "CONTAINS"]
+
+    def link(a: int, b: int) -> None:
+        if rng.random() < 0.5:
+            a, b = b, a
+        graph.add_edge(a, b, rng.choice(types))
+
+    for hub in hubs:
+        degree = rng.randint(20, 40)
+        for leaf in leaves[: len(classes)]:
+            link(hub, leaf)
+        for _ in range(degree - len(classes)):
+            kind = rng.random()
+            link(hub, hub if kind < 0.1 else rng.choice(hubs) if kind < 0.2 else rng.choice(leaves))
+    for _ in range(rng.randint(0, 4)):
+        link(rng.choice(leaves), rng.choice(leaves))
+    graph.freeze()
+    return graph
+
+
+#: Labels `random_query` draws from by default.
+QUERY_LABELS = (None, "Node", "Thing", "Sub", "SubSub", "Other", "Expression", "CallExpression")
+
+
+def random_query(rng: random.Random, max_nodes: int = 3, labels=QUERY_LABELS) -> str:
     """Random query text over the same vocabulary as `random_graph`."""
-    labels = [None, "Node", "Thing", "Sub", "SubSub", "Other", "Expression", "CallExpression"]
     types = [None, "DFG", "TO", "CALLS"]
     count = rng.randint(1, max_nodes)
     vars_used = []

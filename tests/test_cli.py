@@ -92,6 +92,17 @@ class TestBuild:
         assert err.startswith("error: cannot load ") and "aws.yaml" in err
         assert not out.exists()
 
+    def test_malformed_resource_entry_names_file(self, bookinfo_copy, tmp_path, capsys):
+        path = bookinfo_copy / "inventories" / "aws.yaml"
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc["resources"].append("ratings-db")
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        out = tmp_path / "graph.json"
+        assert main(["build", str(bookinfo_copy / "manifest.yaml"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "aws.yaml: resource entry must be a mapping" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("testbed", sorted(EXPORT_SHA256))
     def test_export_bytes_pinned(self, tmp_path, testbed):
         assert built_export_sha256(testbed, tmp_path / "graph.json") == EXPORT_SHA256[testbed]
@@ -198,6 +209,20 @@ class TestQuery:
         query = listing_text("expression-to-public-storage")
         assert main(["query", str(built_graph_file), query, "--fail-if-found"]) == 2
         assert "settings.star_max must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("nodes", "class", ["Storage"]), ("edges", "type", ["DFG"]), ("settings", None, ["star_max", 3])],
+    )
+    def test_malformed_export_exits_2(self, built_graph_file, capsys, section, key, value):
+        doc = json.loads(built_graph_file.read_text(encoding="utf-8"))
+        if key is None:
+            doc[section] = value
+        else:
+            doc[section][0][key] = value
+        built_graph_file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["query", str(built_graph_file), "MATCH (n) RETURN n"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_matches_in_process_evaluation(self, built_graph_file, testbed_graph, capsys):
         from .conftest import LISTING_FILES

@@ -6,6 +6,8 @@ from skygraph.discovery import (
     InventoryResource,
     attach_security_features,
     inventory_from_document,
+    load_inventory,
+    load_workflow,
     workflow_from_document,
 )
 from skygraph.errors import DiscoveryError, UnknownMappingError
@@ -54,6 +56,60 @@ class TestDocumentValidation:
     def test_bad_auth_value(self):
         with pytest.raises(DiscoveryError, match="auth"):
             inventory("aws", [{"id": "a", "name": "x", "provider_type": "T", "properties": {"auth": "basic"}}])
+
+    @pytest.mark.parametrize("entry", ["a", ["id", "a"], 7, None])
+    def test_resource_entry_not_a_mapping(self, entry):
+        with pytest.raises(DiscoveryError, match="resource entry must be a mapping"):
+            inventory("aws", [entry])
+
+    @pytest.mark.parametrize("key", ["id", "name", "provider_type"])
+    def test_resource_missing_required_key(self, key):
+        entry = {"id": "a", "name": "x", "provider_type": "T"}
+        del entry[key]
+        with pytest.raises(DiscoveryError, match=f"missing \\['{key}'\\]"):
+            inventory("aws", [entry])
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"properties": ["public_access"]}, "must be mappings"),
+            ({"links": ["member_of"]}, "must be mappings"),
+            ({"links": {"member_of": 5}}, "must be a string or list"),
+        ],
+    )
+    def test_resource_properties_and_links_shape(self, extra, message):
+        with pytest.raises(DiscoveryError, match=message):
+            inventory("aws", [{"id": "a", "name": "x", "provider_type": "T", **extra}])
+
+    @pytest.mark.parametrize(
+        "jobs, what",
+        [
+            (["build"], "job"),
+            ([None], "job"),
+            ([{"name": "j", "steps": ["docker build -t x ."]}], "step"),
+            ([{"name": "j", "steps": [["run"]]}], "step"),
+        ],
+    )
+    def test_workflow_job_or_step_not_a_mapping(self, jobs, what):
+        with pytest.raises(DiscoveryError, match=f"workflow {what} must be a mapping"):
+            workflow_from_document({"name": "wf", "jobs": jobs})
+
+    @pytest.mark.parametrize(
+        "load, text",
+        [
+            (load_inventory, "provider: aws\nresources:\n  - just-a-string\n"),
+            (load_inventory, "provider: aws\nresources:\n  - {id: a, name: x}\n"),
+            (load_inventory, "provider: aws\nextra: 1\n"),
+            (load_workflow, "name: wf\njobs:\n  - {name: j, steps: [docker push x]}\n"),
+            (load_workflow, "name: wf\njobs: [build]\n"),
+        ],
+    )
+    def test_loaders_name_the_file(self, tmp_path, load, text):
+        path = tmp_path / "input.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DiscoveryError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestIngestInventory:

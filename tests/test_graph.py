@@ -142,6 +142,24 @@ class TestAdjacencyConsistency:
         total = sum(len(g.edges_of_type(t)) for t in EDGE_TYPES)
         assert total == g.edge_count
 
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_label_filter_agrees_with_matcher(self, testbed_graph, frozen):
+        g = testbed_graph
+        if not frozen:  # the same graph, still under construction
+            g = PropertyGraph(testbed_graph.ontology)
+            for node in testbed_graph.nodes():
+                g.add_node(node.class_name, node.name, node.properties)
+            for edge in testbed_graph.edges():
+                g.add_edge(edge.from_id, edge.to_id, edge.type, edge.properties)
+        labels = ("Node", "Storage", "CloudResource", "Expression", "GeoLocation", "Nope")
+        for node in g.nodes():
+            for label in labels:
+                for type in (None, "DFG"):
+                    out = [e.id for e in g.out_edges(node.id, type) if g.node_matches_label(e.to_id, label)]
+                    into = [e.id for e in g.in_edges(node.id, type) if g.node_matches_label(e.from_id, label)]
+                    assert sorted(e.id for e in g.out_edges(node.id, type, label)) == sorted(out)
+                    assert sorted(e.id for e in g.in_edges(node.id, type, label)) == sorted(into)
+
 
 class TestRoundTrip:
     def test_empty_graph(self, graph):
@@ -273,6 +291,30 @@ def test_property_value_name_fallback(core_ontology):
     n = graph.add_node("CloudResource", "myvolume", {})
     assert graph.property_value(n, "name") == "myvolume"
     assert graph.property_value(n, "region") is None
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("nodes", "class", ["A"]), ("edges", "type", ["DFG"]), ("edges", "type", {"DFG": 1})],
+)
+def test_import_rejects_non_string_class_and_type(section, key, value):
+    ontology = ontology_from_documents({"classes": [{"name": "A", "kind": "resource"}]}, [])
+    graph = PropertyGraph(ontology)
+    a = graph.add_node("A", "a", {})
+    graph.add_edge(a, a, "DFG")
+    graph.freeze()
+    doc = graph.to_document()
+    doc[section][0][key] = value
+    with pytest.raises(GraphError):
+        import_graph(doc)
+
+
+@pytest.mark.parametrize("settings", [["star_max", 3], "star_max", 7])
+def test_import_rejects_settings_that_are_not_a_mapping(settings):
+    doc = PropertyGraph(ontology_from_documents({"classes": []}, [])).to_document()
+    doc["settings"] = settings
+    with pytest.raises(GraphError, match="settings must be a mapping"):
+        import_graph(doc)
 
 
 def test_import_rejects_unknown_class():

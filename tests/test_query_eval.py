@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,10 +9,12 @@ from skygraph.query import evaluate, explain, parse_query
 
 from .conftest import listing_text
 from .reference import (
+    QUERY_LABELS,
     naive_matches,
     oracle_matches,
     oracle_paths,
     random_graph,
+    random_hub_graph,
     random_query,
     result_paths,
     small_ontology_documents,
@@ -248,6 +251,11 @@ class TestExplain:
         plan = explain(testbed_graph, parse_query(listing_text("expression-to-public-storage")))
         assert "bounds 1..10" in plan
 
+    def test_last_step_label_filter_reported(self, testbed_graph):
+        plan = explain(testbed_graph, parse_query(listing_text("cross-region-resource-flows")))
+        assert "last step to node #3 expands only to :GeoLocation" in plan
+        assert "node #2 expands only to :CloudResource" in plan
+
 
 class TestEmptyGraph:
     def test_any_query_empty(self, tiny_ontology):
@@ -305,3 +313,78 @@ class TestOracleAgreement:
                 results = evaluate(graph, ast, star_max=4)
                 assert result_paths(results) == oracle_paths(graph, ast, star_max=4), (case, text)
                 assert binding_set(results) == naive_matches(graph, ast, star_max=4), (case, text)
+
+    def test_randomized_hubs(self, tiny_ontology):
+        # the engine filters a segment's last step by the end's label; hubs
+        # reach every class, so a wrong filter drops or keeps real routes
+        rng = random.Random(20261018)
+        labels = QUERY_LABELS + ("Literal", "FunctionDeclaration", "Mystery")
+        texts = []
+        for case in range(50):
+            graph = random_hub_graph(rng, tiny_ontology)
+            # two `*` segments through a hub at star_max 3 give millions of routes
+            star_max, max_nodes = (3, 2) if case % 2 else (2, 3)
+            for _ in range(5):
+                text = random_query(rng, max_nodes=max_nodes, labels=labels)
+                texts.append(text)
+                ast = parse_query(text)
+                results = evaluate(graph, ast, star_max=star_max)
+                assert result_paths(results) == oracle_paths(graph, ast, star_max=star_max), (case, text)
+        labelled_star_end = re.compile(r"\*2?\]->?\(\w*:\w+\)|\(\w*:\w+\)<?-\[[^]]*\*")
+        assert sum(bool(labelled_star_end.search(t)) for t in texts) >= 50
+        for label in ("Node", "Expression", "Mystery"):
+            assert any(f":{label})" in t for t in texts), label
+
+
+class TestHubScaling:
+    """Queries over N disjoint tenants cost about N times one tenant, even
+    when every tenant links to one shared hub (a container registry)."""
+
+    @staticmethod
+    def fleet(ontology, tenants):
+        graph = PropertyGraph(ontology)
+        registry = graph.add_node("ContainerRegistry", "ghcr.io")
+        graph.add_edge(registry, graph.add_node("GeoLocation", "geo", {"region": "us"}), "GEO_LOCATION")
+        for t in range(tenants):
+            vm = graph.add_node("VirtualMachine", f"vm-{t}")
+            bucket = graph.add_node("ObjectStorage", f"bucket-{t}")
+            graph.add_edge(registry, vm, "DFG")
+            graph.add_edge(vm, bucket, "DFG")
+            for node, region in ((vm, "us"), (bucket, "eu")):
+                geo = graph.add_node("GeoLocation", "geo", {"region": region})
+                graph.add_edge(node, geo, "GEO_LOCATION")
+        graph.freeze()
+        return graph
+
+    @staticmethod
+    def counts(graph, text):
+        """(edges `out_edges`/`in_edges` returned, `node_matches_label`
+        calls) while evaluating `text`, and the result count."""
+        tally = {"edges": 0, "labels": 0}
+
+        def listing(method):
+            def counted(*args, **kwargs):
+                edges = method(*args, **kwargs)
+                tally["edges"] += len(edges)
+                return edges
+
+            return counted
+
+        def matcher(*args):
+            tally["labels"] += 1
+            return PropertyGraph.node_matches_label(graph, *args)
+
+        graph.out_edges = listing(graph.out_edges)
+        graph.in_edges = listing(graph.in_edges)
+        graph.node_matches_label = matcher
+        results = evaluate(graph, parse_query(text))
+        return tally["edges"], tally["labels"], len(results)
+
+    def test_cross_region_flows_linear_in_tenants(self, core_ontology):
+        text = listing_text("cross-region-resource-flows")
+        k = 40
+        edges_k, labels_k, results_k = self.counts(self.fleet(core_ontology, k), text)
+        edges_2k, labels_2k, results_2k = self.counts(self.fleet(core_ontology, 2 * k), text)
+        assert results_2k == 2 * results_k > 0
+        assert edges_2k <= 2.2 * edges_k, (edges_k, edges_2k)
+        assert labels_2k <= 2.2 * labels_k, (labels_k, labels_2k)
