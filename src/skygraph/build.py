@@ -16,17 +16,14 @@ from skygraph.discovery import Discovery, load_inventory, load_workflow
 from skygraph.errors import ManifestError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import Ontology, load_ontology
-from skygraph.yamlfile import load_yaml
+from skygraph.yamlfile import check_fields, check_positive_int, load_document
 
-_MANIFEST_KEYS = {
-    "ontology",
-    "mappings",
-    "inventories",
-    "workflows",
-    "codefacts",
-    "registry_locations",
-    "star_max",
-}
+_FILE_LISTS = ("mappings", "inventories", "workflows", "codefacts")
+# (required, optional) manifest fields; star_max has its own rule
+_MANIFEST = (
+    {"ontology": str},
+    {**dict.fromkeys(_FILE_LISTS, [str]), "registry_locations": {str: str}, "star_max": object},
+)
 
 
 @dataclass
@@ -43,15 +40,12 @@ class BuildManifest:
 def load_manifest(path: str | Path) -> BuildManifest:
     """Read a manifest; relative paths resolve against the manifest file."""
     path = Path(path)
-    doc = load_yaml(path, ManifestError)
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest must be a mapping")
-    unknown = set(doc) - _MANIFEST_KEYS
-    if unknown:
-        raise ManifestError(f"unknown manifest keys {sorted(unknown)}")
-    if "ontology" not in doc:
-        raise ManifestError("manifest needs an 'ontology' path")
-    base = path.parent
+    return load_document(path, ManifestError, lambda doc: manifest_from_document(doc, path.parent))
+
+
+def manifest_from_document(doc: dict, base: Path) -> BuildManifest:
+    check_fields(doc, "manifest", ManifestError, *_MANIFEST)
+    star_max = check_positive_int(doc.get("star_max", 10), ManifestError, "star_max")
 
     def resolve(raw: str) -> Path:
         candidate = base / raw
@@ -59,15 +53,9 @@ def load_manifest(path: str | Path) -> BuildManifest:
             raise ManifestError(f"manifest references missing file {candidate}")
         return candidate
 
-    star_max = doc.get("star_max", 10)
-    if not isinstance(star_max, int) or isinstance(star_max, bool) or star_max < 1:
-        raise ManifestError(f"star_max must be a positive integer, got {star_max!r}")
     return BuildManifest(
         ontology=resolve(doc["ontology"]),
-        mappings=[resolve(p) for p in doc.get("mappings") or []],
-        inventories=[resolve(p) for p in doc.get("inventories") or []],
-        workflows=[resolve(p) for p in doc.get("workflows") or []],
-        codefacts=[resolve(p) for p in doc.get("codefacts") or []],
+        **{key: [resolve(p) for p in doc.get(key) or []] for key in _FILE_LISTS},
         registry_locations=dict(doc.get("registry_locations") or {}),
         star_max=star_max,
     )

@@ -17,6 +17,7 @@ from skygraph.errors import SkygraphError
 from skygraph.graph import Path as GraphPath
 from skygraph.graph import PropertyGraph, export_graph, import_graph
 from skygraph.query import evaluate, parse_query
+from skygraph.yamlfile import check_positive_int
 
 
 def render_path(graph: PropertyGraph, path: GraphPath) -> str:
@@ -55,9 +56,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     graph = import_graph(Path(args.graph).read_text(encoding="utf-8"))
     text = _load_query_text(args.query)
     ast = parse_query(text)
-    star_max = args.star_max
-    if star_max is None:
-        star_max = graph.settings.get("star_max", 10)
+    star_max = args.star_max or graph.settings.get("star_max", 10)
     results = evaluate(graph, ast, star_max=star_max)
     if args.format == "paths":
         for result in results:
@@ -88,9 +87,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _positive_int(raw: str) -> int:
-    if not raw.lstrip("-").isdigit() or int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
-    return int(raw)
+    value = int(raw) if raw.lstrip("-").isdigit() else raw
+    return check_positive_int(value, argparse.ArgumentTypeError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,10 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SkygraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SkygraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

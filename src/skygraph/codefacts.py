@@ -21,15 +21,36 @@ from pathlib import Path
 
 from skygraph.errors import CodeFactsError
 from skygraph.graph import PropertyGraph, Scalar
-from skygraph.yamlfile import load_yaml
+from skygraph.yamlfile import SCALAR, check_fields, load_document
 
 HTTP_METHODS = ("GET", "POST", "PUT", "DELETE")
 STORAGE_OPERATIONS = ("create", "append", "read")
 CALL_KINDS = ("plain", "http_client", "storage_sdk")
 
-_BUNDLE_KEYS = {"application", "language", "image", "host", "functions", "calls", "dfg"}
-_FUNCTION_KEYS = {"name", "parameters", "http_handler", "handler_class", "log_calls", "literals"}
-_CALL_KEYS = {"id", "inside", "kind", "http", "storage", "arguments"}
+# (required, optional) fields of a bundle and of each of its entries
+_BUNDLE = (
+    {"application": str},
+    {"language": str, "image": str, "host": str, "functions": list, "calls": list, "dfg": list},
+)
+_FUNCTION = (
+    {"name": str},
+    {
+        "parameters": [str],
+        "http_handler": dict,
+        "handler_class": str,
+        "log_calls": [str],
+        "literals": list,
+    },
+)
+_HANDLER = ({"path": str, "method": str}, {})
+_LITERAL = ({"id": str, "value": SCALAR}, {})
+_CALL = (
+    {"id": str, "inside": str},
+    {"kind": str, "http": dict, "storage": dict, "arguments": [str]},
+)
+_HTTP = ({"url": str, "method": str}, {})
+_STORAGE = ({"account_url": str, "container": str, "operation": str}, {})
+_DFG = ({"from": str, "to": str}, {})
 
 
 @dataclass(frozen=True)
@@ -174,75 +195,51 @@ class CodeFactsBundle:
 # -- bundle loading ---------------------------------------------------------
 
 
-def _check_keys(entry: dict, allowed: set[str], where: str) -> None:
-    unknown = set(entry) - allowed
-    if unknown:
-        raise CodeFactsError(f"unknown keys {sorted(unknown)} in {where}")
+def _fact(cls, entry: dict, key: str, where: str, fields: tuple):
+    """A `cls` from `entry[key]`, a mapping of exactly `fields`; None when absent."""
+    raw = entry.get(key)
+    if raw is None:
+        return None
+    return cls(**check_fields(raw, f"{key} {where}", CodeFactsError, *fields))
 
 
 def bundle_from_document(doc: dict) -> CodeFactsBundle:
-    if not isinstance(doc, dict):
-        raise CodeFactsError("code-facts bundle must be a mapping")
-    _check_keys(doc, _BUNDLE_KEYS, "bundle")
-    if not isinstance(doc.get("application"), str):
-        raise CodeFactsError("bundle needs a string 'application' name")
+    check_fields(doc, "bundle", CodeFactsError, *_BUNDLE)
     functions = []
     for entry in doc.get("functions") or []:
-        _check_keys(entry, _FUNCTION_KEYS, f"function {entry.get('name')!r}")
-        handler = None
-        if entry.get("http_handler") is not None:
-            raw = entry["http_handler"]
-            _check_keys(raw, {"path", "method"}, f"http_handler of {entry.get('name')!r}")
-            handler = HttpHandlerFact(path=raw["path"], method=raw["method"])
-        literals = [
-            LiteralFact(id=lit["id"], value=lit["value"])
-            for lit in entry.get("literals") or []
-        ]
+        check_fields(entry, "function entry", CodeFactsError, *_FUNCTION)
+        where = f"of function {entry['name']!r}"
         functions.append(
             FunctionFact(
                 qualified_name=entry["name"],
                 parameters=list(entry.get("parameters") or []),
-                http_handler=handler,
+                http_handler=_fact(HttpHandlerFact, entry, "http_handler", where, _HANDLER),
                 handler_class=entry.get("handler_class"),
                 log_calls=list(entry.get("log_calls") or []),
-                literals=literals,
+                literals=[
+                    LiteralFact(**check_fields(lit, f"literal {where}", CodeFactsError, *_LITERAL))
+                    for lit in entry.get("literals") or []
+                ],
             )
         )
     calls = []
     for entry in doc.get("calls") or []:
-        _check_keys(entry, _CALL_KEYS, f"call {entry.get('id')!r}")
-        http = None
-        if entry.get("http") is not None:
-            raw = entry["http"]
-            _check_keys(raw, {"url", "method"}, f"http of call {entry.get('id')!r}")
-            http = HttpCallFact(url=raw["url"], method=raw["method"])
-        storage = None
-        if entry.get("storage") is not None:
-            raw = entry["storage"]
-            _check_keys(
-                raw,
-                {"account_url", "container", "operation"},
-                f"storage of call {entry.get('id')!r}",
-            )
-            storage = StorageCallFact(
-                account_url=raw["account_url"],
-                container=raw["container"],
-                operation=raw["operation"],
-            )
+        check_fields(entry, "call entry", CodeFactsError, *_CALL)
+        where = f"of call {entry['id']!r}"
         calls.append(
             CallFact(
                 id=entry["id"],
                 inside=entry["inside"],
                 kind=entry.get("kind", "plain"),
-                http=http,
-                storage=storage,
+                http=_fact(HttpCallFact, entry, "http", where, _HTTP),
+                storage=_fact(StorageCallFact, entry, "storage", where, _STORAGE),
                 arguments=list(entry.get("arguments") or []),
             )
         )
     dfg = []
-    for entry in doc.get("dfg") or []:
-        _check_keys(entry, {"from", "to"}, "dfg pair")
-        dfg.append((entry["from"], entry["to"]))
+    for pair in doc.get("dfg") or []:
+        check_fields(pair, "dfg pair", CodeFactsError, *_DFG)
+        dfg.append((pair["from"], pair["to"]))
     return CodeFactsBundle(
         application=doc["application"],
         language=doc.get("language", ""),
@@ -255,7 +252,7 @@ def bundle_from_document(doc: dict) -> CodeFactsBundle:
 
 
 def load_code_facts(path: str | Path) -> CodeFactsBundle:
-    return bundle_from_document(load_yaml(path, CodeFactsError))
+    return load_document(path, CodeFactsError, bundle_from_document)
 
 
 # -- graph construction ------------------------------------------------------

@@ -18,25 +18,38 @@ from pathlib import Path
 from skygraph.errors import DiscoveryError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import Ontology
-from skygraph.yamlfile import load_yaml
+from skygraph.yamlfile import SCALAR, check_fields, load_document
 
 log = logging.getLogger(__name__)
 
-RECOGNIZED_PROPERTIES = frozenset(
-    {
-        "public_access",
-        "at_rest_encryption_enabled",
-        "at_rest_algorithm",
-        "tls_enabled",
-        "tls_version",
-        "http_url",
-        "auth",
-    }
+#: The resource properties an inventory may record, with their types.
+RECOGNIZED_PROPERTIES = {
+    "public_access": bool,
+    "at_rest_encryption_enabled": bool,
+    "at_rest_algorithm": str,
+    "tls_enabled": bool,
+    "tls_version": str,
+    "http_url": str,
+    "auth": str,
+}
+#: The structural links of a resource: one resource id or a list of them.
+RECOGNIZED_LINKS = dict.fromkeys(
+    ("member_of", "targets", "image", "forwards_logs_to"), (str, [str])
 )
-RECOGNIZED_LINKS = frozenset({"member_of", "targets", "image", "forwards_logs_to"})
 AUTH_VALUES = ("none", "token")
 
 DEFAULT_REGISTRY_HOST = "ghcr.io"
+
+# (required, optional) fields of each document and entry; workflows are
+# GitHub Actions files, so keys not read here are allowed
+_INVENTORY = ({"provider": str}, {"resources": list})
+_RESOURCE = (
+    {"id": SCALAR, "name": SCALAR, "provider_type": SCALAR},
+    {"region": str, "properties": dict, "links": dict},
+)
+_WORKFLOW = ({}, {"name": SCALAR, "jobs": list})
+_JOB = ({}, {"name": SCALAR, "steps": list})
+_STEP = ({}, {"run": SCALAR})
 
 
 @dataclass
@@ -83,47 +96,17 @@ class WorkflowDocument:
 
 
 def inventory_from_document(doc: dict) -> InventoryDocument:
-    if not isinstance(doc, dict):
-        raise DiscoveryError("inventory document must be a mapping")
-    unknown = set(doc) - {"provider", "resources"}
-    if unknown:
-        raise DiscoveryError(f"unknown inventory keys {sorted(unknown)}")
-    if not isinstance(doc.get("provider"), str):
-        raise DiscoveryError("inventory needs a string 'provider'")
+    check_fields(doc, "inventory", DiscoveryError, *_INVENTORY)
     resources = []
     for entry in doc.get("resources") or []:
-        if not isinstance(entry, dict):
-            raise DiscoveryError(f"resource entry must be a mapping, got {entry!r}")
-        missing = [key for key in ("id", "name", "provider_type") if key not in entry]
-        if missing:
-            raise DiscoveryError(f"resource {entry.get('id')!r} is missing {missing}")
-        unknown = set(entry) - {"id", "name", "provider_type", "region", "properties", "links"}
-        if unknown:
-            raise DiscoveryError(
-                f"unknown keys {sorted(unknown)} on resource {entry.get('id')!r}"
-            )
+        check_fields(entry, "resource entry", DiscoveryError, *_RESOURCE)
+        where = f"resource {entry['id']!r}"
         props = entry.get("properties") or {}
-        link_doc = entry.get("links") or {}
-        if not isinstance(props, dict) or not isinstance(link_doc, dict):
-            raise DiscoveryError(f"properties and links of resource {entry['id']!r} must be mappings")
-        bad = set(props) - RECOGNIZED_PROPERTIES
-        if bad:
-            raise DiscoveryError(
-                f"unrecognized properties {sorted(bad)} on resource {entry.get('id')!r}"
-            )
+        check_fields(props, f"properties of {where}", DiscoveryError, {}, RECOGNIZED_PROPERTIES)
         if "auth" in props and props["auth"] not in AUTH_VALUES:
-            raise DiscoveryError(
-                f"resource {entry.get('id')!r} has unknown auth value {props['auth']!r}"
-            )
-        links: dict[str, list[str]] = {}
-        for key, value in link_doc.items():
-            if key not in RECOGNIZED_LINKS:
-                raise DiscoveryError(
-                    f"unrecognized link {key!r} on resource {entry.get('id')!r}"
-                )
-            if not isinstance(value, (str, list)):
-                raise DiscoveryError(f"link {key!r} on resource {entry['id']!r} must be a string or list")
-            links[key] = [value] if isinstance(value, str) else list(value)
+            raise DiscoveryError(f"{where} has unknown auth value {props['auth']!r}")
+        link_doc = entry.get("links") or {}
+        check_fields(link_doc, f"links of {where}", DiscoveryError, {}, RECOGNIZED_LINKS)
         resources.append(
             InventoryResource(
                 id=str(entry["id"]),
@@ -131,42 +114,35 @@ def inventory_from_document(doc: dict) -> InventoryDocument:
                 provider_type=str(entry["provider_type"]),
                 region=entry.get("region"),
                 properties=dict(props),
-                links=links,
+                links={
+                    key: [value] if isinstance(value, str) else list(value)
+                    for key, value in link_doc.items()
+                    if value is not None
+                },
             )
         )
     return InventoryDocument(provider=doc["provider"], resources=resources)
 
 
 def load_inventory(path: str | Path) -> InventoryDocument:
-    doc = load_yaml(path, DiscoveryError)
-    try:
-        return inventory_from_document(doc)
-    except DiscoveryError as exc:
-        raise DiscoveryError(f"{path}: {exc}") from exc
+    return load_document(path, DiscoveryError, inventory_from_document)
 
 
 def workflow_from_document(doc: dict) -> WorkflowDocument:
-    if not isinstance(doc, dict):
-        raise DiscoveryError("workflow document must be a mapping")
+    check_fields(doc, "workflow", DiscoveryError, *_WORKFLOW, open=True)
     jobs = []
     for job in doc.get("jobs") or []:
-        if not isinstance(job, dict):
-            raise DiscoveryError(f"workflow job must be a mapping, got {job!r}")
+        check_fields(job, "workflow job", DiscoveryError, *_JOB, open=True)
         steps = []
         for step in job.get("steps") or []:
-            if not isinstance(step, dict):
-                raise DiscoveryError(f"workflow step must be a mapping, got {step!r}")
+            check_fields(step, "workflow step", DiscoveryError, *_STEP, open=True)
             steps.append(WorkflowStep(run=str(step.get("run", ""))))
         jobs.append(WorkflowJob(name=str(job.get("name", "")), steps=steps))
     return WorkflowDocument(name=str(doc.get("name", "")), jobs=jobs)
 
 
 def load_workflow(path: str | Path) -> WorkflowDocument:
-    doc = load_yaml(path, DiscoveryError)
-    try:
-        return workflow_from_document(doc)
-    except DiscoveryError as exc:
-        raise DiscoveryError(f"{path}: {exc}") from exc
+    return load_document(path, DiscoveryError, workflow_from_document)
 
 
 # -- security feature attachment ----------------------------------------------
@@ -280,7 +256,7 @@ class Discovery:
         for inv in doc.resources:
             cls = self.ontology.resolve_instance_class(doc.provider, inv.provider_type)
             node_props: dict = {"provider_id": inv.id}
-            declared = self.ontology.data_property_keys(cls)
+            declared = self.graph.property_keys(cls)
             if "public_access" in inv.properties and "public_access" in declared:
                 node_props["public_access"] = inv.properties["public_access"]
             if "http_url" in inv.properties and "url" in declared:

@@ -14,6 +14,7 @@ from typing import Iterator
 
 from skygraph.errors import GraphError, UnknownClassError
 from skygraph.ontology import Ontology, ontology_from_documents
+from skygraph.yamlfile import SCALAR, check_fields, check_positive_int
 
 Scalar = str | bool | int
 
@@ -25,12 +26,10 @@ CODE_CLASSES = frozenset(
 #: Code-graph subtyping: call expressions and literals are expressions.
 EXPRESSION_CLASSES = frozenset({"Expression", "CallExpression", "Literal"})
 
-#: Closed edge-type vocabulary. EOG is registered for compatibility with
-#: code-analysis tooling but never produced by the passes here.
+#: Closed edge-type vocabulary.
 EDGE_TYPES = frozenset(
     {
         "DFG",
-        "EOG",
         "TO",
         "SOURCE",
         "RUNS_ON",
@@ -52,6 +51,14 @@ EDGE_TYPES = frozenset(
 
 #: Property keys allowed on every node regardless of class.
 UNIVERSAL_PROPERTY_KEYS = frozenset({"name", "provider_id"})
+
+# (required, optional) sections of an export and its settings; the
+# ontology is read by `ontology_from_documents`, star_max by its own rule
+_EXPORT = (
+    {"ontology": object, "nodes": list, "edges": list},
+    {"mappings": list, "settings": object},
+)
+_SETTINGS = ({}, {"star_max": object})
 
 
 @dataclass
@@ -81,6 +88,12 @@ class Path:
     forward: tuple[bool, ...]
 
 
+def _not_scalar(key: str, value) -> GraphError:
+    return GraphError(
+        f"property {key!r} must be string/boolean/integer, got {type(value).__name__}"
+    )
+
+
 class PropertyGraph:
     """Labeled property graph with by-from / by-to / by-type adjacency, a
     concrete-class label index (inheritance is resolved at query time), and
@@ -104,6 +117,8 @@ class PropertyGraph:
         self._by_provider_id: dict[Scalar, int] = {}
         # class -> name -> id: no key tuple per node to allocate on import
         self._by_name: dict[str, dict[str, int]] = {}
+        # class -> property keys its nodes may carry (None: any key)
+        self._property_keys: dict[str, frozenset[str] | None] = {}
         # label -> concrete classes it matches (None: every class)
         self._label_classes: dict[str, frozenset[str] | None] = {}
         # frozen only: node -> neighbour class -> edges, filled on first use
@@ -119,40 +134,43 @@ class PropertyGraph:
         if self._frozen:
             raise GraphError("graph is frozen; no further construction allowed")
 
-    def _check_properties(self, class_name: str, properties: dict[str, Scalar]) -> None:
-        if self.ontology.has_class(class_name):
-            allowed = self.ontology.data_property_keys(class_name) | UNIVERSAL_PROPERTY_KEYS
-            for key in properties:
-                if key not in allowed:
-                    raise GraphError(
-                        f"property {key!r} not allowed on class {class_name!r}"
-                    )
-        for key, value in properties.items():
-            if not isinstance(value, (str, bool, int)):
-                raise GraphError(
-                    f"property {key!r} must be string/boolean/integer, "
-                    f"got {type(value).__name__}"
-                )
+    def property_keys(self, class_name: str) -> frozenset[str] | None:
+        """Property keys a node of `class_name` may carry: its ontology data
+        properties plus the universal keys, or None (any key) for a code
+        class. Raises UnknownClassError for any other class."""
+        if class_name not in self._property_keys:
+            if self.ontology.has_class(class_name):
+                keys = self.ontology.data_property_keys(class_name) | UNIVERSAL_PROPERTY_KEYS
+                self._property_keys[class_name] = frozenset(keys)
+            elif class_name in CODE_CLASSES:
+                self._property_keys[class_name] = None
+            else:
+                raise UnknownClassError(f"unknown node class {class_name!r}")
+        return self._property_keys[class_name]
 
     def add_node(
-        self,
-        class_name: str,
-        name: str,
-        properties: dict[str, Scalar] | None = None,
+        self, class_name: str, name: str, properties: dict[str, Scalar] | None = None
     ) -> int:
         self._check_mutable()
-        if not self.ontology.has_class(class_name) and class_name not in CODE_CLASSES:
-            raise UnknownClassError(f"unknown node class {class_name!r}")
-        properties = dict(properties or {})
-        self._check_properties(class_name, properties)
         node_id = self._next_node
-        self._index_node(Node(node_id, class_name, name, properties))
+        self._insert_node(Node(node_id, class_name, name, dict(properties or {})))
         return node_id
 
-    def _index_node(self, node: Node) -> None:
-        """Enter `node` in the node table and every node index; an index
-        entry already taken by an earlier node is kept. Raises TypeError
-        when the name or provider id is unhashable."""
+    def _insert_node(self, node: Node) -> None:
+        """The one way into the node table: check `node`, then index it; an
+        index entry already taken by an earlier node is kept."""
+        if not isinstance(node.class_name, str):
+            raise GraphError(f"node {node.id} class must be a string, got {node.class_name!r}")
+        allowed = self.property_keys(node.class_name)
+        if not isinstance(node.name, str):
+            raise GraphError(f"node {node.id} name must be a string, got {node.name!r}")
+        for key, value in node.properties.items():
+            if allowed is not None and key not in allowed:
+                raise GraphError(f"property {key!r} not allowed on class {node.class_name!r}")
+            if not isinstance(value, SCALAR):
+                raise _not_scalar(key, value)
+        if node.id in self._nodes:
+            raise GraphError(f"duplicate node id {node.id}")
         self._nodes[node.id] = node
         self._by_from[node.id] = []
         self._by_to[node.id] = []
@@ -166,26 +184,31 @@ class PropertyGraph:
         self._next_node = max(self._next_node, node.id + 1)
 
     def add_edge(
-        self,
-        from_id: int,
-        to_id: int,
-        type: str,
-        properties: dict[str, Scalar] | None = None,
+        self, from_id: int, to_id: int, type: str, properties: dict[str, Scalar] | None = None
     ) -> int:
         self._check_mutable()
-        if type not in EDGE_TYPES:
-            raise GraphError(f"unregistered edge type {type!r}")
-        if from_id not in self._nodes:
-            raise GraphError(f"edge source {from_id!r} does not exist")
-        if to_id not in self._nodes:
-            raise GraphError(f"edge target {to_id!r} does not exist")
         edge_id = self._next_edge
-        self._next_edge += 1
-        self._edges[edge_id] = Edge(edge_id, type, from_id, to_id, dict(properties or {}))
-        self._by_from[from_id].append(edge_id)
-        self._by_to[to_id].append(edge_id)
-        self._by_type.setdefault(type, []).append(edge_id)
+        self._insert_edge(Edge(edge_id, type, from_id, to_id, dict(properties or {})))
         return edge_id
+
+    def _insert_edge(self, edge: Edge) -> None:
+        """The one way into the edge table: check the edge and index it."""
+        if not isinstance(edge.type, str) or edge.type not in EDGE_TYPES:
+            raise GraphError(f"unregistered edge type {edge.type!r}")
+        if edge.from_id not in self._nodes:
+            raise GraphError(f"edge source {edge.from_id!r} does not exist")
+        if edge.to_id not in self._nodes:
+            raise GraphError(f"edge target {edge.to_id!r} does not exist")
+        for key, value in edge.properties.items():
+            if not isinstance(value, SCALAR):
+                raise _not_scalar(key, value)
+        if edge.id in self._edges:
+            raise GraphError(f"duplicate edge id {edge.id}")
+        self._edges[edge.id] = edge
+        self._by_from[edge.from_id].append(edge.id)
+        self._by_to[edge.to_id].append(edge.id)
+        self._by_type.setdefault(edge.type, []).append(edge.id)
+        self._next_edge = max(self._next_edge, edge.id + 1)
 
     def freeze(self) -> None:
         self._frozen = True
@@ -356,58 +379,27 @@ class PropertyGraph:
 
     @classmethod
     def from_document(cls, doc: dict) -> "PropertyGraph":
-        for key in ("ontology", "nodes", "edges"):
-            if key not in doc:
-                raise GraphError(f"graph document missing {key!r} section")
-        ontology = ontology_from_documents(doc["ontology"], doc.get("mappings", []))
-        graph = cls(ontology)
-        settings = doc.get("settings") or {}
-        if not isinstance(settings, dict):
-            raise GraphError(f"settings must be a mapping, got {type(settings).__name__}")
+        check_fields(doc, "graph document", GraphError, *_EXPORT)
+        graph = cls(ontology_from_documents(doc["ontology"], doc.get("mappings") or []))
+        settings = check_fields(doc.get("settings") or {}, "settings", GraphError, *_SETTINGS)
         graph.settings = dict(settings)
-        star_max = graph.settings.get("star_max", 10)
-        if not isinstance(star_max, int) or isinstance(star_max, bool) or star_max < 1:
-            raise GraphError(f"settings.star_max must be a positive integer, got {star_max!r}")
+        check_positive_int(graph.settings.get("star_max", 10), GraphError, "settings.star_max")
         for entry in doc["nodes"]:
             try:
-                node = Node(int(entry["id"]), entry["class"], entry["name"], dict(entry.get("properties", {})))
-            except (KeyError, TypeError, ValueError) as exc:
+                props = dict(entry.get("properties", {}))
+                node = Node(int(entry["id"]), entry["class"], entry["name"], props)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed node entry {entry!r}") from exc
-            if not isinstance(node.class_name, str):
-                raise GraphError(f"node {node.id} class must be a string, got {node.class_name!r}")
-            if not ontology.has_class(node.class_name) and node.class_name not in CODE_CLASSES:
-                raise UnknownClassError(f"unknown node class {node.class_name!r}")
-            if node.id in graph._nodes:
-                raise GraphError(f"duplicate node id {node.id}")
-            try:
-                graph._index_node(node)
-            except TypeError as exc:  # an unhashable name or provider_id
-                raise GraphError(f"malformed node entry {entry!r}") from exc
+            graph._insert_node(node)
         for entry in doc["edges"]:
             try:
+                props = dict(entry.get("properties", {}))
                 edge = Edge(
-                    int(entry["id"]),
-                    entry["type"],
-                    int(entry["from"]),
-                    int(entry["to"]),
-                    dict(entry.get("properties", {})),
+                    int(entry["id"]), entry["type"], int(entry["from"]), int(entry["to"]), props
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed edge entry {entry!r}") from exc
-            if not isinstance(edge.type, str) or edge.type not in EDGE_TYPES:
-                raise GraphError(f"unregistered edge type {edge.type!r}")
-            if edge.from_id not in graph._nodes or edge.to_id not in graph._nodes:
-                raise GraphError(
-                    f"edge {edge.id} references missing node "
-                    f"{edge.from_id if edge.from_id not in graph._nodes else edge.to_id}"
-                )
-            if edge.id in graph._edges:
-                raise GraphError(f"duplicate edge id {edge.id}")
-            graph._edges[edge.id] = edge
-            graph._by_from[edge.from_id].append(edge.id)
-            graph._by_to[edge.to_id].append(edge.id)
-            graph._by_type.setdefault(edge.type, []).append(edge.id)
-            graph._next_edge = max(graph._next_edge, edge.id + 1)
+            graph._insert_edge(edge)
         graph.freeze()
         return graph
 
@@ -426,6 +418,4 @@ def import_graph(text: str | dict) -> PropertyGraph:
             raise GraphError(f"graph document is not valid JSON: {exc}") from exc
     else:
         doc = text
-    if not isinstance(doc, dict):
-        raise GraphError("graph document must be a JSON object")
     return PropertyGraph.from_document(doc)

@@ -11,15 +11,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from skygraph.errors import OntologyError, UnknownClassError, UnknownMappingError
-from skygraph.yamlfile import load_yaml
+from skygraph.yamlfile import check_fields, load_document
 
 CLASS_KINDS = ("resource", "framework", "functionality", "security-feature")
 PROPERTY_KINDS = ("string", "boolean", "integer")
 
-_CLASS_KEYS = {"name", "parent", "kind", "data_properties", "offers"}
-_TOP_KEYS = {"classes", "mappings"}
-_MAPPING_DOC_KEYS = {"provider", "types"}
-_MAPPING_ENTRY_KEYS = {"provider_type", "ontology_class"}
+# (required, optional) fields of each document and entry
+_ONTOLOGY = ({}, {"classes": list, "mappings": list})
+_CLASS = (
+    {"name": str, "kind": str},
+    {"parent": str, "data_properties": {str: str}, "offers": [str]},
+)
+_MAPPING_DOCUMENT = ({}, {"provider": str, "types": list})
+# required fields of a mapping entry; `provider` too when its document has none
+_MAPPING = {"provider_type": str, "ontology_class": str}
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,11 @@ class Ontology:
         for cls in self.classes.values():
             if cls.kind not in CLASS_KINDS:
                 raise OntologyError(f"class {cls.name!r} has unknown kind {cls.kind!r}")
+            for prop, prop_kind in cls.data_properties:
+                if prop_kind not in PROPERTY_KINDS:
+                    raise OntologyError(
+                        f"class {cls.name!r} property {prop!r} has unknown kind {prop_kind!r}"
+                    )
             if cls.parent is not None:
                 parent = self.classes.get(cls.parent)
                 if parent is None:
@@ -221,83 +231,54 @@ class Ontology:
         return {"classes": classes}, mapping_docs
 
 
-def _parse_class(entry: dict) -> OntologyClass:
-    if not isinstance(entry, dict):
-        raise OntologyError(f"class entry must be a mapping, got {entry!r}")
-    unknown = set(entry) - _CLASS_KEYS
-    if unknown:
-        raise OntologyError(
-            f"unknown keys {sorted(unknown)} in class {entry.get('name')!r}"
-        )
-    name = entry.get("name")
-    kind = entry.get("kind")
-    if not isinstance(name, str) or not isinstance(kind, str):
-        raise OntologyError(f"class entry needs string name and kind: {entry!r}")
-    props = entry.get("data_properties") or {}
-    if not isinstance(props, dict):
-        raise OntologyError(f"data_properties of {name!r} must be a mapping")
-    for prop, prop_kind in props.items():
-        if prop_kind not in PROPERTY_KINDS:
-            raise OntologyError(
-                f"class {name!r} property {prop!r} has unknown kind {prop_kind!r}"
-            )
-    offers = entry.get("offers") or []
-    if not isinstance(offers, list):
-        raise OntologyError(f"offers of {name!r} must be a list")
-    return OntologyClass(
-        name=name,
-        kind=kind,
-        parent=entry.get("parent"),
-        data_properties=tuple(props.items()),
-        offers=tuple(offers),
-    )
+def _check_ontology_document(doc: dict) -> dict:
+    check_fields(doc, "ontology document", OntologyError, *_ONTOLOGY)
+    for entry in doc.get("classes") or []:
+        check_fields(entry, "class entry", OntologyError, *_CLASS)
+    # inline mappings name their provider on each entry
+    _check_mapping_document({"types": doc.get("mappings")})
+    return doc
+
+
+def _check_mapping_document(doc: dict) -> dict:
+    check_fields(doc, "mapping document", OntologyError, *_MAPPING_DOCUMENT)
+    provider = {} if doc.get("provider") is not None else {"provider": str}
+    for entry in doc.get("types") or []:
+        check_fields(entry, "mapping entry", OntologyError, _MAPPING | provider, {})
+    return doc
 
 
 def ontology_from_documents(ontology_doc: dict, mapping_docs: list[dict]) -> Ontology:
     """Build and validate an Ontology from already-parsed documents."""
-    if not isinstance(ontology_doc, dict):
-        raise OntologyError("ontology document must be a mapping")
-    unknown = set(ontology_doc) - _TOP_KEYS
-    if unknown:
-        raise OntologyError(f"unknown top-level keys {sorted(unknown)}")
-    class_entries = ontology_doc.get("classes") or []
     classes: dict[str, OntologyClass] = {}
-    for entry in class_entries:
-        cls = _parse_class(entry)
-        if cls.name in classes:
-            raise OntologyError(f"duplicate class name {cls.name!r}")
-        classes[cls.name] = cls
-
-    mappings: list[InstanceMapping] = []
-    inline = ontology_doc.get("mappings") or []
-    docs = [{"provider": None, "types": inline}] if inline else []
-    docs.extend(mapping_docs)
-    for doc in docs:
-        if not isinstance(doc, dict):
-            raise OntologyError("mapping document must be a mapping")
-        unknown = set(doc) - _MAPPING_DOC_KEYS
-        if unknown:
-            raise OntologyError(f"unknown keys {sorted(unknown)} in mapping document")
-        provider = doc.get("provider")
-        for entry in doc.get("types") or []:
-            unknown = set(entry) - _MAPPING_ENTRY_KEYS - ({"provider"} if provider is None else set())
-            if unknown:
-                raise OntologyError(f"unknown keys {sorted(unknown)} in mapping entry")
-            entry_provider = provider if provider is not None else entry.get("provider")
-            if not isinstance(entry_provider, str):
-                raise OntologyError(f"mapping entry missing provider: {entry!r}")
-            mappings.append(
-                InstanceMapping(
-                    provider=entry_provider,
-                    provider_type=entry["provider_type"],
-                    ontology_class=entry["ontology_class"],
-                )
-            )
+    for entry in _check_ontology_document(ontology_doc).get("classes") or []:
+        if entry["name"] in classes:
+            raise OntologyError(f"duplicate class name {entry['name']!r}")
+        classes[entry["name"]] = OntologyClass(
+            name=entry["name"],
+            kind=entry["kind"],
+            parent=entry.get("parent"),
+            data_properties=tuple((entry.get("data_properties") or {}).items()),
+            offers=tuple(entry.get("offers") or []),
+        )
+    docs = [{"types": ontology_doc.get("mappings")}, *map(_check_mapping_document, mapping_docs)]
+    mappings = [
+        InstanceMapping(
+            provider=entry["provider"] if doc.get("provider") is None else doc["provider"],
+            provider_type=entry["provider_type"],
+            ontology_class=entry["ontology_class"],
+        )
+        for doc in docs
+        for entry in doc.get("types") or []
+    ]
     return Ontology(classes=classes, mappings=mappings)
 
 
 def load_ontology(ontology_path: str | Path, mapping_paths: list[str | Path] = ()) -> Ontology:
-    """Load the ontology document and per-provider mapping files."""
-    ontology_doc = load_yaml(ontology_path, OntologyError)
-    mapping_docs = [load_yaml(path, OntologyError) for path in mapping_paths]
+    """Load the ontology document and per-provider mapping files; a
+    malformed document raises OntologyError naming its file."""
+    # checked here as well as in ontology_from_documents, so that a
+    # malformed file is named
+    ontology_doc = load_document(ontology_path, OntologyError, _check_ontology_document)
+    mapping_docs = [load_document(p, OntologyError, _check_mapping_document) for p in mapping_paths]
     return ontology_from_documents(ontology_doc, mapping_docs)

@@ -138,6 +138,82 @@ class TestBuild:
         assert outs[0] == outs[1]
 
 
+def _set(keys, value):
+    """A mutation that sets the item at the path `keys` of a document."""
+
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+
+    return mutate
+
+
+def _drop(*keys):
+    """A mutation that deletes the item at the path `keys` of a document."""
+
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+
+    return mutate
+
+
+EXPORT = "graph.json"
+CODEFACTS = "codefacts/productpage.yaml"
+MANIFEST = "manifest.yaml"
+CORE = "../../ontology/core.yaml"
+
+# inputs that once crashed `build` with a traceback or that `query`
+# accepted: (file under the bookinfo testbed, or the export; mutation)
+MALFORMED_INPUTS = {
+    "function-without-name": (CODEFACTS, _drop("functions", 0, "name")),
+    "function-entry-is-a-string": (CODEFACTS, _set(("functions", 0), "productpage.index")),
+    "call-without-inside": (CODEFACTS, _drop("calls", 0, "inside")),
+    "handler-path-not-a-string": (CODEFACTS, _set(("functions", 0, "http_handler", "path"), 5)),
+    "handler-without-method": (CODEFACTS, _drop("functions", 0, "http_handler", "method")),
+    "parameters-not-a-list": (CODEFACTS, _set(("functions", 0, "parameters"), 5)),
+    "manifest-mappings-not-a-list": (MANIFEST, _set(("mappings",), 5)),
+    "manifest-registry-locations-a-list": (MANIFEST, _set(("registry_locations",), ["a"])),
+    "manifest-ontology-not-a-path": (MANIFEST, _set(("ontology",), 5)),
+    "manifest-registry-region-a-list": (MANIFEST, _set(("registry_locations", "ghcr.io"), ["us"])),
+    "mapping-without-provider-type": ("../../ontology/aws.yaml", _drop("types", 0, "provider_type")),
+    "class-parent-a-list": (CORE, _set(("classes", 1, "parent"), ["x"])),
+    "class-offers-nested-list": (CORE, _set(("classes", 0, "offers"), [["x"]])),
+    "export-undeclared-node-property": (EXPORT, _set(("nodes", 0, "properties", "bogus"), 1)),
+    "export-list-node-property": (EXPORT, _set(("nodes", 0, "properties", "image"), ["a"])),
+    "export-dict-node-property": (EXPORT, _set(("nodes", 0, "properties", "image"), {"a": 1})),
+    "export-float-node-property": (EXPORT, _set(("nodes", 0, "properties", "image"), 1.5)),
+    "export-list-edge-property": (EXPORT, _set(("edges", 0, "properties", "weight"), [1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(bookinfo_copy, tmp_path, capsys, case):
+    target, mutate = MALFORMED_INPUTS[case]
+    manifest = str(bookinfo_copy / "manifest.yaml")
+    out = tmp_path / "graph.json"
+    if target == EXPORT:
+        assert main(["build", manifest, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        mutate(doc)
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["query", str(out), "MATCH (n) RETURN n"]
+    else:
+        path = bookinfo_copy / target
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        mutate(doc)
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        argv = ["build", manifest, "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if target != EXPORT:
+        assert f"error: {bookinfo_copy / target}: " in err
+
+
 class TestQuery:
     def test_weak_encryption_shows_tls_version_endpoint(self, built_graph_file, tmp_path, capsys):
         query_file = write_query(tmp_path, "weak-transport-encryption")

@@ -46,11 +46,11 @@ class TestDocumentValidation:
             )
 
     def test_unrecognized_property(self):
-        with pytest.raises(DiscoveryError, match="unrecognized properties"):
+        with pytest.raises(DiscoveryError, match=r"unknown keys \['nope'\] in properties"):
             inventory("aws", [{"id": "a", "name": "x", "provider_type": "T", "properties": {"nope": 1}}])
 
     def test_unrecognized_link(self):
-        with pytest.raises(DiscoveryError, match="unrecognized link"):
+        with pytest.raises(DiscoveryError, match=r"unknown keys \['nope'\] in links"):
             inventory("aws", [{"id": "a", "name": "x", "provider_type": "T", "links": {"nope": "b"}}])
 
     def test_bad_auth_value(self):
@@ -72,10 +72,14 @@ class TestDocumentValidation:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            ({"properties": ["public_access"]}, "must be mappings"),
-            ({"links": ["member_of"]}, "must be mappings"),
-            ({"links": {"member_of": 5}}, "must be a string or list"),
+            ({"properties": ["public_access"]}, "'properties' in resource entry must be of type dict"),
+            ({"links": ["member_of"]}, "'links' in resource entry must be of type dict"),
+            (
+                {"links": {"member_of": 5}},
+                "'member_of' in links of resource 'a' must be of type str or list of str",
+            ),
         ],
+        ids=["extra0-must be mappings", "extra1-must be mappings", "extra2-must be a string or list"],
     )
     def test_resource_properties_and_links_shape(self, extra, message):
         with pytest.raises(DiscoveryError, match=message):

@@ -1,0 +1,131 @@
+"""Fuzzed input documents: one leaf or entry of a bundled document is
+replaced or deleted, and reading the result must either succeed or raise a
+`SkygraphError`; any other exception is a crash the CLI would print as a
+traceback."""
+
+import copy
+import functools
+import json
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skygraph.build import build_graph, load_manifest, manifest_from_document
+from skygraph.codefacts import (
+    build_http_client_nodes,
+    build_http_server_nodes,
+    build_storage_request_nodes,
+    bundle_from_document,
+    ingest_code_facts,
+)
+from skygraph.discovery import Discovery, inventory_from_document, workflow_from_document
+from skygraph.errors import SkygraphError
+from skygraph.graph import PropertyGraph, export_graph, import_graph
+from skygraph.ontology import ontology_from_documents
+
+from .conftest import data_path
+
+DELETE = object()
+VALUES = (None, 5, True, 1.5, "x", [], {}, [[1]], {"k": [1]}, DELETE)
+BOOKINFO = Path(data_path("fixtures/bookinfo"))
+
+
+@functools.cache
+def _yaml(path: str):
+    return yaml.safe_load(Path(data_path(path)).read_text(encoding="utf-8"))
+
+
+@functools.cache
+def _ontology():
+    mappings = [_yaml(f"ontology/{name}.yaml") for name in ("aws", "azure", "k8s")]
+    return ontology_from_documents(_yaml("ontology/core.yaml"), mappings)
+
+
+def _slots(doc, path=()):
+    """Key paths of every entry and leaf below the document root."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def mutations(doc):
+    """Copies of `doc` with one slot replaced by one of VALUES or deleted."""
+    changes = st.tuples(st.sampled_from(list(_slots(doc))), st.sampled_from(VALUES))
+    return changes.map(lambda change: _mutated(doc, *change))
+
+
+def _ingest_bundle(doc):
+    graph = PropertyGraph(_ontology())
+    app_id = ingest_code_facts(graph, bundle_from_document(doc))
+    build_http_server_nodes(graph, app_id)
+    build_http_client_nodes(graph, app_id)
+    build_storage_request_nodes(graph, app_id)
+
+
+def _ingest_inventory(doc):
+    discovery = Discovery(PropertyGraph(_ontology()), _ontology(), {"ghcr.io": "us"})
+    discovery.ingest_inventory(inventory_from_document(doc))
+    discovery.resolve_inventory_links()
+
+
+def _ingest_workflow(doc):
+    Discovery(PropertyGraph(_ontology()), _ontology()).ingest_workflow(workflow_from_document(doc))
+
+
+def _export():
+    graph, _, _ = build_graph(load_manifest(BOOKINFO / "manifest.yaml"))
+    return json.loads(export_graph(graph, {"star_max": 10}))
+
+
+# document -> (how to load the document, how it is read)
+READERS = {
+    "manifest": (
+        lambda: _yaml("fixtures/bookinfo/manifest.yaml"),
+        lambda doc: manifest_from_document(doc, BOOKINFO),
+    ),
+    "ontology": (lambda: _yaml("ontology/core.yaml"), lambda doc: ontology_from_documents(doc, [])),
+    "mapping": (
+        lambda: _yaml("ontology/azure.yaml"),
+        lambda doc: ontology_from_documents(_yaml("ontology/core.yaml"), [doc]),
+    ),
+    "codefacts": (lambda: _yaml("fixtures/bookinfo/codefacts/productpage.yaml"), _ingest_bundle),
+    "inventory": (lambda: _yaml("fixtures/bookinfo/inventories/azure.yaml"), _ingest_inventory),
+    "workflow": (lambda: _yaml("fixtures/bookinfo/workflows/deploy.yaml"), _ingest_workflow),
+    "export": (_export, import_graph),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_mutated_document_raises_only_skygraph_errors(kind):
+    load, read = READERS[kind]
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(mutations(load()))
+    def check(mutated):
+        try:
+            read(mutated)
+        except SkygraphError:
+            pass
+
+    check()

@@ -71,7 +71,7 @@ class TestAddEdge:
             graph.add_edge(a, b, "BOGUS")
 
     def test_registered_vocabulary(self):
-        assert {"DFG", "TO", "SOURCE", "RUNS_ON", "AUTHENTICITY", "EOG"} <= EDGE_TYPES
+        assert {"DFG", "TO", "SOURCE", "RUNS_ON", "AUTHENTICITY"} <= EDGE_TYPES
 
 
 class TestFreeze:
@@ -181,7 +181,7 @@ class TestRoundTrip:
         graph.freeze()
         doc = graph.to_document()
         doc["edges"].append({"id": "9", "type": "DFG", "from": "0", "to": "42", "properties": {}})
-        with pytest.raises(GraphError, match="missing node"):
+        with pytest.raises(GraphError, match="edge target 42 does not exist"):
             import_graph(doc)
 
     def test_schema_violation(self):
@@ -282,7 +282,7 @@ class TestLookupIndexes:
             node["name"] = ["s"]
         else:
             node["properties"]["provider_id"] = {"id": "p"}
-        with pytest.raises(GraphError, match="malformed node entry"):
+        with pytest.raises(GraphError, match=f"{field}.* must be"):
             import_graph(doc)
 
 
@@ -326,4 +326,17 @@ def test_import_rejects_unknown_class():
     doc = graph.to_document()
     doc["nodes"][0]["class"] = "Mystery"
     with pytest.raises(UnknownClassError):
+        import_graph(doc)
+
+
+@pytest.mark.parametrize("section, what", [("nodes", "node"), ("edges", "edge")])
+def test_import_rejects_duplicate_ids(section, what):
+    ontology = ontology_from_documents({"classes": [{"name": "A", "kind": "resource"}]}, [])
+    graph = PropertyGraph(ontology)
+    a = graph.add_node("A", "a", {})
+    graph.add_edge(a, a, "DFG")
+    graph.freeze()
+    doc = graph.to_document()
+    doc[section].append(dict(doc[section][0]))
+    with pytest.raises(GraphError, match=f"duplicate {what} id 0"):
         import_graph(doc)
