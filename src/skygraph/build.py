@@ -117,7 +117,7 @@ def build_graph(manifest: BuildManifest) -> tuple[PropertyGraph, Ontology, Build
 
     def run_inventories() -> None:
         for path in manifest.inventories:
-            discovery.ingest_inventory(load_inventory(path))
+            discovery.ingest_inventory(load_inventory(path), path)
         discovery.resolve_inventory_links()
 
     timed("inventories", run_inventories)

@@ -11,11 +11,12 @@ Workflow files contribute container images and registries.
 from __future__ import annotations
 
 import logging
+import re
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from skygraph.errors import DiscoveryError
+from skygraph.errors import DiscoveryError, SkygraphError, UnknownMappingError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import Ontology
 from skygraph.yamlfile import SCALAR, check_fields, load_document
@@ -241,20 +242,26 @@ class Discovery:
         self.graph = graph
         self.ontology = ontology
         self.registry_locations = dict(registry_locations or {})
-        self._pending_links: list[tuple[int, str, str]] = []
+        # (resource, link key, target id, inventory file or None)
+        self._pending_links: list[tuple[int, str, str, str | Path | None]] = []
         self._built_images: set[str] = set()
 
     # -- inventories ----------------------------------------------------
 
-    def ingest_inventory(self, doc: InventoryDocument) -> int:
+    def ingest_inventory(self, doc: InventoryDocument, path: str | Path | None = None) -> int:
         """Create one classified resource node per inventory entry.
 
         An unknown (provider, provider_type) pair raises immediately: an
-        unclassifiable resource must surface, not be skipped.
+        unclassifiable resource must surface, not be skipped. `path`, the
+        file `doc` was read from, prefixes that error and the dangling-link
+        errors `resolve_inventory_links` raises for its resources.
         """
         count = 0
         for inv in doc.resources:
-            cls = self.ontology.resolve_instance_class(doc.provider, inv.provider_type)
+            try:
+                cls = self.ontology.resolve_instance_class(doc.provider, inv.provider_type)
+            except UnknownMappingError as exc:
+                raise _in_file(path, exc)
             node_props: dict = {"provider_id": inv.id}
             declared = self.graph.property_keys(cls)
             if "public_access" in inv.properties and "public_access" in declared:
@@ -272,22 +279,25 @@ class Discovery:
             attach_security_features(self.graph, self.ontology, resource_id, inv)
             for key, targets in inv.links.items():
                 for target in targets:
-                    self._pending_links.append((resource_id, key, target))
+                    self._pending_links.append((resource_id, key, target, path))
             count += 1
         return count
 
     def resolve_inventory_links(self) -> None:
         """Create structural edges once all inventories are ingested."""
-        for resource_id, key, target in self._pending_links:
+        for resource_id, key, target, path in self._pending_links:
             if key == "image":
                 image_id = self._image_node(target)
                 self.graph.add_edge(resource_id, image_id, "USES_IMAGE")
                 continue
             target_id = self.graph.find_by_provider_id(target)
             if target_id is None:
-                raise DiscoveryError(
-                    f"resource {self.graph.node(resource_id).name!r} links to "
-                    f"unknown resource id {target!r}"
+                raise _in_file(
+                    path,
+                    DiscoveryError(
+                        f"resource {self.graph.node(resource_id).name!r} links to "
+                        f"unknown resource id {target!r}"
+                    ),
                 )
             if key == "member_of":
                 self.graph.add_edge(target_id, resource_id, "CONTAINS")
@@ -397,7 +407,24 @@ class Discovery:
         return created
 
 
+def _in_file(path: str | Path | None, exc: SkygraphError) -> SkygraphError:
+    """`exc` with its message prefixed by `path`, as `load_document` names a
+    file; its type and attributes are kept."""
+    if path is not None:
+        exc.args = (f"{path}: {exc}",)
+    return exc
+
+
+# What makes `shlex.split` differ from `str.split`: quotes, the escape
+# character, and whitespace other than the four shlex splits on
+_SHELL_SYNTAX = re.compile(r"[\"'\\]|[^\S \t\r\n]")
+
+
 def _split_command(command: str) -> list[str]:
+    """Tokenize like `shlex.split`; a plain command, made of words and
+    space, tab, CR and LF between them, takes the fast `str.split`."""
+    if _SHELL_SYNTAX.search(command) is None:
+        return command.split()
     try:
         return shlex.split(command)
     except ValueError:

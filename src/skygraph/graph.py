@@ -88,6 +88,13 @@ class Path:
     forward: tuple[bool, ...]
 
 
+def _edge_key(from_id: int, to_id: int, type: str) -> str:
+    # A string, not a tuple: strings are not tracked by the cyclic collector,
+    # while one long-lived tuple per edge moved a full collection into the
+    # build and added one to the `query` commands after it.
+    return f"{from_id} {to_id} {type}"
+
+
 def _not_scalar(key: str, value) -> GraphError:
     return GraphError(
         f"property {key!r} must be string/boolean/integer, got {type(value).__name__}"
@@ -124,6 +131,8 @@ class PropertyGraph:
         # frozen only: node -> neighbour class -> edges, filled on first use
         self._out_by_class: dict[int, dict[str, list[Edge]]] = {}
         self._in_by_class: dict[int, dict[str, list[Edge]]] = {}
+        # `_edge_key` of every edge, from the first `has_edge` call on
+        self._edge_keys: set[str] | None = None
         self._next_node = 0
         self._next_edge = 0
         self._frozen = False
@@ -208,6 +217,8 @@ class PropertyGraph:
         self._by_from[edge.from_id].append(edge.id)
         self._by_to[edge.to_id].append(edge.id)
         self._by_type.setdefault(edge.type, []).append(edge.id)
+        if self._edge_keys is not None:
+            self._edge_keys.add(_edge_key(edge.from_id, edge.to_id, edge.type))
         self._next_edge = max(self._next_edge, edge.id + 1)
 
     def freeze(self) -> None:
@@ -291,9 +302,12 @@ class PropertyGraph:
         return [self._edges[e] for e in self._by_type.get(type, [])]
 
     def has_edge(self, from_id: int, to_id: int, type: str) -> bool:
-        return any(
-            e.to_id == to_id and e.type == type for e in self.out_edges(from_id)
-        )
+        """Whether an edge of `type` leads from `from_id` to `to_id`; a set
+        lookup, so the passes' duplicate checks do not list a hub's edges."""
+        if self._edge_keys is None:
+            edges = self._edges.values()
+            self._edge_keys = {_edge_key(e.from_id, e.to_id, e.type) for e in edges}
+        return _edge_key(from_id, to_id, type) in self._edge_keys
 
     def nodes_with_class(self, class_name: str) -> list[int]:
         """Node ids whose concrete class is exactly `class_name`."""
@@ -404,9 +418,62 @@ class PropertyGraph:
         return graph
 
 
+# Encodes a node's or edge's properties at their depth in the export. With
+# `indent` left at None `encode` runs the C encoder; any `indent` makes the
+# json module fall back to its pure-Python encoder.
+_PROPERTIES = json.JSONEncoder(sort_keys=True, separators=(",\n" + " " * 8, ": "))
+_string = json.encoder.encode_basestring_ascii
+
+
+def _properties(props: dict) -> str:
+    if not props:
+        return "{}"
+    return "{\n        " + _PROPERTIES.encode(props)[1:-1] + "\n      }"
+
+
+def _section(value) -> str:
+    # a JSON string never holds a raw newline, so every newline is layout
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _entries(lines: list[str]) -> str:
+    return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
+
+
 def export_graph(graph: PropertyGraph, settings: dict | None = None) -> str:
-    """Serialize to the JSON export format, deterministically ordered."""
-    return json.dumps(graph.to_document(settings), indent=2, sort_keys=True) + "\n"
+    """Serialize to the JSON export format, deterministically ordered: the
+    text is exactly ``json.dumps(graph.to_document(settings), indent=2,
+    sort_keys=True) + "\\n"``, laid out here so that strings and property
+    dicts go through the C encoder."""
+    doc = graph.to_document(settings)
+    nodes = [
+        "    {\n"
+        f'      "class": {_string(n["class"])},\n'
+        f'      "id": {_string(n["id"])},\n'
+        f'      "name": {_string(n["name"])},\n'
+        f'      "properties": {_properties(n["properties"])}\n'
+        "    }"
+        for n in doc["nodes"]
+    ]
+    edges = [
+        "    {\n"
+        f'      "from": {_string(e["from"])},\n'
+        f'      "id": {_string(e["id"])},\n'
+        f'      "properties": {_properties(e["properties"])},\n'
+        f'      "to": {_string(e["to"])},\n'
+        f'      "type": {_string(e["type"])}\n'
+        "    }"
+        for e in doc["edges"]
+    ]
+    return (
+        "{\n"
+        f'  "edges": {_entries(edges)},\n'
+        f'  "mappings": {_section(doc["mappings"])},\n'
+        f'  "nodes": {_entries(nodes)},\n'
+        f'  "ontology": {_section(doc["ontology"])},\n'
+        f'  "settings": {_section(doc["settings"])}\n'
+        "}\n"
+    )
 
 
 def import_graph(text: str | dict) -> PropertyGraph:

@@ -164,9 +164,11 @@ EXPORT = "graph.json"
 CODEFACTS = "codefacts/productpage.yaml"
 MANIFEST = "manifest.yaml"
 CORE = "../../ontology/core.yaml"
+AWS = "inventories/aws.yaml"
 
-# inputs that once crashed `build` with a traceback or that `query`
-# accepted: (file under the bookinfo testbed, or the export; mutation)
+# inputs that once crashed `build` with a traceback, that `query` accepted,
+# or whose error did not name the file: (file under the bookinfo testbed,
+# or the export; mutation)
 MALFORMED_INPUTS = {
     "function-without-name": (CODEFACTS, _drop("functions", 0, "name")),
     "function-entry-is-a-string": (CODEFACTS, _set(("functions", 0), "productpage.index")),
@@ -181,6 +183,9 @@ MALFORMED_INPUTS = {
     "mapping-without-provider-type": ("../../ontology/aws.yaml", _drop("types", 0, "provider_type")),
     "class-parent-a-list": (CORE, _set(("classes", 1, "parent"), ["x"])),
     "class-offers-nested-list": (CORE, _set(("classes", 0, "offers"), [["x"]])),
+    "inventory-unknown-mapping": (AWS, _set(("resources", 0, "provider_type"), "AWS::Nope")),
+    # aws.yaml is not the last inventory, so its link must keep its own file
+    "inventory-link-to-unknown-id": (AWS, _set(("resources", 0, "links"), {"member_of": "ghost"})),
     "export-undeclared-node-property": (EXPORT, _set(("nodes", 0, "properties", "bogus"), 1)),
     "export-list-node-property": (EXPORT, _set(("nodes", 0, "properties", "image"), ["a"])),
     "export-dict-node-property": (EXPORT, _set(("nodes", 0, "properties", "image"), {"a": 1})),

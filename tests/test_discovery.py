@@ -1,9 +1,14 @@
+import shlex
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skygraph.codefacts import bundle_from_document, ingest_code_facts
 from skygraph.discovery import (
     Discovery,
     InventoryResource,
+    _split_command,
     attach_security_features,
     inventory_from_document,
     load_inventory,
@@ -12,6 +17,8 @@ from skygraph.discovery import (
 )
 from skygraph.errors import DiscoveryError, UnknownMappingError
 from skygraph.graph import PropertyGraph
+
+from .conftest import data_path
 
 
 @pytest.fixture
@@ -343,6 +350,26 @@ class TestIngestWorkflow:
         assert "cannot tokenize" in caplog.text
 
 
+BUNDLED_COMMANDS = sorted(
+    step.run
+    for testbed in ("bookinfo", "bookinfo_clean")
+    for job in load_workflow(data_path(f"fixtures/{testbed}/workflows/deploy.yaml")).jobs
+    for step in job.steps
+)
+# shell syntax, and whitespace that str.split splits on and shlex does not
+COMMAND_ALPHABET = "ab -=/:.'\"\\#\x0b\x0c\x1c\x85\xa0\u2028\r\n\t\u00e9\U0001d11e"
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(st.one_of(st.sampled_from(BUNDLED_COMMANDS), st.text(COMMAND_ALPHABET, max_size=24)))
+def test_split_command_matches_shlex(command):
+    try:
+        expected = shlex.split(command)
+    except ValueError:
+        expected = []
+    assert _split_command(command) == expected
+
+
 class TestLinkApplications:
     def app_bundle(self, graph, name, image=None, host=None):
         doc = {"application": name, "language": "x"}
@@ -390,6 +417,41 @@ class TestLinkApplications:
         assert discovery.link_applications() == 1
         vm = graph.find_by_name("VirtualMachine", "ratings-vm")
         assert graph.has_edge(app_id, vm, "RUNS_ON")
+
+    def test_duplicate_checks_flat_in_tenants(self, core_ontology):
+        """k tenants pull from one registry: the adjacency listed per
+        `has_edge` call stays the same from k=40 to k=80."""
+
+        def per_check(tenants):
+            graph = PropertyGraph(core_ontology)
+            registry = graph.add_node("ContainerRegistry", "ghcr.io")
+            for t in range(tenants):
+                image = graph.add_node("ContainerImage", f"ghcr.io/acme/app-{t}")
+                graph.add_edge(image, registry, "PUSHES_TO")
+                graph.add_edge(graph.add_node("Container", f"pod-{t}"), image, "USES_IMAGE")
+            tally = {"edges": 0, "checks": 0}
+
+            def listing(method):
+                def counted(*args, **kwargs):
+                    edges = method(*args, **kwargs)
+                    tally["edges"] += len(edges)
+                    return edges
+
+                return counted
+
+            def check(*args):
+                tally["checks"] += 1
+                return PropertyGraph.has_edge(graph, *args)
+
+            graph.out_edges = listing(graph.out_edges)
+            graph.in_edges = listing(graph.in_edges)
+            graph.has_edge = check
+            Discovery(graph, core_ontology).link_applications()
+            assert tally["checks"] == len(graph.edges_of_type("DFG")) == tenants
+            return tally["edges"] / tally["checks"]
+
+        k = 40
+        assert per_check(2 * k) <= 1.1 * per_check(k)
 
     def test_no_containers_no_edges(self, discovery, graph, caplog):
         self.app_bundle(graph, "lonely", image="ghcr.io/acme/ghost")

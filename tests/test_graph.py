@@ -1,13 +1,18 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skygraph.build import build_graph, load_manifest
 from skygraph.errors import GraphError, UnknownClassError
-from skygraph.graph import EDGE_TYPES, PropertyGraph, export_graph, import_graph
+from skygraph.graph import CODE_CLASSES, EDGE_TYPES, PropertyGraph, export_graph, import_graph
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import evaluate, parse_query
 
-from .conftest import listing_text
+from .conftest import DATA, listing_text
 from .reference import oracle_label_match
 
 
@@ -340,3 +345,49 @@ def test_import_rejects_duplicate_ids(section, what):
     doc[section].append(dict(doc[section][0]))
     with pytest.raises(GraphError, match=f"duplicate {what} id 0"):
         import_graph(doc)
+
+
+def assert_export_is_json_dumps(graph, settings):
+    expected = json.dumps(graph.to_document(settings), indent=2, sort_keys=True) + "\n"
+    assert export_graph(graph, settings) == expected
+
+
+# strings that JSON must escape, or write as \u escapes, surrogate pairs included
+TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\u00e9\u2028\U0001d11e') | st.characters(), max_size=8
+)
+VALUES = st.one_of(TEXT, st.booleans(), st.integers(-(2**70), 2**70))
+NODE_CLASSES = sorted(CODE_CLASSES) + ["ObjectStorage", "GeoLocation", "HttpEndpoint"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_export_is_json_dumps_of_document(core_ontology, data):
+    graph = PropertyGraph(core_ontology)
+    for _ in range(data.draw(st.integers(0, 6))):
+        class_name = data.draw(st.sampled_from(NODE_CLASSES))
+        allowed = graph.property_keys(class_name)
+        keys = TEXT if allowed is None else st.sampled_from(sorted(allowed))
+        properties = data.draw(st.dictionaries(keys, VALUES, max_size=4))
+        graph.add_node(class_name, data.draw(TEXT), properties)
+    if graph.node_count:
+        ids = st.integers(0, graph.node_count - 1)
+        for _ in range(data.draw(st.integers(0, 6))):
+            graph.add_edge(
+                data.draw(ids),
+                data.draw(ids),
+                data.draw(st.sampled_from(sorted(EDGE_TYPES))),
+                data.draw(st.dictionaries(TEXT, VALUES, max_size=3)),
+            )
+    graph.freeze()
+    settings = data.draw(st.none() | st.dictionaries(TEXT, VALUES, max_size=3))
+    assert_export_is_json_dumps(graph, settings)
+
+
+@pytest.mark.parametrize("n, paths", [(20, "unique"), (8, "shared")])
+def test_fleet_export_is_json_dumps_of_document(tmp_path, monkeypatch, n, paths):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    fleet = importlib.import_module("fleet")
+    manifest = fleet.generate(Path(str(DATA)), tmp_path / "fleet", n, 3, paths).manifest
+    graph, _, _ = build_graph(load_manifest(manifest))
+    assert_export_is_json_dumps(graph, {"star_max": 10})
