@@ -16,7 +16,7 @@ from skygraph.discovery import Discovery, load_inventory, load_workflow
 from skygraph.errors import ManifestError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import Ontology, load_ontology
-from skygraph.yamlfile import check_fields, check_positive_int, load_document
+from skygraph.yamlfile import DEFAULT_STAR_MAX, check_fields, check_positive_int, load_document
 
 _FILE_LISTS = ("mappings", "inventories", "workflows", "codefacts")
 # (required, optional) manifest fields; star_max has its own rule
@@ -34,7 +34,7 @@ class BuildManifest:
     workflows: list[Path] = field(default_factory=list)
     codefacts: list[Path] = field(default_factory=list)
     registry_locations: dict[str, str] = field(default_factory=dict)
-    star_max: int = 10
+    star_max: int = DEFAULT_STAR_MAX
 
 
 def load_manifest(path: str | Path) -> BuildManifest:
@@ -45,7 +45,7 @@ def load_manifest(path: str | Path) -> BuildManifest:
 
 def manifest_from_document(doc: dict, base: Path) -> BuildManifest:
     check_fields(doc, "manifest", ManifestError, *_MANIFEST)
-    star_max = check_positive_int(doc.get("star_max", 10), ManifestError, "star_max")
+    star_max = check_positive_int(doc.get("star_max", DEFAULT_STAR_MAX), ManifestError, "star_max")
 
     def resolve(raw: str) -> Path:
         candidate = base / raw

@@ -17,7 +17,7 @@ from skygraph.errors import SkygraphError
 from skygraph.graph import Path as GraphPath
 from skygraph.graph import PropertyGraph, export_graph, import_graph
 from skygraph.query import evaluate, parse_query
-from skygraph.yamlfile import check_positive_int
+from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int
 
 
 def render_path(graph: PropertyGraph, path: GraphPath) -> str:
@@ -56,7 +56,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     graph = import_graph(Path(args.graph).read_text(encoding="utf-8"))
     text = _load_query_text(args.query)
     ast = parse_query(text)
-    star_max = args.star_max or graph.settings.get("star_max", 10)
+    star_max = args.star_max or graph.settings.get("star_max", DEFAULT_STAR_MAX)
     results = evaluate(graph, ast, star_max=star_max)
     if args.format == "paths":
         for result in results:

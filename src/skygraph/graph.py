@@ -14,7 +14,7 @@ from typing import Iterator
 
 from skygraph.errors import GraphError, UnknownClassError
 from skygraph.ontology import Ontology, ontology_from_documents
-from skygraph.yamlfile import SCALAR, check_fields, check_positive_int
+from skygraph.yamlfile import DEFAULT_STAR_MAX, SCALAR, check_fields, check_positive_int
 
 Scalar = str | bool | int
 
@@ -397,7 +397,7 @@ class PropertyGraph:
         graph = cls(ontology_from_documents(doc["ontology"], doc.get("mappings") or []))
         settings = check_fields(doc.get("settings") or {}, "settings", GraphError, *_SETTINGS)
         graph.settings = dict(settings)
-        check_positive_int(graph.settings.get("star_max", 10), GraphError, "settings.star_max")
+        check_positive_int(graph.settings.get("star_max", DEFAULT_STAR_MAX), GraphError, "settings.star_max")
         for entry in doc["nodes"]:
             try:
                 props = dict(entry.get("properties", {}))

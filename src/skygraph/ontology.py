@@ -7,6 +7,7 @@ The ontology is immutable after loading and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -248,6 +249,19 @@ def _check_mapping_document(doc: dict) -> dict:
     return doc
 
 
+def _mappings(doc: dict) -> list[InstanceMapping]:
+    """The entries of one checked mapping document, or of an ontology
+    document's inline `mappings` wrapped as {"types": ...}."""
+    return [
+        InstanceMapping(
+            provider=entry["provider"] if doc.get("provider") is None else doc["provider"],
+            provider_type=entry["provider_type"],
+            ontology_class=entry["ontology_class"],
+        )
+        for entry in doc.get("types") or []
+    ]
+
+
 def ontology_from_documents(ontology_doc: dict, mapping_docs: list[dict]) -> Ontology:
     """Build and validate an Ontology from already-parsed documents."""
     classes: dict[str, OntologyClass] = {}
@@ -261,24 +275,23 @@ def ontology_from_documents(ontology_doc: dict, mapping_docs: list[dict]) -> Ont
             data_properties=tuple((entry.get("data_properties") or {}).items()),
             offers=tuple(entry.get("offers") or []),
         )
-    docs = [{"types": ontology_doc.get("mappings")}, *map(_check_mapping_document, mapping_docs)]
-    mappings = [
-        InstanceMapping(
-            provider=entry["provider"] if doc.get("provider") is None else doc["provider"],
-            provider_type=entry["provider_type"],
-            ontology_class=entry["ontology_class"],
-        )
-        for doc in docs
-        for entry in doc.get("types") or []
-    ]
-    return Ontology(classes=classes, mappings=mappings)
+    ontology = Ontology(classes=classes, mappings=_mappings({"types": ontology_doc.get("mappings")}))
+    for doc in mapping_docs:
+        ontology = _with_mappings(ontology, doc)
+    return ontology
+
+
+def _with_mappings(ontology: Ontology, doc: dict) -> Ontology:
+    """`ontology` plus the entries of one mapping document, validated
+    again (microseconds), so an error belongs to that document."""
+    return Ontology(ontology.classes, ontology.mappings + _mappings(_check_mapping_document(doc)))
 
 
 def load_ontology(ontology_path: str | Path, mapping_paths: list[str | Path] = ()) -> Ontology:
-    """Load the ontology document and per-provider mapping files; a
-    malformed document raises OntologyError naming its file."""
-    # checked here as well as in ontology_from_documents, so that a
-    # malformed file is named
-    ontology_doc = load_document(ontology_path, OntologyError, _check_ontology_document)
-    mapping_docs = [load_document(p, OntologyError, _check_mapping_document) for p in mapping_paths]
-    return ontology_from_documents(ontology_doc, mapping_docs)
+    """Load the ontology document and per-provider mapping files. Every
+    OntologyError names the file that holds the fault: the ontology file
+    for its classes and inline mappings, a mapping file for its entries."""
+    ontology = load_document(ontology_path, OntologyError, lambda doc: ontology_from_documents(doc, []))
+    for path in mapping_paths:
+        ontology = load_document(path, OntologyError, functools.partial(_with_mappings, ontology))
+    return ontology

@@ -28,8 +28,7 @@ from skygraph.query.syntax import (
     QueryAst,
     RelPattern,
 )
-
-DEFAULT_STAR_MAX = 10
+from skygraph.yamlfile import DEFAULT_STAR_MAX
 
 
 @dataclass
@@ -100,6 +99,10 @@ def _expand(
             yield edge, edge.to_id if edge.from_id == node_id else edge.from_id, False
 
 
+# A hop's neighbor lists: (node id, label) -> what `_expand` yields there.
+_Memo = dict[tuple[int, str | None], list[tuple[Edge, int, bool]]]
+
+
 def _routes(
     graph: PropertyGraph,
     start: int,
@@ -108,6 +111,7 @@ def _routes(
     used: set[int],
     star_max: int,
     label: str | None,
+    memo: _Memo,
 ) -> Iterator[tuple[list[_Step], int]]:
     """Simple edge sequences walking one relationship pattern.
 
@@ -116,8 +120,27 @@ def _routes(
     stays in `used` while the route is out with the caller. The last step a
     route may take only reaches nodes matching `label`: its end is all the
     caller binds, while a shorter route's end is also a waypoint.
+
+    Neighbor lists come from `memo`, which must belong to this (rel,
+    rightward) pair and fills on first use. It never holds the `used`
+    check, which depends on the rest of the match.
     """
     lo, hi = _bounds(rel, star_max)
+
+    def neighbors(node: int, last: str | None) -> list[tuple[Edge, int, bool]]:
+        hops = memo.get((node, last))
+        if hops is None:
+            hops = memo[node, last] = list(_expand(graph, node, rel, rightward, last))
+        return hops
+
+    if lo == hi == 1:
+        for edge, neighbor, forward in neighbors(start, label):
+            if edge.id not in used:
+                used.add(edge.id)
+                yield [(edge, forward)], neighbor
+                used.discard(edge.id)
+        return
+
     steps: list[_Step] = []
 
     def rec(node: int) -> Iterator[tuple[list[_Step], int]]:
@@ -126,7 +149,7 @@ def _routes(
         if len(steps) >= hi:
             return
         last = label if len(steps) + 1 == hi else None
-        for edge, neighbor, forward in _expand(graph, node, rel, rightward, last):
+        for edge, neighbor, forward in neighbors(node, last):
             if edge.id in used:
                 continue
             used.add(edge.id)
@@ -185,6 +208,7 @@ def evaluate(
     nodes: list[int | None] = [None] * len(node_patterns)
     segments: list[list[_Step]] = [[] for _ in rel_patterns]  # left-to-right
     used: set[int] = set()
+    memos: list[_Memo] = [{} for _ in plan.hops]
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
 
     def bind(index: int, node_id: int) -> bool:
@@ -225,7 +249,9 @@ def evaluate(
         rightward = target > source
         rel_index = min(source, target)
         rel = rel_patterns[rel_index]
-        for steps, end in _routes(graph, nodes[source], rel, rightward, used, star_max, label):
+        for steps, end in _routes(
+            graph, nodes[source], rel, rightward, used, star_max, label, memos[hop]
+        ):
             if bind(target, end):
                 segments[rel_index] = steps if rightward else steps[::-1]
                 walk(hop + 1)

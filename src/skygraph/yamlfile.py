@@ -91,6 +91,11 @@ def check_fields(
     return value
 
 
+# Longest route a `*` segment without an upper bound may take, unless a
+# manifest, an export's settings or `query --star-max` says otherwise.
+DEFAULT_STAR_MAX = 10
+
+
 def check_positive_int(value, error_cls: type[Exception], name: str = "") -> int:
     """The one rule for a bound such as `star_max`: an int >= 1, not a bool."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:

@@ -183,6 +183,10 @@ MALFORMED_INPUTS = {
     "mapping-without-provider-type": ("../../ontology/aws.yaml", _drop("types", 0, "provider_type")),
     "class-parent-a-list": (CORE, _set(("classes", 1, "parent"), ["x"])),
     "class-offers-nested-list": (CORE, _set(("classes", 0, "offers"), [["x"]])),
+    "class-unknown-parent": (CORE, _set(("classes", 1, "parent"), "Nope")),
+    # CloudResource -> Compute -> CloudResource
+    "class-inheritance-cycle": (CORE, _set(("classes", 0, "parent"), "Compute")),
+    "mapping-to-unknown-class": ("../../ontology/aws.yaml", _set(("types", 0, "ontology_class"), "Nope")),
     "inventory-unknown-mapping": (AWS, _set(("resources", 0, "provider_type"), "AWS::Nope")),
     # aws.yaml is not the last inventory, so its link must keep its own file
     "inventory-link-to-unknown-id": (AWS, _set(("resources", 0, "links"), {"member_of": "ghost"})),

@@ -1,13 +1,16 @@
+import importlib
 import random
 import re
+from pathlib import Path
 
 import pytest
 
+from skygraph.build import build_graph, load_manifest
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import evaluate, explain, parse_query
 
-from .conftest import listing_text
+from .conftest import DATA, listing_text
 from .reference import (
     QUERY_LABELS,
     naive_matches,
@@ -130,6 +133,15 @@ class TestVariableLength:
             frozenset([("a", 0), ("b", 2)]),
             frozenset([("a", 1), ("b", 3)]),
         }
+
+    def test_waypoint_first_reached_on_a_last_step(self, tiny_ontology):
+        # Seed 0 lists node 1's neighbours on a last step, only those of
+        # class Other; seed 1 then starts at node 1 and needs all of them.
+        # Node 4 makes :Other outnumber :Sub, so the walk seeds at `a`.
+        classes = {0: "Sub", 1: "Sub", 2: "Other", 3: "Other", 4: "Other"}
+        graph = chain_graph(tiny_ontology, [(0, 1, "DFG"), (1, 2, "DFG"), (1, 5, "DFG"), (5, 3, "DFG")], 6, classes)
+        results = evaluate(graph, parse_query("MATCH (a:Sub)-[:DFG*]->(b:Other) RETURN a"), star_max=2)
+        assert [tuple(r.bindings.values()) for r in results] == [(0, 2), (1, 2), (1, 3)]
 
 
 class TestPredicates:
@@ -313,6 +325,9 @@ class TestOracleAgreement:
                 results = evaluate(graph, ast, star_max=4)
                 assert result_paths(results) == oracle_paths(graph, ast, star_max=4), (case, text)
                 assert binding_set(results) == naive_matches(graph, ast, star_max=4), (case, text)
+                # at star_max 1 every `*` segment is a one-step hop
+                results = evaluate(graph, ast, star_max=1)
+                assert result_paths(results) == oracle_paths(graph, ast, star_max=1), (case, text)
 
     def test_randomized_hubs(self, tiny_ontology):
         # the engine filters a segment's last step by the end's label; hubs
@@ -328,8 +343,9 @@ class TestOracleAgreement:
                 text = random_query(rng, max_nodes=max_nodes, labels=labels)
                 texts.append(text)
                 ast = parse_query(text)
-                results = evaluate(graph, ast, star_max=star_max)
-                assert result_paths(results) == oracle_paths(graph, ast, star_max=star_max), (case, text)
+                for bound in (star_max, 1):
+                    results = evaluate(graph, ast, star_max=bound)
+                    assert result_paths(results) == oracle_paths(graph, ast, star_max=bound), (case, text, bound)
         labelled_star_end = re.compile(r"\*2?\]->?\(\w*:\w+\)|\(\w*:\w+\)<?-\[[^]]*\*")
         assert sum(bool(labelled_star_end.search(t)) for t in texts) >= 50
         for label in ("Node", "Expression", "Mystery"):
@@ -358,13 +374,15 @@ class TestHubScaling:
 
     @staticmethod
     def counts(graph, text):
-        """(edges `out_edges`/`in_edges` returned, `node_matches_label`
-        calls) while evaluating `text`, and the result count."""
-        tally = {"edges": 0, "labels": 0}
+        """(`out_edges`/`in_edges` calls, edges they returned,
+        `node_matches_label` calls) while evaluating `text`, and the result
+        count."""
+        tally = {"calls": 0, "edges": 0, "labels": 0}
 
         def listing(method):
             def counted(*args, **kwargs):
                 edges = method(*args, **kwargs)
+                tally["calls"] += 1
                 tally["edges"] += len(edges)
                 return edges
 
@@ -378,13 +396,27 @@ class TestHubScaling:
         graph.in_edges = listing(graph.in_edges)
         graph.node_matches_label = matcher
         results = evaluate(graph, parse_query(text))
-        return tally["edges"], tally["labels"], len(results)
+        return tally["calls"], tally["edges"], tally["labels"], len(results)
 
     def test_cross_region_flows_linear_in_tenants(self, core_ontology):
         text = listing_text("cross-region-resource-flows")
         k = 40
-        edges_k, labels_k, results_k = self.counts(self.fleet(core_ontology, k), text)
-        edges_2k, labels_2k, results_2k = self.counts(self.fleet(core_ontology, 2 * k), text)
+        _, edges_k, labels_k, results_k = self.counts(self.fleet(core_ontology, k), text)
+        _, edges_2k, labels_2k, results_2k = self.counts(self.fleet(core_ontology, 2 * k), text)
         assert results_2k == 2 * results_k > 0
         assert edges_2k <= 2.2 * edges_k, (edges_k, edges_2k)
         assert labels_2k <= 2.2 * labels_k, (labels_k, labels_2k)
+
+    def test_shared_path_service_calls_list_neighbours_linearly(self, tmp_path, monkeypatch):
+        # Every tenant's request reaches every tenant's endpoint on a shared
+        # path, so results grow faster than the tenants; listing a node's
+        # neighbours once per hop keeps the adjacency calls linear.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        fleet = importlib.import_module("fleet")
+        text = listing_text("cross-region-service-calls")
+        calls, results = {}, {}
+        for n in (4, 8):
+            manifest = fleet.generate(Path(str(DATA)), tmp_path / f"fleet-{n}", n, 3, "shared").manifest
+            calls[n], _, _, results[n] = self.counts(build_graph(load_manifest(manifest))[0], text)
+        assert (results[4], results[8]) == (64, 384)
+        assert calls[8] <= 2.2 * calls[4], calls
