@@ -275,15 +275,13 @@ def ontology_from_documents(ontology_doc: dict, mapping_docs: list[dict]) -> Ont
             data_properties=tuple((entry.get("data_properties") or {}).items()),
             offers=tuple(entry.get("offers") or []),
         )
-    ontology = Ontology(classes=classes, mappings=_mappings({"types": ontology_doc.get("mappings")}))
-    for doc in mapping_docs:
-        ontology = _with_mappings(ontology, doc)
-    return ontology
+    docs = [{"types": ontology_doc.get("mappings")}, *map(_check_mapping_document, mapping_docs)]
+    return Ontology(classes=classes, mappings=[m for doc in docs for m in _mappings(doc)])
 
 
 def _with_mappings(ontology: Ontology, doc: dict) -> Ontology:
     """`ontology` plus the entries of one mapping document, validated
-    again (microseconds), so an error belongs to that document."""
+    again, so that `load_ontology` can name the file an error belongs to."""
     return Ontology(ontology.classes, ontology.mappings + _mappings(_check_mapping_document(doc)))
 
 
