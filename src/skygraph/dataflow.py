@@ -39,7 +39,6 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class UrlParts:
-    scheme: str
     host: str
     path: str
 
@@ -50,22 +49,14 @@ class UrlParts:
 
 
 def parse_url(text: str) -> UrlParts:
-    """Split a URL into scheme, host and a normalized path."""
-    scheme = ""
-    rest = text
-    if "://" in text:
-        scheme, rest = text.split("://", 1)
+    """Split a URL into host and a normalized path; any scheme is dropped."""
+    rest = text.split("://", 1)[-1]
     if "/" in rest:
         host, path = rest.split("/", 1)
         path = "/" + path
     else:
         host, path = rest, "/"
-    return UrlParts(scheme=scheme, host=host, path=re.sub("/+", "/", path))
-
-
-def format_url(parts: UrlParts) -> str:
-    prefix = f"{parts.scheme}://" if parts.scheme else ""
-    return f"{prefix}{parts.host}{parts.path}"
+    return UrlParts(host=host, path=re.sub("/+", "/", path))
 
 
 # -- pass 1: proxied endpoints -------------------------------------------------

@@ -102,14 +102,10 @@ def _not_scalar(key: str, value) -> GraphError:
 
 
 class PropertyGraph:
-    """Labeled property graph with by-from / by-to / by-type adjacency, a
+    """Labeled property graph with by-from / by-to adjacency, a
     concrete-class label index (inheritance is resolved at query time), and
     `provider_id` and `(class, name)` lookup indexes in which the
     first-inserted node wins.
-
-    Once frozen, a node's edges are also grouped by the neighbour's concrete
-    class, the first time a labelled `out_edges`/`in_edges` call reaches the
-    node, so a hub's edges to other classes are not listed again.
     """
 
     def __init__(self, ontology: Ontology):
@@ -119,7 +115,6 @@ class PropertyGraph:
         self._edges: dict[int, Edge] = {}
         self._by_from: dict[int, list[int]] = {}
         self._by_to: dict[int, list[int]] = {}
-        self._by_type: dict[str, list[int]] = {}
         self._label_index: dict[str, list[int]] = {}
         self._by_provider_id: dict[Scalar, int] = {}
         # class -> name -> id: no key tuple per node to allocate on import
@@ -128,9 +123,6 @@ class PropertyGraph:
         self._property_keys: dict[str, frozenset[str] | None] = {}
         # label -> concrete classes it matches (None: every class)
         self._label_classes: dict[str, frozenset[str] | None] = {}
-        # frozen only: node -> neighbour class -> edges, filled on first use
-        self._out_by_class: dict[int, dict[str, list[Edge]]] = {}
-        self._in_by_class: dict[int, dict[str, list[Edge]]] = {}
         # `_edge_key` of every edge, from the first `has_edge` call on
         self._edge_keys: set[str] | None = None
         self._next_node = 0
@@ -216,7 +208,6 @@ class PropertyGraph:
         self._edges[edge.id] = edge
         self._by_from[edge.from_id].append(edge.id)
         self._by_to[edge.to_id].append(edge.id)
-        self._by_type.setdefault(edge.type, []).append(edge.id)
         if self._edge_keys is not None:
             self._edge_keys.add(_edge_key(edge.from_id, edge.to_id, edge.type))
         self._next_edge = max(self._next_edge, edge.id + 1)
@@ -254,12 +245,12 @@ class PropertyGraph:
         self, node_id: int, type: str | None = None, label: str | None = None
     ) -> list[Edge]:
         """Edges leaving `node_id`, of `type` if given, and whose target
-        matches `label` if given (grouped by the target's class then)."""
-        if label is not None:
-            return self._edges_to_label(node_id, type, label, outgoing=True)
+        matches `label` if given."""
         edges = [self._edges[e] for e in self._by_from[node_id]]
         if type is not None:
             edges = [e for e in edges if e.type == type]
+        if label is not None and (classes := self._classes_of(label)) is not None:
+            edges = [e for e in edges if self._nodes[e.to_id].class_name in classes]
         return edges
 
     def in_edges(
@@ -267,39 +258,12 @@ class PropertyGraph:
     ) -> list[Edge]:
         """Edges entering `node_id`; `type` and `label` (on the source) as
         in `out_edges`."""
-        if label is not None:
-            return self._edges_to_label(node_id, type, label, outgoing=False)
         edges = [self._edges[e] for e in self._by_to[node_id]]
         if type is not None:
             edges = [e for e in edges if e.type == type]
+        if label is not None and (classes := self._classes_of(label)) is not None:
+            edges = [e for e in edges if self._nodes[e.from_id].class_name in classes]
         return edges
-
-    def _edges_to_label(
-        self, node_id: int, type: str | None, label: str, outgoing: bool
-    ) -> list[Edge]:
-        adjacency, buckets = (
-            (self._by_from, self._out_by_class) if outgoing else (self._by_to, self._in_by_class)
-        )
-        classes = self._classes_of(label)
-        if classes is None:
-            edges = [self._edges[e] for e in adjacency[node_id]]
-        else:
-            by_class = buckets.get(node_id) if self._frozen else None
-            if by_class is None:
-                by_class = {}
-                for e in adjacency[node_id]:
-                    edge = self._edges[e]
-                    other = edge.to_id if outgoing else edge.from_id
-                    by_class.setdefault(self._nodes[other].class_name, []).append(edge)
-                if self._frozen:
-                    buckets[node_id] = by_class
-            edges = [e for cls, group in by_class.items() if cls in classes for e in group]
-        if type is not None:
-            edges = [e for e in edges if e.type == type]
-        return edges
-
-    def edges_of_type(self, type: str) -> list[Edge]:
-        return [self._edges[e] for e in self._by_type.get(type, [])]
 
     def has_edge(self, from_id: int, to_id: int, type: str) -> bool:
         """Whether an edge of `type` leads from `from_id` to `to_id`; a set

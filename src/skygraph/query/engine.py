@@ -58,10 +58,7 @@ class _Plan:
 
 
 def _plan(graph: PropertyGraph, nodes: list[NodePattern]) -> _Plan:
-    candidates = [
-        graph.label_candidates(np.label) if np.label else sorted(n.id for n in graph.nodes())
-        for np in nodes
-    ]
+    candidates = [graph.label_candidates(np.label or "Node") for np in nodes]
     anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
     hops = [(i, i + 1, nodes[i + 1].label) for i in range(anchor, len(nodes) - 1)]
     hops += [(i + 1, i, nodes[i].label) for i in reversed(range(anchor))]
@@ -117,9 +114,10 @@ def _routes(
 
     Steps come back in walk order, in a list that is only valid until the
     next route is drawn. Edges in `used` are excluded; each step's edge
-    stays in `used` while the route is out with the caller. The last step a
-    route may take only reaches nodes matching `label`: its end is all the
-    caller binds, while a shorter route's end is also a waypoint.
+    stays in `used` while the route is out with the caller. Every route
+    ends at a node matching `label`: the last step a route may take only
+    reaches such nodes, and a shorter route's end, which is also a
+    waypoint, is checked before it is yielded.
 
     Neighbor lists come from `memo`, which must belong to this (rel,
     rightward) pair and fills on first use. It never holds the `used`
@@ -144,7 +142,9 @@ def _routes(
     steps: list[_Step] = []
 
     def rec(node: int) -> Iterator[tuple[list[_Step], int]]:
-        if lo <= len(steps):
+        if lo <= len(steps) and (
+            len(steps) == hi or label is None or graph.node_matches_label(node, label)
+        ):
             yield steps, node
         if len(steps) >= hi:
             return
@@ -212,11 +212,9 @@ def evaluate(
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
 
     def bind(index: int, node_id: int) -> bool:
-        """Bind pattern `index` unless its label or a repeated variable
-        rules `node_id` out."""
+        """Bind pattern `index` unless a repeated variable rules `node_id`
+        out; its label already holds, from the seeds or the route."""
         np = node_patterns[index]
-        if np.label and not graph.node_matches_label(node_id, np.label):
-            return False
         if np.var is not None:
             for j, other in enumerate(node_patterns):
                 if other.var == np.var and nodes[j] is not None and nodes[j] != node_id:

@@ -332,7 +332,7 @@ def test_intra_app_dfg_stays_within_application(testbed_graph):
         return None
 
     code_classes = {"CallExpression", "Expression", "Literal", "LogOutput"}
-    for edge in g.edges_of_type("DFG"):
+    for edge in (e for e in g.edges() if e.type == "DFG"):
         from_cls = g.node(edge.from_id).class_name
         to_cls = g.node(edge.to_id).class_name
         if from_cls in code_classes and to_cls in code_classes:

@@ -11,7 +11,6 @@ from skygraph.codefacts import (
 from skygraph.dataflow import (
     UrlParts,
     create_proxied_endpoints,
-    format_url,
     parse_url,
     propagate_log_flows,
     resolve_http_requests,
@@ -25,25 +24,20 @@ from skygraph.graph import PropertyGraph
 class TestUrlParts:
     def test_parse_full(self):
         parts = parse_url("https://example.io:443/login")
-        assert parts == UrlParts("https", "example.io:443", "/login")
+        assert parts == UrlParts("example.io:443", "/login")
         assert parts.host_key == "example.io"
 
     def test_bare_host(self):
-        assert parse_url("example.io") == UrlParts("", "example.io", "/")
+        assert parse_url("example.io") == UrlParts("example.io", "/")
 
     def test_duplicate_slashes_collapse(self):
         assert parse_url("http://h//a///b").path == "/a/b"
 
-    def test_round_trip(self):
-        import random
-
-        rng = random.Random(7)
-        schemes = ["", "http", "https"]
-        hosts = ["example.io", "svc:9080", "a.b.c"]
-        paths = ["/", "/x", "/x/y"]
-        for _ in range(50):
-            parts = UrlParts(rng.choice(schemes), rng.choice(hosts), rng.choice(paths))
-            assert parse_url(format_url(parts)) == parts
+    def test_parse_table(self):
+        for scheme in ("", "http://", "https://"):
+            for host in ("example.io", "svc:9080", "a.b.c"):
+                for path in ("/", "/x", "/x/y"):
+                    assert parse_url(scheme + host + path) == UrlParts(host, path)
 
 
 def two_app_graph(core_ontology):
@@ -353,9 +347,7 @@ class TestPropagateLogFlows:
             graph.add_edge(app, compute, "RUNS_ON")
         propagate_log_flows(graph)
         # oracle: multiset of DFG edges contains compute->storage exactly once
-        counts = Counter(
-            (e.from_id, e.to_id) for e in graph.edges_of_type("DFG")
-        )
+        counts = Counter((e.from_id, e.to_id) for e in graph.edges() if e.type == "DFG")
         assert counts[(compute, storage)] == 1
 
 

@@ -410,13 +410,16 @@ class TestHubScaling:
     def test_shared_path_service_calls_list_neighbours_linearly(self, tmp_path, monkeypatch):
         # Every tenant's request reaches every tenant's endpoint on a shared
         # path, so results grow faster than the tenants; listing a node's
-        # neighbours once per hop keeps the adjacency calls linear.
+        # neighbours once per hop keeps the adjacency calls linear. Every
+        # hop's last step only reaches nodes of the target's label and the
+        # seeds come from the anchor's label, so no label is checked again.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
         fleet = importlib.import_module("fleet")
         text = listing_text("cross-region-service-calls")
-        calls, results = {}, {}
+        calls, labels, results = {}, {}, {}
         for n in (4, 8):
             manifest = fleet.generate(Path(str(DATA)), tmp_path / f"fleet-{n}", n, 3, "shared").manifest
-            calls[n], _, _, results[n] = self.counts(build_graph(load_manifest(manifest))[0], text)
+            calls[n], _, labels[n], results[n] = self.counts(build_graph(load_manifest(manifest))[0], text)
         assert (results[4], results[8]) == (64, 384)
         assert calls[8] <= 2.2 * calls[4], calls
+        assert labels == {4: 0, 8: 0}
