@@ -15,6 +15,7 @@ import re
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from skygraph.errors import DiscoveryError, SkygraphError, UnknownMappingError
 from skygraph.graph import PropertyGraph
@@ -337,35 +338,33 @@ class Discovery:
         """Scan job steps for docker build/push commands; returns the
         number of container image nodes created."""
         created = 0
-        for job in doc.jobs:
-            for step in job.steps:
-                command = step.run.strip()
-                if command.startswith("docker build"):
-                    name = _build_image_name(command)
-                    if name is None:
-                        continue
-                    if self.graph.find_by_name("ContainerImage", name) is None:
-                        self._image_node(name)
-                        created += 1
-                    self._built_images.add(name)
-                elif command.startswith("docker push"):
-                    parts = _split_command(command)
-                    if len(parts) < 3:
-                        continue
-                    name = parts[2]
-                    if name not in self._built_images:
-                        log.warning(
-                            "workflow %r pushes image %r that no scanned workflow builds",
-                            doc.name,
-                            name,
-                        )
-                    if self.graph.find_by_name("ContainerImage", name) is None:
-                        self._image_node(name)
-                        created += 1
-                    image_id = self._image_node(name)
-                    registry_id = self._registry_node(_registry_host(name))
-                    if not self.graph.has_edge(image_id, registry_id, "PUSHES_TO"):
-                        self.graph.add_edge(image_id, registry_id, "PUSHES_TO")
+        for command in _commands(doc):
+            if command.startswith("docker build"):
+                name = _build_image_name(command)
+                if name is None:
+                    continue
+                if self.graph.find_by_name("ContainerImage", name) is None:
+                    self._image_node(name)
+                    created += 1
+                self._built_images.add(name)
+            elif command.startswith("docker push"):
+                parts = _split_command(command)
+                if len(parts) < 3:
+                    continue
+                name = parts[2]
+                if name not in self._built_images:
+                    log.warning(
+                        "workflow %r pushes image %r that no scanned workflow builds",
+                        doc.name,
+                        name,
+                    )
+                if self.graph.find_by_name("ContainerImage", name) is None:
+                    self._image_node(name)
+                    created += 1
+                image_id = self._image_node(name)
+                registry_id = self._registry_node(_registry_host(name))
+                if not self.graph.has_edge(image_id, registry_id, "PUSHES_TO"):
+                    self.graph.add_edge(image_id, registry_id, "PUSHES_TO")
         return created
 
     # -- application anchoring -------------------------------------------
@@ -430,6 +429,15 @@ def _split_command(command: str) -> list[str]:
     except ValueError:
         log.warning("cannot tokenize workflow command %r; skipped", command)
         return []
+
+
+def _commands(doc: WorkflowDocument) -> Iterator[str]:
+    """The commands of every step's `run:` script, stripped, one per line;
+    as in the shell, a backslash at the end of a line joins the next."""
+    for job in doc.jobs:
+        for step in job.steps:
+            for line in step.run.replace("\\\n", "").splitlines():
+                yield line.strip()
 
 
 def _build_image_name(command: str) -> str | None:

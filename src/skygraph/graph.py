@@ -8,6 +8,7 @@ ever see a frozen graph.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -441,12 +442,22 @@ def export_graph(graph: PropertyGraph, settings: dict | None = None) -> str:
 
 
 def import_graph(text: str | dict) -> PropertyGraph:
-    """Rebuild a frozen graph from an export document."""
-    if isinstance(text, str):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"graph document is not valid JSON: {exc}") from exc
-    else:
-        doc = text
-    return PropertyGraph.from_document(doc)
+    """Rebuild a frozen graph from an export document.
+
+    The cyclic collector is paused meanwhile: import builds acyclic data
+    only, so a collection during it could free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if isinstance(text, str):
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise GraphError(f"graph document is not valid JSON: {exc}") from exc
+        else:
+            doc = text
+        return PropertyGraph.from_document(doc)
+    finally:
+        if enabled:
+            gc.enable()

@@ -158,7 +158,12 @@ def _routes(
             steps.pop()
             used.discard(edge.id)
 
-    yield from rec(start)
+    try:
+        yield from rec(start)
+    finally:
+        # `rec` reaches itself through its closure cell, which also holds
+        # the graph and the memo: break that cycle so they free at once
+        del rec
 
 
 def _scalar_equal(a, b) -> bool:
@@ -255,10 +260,13 @@ def evaluate(
                 walk(hop + 1)
                 nodes[target] = None
 
-    for seed in plan.candidates[plan.anchor]:
-        if bind(plan.anchor, seed):
-            walk(0)
-            nodes[plan.anchor] = None
+    try:
+        for seed in plan.candidates[plan.anchor]:
+            if bind(plan.anchor, seed):
+                walk(0)
+                nodes[plan.anchor] = None
+    finally:
+        del walk  # a closure cycle holding the graph, as `rec` in `_routes`
 
     results.sort(key=lambda item: (item[0], item[1]))
     return [result for _, _, result in results]

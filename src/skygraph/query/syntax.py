@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from skygraph.errors import QuerySyntaxError
 
@@ -344,27 +345,23 @@ class _Parser:
         for part in ast.pattern:
             if part.var is not None:
                 bound.add(part.var)
-
-        def check(var: str) -> None:
+        for var in (*_predicate_vars(ast.where), *ast.return_items):
             if var not in bound:
                 raise QuerySyntaxError(
                     f"variable {var!r} is not bound in the pattern", len(self.text)
                 )
 
-        def walk(pred: Predicate) -> None:
-            if isinstance(pred, PropertyComparison):
-                check(pred.var)
-            elif isinstance(pred, NodeComparison):
-                check(pred.left)
-                check(pred.right)
-            else:
-                for operand in pred.operands:
-                    walk(operand)
 
-        if ast.where is not None:
-            walk(ast.where)
-        for item in ast.return_items:
-            check(item)
+def _predicate_vars(pred: Predicate | None) -> Iterator[str]:
+    """The variables `pred` refers to, left to right; none for no predicate."""
+    if isinstance(pred, PropertyComparison):
+        yield pred.var
+    elif isinstance(pred, NodeComparison):
+        yield pred.left
+        yield pred.right
+    elif isinstance(pred, BoolExpr):
+        for operand in pred.operands:
+            yield from _predicate_vars(operand)
 
 
 def parse_query(text: str) -> QueryAst:

@@ -316,6 +316,17 @@ class TestIngestWorkflow:
         geo = graph.out_edges(registry, "GEO_LOCATION")
         assert graph.node(geo[0].to_id).properties == {"region": "us"}
 
+    def test_multi_line_script(self, discovery, graph):
+        script = (
+            "cd app\n"
+            "docker build \\\n  -t ghcr.io/acme/app .\n"
+            "  docker push ghcr.io/acme/app\n"
+        )
+        assert discovery.ingest_workflow(workflow([script])) == 1
+        image = graph.find_by_name("ContainerImage", "ghcr.io/acme/app")
+        registry = graph.find_by_name("ContainerRegistry", "ghcr.io")
+        assert graph.has_edge(image, registry, "PUSHES_TO")
+
     def test_no_docker_commands(self, discovery):
         assert discovery.ingest_workflow(workflow(["make test", "echo done"])) == 0
 

@@ -1,0 +1,114 @@
+"""A query's working set frees itself.
+
+`skygraph query` imports an export, evaluates one query and renders its
+results. Nothing on that path may form a reference cycle: a cycle that
+reaches the graph would keep every node, edge and adjacency list allocated
+until a full collection finds it. With the cyclic collector off, dropping
+the last reference must free the graph, and a collection must then find
+nothing. Import itself pauses the collector and must restore its state.
+"""
+
+from __future__ import annotations
+
+import gc
+import importlib
+import json
+import weakref
+from pathlib import Path
+
+import pytest
+
+from skygraph.build import build_graph, load_manifest
+from skygraph.cli import render_path
+from skygraph.errors import GraphError
+from skygraph.graph import export_graph, import_graph
+from skygraph.query import evaluate, parse_query
+
+from .conftest import DATA, data_path, listing_text
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH))
+        yield importlib.import_module("expected"), importlib.import_module("fleet")
+
+
+@pytest.fixture(scope="module", params=["bookinfo", "fleet-8-shared"])
+def export_text(request, bench_modules, tmp_path_factory):
+    if request.param == "bookinfo":
+        manifest = data_path("fixtures/bookinfo/manifest.yaml")
+    else:
+        _, fleet = bench_modules
+        out = tmp_path_factory.mktemp("fleet")
+        manifest = fleet.generate(Path(str(DATA)), out, 8, 4, "shared").manifest
+    return export_graph(build_graph(load_manifest(manifest))[0], {"star_max": 10})
+
+
+@pytest.fixture
+def collector_off():
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def run_queries(text: str, queries: dict[str, str], star_max: int) -> tuple[weakref.ref, int]:
+    """Import `text`, then parse, evaluate and render every query; returns
+    a weak reference to the graph and the number of results."""
+    graph = import_graph(text)
+    count = 0
+    for query in queries.values():
+        for result in evaluate(graph, parse_query(query), star_max):
+            if result.path is not None:
+                render_path(graph, result.path)
+            count += 1
+    return weakref.ref(graph), count
+
+
+@pytest.mark.parametrize("star_max", [10, 1])
+def test_query_leaves_no_cyclic_garbage(export_text, bench_modules, star_max, collector_off):
+    expected, _ = bench_modules
+    queries = {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
+    graph_ref, count = run_queries(export_text, queries, star_max)
+    assert count > 0
+    assert graph_ref() is None
+    assert gc.collect() == 0
+
+
+def malformed_node(text: str) -> str:
+    doc = json.loads(text)
+    doc["nodes"][0] = {"id": "x"}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [
+        (None, None),
+        (lambda text: text[:-10], "not valid JSON"),
+        (malformed_node, "malformed node entry"),
+    ],
+    ids=["valid", "invalid-json", "malformed-node"],
+)
+def test_import_restores_collector_state(testbed_graph, enabled, corrupt, error):
+    text = export_graph(testbed_graph)
+    if corrupt is not None:
+        text = corrupt(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert import_graph(text).frozen
+        else:
+            with pytest.raises(GraphError, match=error):
+                import_graph(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
