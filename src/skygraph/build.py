@@ -113,7 +113,7 @@ def build_graph(manifest: BuildManifest) -> tuple[PropertyGraph, Ontology, Build
 
     timed("codefacts", run_codefacts)
 
-    discovery = Discovery(graph, ontology, manifest.registry_locations)
+    discovery = Discovery(graph, manifest.registry_locations)
 
     def run_inventories() -> None:
         for path in manifest.inventories:

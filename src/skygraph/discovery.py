@@ -15,7 +15,6 @@ import re
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from skygraph.errors import DiscoveryError, SkygraphError, UnknownMappingError
 from skygraph.graph import PropertyGraph
@@ -49,8 +48,8 @@ _RESOURCE = (
     {"id": SCALAR, "name": SCALAR, "provider_type": SCALAR},
     {"region": str, "properties": dict, "links": dict},
 )
-_WORKFLOW = ({}, {"name": SCALAR, "jobs": list})
-_JOB = ({}, {"name": SCALAR, "steps": list})
+_WORKFLOW = ({}, {"name": SCALAR, "jobs": dict})
+_JOB = ({}, {"steps": list})
 _STEP = ({}, {"run": SCALAR})
 
 
@@ -78,20 +77,10 @@ class InventoryDocument:
 
 
 @dataclass
-class WorkflowStep:
-    run: str
-
-
-@dataclass
-class WorkflowJob:
-    name: str
-    steps: list[WorkflowStep]
-
-
-@dataclass
 class WorkflowDocument:
     name: str
-    jobs: list[WorkflowJob]
+    #: every line of every step's `run:` script, stripped
+    commands: list[str]
 
 
 # -- document loading ---------------------------------------------------------
@@ -131,16 +120,17 @@ def load_inventory(path: str | Path) -> InventoryDocument:
 
 
 def workflow_from_document(doc: dict) -> WorkflowDocument:
+    """A GitHub Actions workflow: `jobs` maps job ids to jobs. As in the
+    shell, a backslash at the end of a script line joins the next."""
     check_fields(doc, "workflow", DiscoveryError, *_WORKFLOW, open=True)
-    jobs = []
-    for job in doc.get("jobs") or []:
+    commands = []
+    for job in (doc.get("jobs") or {}).values():
         check_fields(job, "workflow job", DiscoveryError, *_JOB, open=True)
-        steps = []
         for step in job.get("steps") or []:
             check_fields(step, "workflow step", DiscoveryError, *_STEP, open=True)
-            steps.append(WorkflowStep(run=str(step.get("run", ""))))
-        jobs.append(WorkflowJob(name=str(job.get("name", "")), steps=steps))
-    return WorkflowDocument(name=str(doc.get("name", "")), jobs=jobs)
+            script = str(step.get("run", ""))
+            commands.extend(line.strip() for line in script.replace("\\\n", "").splitlines())
+    return WorkflowDocument(name=str(doc.get("name", "")), commands=commands)
 
 
 def load_workflow(path: str | Path) -> WorkflowDocument:
@@ -163,19 +153,14 @@ def _is_authenticity(ontology: Ontology, feature: str) -> bool:
     )
 
 
-def attach_security_features(
-    graph: PropertyGraph,
-    ontology: Ontology,
-    resource_id: int,
-    inv: InventoryResource,
-) -> int:
-    """Materialize the security features the ontology sanctions for the
-    resource's class, fed from the recorded configuration. Features whose
-    inputs are entirely absent are not created."""
+def attach_security_features(graph: PropertyGraph, resource_id: int, inv: InventoryResource) -> int:
+    """Materialize the security features the graph's ontology sanctions
+    for the resource's class, fed from the recorded configuration. Features
+    whose inputs are entirely absent are not created."""
     cls = graph.node(resource_id).class_name
     props = inv.properties
     created = 0
-    for feature in ontology.offered_features(cls):
+    for feature in graph.ontology.offered_features(cls):
         if feature == "GeoLocation":
             if inv.region is None:
                 continue
@@ -211,7 +196,7 @@ def attach_security_features(
                 "TRANSPORT_ENCRYPTION",
             )
             created += 1
-        elif _is_authenticity(ontology, feature):
+        elif _is_authenticity(graph.ontology, feature):
             if "auth" not in props:
                 continue
             cls_name = "NoAuthentication" if props["auth"] == "none" else "TokenBasedAuthentication"
@@ -234,14 +219,8 @@ class Discovery:
     ingestion and resolved once every document has been read.
     """
 
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        ontology: Ontology,
-        registry_locations: dict[str, str] | None = None,
-    ):
+    def __init__(self, graph: PropertyGraph, registry_locations: dict[str, str] | None = None):
         self.graph = graph
-        self.ontology = ontology
         self.registry_locations = dict(registry_locations or {})
         # (resource, link key, target id, inventory file or None)
         self._pending_links: list[tuple[int, str, str, str | Path | None]] = []
@@ -260,7 +239,7 @@ class Discovery:
         count = 0
         for inv in doc.resources:
             try:
-                cls = self.ontology.resolve_instance_class(doc.provider, inv.provider_type)
+                cls = self.graph.ontology.resolve_instance_class(doc.provider, inv.provider_type)
             except UnknownMappingError as exc:
                 raise _in_file(path, exc)
             node_props: dict = {"provider_id": inv.id}
@@ -277,7 +256,7 @@ class Discovery:
                     {"url": inv.properties["http_url"], "method": "ANY"},
                 )
                 self.graph.add_edge(resource_id, endpoint, "HAS_ENDPOINT")
-            attach_security_features(self.graph, self.ontology, resource_id, inv)
+            attach_security_features(self.graph, resource_id, inv)
             for key, targets in inv.links.items():
                 for target in targets:
                     self._pending_links.append((resource_id, key, target, path))
@@ -338,7 +317,7 @@ class Discovery:
         """Scan job steps for docker build/push commands; returns the
         number of container image nodes created."""
         created = 0
-        for command in _commands(doc):
+        for command in doc.commands:
             if command.startswith("docker build"):
                 name = _build_image_name(command)
                 if name is None:
@@ -348,10 +327,9 @@ class Discovery:
                     created += 1
                 self._built_images.add(name)
             elif command.startswith("docker push"):
-                parts = _split_command(command)
-                if len(parts) < 3:
+                name = _push_image_name(command)
+                if name is None:
                     continue
-                name = parts[2]
                 if name not in self._built_images:
                     log.warning(
                         "workflow %r pushes image %r that no scanned workflow builds",
@@ -431,15 +409,6 @@ def _split_command(command: str) -> list[str]:
         return []
 
 
-def _commands(doc: WorkflowDocument) -> Iterator[str]:
-    """The commands of every step's `run:` script, stripped, one per line;
-    as in the shell, a backslash at the end of a line joins the next."""
-    for job in doc.jobs:
-        for step in job.steps:
-            for line in step.run.replace("\\\n", "").splitlines():
-                yield line.strip()
-
-
 def _build_image_name(command: str) -> str | None:
     parts = _split_command(command)
     for i, part in enumerate(parts):
@@ -450,8 +419,23 @@ def _build_image_name(command: str) -> str | None:
     return None
 
 
+def _push_image_name(command: str) -> str | None:
+    """The image of `docker push [OPTIONS] NAME`: the first argument that
+    is not an option; `--platform` is the one option that takes a value."""
+    args = iter(_split_command(command)[2:])
+    for arg in args:
+        if arg == "--platform":
+            next(args, None)
+        elif not arg.startswith("-"):
+            return arg
+    return None
+
+
 def _registry_host(image_name: str) -> str:
-    head = image_name.split("/", 1)[0]
-    if "/" in image_name and ("." in head or ":" in head):
+    """The registry of an image reference: its first path component when
+    that is a host (holds "." or ":", or is "localhost"), as in Docker's
+    reference grammar."""
+    head, slash, _ = image_name.partition("/")
+    if slash and ("." in head or ":" in head or head == "localhost"):
         return head
     return DEFAULT_REGISTRY_HOST

@@ -18,14 +18,13 @@ CLASS_KINDS = ("resource", "framework", "functionality", "security-feature")
 PROPERTY_KINDS = ("string", "boolean", "integer")
 
 # (required, optional) fields of each document and entry
-_ONTOLOGY = ({}, {"classes": list, "mappings": list})
+_ONTOLOGY = ({}, {"classes": list})
 _CLASS = (
     {"name": str, "kind": str},
     {"parent": str, "data_properties": {str: str}, "offers": [str]},
 )
-_MAPPING_DOCUMENT = ({}, {"provider": str, "types": list})
-# required fields of a mapping entry; `provider` too when its document has none
-_MAPPING = {"provider_type": str, "ontology_class": str}
+_MAPPING_DOCUMENT = ({"provider": str}, {"types": list})
+_MAPPING = ({"provider_type": str, "ontology_class": str}, {})
 
 
 @dataclass(frozen=True)
@@ -236,30 +235,19 @@ def _check_ontology_document(doc: dict) -> dict:
     check_fields(doc, "ontology document", OntologyError, *_ONTOLOGY)
     for entry in doc.get("classes") or []:
         check_fields(entry, "class entry", OntologyError, *_CLASS)
-    # inline mappings name their provider on each entry
-    _check_mapping_document({"types": doc.get("mappings")})
-    return doc
-
-
-def _check_mapping_document(doc: dict) -> dict:
-    check_fields(doc, "mapping document", OntologyError, *_MAPPING_DOCUMENT)
-    provider = {} if doc.get("provider") is not None else {"provider": str}
-    for entry in doc.get("types") or []:
-        check_fields(entry, "mapping entry", OntologyError, _MAPPING | provider, {})
     return doc
 
 
 def _mappings(doc: dict) -> list[InstanceMapping]:
-    """The entries of one checked mapping document, or of an ontology
-    document's inline `mappings` wrapped as {"types": ...}."""
-    return [
-        InstanceMapping(
-            provider=entry["provider"] if doc.get("provider") is None else doc["provider"],
-            provider_type=entry["provider_type"],
-            ontology_class=entry["ontology_class"],
+    """The entries of one mapping document, after checking its shape."""
+    check_fields(doc, "mapping document", OntologyError, *_MAPPING_DOCUMENT)
+    mappings = []
+    for entry in doc.get("types") or []:
+        check_fields(entry, "mapping entry", OntologyError, *_MAPPING)
+        mappings.append(
+            InstanceMapping(doc["provider"], entry["provider_type"], entry["ontology_class"])
         )
-        for entry in doc.get("types") or []
-    ]
+    return mappings
 
 
 def ontology_from_documents(ontology_doc: dict, mapping_docs: list[dict]) -> Ontology:
@@ -275,20 +263,19 @@ def ontology_from_documents(ontology_doc: dict, mapping_docs: list[dict]) -> Ont
             data_properties=tuple((entry.get("data_properties") or {}).items()),
             offers=tuple(entry.get("offers") or []),
         )
-    docs = [{"types": ontology_doc.get("mappings")}, *map(_check_mapping_document, mapping_docs)]
-    return Ontology(classes=classes, mappings=[m for doc in docs for m in _mappings(doc)])
+    return Ontology(classes=classes, mappings=[m for doc in mapping_docs for m in _mappings(doc)])
 
 
 def _with_mappings(ontology: Ontology, doc: dict) -> Ontology:
     """`ontology` plus the entries of one mapping document, validated
     again, so that `load_ontology` can name the file an error belongs to."""
-    return Ontology(ontology.classes, ontology.mappings + _mappings(_check_mapping_document(doc)))
+    return Ontology(ontology.classes, ontology.mappings + _mappings(doc))
 
 
 def load_ontology(ontology_path: str | Path, mapping_paths: list[str | Path] = ()) -> Ontology:
     """Load the ontology document and per-provider mapping files. Every
     OntologyError names the file that holds the fault: the ontology file
-    for its classes and inline mappings, a mapping file for its entries."""
+    for its classes, a mapping file for its entries."""
     ontology = load_document(ontology_path, OntologyError, lambda doc: ontology_from_documents(doc, []))
     for path in mapping_paths:
         ontology = load_document(path, OntologyError, functools.partial(_with_mappings, ontology))

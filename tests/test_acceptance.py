@@ -234,7 +234,7 @@ class TestCriterion6PassIdempotency:
                 codefacts.build_http_server_nodes(graph, app_id)
                 codefacts.build_http_client_nodes(graph, app_id)
                 codefacts.build_storage_request_nodes(graph, app_id)
-            discovery = Discovery(graph, ontology, manifest.registry_locations)
+            discovery = Discovery(graph, manifest.registry_locations)
             for path in manifest.inventories:
                 discovery.ingest_inventory(load_inventory(path))
             discovery.resolve_inventory_links()

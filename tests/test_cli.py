@@ -160,11 +160,17 @@ def _drop(*keys):
     return mutate
 
 
+def _jobs_as_list(doc):
+    """The list-of-jobs shape, which GitHub Actions does not have."""
+    doc["jobs"] = [{"name": job_id, **job} for job_id, job in doc["jobs"].items()]
+
+
 EXPORT = "graph.json"
 CODEFACTS = "codefacts/productpage.yaml"
 MANIFEST = "manifest.yaml"
 CORE = "../../ontology/core.yaml"
 AWS = "inventories/aws.yaml"
+WORKFLOW = "workflows/deploy.yaml"
 
 # inputs that once crashed `build` with a traceback, that `query` accepted,
 # or whose error did not name the file: (file under the bookinfo testbed,
@@ -190,6 +196,7 @@ MALFORMED_INPUTS = {
     "inventory-unknown-mapping": (AWS, _set(("resources", 0, "provider_type"), "AWS::Nope")),
     # aws.yaml is not the last inventory, so its link must keep its own file
     "inventory-link-to-unknown-id": (AWS, _set(("resources", 0, "links"), {"member_of": "ghost"})),
+    "workflow-jobs-a-list": (WORKFLOW, _jobs_as_list),
     "export-undeclared-node-property": (EXPORT, _set(("nodes", 0, "properties", "bogus"), 1)),
     "export-list-node-property": (EXPORT, _set(("nodes", 0, "properties", "image"), ["a"])),
     "export-dict-node-property": (EXPORT, _set(("nodes", 0, "properties", "image"), {"a": 1})),

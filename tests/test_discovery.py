@@ -1,4 +1,5 @@
 import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,8 @@ def graph(core_ontology):
 
 
 @pytest.fixture
-def discovery(graph, core_ontology):
-    return Discovery(graph, core_ontology, {"ghcr.io": "us"})
+def discovery(graph):
+    return Discovery(graph, {"ghcr.io": "us"})
 
 
 def inventory(provider, resources):
@@ -36,9 +37,8 @@ def inventory(provider, resources):
 
 
 def workflow(runs):
-    return workflow_from_document(
-        {"name": "wf", "jobs": [{"name": "job", "steps": [{"run": r} for r in runs]}]}
-    )
+    steps = [{"run": r} for r in runs]
+    return workflow_from_document({"name": "wf", "jobs": {"job": {"steps": steps}}})
 
 
 class TestDocumentValidation:
@@ -95,14 +95,19 @@ class TestDocumentValidation:
     @pytest.mark.parametrize(
         "jobs, what",
         [
-            (["build"], "job"),
-            ([None], "job"),
-            ([{"name": "j", "steps": ["docker build -t x ."]}], "step"),
-            ([{"name": "j", "steps": [["run"]]}], "step"),
+            ({"build": "build"}, "job"),
+            ({"build": None}, "job"),
+            ({"j": {"steps": ["docker build -t x ."]}}, "step"),
+            ({"j": {"steps": [["run"]]}}, "step"),
         ],
     )
     def test_workflow_job_or_step_not_a_mapping(self, jobs, what):
         with pytest.raises(DiscoveryError, match=f"workflow {what} must be a mapping"):
+            workflow_from_document({"name": "wf", "jobs": jobs})
+
+    def test_list_of_jobs_rejected(self):
+        jobs = [{"name": "build", "steps": [{"run": "docker build -t x ."}]}]
+        with pytest.raises(DiscoveryError, match="'jobs' in workflow must be of type dict"):
             workflow_from_document({"name": "wf", "jobs": jobs})
 
     @pytest.mark.parametrize(
@@ -111,8 +116,8 @@ class TestDocumentValidation:
             (load_inventory, "provider: aws\nresources:\n  - just-a-string\n"),
             (load_inventory, "provider: aws\nresources:\n  - {id: a, name: x}\n"),
             (load_inventory, "provider: aws\nextra: 1\n"),
-            (load_workflow, "name: wf\njobs:\n  - {name: j, steps: [docker push x]}\n"),
-            (load_workflow, "name: wf\njobs: [build]\n"),
+            (load_workflow, "name: wf\njobs:\n  j: {steps: [docker push x]}\n"),
+            (load_workflow, "name: wf\njobs: {build: build}\n"),
         ],
     )
     def test_loaders_name_the_file(self, tmp_path, load, text):
@@ -236,7 +241,7 @@ class TestAttachSecurityFeatures:
     def make_resource(self, graph, cls, name="r"):
         return graph.add_node(cls, name, {})
 
-    def test_tls_version_lands_on_endpoint(self, graph, core_ontology):
+    def test_tls_version_lands_on_endpoint(self, graph):
         storage = self.make_resource(graph, "ObjectStorage", "am-containerlog")
         endpoint = graph.add_node("HttpEndpoint", "https://x/y", {"url": "https://x/y", "method": "ANY"})
         graph.add_edge(storage, endpoint, "HAS_ENDPOINT")
@@ -246,47 +251,47 @@ class TestAttachSecurityFeatures:
             provider_type="T",
             properties={"tls_enabled": True, "tls_version": "TLS1_1"},
         )
-        attach_security_features(graph, core_ontology, storage, inv)
+        attach_security_features(graph, storage, inv)
         te_edges = graph.out_edges(endpoint, "TRANSPORT_ENCRYPTION")
         assert len(te_edges) == 1
         te = graph.node(te_edges[0].to_id)
         assert te.properties == {"enabled": True, "tlsVersion": "TLS1_1"}
 
-    def test_transport_encryption_falls_back_to_resource(self, graph, core_ontology):
+    def test_transport_encryption_falls_back_to_resource(self, graph):
         storage = self.make_resource(graph, "ObjectStorage")
         inv = InventoryResource(id="s", name="r", provider_type="T", properties={"tls_enabled": False})
-        attach_security_features(graph, core_ontology, storage, inv)
+        attach_security_features(graph, storage, inv)
         te_edges = graph.out_edges(storage, "TRANSPORT_ENCRYPTION")
         assert len(te_edges) == 1
         assert graph.node(te_edges[0].to_id).properties == {"enabled": False}
 
-    def test_region_becomes_geo_location(self, graph, core_ontology):
+    def test_region_becomes_geo_location(self, graph):
         vm = self.make_resource(graph, "VirtualMachine", "ratings-vm")
         inv = InventoryResource(id="i1", name="ratings-vm", provider_type="T", region="us-east-1")
-        count = attach_security_features(graph, core_ontology, vm, inv)
+        count = attach_security_features(graph, vm, inv)
         assert count == 1
         geo = graph.out_edges(vm, "GEO_LOCATION")[0].to_id
         assert graph.node(geo).properties == {"region": "us-east-1"}
         assert graph.node(geo).name == "us-east-1"
 
-    def test_class_offering_nothing(self, graph, core_ontology):
+    def test_class_offering_nothing(self, graph):
         app = self.make_resource(graph, "Application")
         inv = InventoryResource(id="a", name="r", provider_type="T", region="westeurope")
-        assert attach_security_features(graph, core_ontology, app, inv) == 0
+        assert attach_security_features(graph, app, inv) == 0
 
-    def test_absent_inputs_create_nothing(self, graph, core_ontology):
+    def test_absent_inputs_create_nothing(self, graph):
         storage = self.make_resource(graph, "ObjectStorage")
         inv = InventoryResource(id="s", name="r", provider_type="T")
-        assert attach_security_features(graph, core_ontology, storage, inv) == 0
+        assert attach_security_features(graph, storage, inv) == 0
 
-    def test_token_authentication(self, graph, core_ontology):
+    def test_token_authentication(self, graph):
         storage = self.make_resource(graph, "ObjectStorage")
         inv = InventoryResource(id="s", name="r", provider_type="T", properties={"auth": "token"})
-        attach_security_features(graph, core_ontology, storage, inv)
+        attach_security_features(graph, storage, inv)
         auth = graph.out_edges(storage, "AUTHENTICITY")
         assert graph.node(auth[0].to_id).class_name == "TokenBasedAuthentication"
 
-    def test_at_rest_encryption(self, graph, core_ontology):
+    def test_at_rest_encryption(self, graph):
         volume = self.make_resource(graph, "BlockStorage")
         inv = InventoryResource(
             id="v",
@@ -294,7 +299,7 @@ class TestAttachSecurityFeatures:
             provider_type="T",
             properties={"at_rest_encryption_enabled": True, "at_rest_algorithm": "AES256"},
         )
-        attach_security_features(graph, core_ontology, volume, inv)
+        attach_security_features(graph, volume, inv)
         are = graph.out_edges(volume, "AT_REST_ENCRYPTION")[0].to_id
         assert graph.node(are).properties == {"enabled": True, "algorithm": "AES256"}
 
@@ -326,6 +331,45 @@ class TestIngestWorkflow:
         image = graph.find_by_name("ContainerImage", "ghcr.io/acme/app")
         registry = graph.find_by_name("ContainerRegistry", "ghcr.io")
         assert graph.has_edge(image, registry, "PUSHES_TO")
+
+    def test_github_actions_workflow(self, discovery, graph):
+        job = {"runs-on": "ubuntu-latest", "steps": [{"run": "docker build -t x ."}]}
+        doc = {"name": "deploy", "on": "push", "jobs": {"build": job}}
+        assert discovery.ingest_workflow(workflow_from_document(doc)) == 1
+        assert graph.find_by_name("ContainerImage", "x") is not None
+
+    def test_repository_ci_workflow(self, discovery, graph):
+        # YAML reads its `on:` as True; it has uses/with steps and multi-line scripts
+        doc = load_workflow(Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml")
+        assert doc.name == "ci"
+        assert "python -m pip install ." in doc.commands
+        assert 'cd "$RUNNER_TEMP"' in doc.commands
+        assert discovery.ingest_workflow(doc) == 0
+        assert graph.nodes_with_class("ContainerImage") == []
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            "--quiet",
+            "-q",
+            "--all-tags --disable-content-trust",
+            "--platform linux/amd64",
+            "--platform=linux/amd64",
+        ],
+    )
+    def test_push_options_skipped(self, discovery, graph, options):
+        discovery.ingest_workflow(workflow([f"docker push {options} ghcr.io/acme/app"]))
+        images = graph.nodes_with_class("ContainerImage")
+        assert [graph.node(n).name for n in images] == ["ghcr.io/acme/app"]
+        registry = graph.find_by_name("ContainerRegistry", "ghcr.io")
+        assert graph.has_edge(images[0], registry, "PUSHES_TO")
+
+    def test_localhost_is_a_registry_host(self, discovery, graph):
+        discovery.ingest_workflow(workflow(["docker push localhost/app"]))
+        image = graph.find_by_name("ContainerImage", "localhost/app")
+        registry = graph.find_by_name("ContainerRegistry", "localhost")
+        assert registry is not None and graph.has_edge(image, registry, "PUSHES_TO")
+        assert graph.find_by_name("ContainerRegistry", "ghcr.io") is None
 
     def test_no_docker_commands(self, discovery):
         assert discovery.ingest_workflow(workflow(["make test", "echo done"])) == 0
@@ -362,10 +406,9 @@ class TestIngestWorkflow:
 
 
 BUNDLED_COMMANDS = sorted(
-    step.run
+    command
     for testbed in ("bookinfo", "bookinfo_clean")
-    for job in load_workflow(data_path(f"fixtures/{testbed}/workflows/deploy.yaml")).jobs
-    for step in job.steps
+    for command in load_workflow(data_path(f"fixtures/{testbed}/workflows/deploy.yaml")).commands
 )
 # shell syntax, and whitespace that str.split splits on and shlex does not
 COMMAND_ALPHABET = "ab -=/:.'\"\\#\x0b\x0c\x1c\x85\xa0\u2028\r\n\t\u00e9\U0001d11e"
@@ -457,7 +500,7 @@ class TestLinkApplications:
             graph.out_edges = listing(graph.out_edges)
             graph.in_edges = listing(graph.in_edges)
             graph.has_edge = check
-            Discovery(graph, core_ontology).link_applications()
+            Discovery(graph).link_applications()
             assert tally["checks"] == sum(e.type == "DFG" for e in graph.edges()) == tenants
             return tally["edges"] / tally["checks"]
 
@@ -507,7 +550,7 @@ class TestFixtureInvariants:
 
         def build(order):
             graph = PropertyGraph(core_ontology)
-            discovery = Discovery(graph, core_ontology, manifest.registry_locations)
+            discovery = Discovery(graph, manifest.registry_locations)
             from skygraph.discovery import load_inventory
 
             for idx in order:

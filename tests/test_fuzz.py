@@ -84,13 +84,13 @@ def _ingest_bundle(doc):
 
 
 def _ingest_inventory(doc):
-    discovery = Discovery(PropertyGraph(_ontology()), _ontology(), {"ghcr.io": "us"})
+    discovery = Discovery(PropertyGraph(_ontology()), {"ghcr.io": "us"})
     discovery.ingest_inventory(inventory_from_document(doc))
     discovery.resolve_inventory_links()
 
 
 def _ingest_workflow(doc):
-    Discovery(PropertyGraph(_ontology()), _ontology()).ingest_workflow(workflow_from_document(doc))
+    Discovery(PropertyGraph(_ontology())).ingest_workflow(workflow_from_document(doc))
 
 
 def _export():

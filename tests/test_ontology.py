@@ -1,7 +1,10 @@
 import pytest
+import yaml
 
 from skygraph.errors import OntologyError, UnknownClassError, UnknownMappingError
-from skygraph.ontology import ontology_from_documents
+from skygraph.ontology import load_ontology, ontology_from_documents
+
+from .conftest import data_path
 
 
 def make(classes, mappings=None):
@@ -74,6 +77,39 @@ def test_unknown_keys_are_strict():
         make([{"name": "A", "kind": "resource", "offerz": []}])
     with pytest.raises(OntologyError, match=r"unknown keys \['extra'\] in ontology document"):
         ontology_from_documents({"classes": [], "extra": 1}, [])
+
+
+def _inline_mappings(ontology_doc, mapping_doc):
+    entry = {"provider": "aws", "provider_type": "X", "ontology_class": "BlockStorage"}
+    ontology_doc["mappings"] = [entry]
+
+
+def _provider_per_entry(ontology_doc, mapping_doc):
+    provider = mapping_doc.pop("provider")
+    for entry in mapping_doc["types"]:
+        entry["provider"] = provider
+
+
+@pytest.mark.parametrize(
+    "mutate, faulty, message",
+    [
+        (_inline_mappings, "core.yaml", r"unknown keys \['mappings'\] in ontology document"),
+        (_provider_per_entry, "aws.yaml", r"mapping document is missing \['provider'\]"),
+    ],
+    ids=["inline-mappings", "provider-per-entry"],
+)
+def test_one_mapping_shape(tmp_path, mutate, faulty, message):
+    """Mappings live only in mapping files, each naming its provider once."""
+    docs = {}
+    for name in ("core.yaml", "aws.yaml"):
+        with open(data_path(f"ontology/{name}"), encoding="utf-8") as fh:
+            docs[name] = yaml.safe_load(fh)
+    mutate(docs["core.yaml"], docs["aws.yaml"])
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with pytest.raises(OntologyError, match=message) as info:
+        load_ontology(tmp_path / "core.yaml", [tmp_path / "aws.yaml"])
+    assert str(info.value).startswith(f"{tmp_path / faulty}: ")
 
 
 def test_duplicate_mapping_rejected():
