@@ -55,5 +55,10 @@ class QuerySyntaxError(SkygraphError):
         super().__init__(f"{message} (at offset {offset})")
 
 
+class QueryError(SkygraphError):
+    """A query that parsed but could not be evaluated, such as a route too
+    deep for the engine's recursive walk."""
+
+
 class ManifestError(SkygraphError):
     """Bad build manifest: missing file or malformed field."""

@@ -329,33 +329,6 @@ class PropertyGraph:
 
     # -- serialization ------------------------------------------------------
 
-    def to_document(self, settings: dict | None = None) -> dict:
-        ontology_doc, mapping_docs = self.ontology.to_documents()
-        return {
-            "ontology": ontology_doc,
-            "mappings": mapping_docs,
-            "settings": dict(settings if settings is not None else self.settings),
-            "nodes": [
-                {
-                    "id": str(n.id),
-                    "class": n.class_name,
-                    "name": n.name,
-                    "properties": dict(n.properties),
-                }
-                for n in sorted(self._nodes.values(), key=lambda n: n.id)
-            ],
-            "edges": [
-                {
-                    "id": str(e.id),
-                    "type": e.type,
-                    "from": str(e.from_id),
-                    "to": str(e.to_id),
-                    "properties": dict(e.properties),
-                }
-                for e in sorted(self._edges.values(), key=lambda e: e.id)
-            ],
-        }
-
     @classmethod
     def from_document(cls, doc: dict) -> "PropertyGraph":
         check_fields(doc, "graph document", GraphError, *_EXPORT)
@@ -406,37 +379,43 @@ def _entries(lines: list[str]) -> str:
 
 
 def export_graph(graph: PropertyGraph, settings: dict | None = None) -> str:
-    """Serialize to the JSON export format, deterministically ordered: the
-    text is exactly ``json.dumps(graph.to_document(settings), indent=2,
-    sort_keys=True) + "\\n"``, laid out here so that strings and property
-    dicts go through the C encoder."""
-    doc = graph.to_document(settings)
+    """Serialize to the JSON export format, deterministically ordered.
+
+    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) +
+    "\\n"`` of the document with the graph's `ontology` and `mappings`
+    documents, `settings` (the graph's own when None), and one entry per
+    node (`id`, `class`, `name`, `properties`) and per edge (`id`, `type`,
+    `from`, `to`, `properties`) sorted by id, ids as strings. It is laid
+    out here straight from the node and edge tables, so that strings and
+    property dicts go through the C encoder and no document is built.
+    """
+    ontology_doc, mapping_docs = graph.ontology.to_documents()
     nodes = [
         "    {\n"
-        f'      "class": {_string(n["class"])},\n'
-        f'      "id": {_string(n["id"])},\n'
-        f'      "name": {_string(n["name"])},\n'
-        f'      "properties": {_properties(n["properties"])}\n'
+        f'      "class": {_string(n.class_name)},\n'
+        f'      "id": "{n.id}",\n'
+        f'      "name": {_string(n.name)},\n'
+        f'      "properties": {_properties(n.properties)}\n'
         "    }"
-        for n in doc["nodes"]
+        for n in map(graph._nodes.__getitem__, sorted(graph._nodes))
     ]
     edges = [
         "    {\n"
-        f'      "from": {_string(e["from"])},\n'
-        f'      "id": {_string(e["id"])},\n'
-        f'      "properties": {_properties(e["properties"])},\n'
-        f'      "to": {_string(e["to"])},\n'
-        f'      "type": {_string(e["type"])}\n'
+        f'      "from": "{e.from_id}",\n'
+        f'      "id": "{e.id}",\n'
+        f'      "properties": {_properties(e.properties)},\n'
+        f'      "to": "{e.to_id}",\n'
+        f'      "type": {_string(e.type)}\n'
         "    }"
-        for e in doc["edges"]
+        for e in map(graph._edges.__getitem__, sorted(graph._edges))
     ]
     return (
         "{\n"
         f'  "edges": {_entries(edges)},\n'
-        f'  "mappings": {_section(doc["mappings"])},\n'
+        f'  "mappings": {_section(mapping_docs)},\n'
         f'  "nodes": {_entries(nodes)},\n'
-        f'  "ontology": {_section(doc["ontology"])},\n'
-        f'  "settings": {_section(doc["settings"])}\n'
+        f'  "ontology": {_section(ontology_doc)},\n'
+        f'  "settings": {_section(graph.settings if settings is None else settings)}\n'
         "}\n"
     )
 

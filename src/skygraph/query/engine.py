@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from skygraph.errors import QueryError
 from skygraph.graph import Edge, Path, PropertyGraph
 from skygraph.query.syntax import (
     BoolExpr,
@@ -206,7 +207,8 @@ def evaluate(
     ast: QueryAst,
     star_max: int = DEFAULT_STAR_MAX,
 ) -> list[MatchResult]:
-    """Every assignment of graph nodes and edge routes to the pattern."""
+    """Every assignment of graph nodes and edge routes to the pattern.
+    Raises QueryError when a route is too deep for the recursive walk."""
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
     plan = _plan(graph, node_patterns)
@@ -265,6 +267,11 @@ def evaluate(
             if bind(plan.anchor, seed):
                 walk(0)
                 nodes[plan.anchor] = None
+    except RecursionError as exc:
+        # routes and hops nest one Python frame per step
+        raise QueryError(
+            f"a route is too deep to walk at star_max {star_max}; lower star_max"
+        ) from exc
     finally:
         del walk  # a closure cycle holding the graph, as `rec` in `_routes`
 

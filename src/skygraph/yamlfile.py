@@ -2,19 +2,29 @@
 mapping files, code facts, inventories and workflows) and the one check of
 every input document's shape.
 
-Parsing uses libyaml (`yaml.CSafeLoader`) when PyYAML was built with it,
-and the pure-Python `yaml.SafeLoader` otherwise; both build the same
-documents. A field's declared type (its spec) is a type, a tuple of specs
-(any one of them), ``[spec]`` for a list of spec, or ``{key: value}`` specs
-for a mapping.
+Parsing and composing use libyaml (`yaml.CSafeLoader`) when PyYAML was
+built with it, and the pure-Python `yaml.SafeLoader` otherwise. Scalars
+resolve as YAML 1.1 does in PyYAML (``on:`` is True). Construction is
+restricted: mappings, sequences and string scalars with their default tags
+become dicts, lists and strs through an explicit queue, and every other
+scalar goes through PyYAML's own constructor. A document holding anything
+else (a collection reached twice through an alias, a merge key, another
+tag, or a key that is not a string) is built by `SafeLoader`'s constructor
+instead, so the result, or the error raised, is always `SafeLoader`'s.
+
+A field's declared type (its spec) is a type, a tuple of specs (any one of
+them), ``[spec]`` for a list of spec, or ``{key: value}`` specs for a
+mapping.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from pathlib import Path
 from typing import Callable
 
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from skygraph.errors import SkygraphError
 
@@ -22,15 +32,120 @@ from skygraph.errors import SkygraphError
 SCALAR = (str, bool, int)
 
 
+_TAG = "tag:yaml.org,2002:"
+_STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
+# the other tags YAML 1.1 resolution gives a plain scalar (merge and `=` only
+# mean something as keys); SafeConstructor builds each at once, with no generator
+_PLAIN_SCALAR_TAGS = frozenset(
+    _TAG + name for name in ("null", "bool", "int", "float", "timestamp")
+)
+
+# the no-op path hooks of `_RestrictedLoader` would ignore path resolvers
+_BASES = (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+if any(base.yaml_path_resolvers for base in _BASES):
+    raise ImportError("PyYAML's safe loaders have path resolvers; skygraph's loader ignores them")
+
+
+class _Unsupported(Exception):
+    """The document needs more than the restricted construction builds."""
+
+
+class _RestrictedLoader:
+    """Loader mixin: restricted construction, on top of the base loader's
+    parsing, composition and scalar resolution."""
+
+    # no path resolvers are registered, so tracking the path is wasted work
+    def descend_resolver(self, current_node, current_index):
+        pass
+
+    def ascend_resolver(self):
+        pass
+
+    def get_single_data(self):
+        """The stream's one document, or None for an empty stream."""
+        node = self.get_single_node()
+        if node is None:
+            return None
+        try:
+            return self._construct(node)
+        except _Unsupported:
+            return self.construct_document(node)
+
+    def _construct(self, root):
+        """`root` as dicts, lists and scalars. Collections are filled
+        breadth first, as `construct_document` fills them, so the first
+        error raised is the one it would raise; raises `_Unsupported` for a
+        document that needs `construct_document`."""
+        opened: set = set()  # collection nodes reached so far
+        pending: deque = deque()  # (node, empty container) pairs to fill
+        data = self._open(root, opened, pending)
+        while pending:
+            node, container = pending.popleft()
+            if type(container) is list:
+                for item in node.value:
+                    container.append(self._open(item, opened, pending))
+                continue
+            for key, _ in node.value:
+                # a key that is not a string may be a merge key or a `=`
+                # key, which `flatten_mapping` rewrites, or unhashable
+                if key.tag != _STR or type(key) is not ScalarNode:
+                    raise _Unsupported
+            for key, value in node.value:
+                container[key.value] = self._open(value, opened, pending)
+        return data
+
+    def _open(self, node, opened: set, pending: deque):
+        """A scalar's value, or a collection's empty container that
+        `_construct` fills later."""
+        tag, kind = node.tag, type(node)
+        if kind is ScalarNode:
+            if tag == _STR:
+                return node.value
+            if tag in _PLAIN_SCALAR_TAGS:
+                return self.construct_object(node)
+        elif node not in opened:
+            opened.add(node)
+            if kind is MappingNode and tag == _MAP:
+                container = {}
+            elif kind is SequenceNode and tag == _SEQ:
+                container = []
+            else:
+                raise _Unsupported
+            pending.append((node, container))
+            return container
+        raise _Unsupported
+
+
+class _PyLoader(_RestrictedLoader, yaml.SafeLoader):
+    """Pure-Python parsing and composition."""
+
+
+if hasattr(yaml, "CSafeLoader"):
+
+    class _CLoader(_RestrictedLoader, yaml.CSafeLoader):
+        """libyaml's parsing and composition."""
+
+else:
+    _CLoader = _PyLoader
+
+
+def _loader() -> type:
+    # chosen per call, so that removing `yaml.CSafeLoader` (a PyYAML built
+    # without libyaml, or a test) selects the pure-Python loader
+    return _CLoader if hasattr(yaml, "CSafeLoader") else _PyLoader
+
+
 def load_yaml(path: str | Path, error_cls: type[SkygraphError]):
     """Parse one YAML file. A file that cannot be read, decoded as UTF-8
-    or parsed raises `error_cls` with a message naming the file."""
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    or parsed, or that holds an impossible date, raises `error_cls` with a
+    message naming the file."""
+    loader = _loader()
     try:
         with open(path, encoding="utf-8") as fh:
             # through the module attribute, so a wrapped `yaml.load` sees every file
             return yaml.load(fh, Loader=loader)
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+    # ValueError covers UnicodeDecodeError and PyYAML's `datetime.date(2001, 2, 30)`
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         raise error_cls(f"cannot load {path}: {exc}") from exc
 
 

@@ -21,6 +21,32 @@ from skygraph.query.syntax import (
 )
 
 
+def to_document(graph: PropertyGraph, settings: dict | None = None) -> dict:
+    """The export document of `graph`: the spec that `export_graph`'s text
+    is ``json.dumps(to_document(graph, settings), indent=2, sort_keys=True)``
+    of, and the document `import_graph` reads."""
+    ontology_doc, mapping_docs = graph.ontology.to_documents()
+    return {
+        "ontology": ontology_doc,
+        "mappings": mapping_docs,
+        "settings": dict(settings if settings is not None else graph.settings),
+        "nodes": [
+            {"id": str(n.id), "class": n.class_name, "name": n.name, "properties": dict(n.properties)}
+            for n in sorted(graph.nodes(), key=lambda n: n.id)
+        ],
+        "edges": [
+            {
+                "id": str(e.id),
+                "type": e.type,
+                "from": str(e.from_id),
+                "to": str(e.to_id),
+                "properties": dict(e.properties),
+            }
+            for e in sorted(graph.edges(), key=lambda e: e.id)
+        ],
+    }
+
+
 def oracle_label_match(graph: PropertyGraph, node_id: int, label: str) -> bool:
     cls = graph.node(node_id).class_name
     if label == "Node" or label == cls:

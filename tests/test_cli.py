@@ -8,7 +8,9 @@ import pytest
 import yaml
 
 from skygraph.cli import main, render_path
-from skygraph.graph import import_graph
+from skygraph.errors import QueryError
+from skygraph.graph import PropertyGraph, export_graph, import_graph
+from skygraph.ontology import ontology_from_documents
 from skygraph.query import evaluate, parse_query
 
 from .conftest import DATA, data_path, listing_text
@@ -118,7 +120,10 @@ class TestBuild:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         monkeypatch.setattr(yaml, "load", spy)
         assert built_export_sha256("bookinfo", tmp_path / "graph.json") == EXPORT_SHA256["bookinfo"]
-        assert loaders and set(loaders) == {yaml.SafeLoader}
+        assert loaders
+        assert all(issubclass(loader, yaml.SafeLoader) for loader in loaders)
+        # libyaml's parser class, named rather than imported: PyYAML may lack it
+        assert not any(base.__name__ == "CParser" for loader in loaders for base in loader.__mro__)
 
     @pytest.mark.parametrize("bound", [0, True])
     def test_manifest_star_max_must_be_positive(self, tmp_path, capsys, bound):
@@ -325,6 +330,40 @@ class TestQuery:
             cli_count = int(capsys.readouterr().out.split()[0])
             in_process = evaluate(testbed_graph, parse_query(query))
             assert cli_count == len(in_process)
+
+
+def call_chain(length: int) -> PropertyGraph:
+    """`length` FunctionDeclaration nodes, each CALLS-ing the next."""
+    graph = PropertyGraph(ontology_from_documents({"classes": []}, []))
+    ids = [graph.add_node("FunctionDeclaration", f"f{i}") for i in range(length)]
+    for caller, callee in zip(ids, ids[1:]):
+        graph.add_edge(caller, callee, "CALLS")
+    graph.freeze()
+    return graph
+
+
+DEEP_QUERY = "MATCH p=(a:FunctionDeclaration)-[:CALLS*]->(b:FunctionDeclaration) RETURN p"
+
+
+class TestDeepQuery:
+    """A route deeper than the recursive walk can go is a typed error."""
+
+    def test_evaluate_raises_query_error(self):
+        with pytest.raises(QueryError, match="star_max 5000"):
+            evaluate(call_chain(3000), parse_query(DEEP_QUERY), star_max=5000)
+
+    def test_query_command_exits_2_without_traceback(self, tmp_path):
+        graph_file = tmp_path / "chain.json"
+        graph_file.write_text(export_graph(call_chain(3000)), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "skygraph.cli", "query", str(graph_file), DEEP_QUERY,
+             "--star-max", "5000", "--format", "count"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "star_max 5000" in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 class TestStats:

@@ -13,7 +13,7 @@ from skygraph.ontology import ontology_from_documents
 from skygraph.query import evaluate, parse_query
 
 from .conftest import DATA, listing_text
-from .reference import oracle_label_match
+from .reference import oracle_label_match, to_document
 
 
 @pytest.fixture
@@ -174,12 +174,12 @@ class TestRoundTrip:
         graph.add_node("ObjectStorage", "s", {"public_access": True})
         graph.freeze()
         restored = import_graph(export_graph(graph))
-        assert restored.to_document() == graph.to_document()
+        assert to_document(restored) == to_document(graph)
 
     def test_dangling_edge_in_document(self, graph):
         graph.add_node("CloudResource", "r", {})
         graph.freeze()
-        doc = graph.to_document()
+        doc = to_document(graph)
         doc["edges"].append({"id": "9", "type": "DFG", "from": "0", "to": "42", "properties": {}})
         with pytest.raises(GraphError, match="edge target 42 does not exist"):
             import_graph(doc)
@@ -220,10 +220,16 @@ class TestRoundTrip:
             assert before == after
 
     def test_deterministic_export_ordering(self, testbed_graph):
-        doc = testbed_graph.to_document()
-        ids = [int(n["id"]) for n in doc["nodes"]]
+        doc = to_document(testbed_graph)
+        doc["nodes"].reverse()
+        doc["edges"].reverse()
+        restored = import_graph(doc)  # node and edge tables in reverse id order
+        text = export_graph(restored)
+        assert text == export_graph(testbed_graph)
+        exported = json.loads(text)
+        ids = [int(n["id"]) for n in exported["nodes"]]
         assert ids == sorted(ids)
-        edge_ids = [int(e["id"]) for e in doc["edges"]]
+        edge_ids = [int(e["id"]) for e in exported["edges"]]
         assert edge_ids == sorted(edge_ids)
 
 
@@ -247,7 +253,7 @@ class TestLookupIndexes:
     def test_first_inserted_wins_when_imported(self, graph):
         first, second, other = self.duplicates(graph)
         graph.freeze()
-        doc = graph.to_document()
+        doc = to_document(graph)
         restored = import_graph(doc)
         assert restored.find_by_name("ObjectStorage", "s") == first
         assert restored.find_by_provider_id("p") == first
@@ -276,7 +282,7 @@ class TestLookupIndexes:
     def test_unhashable_key_in_document(self, graph, field):
         graph.add_node("ObjectStorage", "s", {"provider_id": "p"})
         graph.freeze()
-        doc = graph.to_document()
+        doc = to_document(graph)
         node = doc["nodes"][0]
         if field == "name":
             node["name"] = ["s"]
@@ -303,7 +309,7 @@ def test_import_rejects_non_string_class_and_type(section, key, value):
     a = graph.add_node("A", "a", {})
     graph.add_edge(a, a, "DFG")
     graph.freeze()
-    doc = graph.to_document()
+    doc = to_document(graph)
     doc[section][0][key] = value
     with pytest.raises(GraphError):
         import_graph(doc)
@@ -311,7 +317,7 @@ def test_import_rejects_non_string_class_and_type(section, key, value):
 
 @pytest.mark.parametrize("settings", [["star_max", 3], "star_max", 7])
 def test_import_rejects_settings_that_are_not_a_mapping(settings):
-    doc = PropertyGraph(ontology_from_documents({"classes": []}, [])).to_document()
+    doc = to_document(PropertyGraph(ontology_from_documents({"classes": []}, [])))
     doc["settings"] = settings
     with pytest.raises(GraphError, match="settings must be a mapping"):
         import_graph(doc)
@@ -323,7 +329,7 @@ def test_import_rejects_unknown_class():
     graph = PropertyGraph(ontology)
     graph.add_node("A", "a", {})
     graph.freeze()
-    doc = graph.to_document()
+    doc = to_document(graph)
     doc["nodes"][0]["class"] = "Mystery"
     with pytest.raises(UnknownClassError):
         import_graph(doc)
@@ -336,14 +342,14 @@ def test_import_rejects_duplicate_ids(section, what):
     a = graph.add_node("A", "a", {})
     graph.add_edge(a, a, "DFG")
     graph.freeze()
-    doc = graph.to_document()
+    doc = to_document(graph)
     doc[section].append(dict(doc[section][0]))
     with pytest.raises(GraphError, match=f"duplicate {what} id 0"):
         import_graph(doc)
 
 
 def assert_export_is_json_dumps(graph, settings):
-    expected = json.dumps(graph.to_document(settings), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(to_document(graph, settings), indent=2, sort_keys=True) + "\n"
     assert export_graph(graph, settings) == expected
 
 
