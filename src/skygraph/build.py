@@ -105,11 +105,7 @@ def build_graph(manifest: BuildManifest) -> tuple[PropertyGraph, Ontology, Build
 
     def run_codefacts() -> None:
         for path in manifest.codefacts:
-            bundle = codefacts.load_code_facts(path)
-            app_id = codefacts.ingest_code_facts(graph, bundle)
-            codefacts.build_http_server_nodes(graph, app_id)
-            codefacts.build_http_client_nodes(graph, app_id)
-            codefacts.build_storage_request_nodes(graph, app_id)
+            codefacts.ingest_code_facts(graph, codefacts.load_code_facts(path))
 
     timed("codefacts", run_codefacts)
 

@@ -260,8 +260,9 @@ def load_code_facts(path: str | Path) -> CodeFactsBundle:
 
 def ingest_code_facts(graph: PropertyGraph, bundle: CodeFactsBundle) -> int:
     """Create the Application node, its declarations, calls, referenced
-    expressions and intra-application DFG edges. Returns the node id of
-    the Application."""
+    expressions and intra-application DFG edges, then its framework nodes
+    (HTTP endpoints, HTTP requests, storage requests). Returns the node id
+    of the Application."""
     app_props: dict[str, Scalar] = {}
     if bundle.language:
         app_props["language"] = bundle.language
@@ -316,6 +317,8 @@ def ingest_code_facts(graph: PropertyGraph, bundle: CodeFactsBundle) -> int:
     for call in bundle.calls:
         if call.arguments:
             arg_ids = [node_for_ref(arg) for arg in call.arguments]
+            # kept only for the export format: argument nodes get their ids
+            # after every CallExpression, and nothing reads this back
             graph.node(ref_nodes[call.id]).properties["argument_nodes"] = ",".join(
                 str(i) for i in arg_ids
             )
@@ -336,111 +339,81 @@ def ingest_code_facts(graph: PropertyGraph, bundle: CodeFactsBundle) -> int:
                 log_node = graph.add_node("LogOutput", f"{bundle.application}-logs")
                 graph.add_edge(app_id, log_node, "OFFERS")
             graph.add_edge(ref_nodes[ref], log_node, "DFG")
+
+    build_http_server_nodes(graph, bundle, app_id, fn_nodes)
+    # requests are created call by call, grouped by enclosing function in
+    # declaration order (function ids rise in that order); the sort is
+    # stable, so calls keep their bundle order within a function
+    calls = sorted(bundle.calls, key=lambda call: fn_nodes[call.inside])
+    build_http_client_nodes(graph, calls, app_id, ref_nodes)
+    build_storage_request_nodes(graph, calls, ref_nodes)
     return app_id
 
 
-def _functions_of(graph: PropertyGraph, app_id: int) -> list[int]:
-    return [
-        e.to_id
-        for e in graph.out_edges(app_id, "CONTAINS")
-        if graph.node(e.to_id).class_name == "FunctionDeclaration"
-    ]
-
-
-def _calls_of(graph: PropertyGraph, fn_id: int) -> list[int]:
-    return [
-        e.to_id
-        for e in graph.out_edges(fn_id, "CONTAINS")
-        if graph.node(e.to_id).class_name == "CallExpression"
-    ]
-
-
-def build_http_server_nodes(graph: PropertyGraph, app_id: int) -> int:
+def build_http_server_nodes(
+    graph: PropertyGraph, bundle: CodeFactsBundle, app_id: int, fn_nodes: dict[str, int]
+) -> None:
     """Create HttpRequestHandler and HttpEndpoint nodes for framework
-    handler functions. Returns the number of endpoints created.
+    handler functions.
 
     Functions without a controller class share one per-application
     handler node.
     """
-    app = graph.node(app_id)
     handlers: dict[str | None, int] = {}
-    created = 0
-    for fn_id in _functions_of(graph, app_id):
-        fn = graph.node(fn_id)
-        path = fn.properties.get("handler_path")
-        if path is None:
+    for fn in bundle.functions:
+        if fn.http_handler is None:
             continue
-        group = fn.properties.get("handler_class")
+        group = fn.handler_class
         if group not in handlers:
-            handler_name = group if group is not None else f"{app.name}-handlers"
-            handler_id = graph.add_node("HttpRequestHandler", str(handler_name))
+            handler_name = group if group is not None else f"{bundle.application}-handlers"
+            handler_id = graph.add_node("HttpRequestHandler", handler_name)
             graph.add_edge(app_id, handler_id, "OFFERS")
             handlers[group] = handler_id
+        path = fn.http_handler.path
         endpoint_id = graph.add_node(
-            "HttpEndpoint",
-            str(path),
-            {"path": path, "method": fn.properties["handler_method"]},
+            "HttpEndpoint", path, {"path": path, "method": fn.http_handler.method}
         )
         graph.add_edge(handlers[group], endpoint_id, "HAS_ENDPOINT")
-        graph.add_edge(endpoint_id, fn_id, "CALLS")
-        created += 1
-    return created
+        graph.add_edge(endpoint_id, fn_nodes[fn.qualified_name], "CALLS")
 
 
-def build_http_client_nodes(graph: PropertyGraph, app_id: int) -> int:
-    """Create one HttpRequest node per http_client call expression."""
-    created = 0
-    for fn_id in _functions_of(graph, app_id):
-        for call_id in _calls_of(graph, fn_id):
-            call = graph.node(call_id)
-            if call.properties.get("kind") != "http_client":
-                continue
-            request_id = graph.add_node(
-                "HttpRequest",
-                str(call.properties["url"]),
-                {"url": call.properties["url"], "method": call.properties["method"]},
-            )
-            graph.add_edge(request_id, call_id, "SOURCE")
-            graph.add_edge(app_id, request_id, "OFFERS")
-            created += 1
-    return created
+def build_http_client_nodes(
+    graph: PropertyGraph, calls: list[CallFact], app_id: int, ref_nodes: dict[str, int]
+) -> None:
+    """Create one HttpRequest node per http_client call."""
+    for call in calls:
+        if call.http is None:
+            continue
+        request_id = graph.add_node(
+            "HttpRequest", call.http.url, {"url": call.http.url, "method": call.http.method}
+        )
+        graph.add_edge(request_id, ref_nodes[call.id], "SOURCE")
+        graph.add_edge(app_id, request_id, "OFFERS")
 
 
-def build_storage_request_nodes(graph: PropertyGraph, app_id: int) -> int:
+def build_storage_request_nodes(
+    graph: PropertyGraph, calls: list[CallFact], ref_nodes: dict[str, int]
+) -> None:
     """Create one ObjectStorageRequest node per storage_sdk call.
 
     Write operations (create/append) get DFG edges from their argument
     expressions; connection to the actual storage resource is left to the
     data-flow resolution passes.
     """
-    created = 0
-    for fn_id in _functions_of(graph, app_id):
-        for call_id in _calls_of(graph, fn_id):
-            call = graph.node(call_id)
-            if call.properties.get("kind") != "storage_sdk":
-                continue
-            operation = str(call.properties["operation"])
-            container = str(call.properties["container"])
-            request_id = graph.add_node(
-                "ObjectStorageRequest",
-                f"{operation} {container}",
-                {
-                    "type": operation,
-                    "account_url": call.properties["account_url"],
-                    "container": container,
-                },
-            )
-            graph.add_edge(request_id, call_id, "SOURCE")
-            if operation in ("create", "append"):
-                for arg_id in _argument_nodes(graph, call_id):
-                    graph.add_edge(arg_id, request_id, "DFG")
-            created += 1
-    return created
-
-
-def _argument_nodes(graph: PropertyGraph, call_id: int) -> list[int]:
-    """Expression nodes recorded as arguments of a call at ingest time."""
-    recorded = graph.node(call_id).properties.get("argument_nodes")
-    if not recorded:
-        return []
-    return [int(part) for part in str(recorded).split(",")]
+    for call in calls:
+        storage = call.storage
+        if storage is None:
+            continue
+        request_id = graph.add_node(
+            "ObjectStorageRequest",
+            f"{storage.operation} {storage.container}",
+            {
+                "type": storage.operation,
+                "account_url": storage.account_url,
+                "container": storage.container,
+            },
+        )
+        graph.add_edge(request_id, ref_nodes[call.id], "SOURCE")
+        if storage.operation in ("create", "append"):
+            for arg in call.arguments:
+                graph.add_edge(ref_nodes[arg], request_id, "DFG")

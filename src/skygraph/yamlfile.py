@@ -137,8 +137,9 @@ def _loader() -> type:
 
 def load_yaml(path: str | Path, error_cls: type[SkygraphError]):
     """Parse one YAML file. A file that cannot be read, decoded as UTF-8
-    or parsed, or that holds an impossible date, raises `error_cls` with a
-    message naming the file."""
+    or parsed (nesting too deep for PyYAML without libyaml included), or
+    that holds an impossible date, raises `error_cls` with a message naming
+    the file."""
     loader = _loader()
     try:
         with open(path, encoding="utf-8") as fh:
@@ -147,6 +148,9 @@ def load_yaml(path: str | Path, error_cls: type[SkygraphError]):
     # ValueError covers UnicodeDecodeError and PyYAML's `datetime.date(2001, 2, 30)`
     except (OSError, ValueError, yaml.YAMLError) as exc:
         raise error_cls(f"cannot load {path}: {exc}") from exc
+    # without libyaml, PyYAML's pure-Python parser recurses once per nesting level
+    except RecursionError as exc:
+        raise error_cls(f"cannot load {path}: nested too deeply to parse") from exc
 
 
 def load_document(path: str | Path, error_cls: type[SkygraphError], read: Callable):

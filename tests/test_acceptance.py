@@ -229,11 +229,7 @@ class TestCriterion6PassIdempotency:
             ontology = load_ontology(manifest.ontology, manifest.mappings)
             graph = PropertyGraph(ontology)
             for path in manifest.codefacts:
-                bundle = codefacts.load_code_facts(path)
-                app_id = codefacts.ingest_code_facts(graph, bundle)
-                codefacts.build_http_server_nodes(graph, app_id)
-                codefacts.build_http_client_nodes(graph, app_id)
-                codefacts.build_storage_request_nodes(graph, app_id)
+                codefacts.ingest_code_facts(graph, codefacts.load_code_facts(path))
             discovery = Discovery(graph, manifest.registry_locations)
             for path in manifest.inventories:
                 discovery.ingest_inventory(load_inventory(path))

@@ -64,7 +64,7 @@ class TestBuild:
             yaml.safe_dump({"ontology": "core.yaml"}), encoding="utf-8"
         )
         (tmp_path / "core.yaml").write_text(
-            (open(data_path("ontology/core.yaml")).read()), encoding="utf-8"
+            (DATA / "ontology" / "core.yaml").read_text(encoding="utf-8"), encoding="utf-8"
         )
         out = tmp_path / "empty.json"
         assert main(["build", str(manifest), "--out", str(out)]) == 0
@@ -78,7 +78,7 @@ class TestBuild:
             encoding="utf-8",
         )
         (tmp_path / "core.yaml").write_text(
-            open(data_path("ontology/core.yaml")).read(), encoding="utf-8"
+            (DATA / "ontology" / "core.yaml").read_text(encoding="utf-8"), encoding="utf-8"
         )
         assert main(["build", str(manifest)]) == 2
         assert "ghost.yaml" in capsys.readouterr().err
@@ -124,6 +124,19 @@ class TestBuild:
         assert all(issubclass(loader, yaml.SafeLoader) for loader in loaders)
         # libyaml's parser class, named rather than imported: PyYAML may lack it
         assert not any(base.__name__ == "CParser" for loader in loaders for base in loader.__mro__)
+
+    def test_pure_python_yaml_too_deep_names_file(self, bookinfo_copy, tmp_path, monkeypatch, capsys):
+        # PyYAML's pure-Python parser recurses once per nesting level
+        (bookinfo_copy / "codefacts" / "productpage.yaml").write_text(
+            "[" * 600 + "]" * 600 + "\n", encoding="utf-8"
+        )
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        out = tmp_path / "graph.json"
+        assert main(["build", str(bookinfo_copy / "manifest.yaml"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load ") and "productpage.yaml" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bound", [0, True])
     def test_manifest_star_max_must_be_positive(self, tmp_path, capsys, bound):
@@ -248,7 +261,7 @@ class TestQuery:
         manifest = tmp_path / "manifest.yaml"
         manifest.write_text(yaml.safe_dump({"ontology": "core.yaml"}), encoding="utf-8")
         (tmp_path / "core.yaml").write_text(
-            open(data_path("ontology/core.yaml")).read(), encoding="utf-8"
+            (DATA / "ontology" / "core.yaml").read_text(encoding="utf-8"), encoding="utf-8"
         )
         out = tmp_path / "empty.json"
         main(["build", str(manifest), "--out", str(out)])
@@ -371,7 +384,7 @@ class TestStats:
         manifest = tmp_path / "manifest.yaml"
         manifest.write_text(yaml.safe_dump({"ontology": "core.yaml"}), encoding="utf-8")
         (tmp_path / "core.yaml").write_text(
-            open(data_path("ontology/core.yaml")).read(), encoding="utf-8"
+            (DATA / "ontology" / "core.yaml").read_text(encoding="utf-8"), encoding="utf-8"
         )
         out = tmp_path / "empty.json"
         main(["build", str(manifest), "--out", str(out)])

@@ -2,9 +2,6 @@ import pytest
 
 from skygraph.codefacts import (
     bundle_from_document,
-    build_http_client_nodes,
-    build_http_server_nodes,
-    build_storage_request_nodes,
     ingest_code_facts,
     load_code_facts,
 )
@@ -111,10 +108,7 @@ class TestIngest:
             data_path(f"fixtures/bookinfo/codefacts/{bundle_file}.yaml")
         )
         graph = PropertyGraph(core_ontology)
-        app_id = ingest_code_facts(graph, facts)
-        build_http_server_nodes(graph, app_id)
-        build_http_client_nodes(graph, app_id)
-        build_storage_request_nodes(graph, app_id)
+        ingest_code_facts(graph, facts)
         assert len(graph.nodes_with_class("FunctionDeclaration")) == len(facts.functions)
         assert len(graph.nodes_with_class("CallExpression")) == len(facts.calls)
         assert len(graph.nodes_with_class("HttpEndpoint")) == sum(
@@ -158,10 +152,7 @@ class TestIngest:
         exports = []
         for _ in range(2):
             graph = PropertyGraph(core_ontology)
-            app_id = ingest_code_facts(graph, facts)
-            build_http_server_nodes(graph, app_id)
-            build_http_client_nodes(graph, app_id)
-            build_storage_request_nodes(graph, app_id)
+            ingest_code_facts(graph, facts)
             graph.freeze()
             exports.append(export_graph(graph))
         assert exports[0] == exports[1]
@@ -169,15 +160,14 @@ class TestIngest:
 
 class TestHttpServerNodes:
     def test_two_endpoints(self, graph):
-        app_id = ingest_code_facts(graph, load_code_facts(PRODUCTPAGE))
-        count = build_http_server_nodes(graph, app_id)
-        assert count == 2
+        ingest_code_facts(graph, load_code_facts(PRODUCTPAGE))
+        assert len(graph.nodes_with_class("HttpEndpoint")) == 2
         names = {graph.node(i).name for i in graph.nodes_with_class("HttpEndpoint")}
         assert names == {"/", "/login"}
 
     def test_no_handlers_no_nodes(self, graph):
-        app_id = ingest_code_facts(graph, bundle(functions=[{"name": "f"}]))
-        assert build_http_server_nodes(graph, app_id) == 0
+        ingest_code_facts(graph, bundle(functions=[{"name": "f"}]))
+        assert graph.nodes_with_class("HttpEndpoint") == []
         assert graph.nodes_with_class("HttpRequestHandler") == []
 
     def test_shared_handler_class_groups(self, graph):
@@ -187,18 +177,18 @@ class TestHttpServerNodes:
                 {"name": "f2", "http_handler": {"path": "/b", "method": "GET"}, "handler_class": "PageController"},
             ]
         )
-        app_id = ingest_code_facts(graph, facts)
-        count = build_http_server_nodes(graph, app_id)
+        ingest_code_facts(graph, facts)
         # oracle: one handler per distinct class, one endpoint per function
         handler_classes = {f.handler_class for f in facts.functions if f.http_handler}
         assert len(graph.nodes_with_class("HttpRequestHandler")) == len(handler_classes)
-        assert count == sum(1 for f in facts.functions if f.http_handler)
+        assert len(graph.nodes_with_class("HttpEndpoint")) == sum(
+            1 for f in facts.functions if f.http_handler
+        )
         handler = graph.nodes_with_class("HttpRequestHandler")[0]
         assert len(graph.out_edges(handler, "HAS_ENDPOINT")) == 2
 
     def test_endpoint_calls_function(self, graph):
-        app_id = ingest_code_facts(graph, load_code_facts(PRODUCTPAGE))
-        build_http_server_nodes(graph, app_id)
+        ingest_code_facts(graph, load_code_facts(PRODUCTPAGE))
         login = graph.find_by_name("HttpEndpoint", "/login")
         fn = graph.find_by_name("FunctionDeclaration", "productpage.login")
         assert graph.has_edge(login, fn, "CALLS")
@@ -219,7 +209,7 @@ class TestHttpClientNodes:
             ],
         )
         app_id = ingest_code_facts(graph, facts)
-        assert build_http_client_nodes(graph, app_id) == 1
+        assert len(graph.nodes_with_class("HttpRequest")) == 1
         request = graph.nodes_with_class("HttpRequest")[0]
         assert graph.node(request).properties == {
             "url": "https://example.io/login",
@@ -231,8 +221,8 @@ class TestHttpClientNodes:
 
     def test_plain_calls_only(self, graph):
         facts = bundle(functions=[{"name": "f"}], calls=[{"id": "c", "inside": "f", "kind": "plain"}])
-        app_id = ingest_code_facts(graph, facts)
-        assert build_http_client_nodes(graph, app_id) == 0
+        ingest_code_facts(graph, facts)
+        assert graph.nodes_with_class("HttpRequest") == []
 
     def test_identical_calls_stay_distinct(self, graph):
         http = {"url": "http://svc/x", "method": "GET"}
@@ -243,12 +233,34 @@ class TestHttpClientNodes:
                 {"id": "c2", "inside": "g", "kind": "http_client", "http": dict(http)},
             ],
         )
-        app_id = ingest_code_facts(graph, facts)
-        count = build_http_client_nodes(graph, app_id)
+        ingest_code_facts(graph, facts)
         # oracle: one request node per http_client fact
         expected = sum(1 for c in facts.calls if c.kind == "http_client")
-        assert count == expected == 2
-        assert len(graph.nodes_with_class("HttpRequest")) == 2
+        assert len(graph.nodes_with_class("HttpRequest")) == expected == 2
+
+
+def test_requests_follow_function_order(graph):
+    # calls listed out of function order: requests are created per enclosing
+    # function in declaration order, keeping bundle order within a function
+    facts = bundle(
+        functions=[{"name": "f", "parameters": ["x"]}, {"name": "g"}],
+        calls=[
+            {"id": "cg", "inside": "g", "kind": "http_client", "http": {"url": "http://svc/g", "method": "GET"}},
+            {
+                "id": "sf",
+                "inside": "f",
+                "kind": "storage_sdk",
+                "storage": {"account_url": "https://acct.blob.example", "container": "k", "operation": "append"},
+                "arguments": ["f.x"],
+            },
+            {"id": "cf", "inside": "f", "kind": "http_client", "http": {"url": "http://svc/f", "method": "GET"}},
+        ],
+    )
+    ingest_code_facts(graph, facts)
+    names = [graph.node(i).name for i in graph.nodes_with_class("HttpRequest")]
+    assert names == ["http://svc/f", "http://svc/g"]
+    request = graph.nodes_with_class("ObjectStorageRequest")[0]
+    assert graph.has_edge(graph.find_by_name("Expression", "f.x"), request, "DFG")
 
 
 class TestStorageRequestNodes:
@@ -271,8 +283,8 @@ class TestStorageRequestNodes:
         )
 
     def test_append_gets_argument_dfg(self, graph):
-        app_id = ingest_code_facts(graph, self.storage_bundle("append"))
-        assert build_storage_request_nodes(graph, app_id) == 1
+        ingest_code_facts(graph, self.storage_bundle("append"))
+        assert len(graph.nodes_with_class("ObjectStorageRequest")) == 1
         request = graph.nodes_with_class("ObjectStorageRequest")[0]
         assert graph.node(request).properties["type"] == "append"
         arg = graph.find_by_name("Expression", "f.data")
@@ -281,8 +293,7 @@ class TestStorageRequestNodes:
         assert graph.has_edge(request, call, "SOURCE")
 
     def test_read_gets_no_argument_dfg(self, graph):
-        app_id = ingest_code_facts(graph, self.storage_bundle("read"))
-        build_storage_request_nodes(graph, app_id)
+        ingest_code_facts(graph, self.storage_bundle("read"))
         request = graph.nodes_with_class("ObjectStorageRequest")[0]
         assert graph.in_edges(request, "DFG") == []
 
@@ -299,10 +310,9 @@ class TestStorageRequestNodes:
                 {"id": "c2", "inside": "f", "kind": "storage_sdk", "storage": dict(storage)},
             ],
         )
-        app_id = ingest_code_facts(graph, facts)
-        count = build_storage_request_nodes(graph, app_id)
+        ingest_code_facts(graph, facts)
         expected = sum(1 for c in facts.calls if c.kind == "storage_sdk")
-        assert count == expected == 2
+        assert len(graph.nodes_with_class("ObjectStorageRequest")) == expected == 2
         urls = {
             graph.node(i).properties["account_url"]
             for i in graph.nodes_with_class("ObjectStorageRequest")

@@ -4,8 +4,6 @@ import pytest
 
 from skygraph.codefacts import (
     bundle_from_document,
-    build_http_client_nodes,
-    build_http_server_nodes,
     ingest_code_facts,
 )
 from skygraph.dataflow import (
@@ -76,9 +74,6 @@ def two_app_graph(core_ontology):
             }
         ),
     )
-    for app in (app1, app2):
-        build_http_server_nodes(graph, app)
-        build_http_client_nodes(graph, app)
     balancer = graph.add_node("LoadBalancer", "lb", {"url": "example.io"})
     compute = graph.add_node("Container", "c1", {"provider_id": "c1"})
     vm = graph.add_node("VirtualMachine", "vm1", {"provider_id": "vm1"})
@@ -142,7 +137,7 @@ class TestResolveHttpRequests:
 
     def test_unmatched_request_kept(self, core_ontology):
         graph = PropertyGraph(core_ontology)
-        app = ingest_code_facts(
+        ingest_code_facts(
             graph,
             bundle_from_document(
                 {
@@ -159,7 +154,6 @@ class TestResolveHttpRequests:
                 }
             ),
         )
-        build_http_client_nodes(graph, app)
         assert resolve_http_requests(graph) == 0
         request = graph.nodes_with_class("HttpRequest")[0]
         assert graph.out_edges(request, "TO") == []
@@ -168,7 +162,7 @@ class TestResolveHttpRequests:
         # oracle: brute-force cross product of requests and endpoints with
         # the documented matching predicate
         graph = PropertyGraph(core_ontology)
-        app = ingest_code_facts(
+        ingest_code_facts(
             graph,
             bundle_from_document(
                 {
@@ -188,8 +182,6 @@ class TestResolveHttpRequests:
                 }
             ),
         )
-        build_http_server_nodes(graph, app)
-        build_http_client_nodes(graph, app)
         assert resolve_http_requests(graph) == 0
 
     def test_any_method_wildcard(self, core_ontology):
@@ -199,7 +191,7 @@ class TestResolveHttpRequests:
             "HttpEndpoint", "https://h/x", {"url": "https://h/x", "method": "ANY"}
         )
         graph.add_edge(storage, endpoint, "HAS_ENDPOINT")
-        app = ingest_code_facts(
+        ingest_code_facts(
             graph,
             bundle_from_document(
                 {
@@ -216,7 +208,6 @@ class TestResolveHttpRequests:
                 }
             ),
         )
-        build_http_client_nodes(graph, app)
         # scheme differs, host and path match, ANY accepts POST
         assert resolve_http_requests(graph) == 1
 
@@ -261,9 +252,6 @@ class TestResolveStorageRequests:
                 }
             ),
         )
-        from skygraph.codefacts import build_storage_request_nodes
-
-        build_storage_request_nodes(graph, app)
         compute = graph.add_node("VirtualMachine", "vm", {})
         graph.add_edge(app, compute, "RUNS_ON")
         return graph
@@ -465,8 +453,6 @@ def shared_path_graph(core_ontology):
                 }
             ),
         )
-        build_http_server_nodes(graph, app)
-        build_http_client_nodes(graph, app)
         apps.append(app)
     storage = graph.add_node("ObjectStorage", "s", {})
     for url in ("https://t1-reviews:443/reviews", "http://elsewhere/x"):

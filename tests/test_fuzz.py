@@ -14,13 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skygraph.build import build_graph, load_manifest, manifest_from_document
-from skygraph.codefacts import (
-    build_http_client_nodes,
-    build_http_server_nodes,
-    build_storage_request_nodes,
-    bundle_from_document,
-    ingest_code_facts,
-)
+from skygraph.codefacts import bundle_from_document, ingest_code_facts
 from skygraph.discovery import Discovery, inventory_from_document, workflow_from_document
 from skygraph.errors import SkygraphError
 from skygraph.graph import PropertyGraph, export_graph, import_graph
@@ -76,11 +70,7 @@ def mutations(doc):
 
 
 def _ingest_bundle(doc):
-    graph = PropertyGraph(_ontology())
-    app_id = ingest_code_facts(graph, bundle_from_document(doc))
-    build_http_server_nodes(graph, app_id)
-    build_http_client_nodes(graph, app_id)
-    build_storage_request_nodes(graph, app_id)
+    ingest_code_facts(PropertyGraph(_ontology()), bundle_from_document(doc))
 
 
 def _ingest_inventory(doc):
