@@ -68,16 +68,20 @@ class BuildReport:
     pass_timings: list[tuple[str, float]]
 
     def render(self) -> str:
-        lines = [f"Nodes: {sum(self.node_counts.values())}"]
-        for name, count in sorted(self.node_counts.items()):
-            lines.append(f"  {name}: {count}")
-        lines.append(f"Edges: {sum(self.edge_counts.values())}")
-        for name, count in sorted(self.edge_counts.items()):
-            lines.append(f"  {name}: {count}")
-        lines.append("Pass timings:")
+        lines = [render_counts(self.node_counts, self.edge_counts), "Pass timings:"]
         for name, seconds in self.pass_timings:
             lines.append(f"  {name}: {seconds * 1000:.1f} ms")
         return "\n".join(lines)
+
+
+def render_counts(node_counts: dict[str, int], edge_counts: dict[str, int]) -> str:
+    """The `Nodes:` and `Edges:` totals, each followed by its per-class or
+    per-type counts; `build` and `stats` both print this block."""
+    lines = []
+    for title, counts in (("Nodes", node_counts), ("Edges", edge_counts)):
+        lines.append(f"{title}: {sum(counts.values())}")
+        lines.extend(f"  {name}: {count}" for name, count in sorted(counts.items()))
+    return "\n".join(lines)
 
 
 def graph_counts(graph: PropertyGraph) -> tuple[dict[str, int], dict[str, int]]:

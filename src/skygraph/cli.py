@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from skygraph.build import build_graph, graph_counts, load_manifest
+from skygraph.build import build_graph, graph_counts, load_manifest, render_counts
 from skygraph.errors import SkygraphError
 from skygraph.graph import Path as GraphPath
 from skygraph.graph import PropertyGraph, export_graph, import_graph
@@ -76,13 +76,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     graph = import_graph(Path(args.graph).read_text(encoding="utf-8"))
-    node_counts, edge_counts = graph_counts(graph)
-    print(f"Nodes: {graph.node_count}")
-    for name, count in sorted(node_counts.items()):
-        print(f"  {name}: {count}")
-    print(f"Edges: {graph.edge_count}")
-    for name, count in sorted(edge_counts.items()):
-        print(f"  {name}: {count}")
+    print(render_counts(*graph_counts(graph)))
     return 0
 
 

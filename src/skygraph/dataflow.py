@@ -12,7 +12,9 @@ workflows are in the graph:
 4. `propagate_log_flows` extends application log output into the
    infrastructure log sinks.
 
-Each pass is idempotent: rerunning it leaves the edge multiset unchanged.
+Each pass is idempotent: it inserts through `PropertyGraph.add_edge_once`
+and proxies an endpoint once per balancer, so rerunning it leaves the edge
+multiset unchanged.
 URL matching compares host (without port) and path (duplicate slashes
 collapsed); scheme is ignored. Endpoints built from application code carry
 no host and match on path alone; an endpoint with a `url` matches on that
@@ -63,28 +65,17 @@ def parse_url(text: str) -> UrlParts:
 
 
 def _endpoints_of_application(graph: PropertyGraph, app_id: int) -> list[int]:
-    endpoints = []
-    for offer in graph.out_edges(app_id, "OFFERS"):
-        if graph.node(offer.to_id).class_name != "HttpRequestHandler":
-            continue
-        for has in graph.out_edges(offer.to_id, "HAS_ENDPOINT"):
-            endpoints.append(has.to_id)
-    return endpoints
-
-
-def _already_proxied(graph: PropertyGraph, balancer_id: int, endpoint_id: int) -> bool:
-    for has in graph.out_edges(balancer_id, "HAS_ENDPOINT"):
-        candidate = graph.node(has.to_id)
-        if candidate.class_name != "ProxiedEndpoint":
-            continue
-        if any(p.to_id == endpoint_id for p in graph.out_edges(has.to_id, "PROXIES")):
-            return True
-    return False
+    return [
+        has.to_id
+        for offer in graph.out_edges(app_id, "OFFERS", "HttpRequestHandler")
+        for has in graph.out_edges(offer.to_id, "HAS_ENDPOINT")
+    ]
 
 
 def create_proxied_endpoints(graph: PropertyGraph) -> int:
     """Mirror each local endpoint of every application running behind a
-    load balancer as a ProxiedEndpoint named balancer-url + path."""
+    load balancer as a ProxiedEndpoint named balancer-url + path; an
+    endpoint the balancer already proxies is skipped."""
     created = 0
     for balancer_id in graph.label_candidates("LoadBalancer"):
         balancer = graph.node(balancer_id)
@@ -92,7 +83,11 @@ def create_proxied_endpoints(graph: PropertyGraph) -> int:
         if url is None:
             log.warning("load balancer %r has no url; skipped", balancer.name)
             continue
-        seen: set[int] = set()
+        seen = {
+            proxies.to_id
+            for has in graph.out_edges(balancer_id, "HAS_ENDPOINT", "ProxiedEndpoint")
+            for proxies in graph.out_edges(has.to_id, "PROXIES")
+        }
         for target in graph.out_edges(balancer_id, "TARGETS"):
             for runs in graph.in_edges(target.to_id, "RUNS_ON"):
                 app_id = runs.from_id
@@ -100,8 +95,6 @@ def create_proxied_endpoints(graph: PropertyGraph) -> int:
                     if endpoint_id in seen:
                         continue
                     seen.add(endpoint_id)
-                    if _already_proxied(graph, balancer_id, endpoint_id):
-                        continue
                     endpoint = graph.node(endpoint_id)
                     proxied_url = f"{url}{endpoint.properties['path']}"
                     proxied_id = graph.add_node(
@@ -162,15 +155,11 @@ def resolve_http_requests(graph: PropertyGraph) -> int:
         for endpoint_id in sorted(candidates):
             if graph.node(endpoint_id).properties.get("method") not in ("ANY", method):
                 continue
-            if not graph.has_edge(request_id, endpoint_id, "TO"):
-                graph.add_edge(request_id, endpoint_id, "TO")
-                added += 1
+            added += graph.add_edge_once(request_id, endpoint_id, "TO")
             handler = _handler_function(graph, endpoint_id)
             if handler is not None and call_id is not None:
-                if not graph.has_edge(call_id, handler, "DFG"):
-                    graph.add_edge(call_id, handler, "DFG")
-                if not graph.has_edge(handler, call_id, "DFG"):
-                    graph.add_edge(handler, call_id, "DFG")
+                graph.add_edge_once(call_id, handler, "DFG")
+                graph.add_edge_once(handler, call_id, "DFG")
     return added
 
 
@@ -178,13 +167,10 @@ def resolve_http_requests(graph: PropertyGraph) -> int:
 
 
 def _owning_application(graph: PropertyGraph, request_id: int) -> int | None:
-    for source in graph.out_edges(request_id, "SOURCE"):
-        if graph.node(source.to_id).class_name != "CallExpression":
-            continue
+    for source in graph.out_edges(request_id, "SOURCE", "CallExpression"):
         for fn_edge in graph.in_edges(source.to_id, "CONTAINS"):
-            for app_edge in graph.in_edges(fn_edge.from_id, "CONTAINS"):
-                if graph.node(app_edge.from_id).class_name == "Application":
-                    return app_edge.from_id
+            for app_edge in graph.in_edges(fn_edge.from_id, "CONTAINS", "Application"):
+                return app_edge.from_id
     return None
 
 
@@ -217,14 +203,11 @@ def resolve_storage_requests(graph: PropertyGraph) -> int:
             )
         if not matches:
             continue
-        if not graph.has_edge(request_id, matches[0], "TO"):
-            graph.add_edge(request_id, matches[0], "TO")
-            added += 1
+        added += graph.add_edge_once(request_id, matches[0], "TO")
         app_id = _owning_application(graph, request_id)
         if app_id is not None:
             for runs in graph.out_edges(app_id, "RUNS_ON"):
-                if not graph.has_edge(request_id, runs.to_id, "SOURCE"):
-                    graph.add_edge(request_id, runs.to_id, "SOURCE")
+                graph.add_edge_once(request_id, runs.to_id, "SOURCE")
     return added
 
 
@@ -245,11 +228,7 @@ def propagate_log_flows(graph: PropertyGraph) -> int:
     of DFG edges added."""
     added = 0
     for app_id in graph.nodes_with_class("Application"):
-        log_nodes = [
-            offer.to_id
-            for offer in graph.out_edges(app_id, "OFFERS")
-            if graph.node(offer.to_id).class_name == "LogOutput"
-        ]
+        log_nodes = [offer.to_id for offer in graph.out_edges(app_id, "OFFERS", "LogOutput")]
         if not log_nodes:
             continue
         for runs in graph.out_edges(app_id, "RUNS_ON"):
@@ -258,13 +237,9 @@ def propagate_log_flows(graph: PropertyGraph) -> int:
             if not sinks:
                 continue
             for log_id in log_nodes:
-                if not graph.has_edge(log_id, compute_id, "DFG"):
-                    graph.add_edge(log_id, compute_id, "DFG")
-                    added += 1
+                added += graph.add_edge_once(log_id, compute_id, "DFG")
             for sink_id in sinks:
-                if not graph.has_edge(compute_id, sink_id, "DFG"):
-                    graph.add_edge(compute_id, sink_id, "DFG")
-                    added += 1
+                added += graph.add_edge_once(compute_id, sink_id, "DFG")
     return added
 
 

@@ -341,8 +341,7 @@ class Discovery:
                     created += 1
                 image_id = self._image_node(name)
                 registry_id = self._registry_node(_registry_host(name))
-                if not self.graph.has_edge(image_id, registry_id, "PUSHES_TO"):
-                    self.graph.add_edge(image_id, registry_id, "PUSHES_TO")
+                self.graph.add_edge_once(image_id, registry_id, "PUSHES_TO")
         return created
 
     # -- application anchoring -------------------------------------------
@@ -379,8 +378,7 @@ class Discovery:
         for registry_id in self.graph.nodes_with_class("ContainerRegistry"):
             for push in self.graph.in_edges(registry_id, "PUSHES_TO"):
                 for use in self.graph.in_edges(push.from_id, "USES_IMAGE"):
-                    if not self.graph.has_edge(registry_id, use.from_id, "DFG"):
-                        self.graph.add_edge(registry_id, use.from_id, "DFG")
+                    self.graph.add_edge_once(registry_id, use.from_id, "DFG")
         return created
 
 

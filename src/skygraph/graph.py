@@ -96,6 +96,14 @@ def _edge_key(from_id: int, to_id: int, type: str) -> str:
     return f"{from_id} {to_id} {type}"
 
 
+def _id(text: str) -> int:
+    """An id as `export_graph` writes it, a string of ASCII digits; `int`
+    alone would also take `1.9`, `true`, `" 1 "` and `"-1"`."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"id {text!r} is not a string of digits")
+
+
 def _not_scalar(key: str, value) -> GraphError:
     return GraphError(
         f"property {key!r} must be string/boolean/integer, got {type(value).__name__}"
@@ -213,6 +221,15 @@ class PropertyGraph:
             self._edge_keys.add(_edge_key(edge.from_id, edge.to_id, edge.type))
         self._next_edge = max(self._next_edge, edge.id + 1)
 
+    def add_edge_once(self, from_id: int, to_id: int, type: str) -> bool:
+        """Add an edge of `type` from `from_id` to `to_id` unless one exists;
+        True when it was added. The resolution passes insert through this,
+        so rerunning a pass adds nothing."""
+        if self.has_edge(from_id, to_id, type):
+            return False
+        self.add_edge(from_id, to_id, type)
+        return True
+
     def freeze(self) -> None:
         self._frozen = True
 
@@ -268,7 +285,7 @@ class PropertyGraph:
 
     def has_edge(self, from_id: int, to_id: int, type: str) -> bool:
         """Whether an edge of `type` leads from `from_id` to `to_id`; a set
-        lookup, so the passes' duplicate checks do not list a hub's edges."""
+        lookup, so `add_edge_once` does not list a hub's edges."""
         if self._edge_keys is None:
             edges = self._edges.values()
             self._edge_keys = {_edge_key(e.from_id, e.to_id, e.type) for e in edges}
@@ -339,7 +356,7 @@ class PropertyGraph:
         for entry in doc["nodes"]:
             try:
                 props = dict(entry.get("properties", {}))
-                node = Node(int(entry["id"]), entry["class"], entry["name"], props)
+                node = Node(_id(entry["id"]), entry["class"], entry["name"], props)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed node entry {entry!r}") from exc
             graph._insert_node(node)
@@ -347,7 +364,7 @@ class PropertyGraph:
             try:
                 props = dict(entry.get("properties", {}))
                 edge = Edge(
-                    int(entry["id"]), entry["type"], int(entry["from"]), int(entry["to"]), props
+                    _id(entry["id"]), entry["type"], _id(entry["from"]), _id(entry["to"]), props
                 )
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed edge entry {entry!r}") from exc

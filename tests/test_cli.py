@@ -401,6 +401,13 @@ class TestStats:
         for edge_type, count in report.edge_counts.items():
             assert f"{edge_type}: {count}" in text
 
+    def test_prints_the_build_count_block(self, tmp_path, capsys):
+        out = tmp_path / "graph.json"
+        assert main(["build", data_path("fixtures/bookinfo/manifest.yaml"), "--out", str(out)]) == 0
+        built = capsys.readouterr().out
+        assert main(["stats", str(out)]) == 0
+        assert built.startswith(capsys.readouterr().out + "Pass timings:\n")
+
     def test_single_storage_graph(self, tmp_path, capsys, core_ontology):
         from skygraph.graph import PropertyGraph, export_graph
 

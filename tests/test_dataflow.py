@@ -118,6 +118,42 @@ class TestCreateProxiedEndpoints:
             )
             assert g.node(proxied_id).properties["url"] == expected
 
+    def test_mirroring_is_linear_in_endpoints(self, core_ontology):
+        """One balancer in front of k, then 2k endpoints: the adjacency
+        listings the pass makes at most about double."""
+
+        def listings(k):
+            graph = PropertyGraph(core_ontology)
+            functions = [
+                {"name": f"app.f{i}", "http_handler": {"path": f"/p{i}", "method": "GET"}}
+                for i in range(k)
+            ]
+            app = ingest_code_facts(
+                graph, bundle_from_document({"application": "app", "functions": functions})
+            )
+            balancer = graph.add_node("LoadBalancer", "lb", {"url": "example.io"})
+            compute = graph.add_node("Container", "c1", {})
+            graph.add_edge(balancer, compute, "TARGETS")
+            graph.add_edge(app, compute, "RUNS_ON")
+            calls = 0
+
+            def counted(method):
+                def listing(*args, **kwargs):
+                    nonlocal calls
+                    calls += 1
+                    return method(*args, **kwargs)
+
+                return listing
+
+            graph.out_edges = counted(graph.out_edges)
+            graph.in_edges = counted(graph.in_edges)
+            assert create_proxied_endpoints(graph) == k
+            assert create_proxied_endpoints(graph) == 0
+            return calls
+
+        k = 40
+        assert listings(2 * k) <= 2.2 * listings(k)
+
 
 class TestResolveHttpRequests:
     def test_proxied_match_and_splice(self, core_ontology):

@@ -72,6 +72,20 @@ class TestAddEdge:
     def test_registered_vocabulary(self):
         assert {"DFG", "TO", "SOURCE", "RUNS_ON", "AUTHENTICITY"} <= EDGE_TYPES
 
+    def test_add_edge_once(self, graph):
+        a = graph.add_node("CallExpression", "a", {})
+        b = graph.add_node("CallExpression", "b", {})
+        assert graph.add_edge_once(a, b, "DFG") is True
+        assert graph.add_edge_once(a, b, "DFG") is False
+        assert graph.add_edge_once(b, a, "DFG") is True
+        assert graph.add_edge_once(a, b, "CALLS") is True
+        assert graph.edge_count == 3
+        # `add_edge` itself still allows parallel edges
+        graph.add_edge(a, b, "DFG")
+        assert len(graph.out_edges(a, "DFG")) == 2
+        assert graph.add_edge_once(a, b, "DFG") is False
+        assert graph.edge_count == 4
+
 
 class TestFreeze:
     def test_no_mutation_after_freeze(self, graph):
@@ -345,6 +359,25 @@ def test_import_rejects_duplicate_ids(section, what):
     doc = to_document(graph)
     doc[section].append(dict(doc[section][0]))
     with pytest.raises(GraphError, match=f"duplicate {what} id 0"):
+        import_graph(doc)
+
+
+@pytest.mark.parametrize("value", [1.9, True, 1, " 1 ", "-1", "+1", "1_0", "\u0661", ""])
+@pytest.mark.parametrize(
+    "section, key", [("nodes", "id"), ("edges", "id"), ("edges", "from"), ("edges", "to")]
+)
+def test_import_accepts_only_digit_string_ids(section, key, value):
+    """An id is read as `export_graph` writes it, a string of ASCII digits;
+    `int` would read `1.9`, `true` or `" 1 "` as node 1."""
+    ontology = ontology_from_documents({"classes": [{"name": "A", "kind": "resource"}]}, [])
+    graph = PropertyGraph(ontology)
+    graph.add_node("A", "a", {})
+    if section == "edges":
+        graph.add_edge(graph.add_node("A", "b", {}), 0, "DFG")
+    graph.freeze()
+    doc = to_document(graph)
+    doc[section][-1][key] = value
+    with pytest.raises(GraphError, match=f"malformed {section[:-1]} entry"):
         import_graph(doc)
 
 
