@@ -1,11 +1,14 @@
 """Recorded cloud inventories and CI/CD workflow files.
 
 Inventory documents are credential-free snapshots of one provider's
-resources; they replace live provider API discovery. Each resource is
-classified through the ontology, gets its offered security features
-attached, and is wired to other resources via structural links
-(cluster membership, load-balancer targets, image usage, log forwarding).
-Workflow files contribute container images and registries.
+resources; they replace live provider API discovery. An inventory stays
+the dict its YAML file loads as: `inventory_from_document` checks it and
+returns it unchanged, and `Discovery.ingest_inventory` reads the checked
+dict. Each resource is classified through the ontology, gets its offered
+security features attached, and is wired to other resources via
+structural links (cluster membership, load-balancer targets, image usage,
+log forwarding). Workflow files contribute container images and
+registries.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import logging
 import re
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from skygraph.errors import DiscoveryError, SkygraphError, UnknownMappingError
@@ -52,28 +55,21 @@ _WORKFLOW = ({}, {"name": SCALAR, "jobs": dict})
 _JOB = ({}, {"steps": list})
 _STEP = ({}, {"run": SCALAR})
 
-
-@dataclass
-class InventoryResource:
-    id: str
-    name: str
-    provider_type: str
-    region: str | None = None
-    properties: dict = field(default_factory=dict)
-    links: dict[str, list[str]] = field(default_factory=dict)
-
-
-@dataclass
-class InventoryDocument:
-    provider: str
-    resources: list[InventoryResource]
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for res in self.resources:
-            if res.id in seen:
-                raise DiscoveryError(f"duplicate resource id {res.id!r}")
-            seen.add(res.id)
+# The security features fed straight from recorded properties: feature ->
+# (edge type, inventory property -> feature property, whether the edge
+# starts at the resource's endpoint when it has one)
+_RECORDED_FEATURES = {
+    "AtRestEncryption": (
+        "AT_REST_ENCRYPTION",
+        {"at_rest_encryption_enabled": "enabled", "at_rest_algorithm": "algorithm"},
+        False,
+    ),
+    "TransportEncryption": (
+        "TRANSPORT_ENCRYPTION",
+        {"tls_enabled": "enabled", "tls_version": "tlsVersion"},
+        True,
+    ),
+}
 
 
 @dataclass
@@ -86,9 +82,10 @@ class WorkflowDocument:
 # -- document loading ---------------------------------------------------------
 
 
-def inventory_from_document(doc: dict) -> InventoryDocument:
+def inventory_from_document(doc: dict) -> dict:
+    """Check an inventory document; returns `doc` unchanged. Resource ids
+    are compared as strings, as `ingest_inventory` records them."""
     check_fields(doc, "inventory", DiscoveryError, *_INVENTORY)
-    resources = []
     for entry in doc.get("resources") or []:
         check_fields(entry, "resource entry", DiscoveryError, *_RESOURCE)
         where = f"resource {entry['id']!r}"
@@ -96,26 +93,18 @@ def inventory_from_document(doc: dict) -> InventoryDocument:
         check_fields(props, f"properties of {where}", DiscoveryError, {}, RECOGNIZED_PROPERTIES)
         if "auth" in props and props["auth"] not in AUTH_VALUES:
             raise DiscoveryError(f"{where} has unknown auth value {props['auth']!r}")
-        link_doc = entry.get("links") or {}
-        check_fields(link_doc, f"links of {where}", DiscoveryError, {}, RECOGNIZED_LINKS)
-        resources.append(
-            InventoryResource(
-                id=str(entry["id"]),
-                name=str(entry["name"]),
-                provider_type=str(entry["provider_type"]),
-                region=entry.get("region"),
-                properties=dict(props),
-                links={
-                    key: [value] if isinstance(value, str) else list(value)
-                    for key, value in link_doc.items()
-                    if value is not None
-                },
-            )
-        )
-    return InventoryDocument(provider=doc["provider"], resources=resources)
+        links = entry.get("links") or {}
+        check_fields(links, f"links of {where}", DiscoveryError, {}, RECOGNIZED_LINKS)
+    seen: set[str] = set()
+    for entry in doc.get("resources") or []:
+        resource_id = str(entry["id"])
+        if resource_id in seen:
+            raise DiscoveryError(f"duplicate resource id {resource_id!r}")
+        seen.add(resource_id)
+    return doc
 
 
-def load_inventory(path: str | Path) -> InventoryDocument:
+def load_inventory(path: str | Path) -> dict:
     return load_document(path, DiscoveryError, inventory_from_document)
 
 
@@ -153,48 +142,30 @@ def _is_authenticity(ontology: Ontology, feature: str) -> bool:
     )
 
 
-def attach_security_features(graph: PropertyGraph, resource_id: int, inv: InventoryResource) -> int:
+def attach_security_features(graph: PropertyGraph, resource_id: int, entry: dict) -> int:
     """Materialize the security features the graph's ontology sanctions
-    for the resource's class, fed from the recorded configuration. Features
-    whose inputs are entirely absent are not created."""
+    for the resource's class, fed from the recorded configuration of its
+    checked inventory entry. Features whose inputs are entirely absent are
+    not created."""
     cls = graph.node(resource_id).class_name
-    props = inv.properties
+    props = entry.get("properties") or {}
+    region = entry.get("region")
     created = 0
     for feature in graph.ontology.offered_features(cls):
         if feature == "GeoLocation":
-            if inv.region is None:
+            if region is None:
                 continue
-            geo = graph.add_node("GeoLocation", inv.region, {"region": inv.region})
+            geo = graph.add_node("GeoLocation", region, {"region": region})
             graph.add_edge(resource_id, geo, "GEO_LOCATION")
             created += 1
-        elif feature == "AtRestEncryption":
-            if "at_rest_encryption_enabled" not in props and "at_rest_algorithm" not in props:
+        elif feature in _RECORDED_FEATURES:
+            edge_type, renames, on_endpoint = _RECORDED_FEATURES[feature]
+            feature_props = {ours: props[key] for key, ours in renames.items() if key in props}
+            if not feature_props:
                 continue
-            feature_props = {}
-            if "at_rest_encryption_enabled" in props:
-                feature_props["enabled"] = props["at_rest_encryption_enabled"]
-            if "at_rest_algorithm" in props:
-                feature_props["algorithm"] = props["at_rest_algorithm"]
-            node = graph.add_node("AtRestEncryption", "AtRestEncryption", feature_props)
-            graph.add_edge(resource_id, node, "AT_REST_ENCRYPTION")
-            created += 1
-        elif feature == "TransportEncryption":
-            if "tls_enabled" not in props and "tls_version" not in props:
-                continue
-            feature_props = {}
-            if "tls_enabled" in props:
-                feature_props["enabled"] = props["tls_enabled"]
-            if "tls_version" in props:
-                feature_props["tlsVersion"] = props["tls_version"]
-            node = graph.add_node(
-                "TransportEncryption", "TransportEncryption", feature_props
-            )
-            anchor = _resource_endpoint(graph, resource_id)
-            graph.add_edge(
-                anchor if anchor is not None else resource_id,
-                node,
-                "TRANSPORT_ENCRYPTION",
-            )
+            node = graph.add_node(feature, feature, feature_props)
+            anchor = _resource_endpoint(graph, resource_id) if on_endpoint else None
+            graph.add_edge(anchor if anchor is not None else resource_id, node, edge_type)
             created += 1
         elif _is_authenticity(graph.ontology, feature):
             if "auth" not in props:
@@ -228,8 +199,9 @@ class Discovery:
 
     # -- inventories ----------------------------------------------------
 
-    def ingest_inventory(self, doc: InventoryDocument, path: str | Path | None = None) -> int:
-        """Create one classified resource node per inventory entry.
+    def ingest_inventory(self, doc: dict, path: str | Path | None = None) -> int:
+        """Create one classified resource node per entry of an inventory
+        document already checked by `inventory_from_document`.
 
         An unknown (provider, provider_type) pair raises immediately: an
         unclassifiable resource must surface, not be skipped. `path`, the
@@ -237,28 +209,32 @@ class Discovery:
         errors `resolve_inventory_links` raises for its resources.
         """
         count = 0
-        for inv in doc.resources:
+        for entry in doc.get("resources") or []:
             try:
-                cls = self.graph.ontology.resolve_instance_class(doc.provider, inv.provider_type)
+                cls = self.graph.ontology.resolve_instance_class(
+                    doc["provider"], str(entry["provider_type"])
+                )
             except UnknownMappingError as exc:
                 raise _in_file(path, exc)
-            node_props: dict = {"provider_id": inv.id}
+            props = entry.get("properties") or {}
+            node_props: dict = {"provider_id": str(entry["id"])}
             declared = self.graph.property_keys(cls)
-            if "public_access" in inv.properties and "public_access" in declared:
-                node_props["public_access"] = inv.properties["public_access"]
-            if "http_url" in inv.properties and "url" in declared:
-                node_props["url"] = inv.properties["http_url"]
-            resource_id = self.graph.add_node(cls, inv.name, node_props)
-            if "http_url" in inv.properties:
+            if "public_access" in props and "public_access" in declared:
+                node_props["public_access"] = props["public_access"]
+            if "http_url" in props and "url" in declared:
+                node_props["url"] = props["http_url"]
+            resource_id = self.graph.add_node(cls, str(entry["name"]), node_props)
+            if "http_url" in props:
                 endpoint = self.graph.add_node(
                     "HttpEndpoint",
-                    str(inv.properties["http_url"]),
-                    {"url": inv.properties["http_url"], "method": "ANY"},
+                    str(props["http_url"]),
+                    {"url": props["http_url"], "method": "ANY"},
                 )
                 self.graph.add_edge(resource_id, endpoint, "HAS_ENDPOINT")
-            attach_security_features(self.graph, resource_id, inv)
-            for key, targets in inv.links.items():
-                for target in targets:
+            attach_security_features(self.graph, resource_id, entry)
+            for key, targets in (entry.get("links") or {}).items():
+                # a link names one resource id or a list of them
+                for target in [targets] if isinstance(targets, str) else targets or []:
                     self._pending_links.append((resource_id, key, target, path))
             count += 1
         return count

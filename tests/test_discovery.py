@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from skygraph.codefacts import bundle_from_document, ingest_code_facts
 from skygraph.discovery import (
     Discovery,
-    InventoryResource,
     _split_command,
     attach_security_features,
     inventory_from_document,
@@ -245,7 +244,7 @@ class TestAttachSecurityFeatures:
         storage = self.make_resource(graph, "ObjectStorage", "am-containerlog")
         endpoint = graph.add_node("HttpEndpoint", "https://x/y", {"url": "https://x/y", "method": "ANY"})
         graph.add_edge(storage, endpoint, "HAS_ENDPOINT")
-        inv = InventoryResource(
+        inv = dict(
             id="amc1",
             name="am-containerlog",
             provider_type="T",
@@ -259,7 +258,7 @@ class TestAttachSecurityFeatures:
 
     def test_transport_encryption_falls_back_to_resource(self, graph):
         storage = self.make_resource(graph, "ObjectStorage")
-        inv = InventoryResource(id="s", name="r", provider_type="T", properties={"tls_enabled": False})
+        inv = dict(id="s", name="r", provider_type="T", properties={"tls_enabled": False})
         attach_security_features(graph, storage, inv)
         te_edges = graph.out_edges(storage, "TRANSPORT_ENCRYPTION")
         assert len(te_edges) == 1
@@ -267,7 +266,7 @@ class TestAttachSecurityFeatures:
 
     def test_region_becomes_geo_location(self, graph):
         vm = self.make_resource(graph, "VirtualMachine", "ratings-vm")
-        inv = InventoryResource(id="i1", name="ratings-vm", provider_type="T", region="us-east-1")
+        inv = dict(id="i1", name="ratings-vm", provider_type="T", region="us-east-1")
         count = attach_security_features(graph, vm, inv)
         assert count == 1
         geo = graph.out_edges(vm, "GEO_LOCATION")[0].to_id
@@ -276,24 +275,24 @@ class TestAttachSecurityFeatures:
 
     def test_class_offering_nothing(self, graph):
         app = self.make_resource(graph, "Application")
-        inv = InventoryResource(id="a", name="r", provider_type="T", region="westeurope")
+        inv = dict(id="a", name="r", provider_type="T", region="westeurope")
         assert attach_security_features(graph, app, inv) == 0
 
     def test_absent_inputs_create_nothing(self, graph):
         storage = self.make_resource(graph, "ObjectStorage")
-        inv = InventoryResource(id="s", name="r", provider_type="T")
+        inv = dict(id="s", name="r", provider_type="T")
         assert attach_security_features(graph, storage, inv) == 0
 
     def test_token_authentication(self, graph):
         storage = self.make_resource(graph, "ObjectStorage")
-        inv = InventoryResource(id="s", name="r", provider_type="T", properties={"auth": "token"})
+        inv = dict(id="s", name="r", provider_type="T", properties={"auth": "token"})
         attach_security_features(graph, storage, inv)
         auth = graph.out_edges(storage, "AUTHENTICITY")
         assert graph.node(auth[0].to_id).class_name == "TokenBasedAuthentication"
 
     def test_at_rest_encryption(self, graph):
         volume = self.make_resource(graph, "BlockStorage")
-        inv = InventoryResource(
+        inv = dict(
             id="v",
             name="r",
             provider_type="T",

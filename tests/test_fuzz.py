@@ -119,3 +119,28 @@ def test_mutated_document_raises_only_skygraph_errors(kind):
             pass
 
     check()
+
+
+@pytest.mark.parametrize(
+    "kind, check",
+    [("codefacts", bundle_from_document), ("inventory", inventory_from_document)],
+    ids=["codefacts", "inventory"],
+)
+def test_accepted_document_is_read_in_place(kind, check):
+    """A checker returns the document it was given, and neither it nor the
+    ingest that reads the checked document writes into it: for the document
+    and each of its one-slot mutations, tried exhaustively, since a default
+    written in place shows only when that slot is absent."""
+    load, read = READERS[kind]
+    doc = load()
+    documents = [copy.deepcopy(doc)]
+    documents += [_mutated(doc, path, value) for path in _slots(doc) for value in VALUES]
+    for document in documents:
+        before = copy.deepcopy(document)
+        try:
+            checked = check(document)
+            read(document)
+        except SkygraphError:
+            continue
+        assert checked is document
+        assert document == before

@@ -381,6 +381,30 @@ def test_import_accepts_only_digit_string_ids(section, key, value):
         import_graph(doc)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda entry: entry.update(properties=[["k", "v"]]),
+        lambda entry: entry.update(properties=""),
+        lambda entry: entry.update(extra=5),
+        lambda entry: entry.pop("properties"),
+    ],
+    ids=["properties-pairs", "properties-string", "extra-key", "no-properties"],
+)
+@pytest.mark.parametrize("section", ["nodes", "edges"])
+def test_import_reads_only_what_export_writes(section, change):
+    """An entry holds exactly the keys `export_graph` writes, and its
+    properties are a mapping; `dict(...)` would read a list of pairs."""
+    ontology = ontology_from_documents({"classes": [{"name": "A", "kind": "resource"}]}, [])
+    graph = PropertyGraph(ontology)
+    graph.add_edge(graph.add_node("A", "a", {}), 0, "DFG")
+    graph.freeze()
+    doc = to_document(graph)
+    change(doc[section][0])
+    with pytest.raises(GraphError, match=f"malformed {section[:-1]} entry"):
+        import_graph(doc)
+
+
 def assert_export_is_json_dumps(graph, settings):
     expected = json.dumps(to_document(graph, settings), indent=2, sort_keys=True) + "\n"
     assert export_graph(graph, settings) == expected

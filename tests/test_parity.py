@@ -5,7 +5,7 @@ edge ids, forward flags) and the `explain` text of the nine benchmark
 queries, at two `star_max` bounds, hash to a pinned sha256. A change to
 the engine or to graph adjacency that is meant to keep results must keep
 these digests; one that changes results on purpose updates them and says
-why.
+why. The `skygraph build` export of each fleet is pinned the same way.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from skygraph.build import build_graph, load_manifest
+from skygraph.cli import main
 from skygraph.query import evaluate, explain, parse_query
 
 from .conftest import DATA, data_path, listing_text
@@ -39,6 +40,19 @@ RESULTS_SHA256 = {
     "fleet-8-shared-4": "9d4b15d0803edacb54c7c0f681e69aed114d61e06db04fe28cbfdf3f78e0bfcc",
 }
 
+# sha256 of each fleet's export as `skygraph build` writes it
+EXPORT_SHA256 = {
+    "fleet-20-unique-9": "3979a942a0fcbe21a6c31f74ad1b9d65c100b15cccbc14516aca2571c6b2cc1d",
+    "fleet-8-shared-4": "a25036c321dd3f85ab4cf9fc05297aeec2627ebe3eb2a5f2035c72091e7d94c3",
+}
+
+
+def fleet_manifest(name, tmp_path, monkeypatch) -> Path:
+    monkeypatch.syspath_prepend(str(BENCH))
+    fleet = importlib.import_module("fleet")
+    tenants, seed, paths = GRAPHS[name]
+    return fleet.generate(Path(str(DATA)), tmp_path / name, tenants, seed, paths).manifest
+
 
 def results_text(graph, queries: dict[str, str]) -> str:
     lines = []
@@ -58,13 +72,18 @@ def results_text(graph, queries: dict[str, str]) -> str:
 def test_results_match_pinned_digest(name, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     expected = importlib.import_module("expected")
-    fleet = importlib.import_module("fleet")
     queries = {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
     if GRAPHS[name] is None:
         manifest = data_path(f"fixtures/{name}/manifest.yaml")
     else:
-        tenants, seed, paths = GRAPHS[name]
-        manifest = fleet.generate(Path(str(DATA)), tmp_path / name, tenants, seed, paths).manifest
+        manifest = fleet_manifest(name, tmp_path, monkeypatch)
     graph = build_graph(load_manifest(manifest))[0]
     digest = hashlib.sha256(results_text(graph, queries).encode("utf-8")).hexdigest()
     assert digest == RESULTS_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+def test_fleet_export_matches_pinned_digest(name, tmp_path, monkeypatch):
+    out = tmp_path / "graph.json"
+    assert main(["build", str(fleet_manifest(name, tmp_path, monkeypatch)), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[name]
