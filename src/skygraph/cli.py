@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from skygraph.build import build_graph, graph_counts, load_manifest, render_counts
-from skygraph.errors import SkygraphError
+from skygraph.errors import GraphError, QueryError, SkygraphError
 from skygraph.graph import Path as GraphPath
 from skygraph.graph import PropertyGraph, export_graph, import_graph
 from skygraph.query import evaluate, parse_query
@@ -46,14 +46,32 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_text(path: str, error_cls: type[SkygraphError]) -> str:
+    """The text of the UTF-8 file at `path`; a file that cannot be read or
+    decoded raises `error_cls` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    # ValueError covers UnicodeDecodeError
+    except (OSError, ValueError) as exc:
+        raise error_cls(f"cannot load {path}: {exc}") from exc
+
+
 def _load_query_text(raw: str) -> str:
-    if raw.startswith("@"):
-        return Path(raw[1:]).read_text(encoding="utf-8")
-    return raw
+    return _read_text(raw[1:], QueryError) if raw.startswith("@") else raw
+
+
+def _read_graph(path: str) -> PropertyGraph:
+    """Import the export at `path`; every error raised names the file."""
+    text = _read_text(path, GraphError)
+    try:
+        # through the module global, which bench/tracing.py wraps
+        return import_graph(text)
+    except SkygraphError as exc:
+        raise GraphError(f"{path}: {exc}") from exc
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    graph = import_graph(Path(args.graph).read_text(encoding="utf-8"))
+    graph = _read_graph(args.graph)
     text = _load_query_text(args.query)
     ast = parse_query(text)
     star_max = args.star_max or graph.settings.get("star_max", DEFAULT_STAR_MAX)
@@ -75,7 +93,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    graph = import_graph(Path(args.graph).read_text(encoding="utf-8"))
+    graph = _read_graph(args.graph)
     print(render_counts(*graph_counts(graph)))
     return 0
 

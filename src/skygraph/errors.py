@@ -56,8 +56,9 @@ class QuerySyntaxError(SkygraphError):
 
 
 class QueryError(SkygraphError):
-    """A query that parsed but could not be evaluated, such as a route too
-    deep for the engine's recursive walk."""
+    """A query file that could not be read, or a query that parsed but
+    could not be evaluated, such as a route too deep for the engine's
+    recursive walk."""
 
 
 class ManifestError(SkygraphError):

@@ -60,12 +60,9 @@ _EXPORT = (
     {"mappings": list, "settings": object},
 )
 _SETTINGS = ({}, {"star_max": object})
-# the keys `export_graph` writes in each node and edge entry
-_NODE_KEYS = ("id", "class", "name", "properties")
-_EDGE_KEYS = ("id", "type", "from", "to", "properties")
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: int
     class_name: str
@@ -73,7 +70,7 @@ class Node:
     properties: dict[str, Scalar] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     id: int
     type: str
@@ -97,25 +94,6 @@ def _edge_key(from_id: int, to_id: int, type: str) -> str:
     # while one long-lived tuple per edge moved a full collection into the
     # build and added one to the `query` commands after it.
     return f"{from_id} {to_id} {type}"
-
-
-def _id(text: str) -> int:
-    """An id as `export_graph` writes it, a string of ASCII digits; `int`
-    alone would also take `1.9`, `true`, `" 1 "` and `"-1"`."""
-    if text.isascii() and text.isdigit():
-        return int(text)
-    raise ValueError(f"id {text!r} is not a string of digits")
-
-
-def _entry_properties(entry: dict, keys: tuple[str, ...]) -> dict:
-    """A copy of an export entry's `properties`, which must be a mapping.
-    The entry must hold as many keys as `keys`, which its reader reads
-    each of, so it holds exactly those. A count, because a key-set
-    comparison made an import of the N=100 fleet export about 8 % slower."""
-    props = entry["properties"]
-    if type(props) is not dict or len(entry) != len(keys):
-        raise ValueError("not an entry as export_graph writes it")
-    return dict(props)
 
 
 def _not_scalar(key: str, value) -> GraphError:
@@ -183,29 +161,40 @@ class PropertyGraph:
     def _insert_node(self, node: Node) -> None:
         """The one way into the node table: check `node`, then index it; an
         index entry already taken by an earlier node is kept."""
-        if not isinstance(node.class_name, str):
-            raise GraphError(f"node {node.id} class must be a string, got {node.class_name!r}")
-        allowed = self.property_keys(node.class_name)
-        if not isinstance(node.name, str):
-            raise GraphError(f"node {node.id} name must be a string, got {node.name!r}")
-        for key, value in node.properties.items():
-            if allowed is not None and key not in allowed:
-                raise GraphError(f"property {key!r} not allowed on class {node.class_name!r}")
-            if not isinstance(value, SCALAR):
-                raise _not_scalar(key, value)
-        if node.id in self._nodes:
-            raise GraphError(f"duplicate node id {node.id}")
-        self._nodes[node.id] = node
-        self._by_from[node.id] = []
-        self._by_to[node.id] = []
-        self._label_index.setdefault(node.class_name, []).append(node.id)
-        names = self._by_name.get(node.class_name)
+        node_id, class_name, name, props = node.id, node.class_name, node.name, node.properties
+        if not isinstance(class_name, str):
+            raise GraphError(f"node {node_id} class must be a string, got {class_name!r}")
+        try:
+            allowed = self._property_keys[class_name]
+        except KeyError:
+            allowed = self.property_keys(class_name)
+        if not isinstance(name, str):
+            raise GraphError(f"node {node_id} name must be a string, got {name!r}")
+        if props:
+            for key, value in props.items():
+                if allowed is not None and key not in allowed:
+                    raise GraphError(f"property {key!r} not allowed on class {class_name!r}")
+                if not isinstance(value, SCALAR):
+                    raise _not_scalar(key, value)
+        nodes = self._nodes
+        if node_id in nodes:
+            raise GraphError(f"duplicate node id {node_id}")
+        nodes[node_id] = node
+        self._by_from[node_id] = []
+        self._by_to[node_id] = []
+        ids = self._label_index.get(class_name)
+        if ids is None:
+            ids = self._label_index[class_name] = []
+        ids.append(node_id)
+        names = self._by_name.get(class_name)
         if names is None:
-            names = self._by_name[node.class_name] = {}
-        names.setdefault(node.name, node.id)
-        if "provider_id" in node.properties:
-            self._by_provider_id.setdefault(node.properties["provider_id"], node.id)
-        self._next_node = max(self._next_node, node.id + 1)
+            names = self._by_name[class_name] = {}
+        if name not in names:
+            names[name] = node_id
+        if props and "provider_id" in props:
+            self._by_provider_id.setdefault(props["provider_id"], node_id)
+        if node_id >= self._next_node:
+            self._next_node = node_id + 1
 
     def add_edge(
         self, from_id: int, to_id: int, type: str, properties: dict[str, Scalar] | None = None
@@ -217,23 +206,28 @@ class PropertyGraph:
 
     def _insert_edge(self, edge: Edge) -> None:
         """The one way into the edge table: check the edge and index it."""
-        if not isinstance(edge.type, str) or edge.type not in EDGE_TYPES:
-            raise GraphError(f"unregistered edge type {edge.type!r}")
-        if edge.from_id not in self._nodes:
-            raise GraphError(f"edge source {edge.from_id!r} does not exist")
-        if edge.to_id not in self._nodes:
-            raise GraphError(f"edge target {edge.to_id!r} does not exist")
-        for key, value in edge.properties.items():
-            if not isinstance(value, SCALAR):
-                raise _not_scalar(key, value)
-        if edge.id in self._edges:
-            raise GraphError(f"duplicate edge id {edge.id}")
-        self._edges[edge.id] = edge
-        self._by_from[edge.from_id].append(edge.id)
-        self._by_to[edge.to_id].append(edge.id)
+        edge_id, edge_type, from_id, to_id = edge.id, edge.type, edge.from_id, edge.to_id
+        if not isinstance(edge_type, str) or edge_type not in EDGE_TYPES:
+            raise GraphError(f"unregistered edge type {edge_type!r}")
+        nodes = self._nodes
+        if from_id not in nodes:
+            raise GraphError(f"edge source {from_id!r} does not exist")
+        if to_id not in nodes:
+            raise GraphError(f"edge target {to_id!r} does not exist")
+        if edge.properties:
+            for key, value in edge.properties.items():
+                if not isinstance(value, SCALAR):
+                    raise _not_scalar(key, value)
+        edges = self._edges
+        if edge_id in edges:
+            raise GraphError(f"duplicate edge id {edge_id}")
+        edges[edge_id] = edge
+        self._by_from[from_id].append(edge_id)
+        self._by_to[to_id].append(edge_id)
         if self._edge_keys is not None:
-            self._edge_keys.add(_edge_key(edge.from_id, edge.to_id, edge.type))
-        self._next_edge = max(self._next_edge, edge.id + 1)
+            self._edge_keys.add(_edge_key(from_id, to_id, edge_type))
+        if edge_id >= self._next_edge:
+            self._next_edge = edge_id + 1
 
     def add_edge_once(self, from_id: int, to_id: int, type: str) -> bool:
         """Add an edge of `type` from `from_id` to `to_id` unless one exists;
@@ -367,22 +361,41 @@ class PropertyGraph:
         settings = check_fields(doc.get("settings") or {}, "settings", GraphError, *_SETTINGS)
         graph.settings = dict(settings)
         check_positive_int(graph.settings.get("star_max", DEFAULT_STAR_MAX), GraphError, "settings.star_max")
+        # Each entry is read inline: it must hold exactly as many keys as
+        # `export_graph` writes, and every one of them is read, so it holds
+        # exactly those (a key-set comparison made import about 8 % slower).
+        insert_node = graph._insert_node
         for entry in doc["nodes"]:
             try:
-                props = _entry_properties(entry, _NODE_KEYS)
-                node = Node(_id(entry["id"]), entry["class"], entry["name"], props)
+                props = entry["properties"]
+                node_id = entry["id"]
+                if (
+                    type(props) is not dict
+                    or len(entry) != 4
+                    or not (node_id.isascii() and node_id.isdigit())
+                ):
+                    raise ValueError("not a node entry as export_graph writes it")
+                node = Node(int(node_id), entry["class"], entry["name"], dict(props))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed node entry {entry!r}") from exc
-            graph._insert_node(node)
+            insert_node(node)
+        insert_edge = graph._insert_edge
         for entry in doc["edges"]:
             try:
-                props = _entry_properties(entry, _EDGE_KEYS)
-                edge = Edge(
-                    _id(entry["id"]), entry["type"], _id(entry["from"]), _id(entry["to"]), props
-                )
+                props = entry["properties"]
+                edge_id, from_id, to_id = entry["id"], entry["from"], entry["to"]
+                if (
+                    type(props) is not dict
+                    or len(entry) != 5
+                    or not (edge_id.isascii() and edge_id.isdigit())
+                    or not (from_id.isascii() and from_id.isdigit())
+                    or not (to_id.isascii() and to_id.isdigit())
+                ):
+                    raise ValueError("not an edge entry as export_graph writes it")
+                edge = Edge(int(edge_id), entry["type"], int(from_id), int(to_id), dict(props))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed edge entry {entry!r}") from exc
-            graph._insert_edge(edge)
+            insert_edge(edge)
         graph.freeze()
         return graph
 
@@ -455,7 +468,11 @@ def import_graph(text: str | dict) -> PropertyGraph:
     """Rebuild a frozen graph from an export document.
 
     The cyclic collector is paused meanwhile: import builds acyclic data
-    only, so a collection during it could free nothing.
+    only, so a collection during it could free nothing. Before it is
+    resumed, what import allocated moves to the oldest generation, so that
+    no young collection walks the new graph; a full collection still finds
+    any cycle among it. That move would also thaw objects the host froze
+    with `gc.freeze()`, so it is skipped while any are frozen.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -465,9 +482,15 @@ def import_graph(text: str | dict) -> PropertyGraph:
                 doc = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise GraphError(f"graph document is not valid JSON: {exc}") from exc
+            # the C decoder recurses once per nesting level
+            except RecursionError as exc:
+                raise GraphError("graph document is nested too deeply to parse") from exc
         else:
             doc = text
         return PropertyGraph.from_document(doc)
     finally:
         if enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()

@@ -12,7 +12,10 @@ import itertools
 import random
 from collections import Counter
 
-from skygraph.graph import PropertyGraph
+from skygraph.errors import GraphError, SkygraphError
+from skygraph.graph import EDGE_TYPES, Edge, Node, PropertyGraph, _EXPORT, _SETTINGS
+from skygraph.ontology import ontology_from_documents
+from skygraph.yamlfile import DEFAULT_STAR_MAX, SCALAR, check_fields, check_positive_int
 from skygraph.query.syntax import (
     BoolExpr,
     NodeComparison,
@@ -45,6 +48,91 @@ def to_document(graph: PropertyGraph, settings: dict | None = None) -> dict:
             for e in sorted(graph.edges(), key=lambda e: e.id)
         ],
     }
+
+
+def _id(text: str) -> int:
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"id {text!r} is not a string of digits")
+
+
+def _entry_properties(entry: dict, keys: tuple[str, ...]) -> dict:
+    props = entry["properties"]
+    if type(props) is not dict or len(entry) != len(keys):
+        raise ValueError("not an entry as export_graph writes it")
+    return dict(props)
+
+
+def _not_scalar(key: str, value) -> GraphError:
+    return GraphError(
+        f"property {key!r} must be string/boolean/integer, got {type(value).__name__}"
+    )
+
+
+def _check_node(graph: PropertyGraph, node: Node) -> None:
+    if not isinstance(node.class_name, str):
+        raise GraphError(f"node {node.id} class must be a string, got {node.class_name!r}")
+    allowed = graph.property_keys(node.class_name)
+    if not isinstance(node.name, str):
+        raise GraphError(f"node {node.id} name must be a string, got {node.name!r}")
+    for key, value in node.properties.items():
+        if allowed is not None and key not in allowed:
+            raise GraphError(f"property {key!r} not allowed on class {node.class_name!r}")
+        if not isinstance(value, SCALAR):
+            raise _not_scalar(key, value)
+    if node.id in graph._nodes:
+        raise GraphError(f"duplicate node id {node.id}")
+
+
+def _check_edge(graph: PropertyGraph, edge: Edge) -> None:
+    if not isinstance(edge.type, str) or edge.type not in EDGE_TYPES:
+        raise GraphError(f"unregistered edge type {edge.type!r}")
+    if edge.from_id not in graph._nodes:
+        raise GraphError(f"edge source {edge.from_id!r} does not exist")
+    if edge.to_id not in graph._nodes:
+        raise GraphError(f"edge target {edge.to_id!r} does not exist")
+    for key, value in edge.properties.items():
+        if not isinstance(value, SCALAR):
+            raise _not_scalar(key, value)
+    if edge.id in graph._edges:
+        raise GraphError(f"duplicate edge id {edge.id}")
+
+
+def _index(insert, item) -> None:
+    try:
+        insert(item)
+    except SkygraphError as exc:
+        raise AssertionError(f"the insert path rejects what the reference accepts: {exc}") from exc
+
+
+def from_document(doc) -> PropertyGraph:
+    """What `PropertyGraph.from_document` reads: a per-entry reader that
+    parses each entry with helper calls and runs the insert checks in their
+    order before indexing it. The spec the inline reader is compared with;
+    a check that only the insert path makes is an AssertionError here."""
+    check_fields(doc, "graph document", GraphError, *_EXPORT)
+    graph = PropertyGraph(ontology_from_documents(doc["ontology"], doc.get("mappings") or []))
+    settings = check_fields(doc.get("settings") or {}, "settings", GraphError, *_SETTINGS)
+    graph.settings = dict(settings)
+    check_positive_int(graph.settings.get("star_max", DEFAULT_STAR_MAX), GraphError, "settings.star_max")
+    for entry in doc["nodes"]:
+        try:
+            props = _entry_properties(entry, ("id", "class", "name", "properties"))
+            node = Node(_id(entry["id"]), entry["class"], entry["name"], props)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise GraphError(f"malformed node entry {entry!r}") from exc
+        _check_node(graph, node)
+        _index(graph._insert_node, node)
+    for entry in doc["edges"]:
+        try:
+            props = _entry_properties(entry, ("id", "type", "from", "to", "properties"))
+            edge = Edge(_id(entry["id"]), entry["type"], _id(entry["from"]), _id(entry["to"]), props)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise GraphError(f"malformed edge entry {entry!r}") from exc
+        _check_edge(graph, edge)
+        _index(graph._insert_edge, edge)
+    graph.freeze()
+    return graph
 
 
 def oracle_label_match(graph: PropertyGraph, node_id: int, label: str) -> bool:

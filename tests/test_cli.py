@@ -338,7 +338,14 @@ class TestQuery:
             doc[section][0][key] = value
         built_graph_file.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["query", str(built_graph_file), "MATCH (n) RETURN n"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {built_graph_file}: ")
+
+    def test_query_file_not_utf8_exits_2(self, built_graph_file, tmp_path, capsys):
+        query_file = tmp_path / "query.cypher"
+        query_file.write_bytes(b"MATCH (n) RETURN \xff")
+        assert main(["query", str(built_graph_file), f"@{query_file}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load {query_file}: ") and "utf-8" in err
 
     def test_matches_in_process_evaluation(self, built_graph_file, testbed_graph, capsys):
         from .conftest import LISTING_FILES
@@ -349,6 +356,29 @@ class TestQuery:
             cli_count = int(capsys.readouterr().out.split()[0])
             in_process = evaluate(testbed_graph, parse_query(query))
             assert cli_count == len(in_process)
+
+
+# graph files the CLI cannot import, and what its error names after the file
+UNREADABLE_EXPORTS = {
+    "not-utf8": (b"\xff\xfe", "utf-8"),
+    "nested-too-deep": (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
+    "not-a-mapping": (b"[1, 2]", "graph document must be a mapping, got [1, 2]"),
+}
+
+
+@pytest.mark.parametrize("command", ["query", "stats"])
+@pytest.mark.parametrize("content, message", UNREADABLE_EXPORTS.values(), ids=list(UNREADABLE_EXPORTS))
+def test_unreadable_export_exits_2_naming_the_file(tmp_path, command, content, message):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_bytes(content)
+    args = [str(graph_file), "MATCH (n) RETURN n"] if command == "query" else [str(graph_file)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "skygraph.cli", command, *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and str(graph_file) in proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def call_chain(length: int) -> PropertyGraph:

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 from pathlib import Path
 
@@ -7,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skygraph.build import build_graph, load_manifest
-from skygraph.errors import GraphError, UnknownClassError
+from skygraph.errors import GraphError, SkygraphError, UnknownClassError
 from skygraph.graph import CODE_CLASSES, EDGE_TYPES, PropertyGraph, export_graph, import_graph
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import evaluate, parse_query
 
+from . import reference
 from .conftest import DATA, listing_text
 from .reference import oracle_label_match, to_document
+from .test_fuzz import DELETE
+from .test_fuzz import VALUES as FUZZ_VALUES
 
 
 @pytest.fixture
@@ -449,3 +453,79 @@ def test_fleet_export_is_json_dumps_of_document(tmp_path, monkeypatch, n, paths)
     manifest = fleet.generate(Path(str(DATA)), tmp_path / "fleet", n, 3, paths).manifest
     graph, _, _ = build_graph(load_manifest(manifest))
     assert_export_is_json_dumps(graph, {"star_max": 10})
+
+
+# ids as `export_graph` never writes them: not strings, signed, spaced,
+# non-ASCII digits, and digit strings naming a missing or taken id
+IDS = (0, 1, -1, 1.0, "-1", "+1", " 1", "1 ", "1_0", "\u0661", "\uff11", "1.0", "")
+IDS += ("0", "1", "99999", "0" * 5000)
+
+
+def _set(doc, section, slot, value):
+    """A copy of `doc` with `slot` of its first `section` entry (the entry,
+    one of its keys, or one of its properties) set to `value` or deleted."""
+    doc = dict(doc, **{section: [json.loads(json.dumps(doc[section][0])), *doc[section][1:]]})
+    parent, key = (doc[section], 0) if not slot else (doc[section][0], slot[-1])
+    if len(slot) == 2:
+        parent = parent["properties"]
+    if value is DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+def _mutations(doc, section):
+    """Every one-slot mutation of the first `section` entry of `doc`, one
+    added key, and every pair of its keys and properties set to one of a
+    few values, which orders the checks that each fail on one of them."""
+    entry = doc[section][0]
+    keys = [(key,) for key in entry] + [("properties", key) for key in entry["properties"]]
+    for slot in [()] + keys:
+        values = FUZZ_VALUES + IDS if slot in (("id",), ("from",), ("to",)) else FUZZ_VALUES
+        for value in values:
+            yield _set(doc, section, slot, value)
+    for key in ("extra", "properties "):
+        yield _set(doc, section, (key,), 1)
+    for first, second in itertools.combinations(keys, 2):
+        if second[0] == first[0]:
+            continue
+        for values in itertools.product((None, "99999"), repeat=2):
+            yield _set(_set(doc, section, first, values[0]), section, second, values[1])
+
+
+def _read(reader, doc):
+    try:
+        return "export", export_graph(reader(doc))
+    except SkygraphError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture(scope="module")
+def fleet_shared_export(tmp_path_factory):
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(bench)
+        fleet = importlib.import_module("fleet")
+        out = tmp_path_factory.mktemp("fleet")
+        manifest = fleet.generate(Path(str(DATA)), out, 8, 4, "shared").manifest
+    return export_graph(build_graph(load_manifest(manifest))[0], {"star_max": 10})
+
+
+@pytest.mark.parametrize("section", ["nodes", "edges"])
+@pytest.mark.parametrize("export", ["bookinfo", "fleet-8-shared"])
+def test_inline_reader_agrees_with_per_entry_reference(
+    testbed_graph, fleet_shared_export, export, section
+):
+    """`from_document` reads each entry inline; on every mutation of a
+    first entry it raises what the per-entry reference raises, or exports
+    the same bytes."""
+    text = export_graph(testbed_graph) if export == "bookinfo" else fleet_shared_export
+    doc = json.loads(text)
+    assert _read(PropertyGraph.from_document, doc) == ("export", text)
+    outcomes = set()
+    for mutated in _mutations(doc, section):
+        expected = _read(reference.from_document, mutated)
+        assert _read(PropertyGraph.from_document, mutated) == expected
+        outcomes.add(expected[0])
+    assert {"export", "GraphError"} <= outcomes

@@ -5,7 +5,9 @@ results. Nothing on that path may form a reference cycle: a cycle that
 reaches the graph would keep every node, edge and adjacency list allocated
 until a full collection finds it. With the cyclic collector off, dropping
 the last reference must free the graph, and a collection must then find
-nothing. Import itself pauses the collector and must restore its state.
+nothing. Import itself pauses the collector and must restore its state,
+with what it allocated moved out of the young generations and the
+objects a host froze left frozen.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 from skygraph.build import build_graph, load_manifest
 from skygraph.cli import render_path
 from skygraph.errors import GraphError
-from skygraph.graph import export_graph, import_graph
+from skygraph.graph import Edge, Node, export_graph, import_graph
 from skygraph.query import evaluate, parse_query
 
 from .conftest import DATA, data_path, listing_text
@@ -52,6 +54,16 @@ def collector_off():
     was = gc.isenabled()
     gc.collect()
     gc.disable()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def collector_on():
+    was = gc.isenabled()
+    gc.enable()
     try:
         yield
     finally:
@@ -112,3 +124,54 @@ def test_import_restores_collector_state(testbed_graph, enabled, corrupt, error)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_import_leaves_no_graph_object_in_the_young_generations(export_text, collector_on):
+    frozen = gc.get_freeze_count()
+    graph = import_graph(export_text)
+    # the first allocation after import would run a young collection over
+    # whatever import left in generation 0, moving it to generation 1
+    young = {id(obj) for gen in (0, 1) for obj in gc.get_objects(gen) if type(obj) in (Node, Edge)}
+    assert graph.node_count and not young & {id(node) for node in graph.nodes()}
+    assert not young & {id(edge) for edge in graph.edges()}
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.fixture
+def host_frozen():
+    """Objects frozen by the host, as a server freezes its start-up state."""
+    gc.collect()
+    held = [[index] for index in range(100)]
+    gc.freeze()
+    try:
+        yield held
+    finally:
+        gc.unfreeze()
+
+
+def test_import_keeps_host_frozen_objects_frozen(export_text, host_frozen, collector_on):
+    frozen = gc.get_freeze_count()
+    assert frozen >= len(host_frozen)
+    graph = import_graph(export_text)
+    assert gc.get_freeze_count() == frozen
+    assert graph.node_count and all(gc.is_tracked(obj) for obj in host_frozen)
+    tracked = {id(obj) for obj in gc.get_objects()}
+    assert not any(id(obj) in tracked for obj in host_frozen)
+
+
+def test_build_export_import_query_loop_holds_objects_flat(bench_modules, collector_on):
+    """20 build → export → import → query cycles in one process, with the
+    collector on: after a collection, the number of tracked objects, and
+    of frozen ones, stays the same. Objects are counted, since RSS is too
+    noisy for a test."""
+    expected, _ = bench_modules
+    queries = {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
+    manifest = data_path("fixtures/bookinfo/manifest.yaml")
+    counts = []
+    for _ in range(20):
+        text = export_graph(build_graph(load_manifest(manifest))[0], {"star_max": 10})
+        graph_ref, results = run_queries(text, queries, 10)
+        assert results > 0 and graph_ref() is None
+        gc.collect()
+        counts.append((len(gc.get_objects()), gc.get_freeze_count()))
+    assert len(set(counts[1:])) == 1, counts
