@@ -294,30 +294,27 @@ class Discovery:
         number of container image nodes created."""
         created = 0
         for command in doc.commands:
-            if command.startswith("docker build"):
-                name = _build_image_name(command)
-                if name is None:
-                    continue
-                if self.graph.find_by_name("ContainerImage", name) is None:
-                    self._image_node(name)
-                    created += 1
+            build = command.startswith("docker build")
+            if not build and not command.startswith("docker push"):
+                continue
+            name = (_build_image_name if build else _push_image_name)(command)
+            if name is None:
+                continue
+            image_id = self.graph.find_by_name("ContainerImage", name)
+            if image_id is None:
+                image_id = self.graph.add_node("ContainerImage", name)
+                created += 1
+            if build:
                 self._built_images.add(name)
-            elif command.startswith("docker push"):
-                name = _push_image_name(command)
-                if name is None:
-                    continue
-                if name not in self._built_images:
-                    log.warning(
-                        "workflow %r pushes image %r that no scanned workflow builds",
-                        doc.name,
-                        name,
-                    )
-                if self.graph.find_by_name("ContainerImage", name) is None:
-                    self._image_node(name)
-                    created += 1
-                image_id = self._image_node(name)
-                registry_id = self._registry_node(_registry_host(name))
-                self.graph.add_edge_once(image_id, registry_id, "PUSHES_TO")
+                continue
+            if name not in self._built_images:
+                log.warning(
+                    "workflow %r pushes image %r that no scanned workflow builds",
+                    doc.name,
+                    name,
+                )
+            registry_id = self._registry_node(_registry_host(name))
+            self.graph.add_edge_once(image_id, registry_id, "PUSHES_TO")
         return created
 
     # -- application anchoring -------------------------------------------

@@ -57,8 +57,7 @@ class QuerySyntaxError(SkygraphError):
 
 class QueryError(SkygraphError):
     """A query file that could not be read, or a query that parsed but
-    could not be evaluated, such as a route too deep for the engine's
-    recursive walk."""
+    could not be evaluated."""
 
 
 class ManifestError(SkygraphError):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from skygraph.errors import QueryError
 from skygraph.graph import Edge, Path, PropertyGraph
 from skygraph.query.syntax import (
     BoolExpr,
@@ -70,35 +69,43 @@ def _bounds(rel: RelPattern, star_max: int) -> tuple[int, int]:
     return rel.hops.min, rel.hops.max if rel.hops.max is not None else star_max
 
 
+# A hop's neighbor lists: (node id, label) -> what `_expand` lists there.
+_Memo = dict[tuple[int, str | None], list[tuple[Edge, int, bool]]]
+
+
 def _expand(
     graph: PropertyGraph,
     node_id: int,
     rel: RelPattern,
     rightward: bool,
     label: str | None,
-) -> Iterator[tuple[Edge, int, bool]]:
+    memo: _Memo,
+) -> list[tuple[Edge, int, bool]]:
     """Single hops from `node_id` honoring the pattern's direction, to
     neighbors matching `label` if given.
 
-    Yields (edge, neighbor, forward): first the edges that point along the
+    Lists (edge, neighbor, forward): first the edges that point along the
     pattern's left-to-right orientation (`forward`), then those against it.
-    An undirected self-loop comes once, as forward.
+    An undirected self-loop comes once, as forward. The list is kept in
+    `memo`, which must belong to this (rel, rightward) pair.
     """
+    hops = memo.get((node_id, label))
+    if hops is not None:
+        return hops
     along, against = (
         (graph.out_edges, graph.in_edges) if rightward else (graph.in_edges, graph.out_edges)
     )
+    hops = []
     if rel.direction != "left":
         for edge in along(node_id, rel.type, label):
-            yield edge, edge.to_id if edge.from_id == node_id else edge.from_id, True
+            hops.append((edge, edge.to_id if edge.from_id == node_id else edge.from_id, True))
     if rel.direction != "right":
         for edge in against(node_id, rel.type, label):
             if rel.direction == "undirected" and edge.from_id == edge.to_id:
                 continue
-            yield edge, edge.to_id if edge.from_id == node_id else edge.from_id, False
-
-
-# A hop's neighbor lists: (node id, label) -> what `_expand` yields there.
-_Memo = dict[tuple[int, str | None], list[tuple[Edge, int, bool]]]
+            hops.append((edge, edge.to_id if edge.from_id == node_id else edge.from_id, False))
+    memo[node_id, label] = hops
+    return hops
 
 
 def _routes(
@@ -111,7 +118,8 @@ def _routes(
     label: str | None,
     memo: _Memo,
 ) -> Iterator[tuple[list[_Step], int]]:
-    """Simple edge sequences walking one relationship pattern.
+    """Simple edge sequences walking one relationship pattern, depth first,
+    each route before its extensions.
 
     Steps come back in walk order, in a list that is only valid until the
     next route is drawn. Edges in `used` are excluded; each step's edge
@@ -120,57 +128,39 @@ def _routes(
     reaches such nodes, and a shorter route's end, which is also a
     waypoint, is checked before it is yielded.
 
-    Neighbor lists come from `memo`, which must belong to this (rel,
-    rightward) pair and fills on first use. It never holds the `used`
-    check, which depends on the rest of the match.
+    Neighbor lists come from `memo` through `_expand`. It never holds the
+    `used` check, which depends on the rest of the match.
     """
     lo, hi = _bounds(rel, star_max)
-
-    def neighbors(node: int, last: str | None) -> list[tuple[Edge, int, bool]]:
-        hops = memo.get((node, last))
-        if hops is None:
-            hops = memo[node, last] = list(_expand(graph, node, rel, rightward, last))
-        return hops
-
-    if lo == hi == 1:
-        for edge, neighbor, forward in neighbors(start, label):
-            if edge.id not in used:
-                used.add(edge.id)
-                yield [(edge, forward)], neighbor
-                used.discard(edge.id)
-        return
-
+    # one iterator per waypoint: `stack[d]` lists the steps out of `steps[:d]`'s end
     steps: list[_Step] = []
-
-    def rec(node: int) -> Iterator[tuple[list[_Step], int]]:
-        if lo <= len(steps) and (
-            len(steps) == hi or label is None or graph.node_matches_label(node, label)
-        ):
-            yield steps, node
-        if len(steps) >= hi:
-            return
-        last = label if len(steps) + 1 == hi else None
-        for edge, neighbor, forward in neighbors(node, last):
+    last = label if hi == 1 else None
+    stack = [iter(_expand(graph, start, rel, rightward, last, memo))] if hi > 0 else []
+    while stack:
+        depth = len(stack)  # of the steps `stack[-1]` lists
+        for edge, neighbor, forward in stack[-1]:
             if edge.id in used:
                 continue
             used.add(edge.id)
             steps.append((edge, forward))
-            yield from rec(neighbor)
+            if lo <= depth and (
+                depth == hi or label is None or graph.node_matches_label(neighbor, label)
+            ):
+                yield steps, neighbor
+            if depth < hi:
+                last = label if depth + 1 == hi else None
+                stack.append(iter(_expand(graph, neighbor, rel, rightward, last, memo)))
+                break
             steps.pop()
             used.discard(edge.id)
-
-    try:
-        yield from rec(start)
-    finally:
-        # `rec` reaches itself through its closure cell, which also holds
-        # the graph and the memo: break that cycle so they free at once
-        del rec
+        else:
+            stack.pop()
+            if steps:
+                used.discard(steps.pop()[0].id)
 
 
 def _scalar_equal(a, b) -> bool:
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    return a == b
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
 
 
 def _nodes_equal(graph: PropertyGraph, left: int, right: int) -> bool:
@@ -180,26 +170,32 @@ def _nodes_equal(graph: PropertyGraph, left: int, right: int) -> bool:
     return a.class_name == b.class_name and a.name == b.name and a.properties == b.properties
 
 
-def _predicate_holds(graph: PropertyGraph, pred, bindings: dict[str, int]) -> bool:
+def _comparison_holds(graph: PropertyGraph, pred, bindings: dict[str, int]) -> bool:
     if isinstance(pred, PropertyComparison):
         node_id = bindings.get(pred.var)
-        if node_id is None:
-            return False
-        value = graph.property_value(node_id, pred.key)
+        value = None if node_id is None else graph.property_value(node_id, pred.key)
         if value is None:
             return False
         equal = _scalar_equal(value, pred.literal)
         return equal if pred.op == "=" else not equal
     if isinstance(pred, NodeComparison):
-        left = bindings.get(pred.left)
-        right = bindings.get(pred.right)
-        if left is None or right is None:
-            return False
-        return not _nodes_equal(graph, left, right)
-    if isinstance(pred, BoolExpr):
-        results = (_predicate_holds(graph, op, bindings) for op in pred.operands)
-        return all(results) if pred.op == "AND" else any(results)
+        left, right = bindings.get(pred.left), bindings.get(pred.right)
+        return left is not None and right is not None and not _nodes_equal(graph, left, right)
     raise TypeError(f"unknown predicate {pred!r}")
+
+
+def _predicate_holds(graph: PropertyGraph, pred, bindings: dict[str, int]) -> bool:
+    """`pred` as the parser builds it: an OR of ANDs of comparisons, where
+    an OR or AND of a single operand is that operand."""
+    disjuncts = pred.operands if isinstance(pred, BoolExpr) and pred.op == "OR" else (pred,)
+    for conjunct in disjuncts:
+        terms = conjunct.operands if isinstance(conjunct, BoolExpr) else (conjunct,)
+        for term in terms:
+            if not _comparison_holds(graph, term, bindings):
+                break
+        else:
+            return True
+    return False
 
 
 def evaluate(
@@ -207,15 +203,13 @@ def evaluate(
     ast: QueryAst,
     star_max: int = DEFAULT_STAR_MAX,
 ) -> list[MatchResult]:
-    """Every assignment of graph nodes and edge routes to the pattern.
-    Raises QueryError when a route is too deep for the recursive walk."""
+    """Every assignment of graph nodes and edge routes to the pattern."""
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
     plan = _plan(graph, node_patterns)
     nodes: list[int | None] = [None] * len(node_patterns)
     segments: list[list[_Step]] = [[] for _ in rel_patterns]  # left-to-right
     used: set[int] = set()
-    memos: list[_Memo] = [{} for _ in plan.hops]
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
 
     def bind(index: int, node_id: int) -> bool:
@@ -246,34 +240,39 @@ def evaluate(
         path = Path(tuple(node_ids), tuple(edge_ids), tuple(flags)) if ast.path_var else None
         results.append((tuple(nodes), tuple(edge_ids), MatchResult(bindings, path)))
 
-    def walk(hop: int) -> None:
-        if hop == len(plan.hops):
-            emit()
-            return
-        source, target, label = plan.hops[hop]
-        rightward = target > source
-        rel_index = min(source, target)
-        rel = rel_patterns[rel_index]
-        for steps, end in _routes(
-            graph, nodes[source], rel, rightward, used, star_max, label, memos[hop]
-        ):
-            if bind(target, end):
-                segments[rel_index] = steps if rightward else steps[::-1]
-                walk(hop + 1)
-                nodes[target] = None
+    # per hop: source and target pattern, target label, rel pattern, direction, memo
+    hops: list[tuple[int, int, str | None, int, bool, _Memo]] = [
+        (source, target, label, min(source, target), target > source, {})
+        for source, target, label in plan.hops
+    ]
 
-    try:
-        for seed in plan.candidates[plan.anchor]:
-            if bind(plan.anchor, seed):
-                walk(0)
-                nodes[plan.anchor] = None
-    except RecursionError as exc:
-        # routes and hops nest one Python frame per step
-        raise QueryError(
-            f"a route is too deep to walk at star_max {star_max}; lower star_max"
-        ) from exc
-    finally:
-        del walk  # a closure cycle holding the graph, as `rec` in `_routes`
+    def routes(hop: int) -> Iterator[tuple[list[_Step], int]]:
+        source, _, label, rel_index, rightward, memo = hops[hop]
+        rel = rel_patterns[rel_index]
+        return _routes(graph, nodes[source], rel, rightward, used, star_max, label, memo)
+
+    for seed in plan.candidates[plan.anchor]:
+        nodes[plan.anchor] = seed
+        if not hops:  # a single node pattern
+            emit()
+            continue
+        # one route iterator per hop entered; the innermost one draws next
+        stack = [routes(0)]
+        while stack:
+            entered = len(stack)
+            _, target, _, rel_index, rightward, _ = hops[entered - 1]
+            nodes[target] = None  # so `bind` does not see the last route's end
+            for steps, end in stack[-1]:
+                if not bind(target, end):
+                    continue
+                segments[rel_index] = steps if rightward else steps[::-1]
+                if entered < len(hops):
+                    stack.append(routes(entered))
+                    break
+                emit()
+                nodes[target] = None
+            else:
+                stack.pop()
 
     results.sort(key=lambda item: (item[0], item[1]))
     return [result for _, _, result in results]

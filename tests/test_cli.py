@@ -8,7 +8,6 @@ import pytest
 import yaml
 
 from skygraph.cli import main, render_path
-from skygraph.errors import QueryError
 from skygraph.graph import PropertyGraph, export_graph, import_graph
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import evaluate, parse_query
@@ -382,26 +381,51 @@ def test_unreadable_export_exits_2_naming_the_file(tmp_path, command, content, m
 
 
 def call_chain(length: int) -> PropertyGraph:
-    """`length` FunctionDeclaration nodes, each CALLS-ing the next."""
+    """A Literal CALLS-ing the first of `length` FunctionDeclaration nodes,
+    each CALLS-ing the next, and the last CALLS-ing a second Literal."""
     graph = PropertyGraph(ontology_from_documents({"classes": []}, []))
-    ids = [graph.add_node("FunctionDeclaration", f"f{i}") for i in range(length)]
+    ids = [graph.add_node("Literal", "start")]
+    ids += [graph.add_node("FunctionDeclaration", f"f{i}") for i in range(length)]
+    ids.append(graph.add_node("Literal", "end"))
     for caller, callee in zip(ids, ids[1:]):
         graph.add_edge(caller, callee, "CALLS")
     graph.freeze()
     return graph
 
 
-DEEP_QUERY = "MATCH p=(a:FunctionDeclaration)-[:CALLS*]->(b:FunctionDeclaration) RETURN p"
+# one route, from one Literal to the other, of length + 1 edges
+DEEP_QUERY = "MATCH p=(a:Literal)-[:CALLS*]->(b:Literal) RETURN p"
+
+
+def frame_depth() -> int:
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@pytest.fixture
+def restore_recursion_limit():
+    limit = sys.getrecursionlimit()
+    yield
+    sys.setrecursionlimit(limit)
 
 
 class TestDeepQuery:
-    """A route deeper than the recursive walk can go is a typed error."""
+    """The walk keeps routes and hops on explicit stacks, so a route
+    thousands of edges long is an ordinary result."""
 
-    def test_evaluate_raises_query_error(self):
-        with pytest.raises(QueryError, match="star_max 5000"):
-            evaluate(call_chain(3000), parse_query(DEEP_QUERY), star_max=5000)
+    def test_evaluate_finds_the_one_long_route(self):
+        (result,) = evaluate(call_chain(3000), parse_query(DEEP_QUERY), star_max=5000)
+        assert len(result.path.edge_ids) == 3001
 
-    def test_query_command_exits_2_without_traceback(self, tmp_path):
+    def test_route_length_costs_no_frames(self, restore_recursion_limit):
+        graph, ast = call_chain(3000), parse_query(DEEP_QUERY)
+        sys.setrecursionlimit(frame_depth() + 100)
+        (result,) = evaluate(graph, ast, star_max=5000)
+        assert len(result.path.edge_ids) == 3001
+
+    def test_query_command_counts_the_route(self, tmp_path):
         graph_file = tmp_path / "chain.json"
         graph_file.write_text(export_graph(call_chain(3000)), encoding="utf-8")
         proc = subprocess.run(
@@ -410,8 +434,8 @@ class TestDeepQuery:
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ") and "star_max 5000" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["1 results"]
         assert "Traceback" not in proc.stdout + proc.stderr
 
 
