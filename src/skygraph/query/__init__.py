@@ -1,7 +1,6 @@
 """Cypher-subset query language: parsing and evaluation."""
 
 from skygraph.query.syntax import (
-    BoolExpr,
     HopRange,
     NodeComparison,
     NodePattern,
@@ -13,7 +12,6 @@ from skygraph.query.syntax import (
 from skygraph.query.engine import MatchResult, evaluate, explain
 
 __all__ = [
-    "BoolExpr",
     "HopRange",
     "MatchResult",
     "NodeComparison",

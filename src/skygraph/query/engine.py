@@ -19,15 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from skygraph.graph import Edge, Path, PropertyGraph
-from skygraph.query.syntax import (
-    BoolExpr,
-    NodeComparison,
-    NodePattern,
-    PropertyComparison,
-    QueryAst,
-    RelPattern,
-)
+from skygraph.errors import QueryError
+from skygraph.graph import CODE_CLASSES, EDGE_TYPES, Edge, Path, PropertyGraph
+from skygraph.query.syntax import Comparison, NodeComparison, QueryAst, RelPattern
 from skygraph.yamlfile import DEFAULT_STAR_MAX
 
 
@@ -47,21 +41,32 @@ class _Plan:
     """What `evaluate` runs and `explain` prints.
 
     The anchor pattern is seeded from its candidates; each hop then binds
-    its target pattern from its source, as (source, target, label): the
-    pattern indices, rightward from the anchor, then leftward, and the
-    target's label, which filters the last step of the hop's segment.
+    its target pattern from its source, rightward from the anchor, then
+    leftward, as (source, target, label, rel, rightward): the pattern
+    indices, the target's label, which filters the last step of the hop's
+    segment, the index of the relationship pattern it walks, and whether
+    it walks that pattern left to right.
     """
 
     anchor: int
     candidates: list[list[int]]
-    hops: list[tuple[int, int, str | None]]
+    hops: list[tuple[int, int, str | None, int, bool]]
 
 
-def _plan(graph: PropertyGraph, nodes: list[NodePattern]) -> _Plan:
+def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
+    """The plan of `ast`; a QueryError for a label or relationship type
+    that `graph` can never match, which would only ever match nothing."""
+    nodes = ast.node_patterns
+    for label in (np.label for np in nodes):
+        if label not in (None, "Node", *CODE_CLASSES) and not graph.ontology.has_class(label):
+            raise QueryError(f"unknown node label {label!r}")
+    for rel in ast.rel_patterns:
+        if rel.type is not None and rel.type not in EDGE_TYPES:
+            raise QueryError(f"unknown relationship type {rel.type!r}")
     candidates = [graph.label_candidates(np.label or "Node") for np in nodes]
     anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
-    hops = [(i, i + 1, nodes[i + 1].label) for i in range(anchor, len(nodes) - 1)]
-    hops += [(i + 1, i, nodes[i].label) for i in reversed(range(anchor))]
+    hops = [(i, i + 1, nodes[i + 1].label, i, True) for i in range(anchor, len(nodes) - 1)]
+    hops += [(i + 1, i, nodes[i].label, i, False) for i in reversed(range(anchor))]
     return _Plan(anchor, candidates, hops)
 
 
@@ -170,32 +175,14 @@ def _nodes_equal(graph: PropertyGraph, left: int, right: int) -> bool:
     return a.class_name == b.class_name and a.name == b.name and a.properties == b.properties
 
 
-def _comparison_holds(graph: PropertyGraph, pred, bindings: dict[str, int]) -> bool:
-    if isinstance(pred, PropertyComparison):
-        node_id = bindings.get(pred.var)
-        value = None if node_id is None else graph.property_value(node_id, pred.key)
-        if value is None:
-            return False
-        equal = _scalar_equal(value, pred.literal)
-        return equal if pred.op == "=" else not equal
-    if isinstance(pred, NodeComparison):
-        left, right = bindings.get(pred.left), bindings.get(pred.right)
-        return left is not None and right is not None and not _nodes_equal(graph, left, right)
-    raise TypeError(f"unknown predicate {pred!r}")
-
-
-def _predicate_holds(graph: PropertyGraph, pred, bindings: dict[str, int]) -> bool:
-    """`pred` as the parser builds it: an OR of ANDs of comparisons, where
-    an OR or AND of a single operand is that operand."""
-    disjuncts = pred.operands if isinstance(pred, BoolExpr) and pred.op == "OR" else (pred,)
-    for conjunct in disjuncts:
-        terms = conjunct.operands if isinstance(conjunct, BoolExpr) else (conjunct,)
-        for term in terms:
-            if not _comparison_holds(graph, term, bindings):
-                break
-        else:
-            return True
-    return False
+def _comparison_holds(graph: PropertyGraph, term: Comparison, bindings: dict[str, int]) -> bool:
+    if isinstance(term, NodeComparison):
+        return not _nodes_equal(graph, bindings[term.left], bindings[term.right])
+    value = graph.property_value(bindings[term.var], term.key)
+    if value is None:
+        return False
+    equal = _scalar_equal(value, term.literal)
+    return equal if term.op == "=" else not equal
 
 
 def evaluate(
@@ -206,11 +193,12 @@ def evaluate(
     """Every assignment of graph nodes and edge routes to the pattern."""
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
-    plan = _plan(graph, node_patterns)
+    plan = _plan(graph, ast)
     nodes: list[int | None] = [None] * len(node_patterns)
     segments: list[list[_Step]] = [[] for _ in rel_patterns]  # left-to-right
     used: set[int] = set()
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
+    where = ast.where
 
     def bind(index: int, node_id: int) -> bool:
         """Bind pattern `index` unless a repeated variable rules `node_id`
@@ -227,7 +215,9 @@ def evaluate(
         bindings = {
             np.var: node_id for np, node_id in zip(node_patterns, nodes) if np.var is not None
         }
-        if ast.where is not None and not _predicate_holds(graph, ast.where, bindings):
+        if where is not None and not any(
+            all(_comparison_holds(graph, term, bindings) for term in terms) for terms in where
+        ):
             return
         node_ids = [nodes[0]]
         edge_ids: list[int] = []
@@ -240,16 +230,13 @@ def evaluate(
         path = Path(tuple(node_ids), tuple(edge_ids), tuple(flags)) if ast.path_var else None
         results.append((tuple(nodes), tuple(edge_ids), MatchResult(bindings, path)))
 
-    # per hop: source and target pattern, target label, rel pattern, direction, memo
-    hops: list[tuple[int, int, str | None, int, bool, _Memo]] = [
-        (source, target, label, min(source, target), target > source, {})
-        for source, target, label in plan.hops
-    ]
+    hops = plan.hops
+    memos: list[_Memo] = [{} for _ in hops]
 
     def routes(hop: int) -> Iterator[tuple[list[_Step], int]]:
-        source, _, label, rel_index, rightward, memo = hops[hop]
+        source, _, label, rel_index, rightward = hops[hop]
         rel = rel_patterns[rel_index]
-        return _routes(graph, nodes[source], rel, rightward, used, star_max, label, memo)
+        return _routes(graph, nodes[source], rel, rightward, used, star_max, label, memos[hop])
 
     for seed in plan.candidates[plan.anchor]:
         nodes[plan.anchor] = seed
@@ -260,7 +247,7 @@ def evaluate(
         stack = [routes(0)]
         while stack:
             entered = len(stack)
-            _, target, _, rel_index, rightward, _ = hops[entered - 1]
+            _, target, _, rel_index, rightward = hops[entered - 1]
             nodes[target] = None  # so `bind` does not see the last route's end
             for steps, end in stack[-1]:
                 if not bind(target, end):
@@ -280,7 +267,7 @@ def evaluate(
 
 def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MAX) -> str:
     """Describe the plan `evaluate` runs: seed choice and expansion order."""
-    plan = _plan(graph, ast.node_patterns)
+    plan = _plan(graph, ast)
 
     def node_text(i: int) -> str:
         np = ast.node_patterns[i]
@@ -289,13 +276,13 @@ def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MA
     lines = [f"seed at {node_text(plan.anchor)} ({len(plan.candidates[plan.anchor])} candidates)"]
     lines += [f"  {node_text(i)} candidates={len(c)}" for i, c in enumerate(plan.candidates)]
     order = [
-        f"right #{source}" if target > source else f"left #{target}"
-        for source, target, _ in plan.hops
+        f"right #{source}" if rightward else f"left #{target}"
+        for source, target, _, _, rightward in plan.hops
     ]
     lines.append("expansion order: " + (", ".join(order) or "none (single node pattern)"))
     lines += [
         f"  last step to node #{target} expands only to :{label}"
-        for _, target, label in plan.hops
+        for _, target, label, _, _ in plan.hops
         if label
     ]
     for i, rel in enumerate(ast.rel_patterns):

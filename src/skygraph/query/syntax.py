@@ -11,14 +11,16 @@ The accepted language is a read-only MATCH/WHERE/RETURN subset:
     cmp    := ident "." ident ("="|"<>") literal | ident "<>" ident
 
 Keywords are case-insensitive; variables, labels and relationship types
-are case-sensitive. AND binds tighter than OR.
+are case-sensitive. AND binds tighter than OR, so WHERE parses as an OR of
+ANDs. A variable names a node, a relationship or the path, never two of
+them. WHERE compares node variables only; RETURN takes a node variable or
+the path variable.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from skygraph.errors import QuerySyntaxError
 
@@ -74,29 +76,20 @@ class NodeComparison:
     right: str
 
 
-@dataclass(frozen=True)
-class BoolExpr:
-    op: str  # "AND" or "OR"
-    operands: tuple
-
-
-Predicate = PropertyComparison | NodeComparison | BoolExpr
+Comparison = PropertyComparison | NodeComparison
 
 
 @dataclass(frozen=True)
 class QueryAst:
+    """`rel_patterns[i]` joins `node_patterns[i]` to `node_patterns[i + 1]`.
+    `where` is an OR of ANDs: a tuple of disjuncts, each a tuple of
+    comparisons; None without a WHERE clause."""
+
     path_var: str | None
-    pattern: tuple  # alternating NodePattern / RelPattern
-    where: Predicate | None
+    node_patterns: tuple[NodePattern, ...]
+    rel_patterns: tuple[RelPattern, ...]
+    where: tuple[tuple[Comparison, ...], ...] | None
     return_items: tuple[str, ...]
-
-    @property
-    def node_patterns(self) -> list[NodePattern]:
-        return [p for p in self.pattern if isinstance(p, NodePattern)]
-
-    @property
-    def rel_patterns(self) -> list[RelPattern]:
-        return [p for p in self.pattern if isinstance(p, RelPattern)]
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -150,6 +143,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.kinds: dict[str, str] = {}  # variable -> node | relationship | path
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -191,6 +185,32 @@ class _Parser:
             )
         return self.advance().value
 
+    def bind(self, kind: str) -> str:
+        """A variable the pattern binds as `kind`."""
+        token = self.peek()
+        name = self.expect_ident()
+        bound = self.kinds.setdefault(name, kind)
+        if bound != kind:
+            raise QuerySyntaxError(
+                f"variable {name!r} is bound as both a {bound} and a {kind}", token.offset
+            )
+        return name
+
+    def use(self, clause: str, *kinds: str) -> str:
+        """A variable that `clause` refers to, bound as one of `kinds`."""
+        token = self.peek()
+        name = self.expect_ident()
+        kind = self.kinds.get(name)
+        if kind is None:
+            raise QuerySyntaxError(f"variable {name!r} is not bound in the pattern", token.offset)
+        if kind not in kinds:
+            raise QuerySyntaxError(
+                f"{kind} variable {name!r} cannot be used in {clause}, "
+                f"which takes {' or '.join(kinds)} variables",
+                token.offset,
+            )
+        return name
+
     # -- grammar --------------------------------------------------------
 
     def parse(self) -> QueryAst:
@@ -201,36 +221,30 @@ class _Parser:
             and self.peek().value.upper() not in KEYWORDS
             and self.peek(1).kind == "="
         ):
-            path_var = self.advance().value
+            path_var = self.bind("path")
             self.advance()
-        pattern: list = [self.parse_node()]
+        nodes = [self.parse_node()]
+        rels = []
         while self.peek().kind in ("-", "<-"):
-            pattern.append(self.parse_rel())
-            pattern.append(self.parse_node())
+            rels.append(self.parse_rel())
+            nodes.append(self.parse_node())
         where = None
         if self.keyword("WHERE"):
             self.advance()
-            where = self.parse_pred()
+            where = self.parse_where()
         self.expect_keyword("RETURN")
-        return_items = (self.expect_ident(),)
+        return_items = (self.use("RETURN", "node", "path"),)
         token = self.peek()
         if token.kind != "EOF":
             raise QuerySyntaxError(f"unexpected trailing {token.value!r}", token.offset)
-        ast = QueryAst(
-            path_var=path_var,
-            pattern=tuple(pattern),
-            where=where,
-            return_items=return_items,
-        )
-        self._check_bindings(ast)
-        return ast
+        return QueryAst(path_var, tuple(nodes), tuple(rels), where, return_items)
 
     def parse_node(self) -> NodePattern:
         self.expect("(")
         var = None
         label = None
         if self.peek().kind == "IDENT":
-            var = self.expect_ident()
+            var = self.bind("node")
         if self.peek().kind == ":":
             self.advance()
             label = self.expect_ident()
@@ -266,42 +280,34 @@ class _Parser:
         rtype = None
         hops = HopRange(1, 1)
         if self.peek().kind == "IDENT":
-            var = self.expect_ident()
+            var = self.bind("relationship")
         if self.peek().kind == ":":
             self.advance()
             rtype = self.expect_ident()
         if self.peek().kind == "*":
             self.advance()
             if self.peek().kind == "INT":
-                k = int(self.advance().value)
+                token = self.advance()
+                k = int(token.value)
                 if k < 1:
-                    raise QuerySyntaxError("hop count must be >= 1", self.peek().offset)
+                    raise QuerySyntaxError("hop count must be >= 1", token.offset)
                 hops = HopRange(k, k)
             else:
                 hops = HopRange(1, None)
         self.expect("]")
         return var, rtype, hops
 
-    def parse_pred(self) -> Predicate:
-        operands = [self.parse_and()]
-        while self.keyword("OR"):
-            self.advance()
-            operands.append(self.parse_and())
-        if len(operands) == 1:
-            return operands[0]
-        return BoolExpr("OR", tuple(operands))
+    def parse_where(self) -> tuple[tuple[Comparison, ...], ...]:
+        """Comparisons joined by AND and OR, as disjuncts of conjuncts."""
+        disjuncts = [[self.parse_cmp()]]
+        while self.keyword("AND") or self.keyword("OR"):
+            if self.advance().value.upper() == "OR":
+                disjuncts.append([])
+            disjuncts[-1].append(self.parse_cmp())
+        return tuple(tuple(conjuncts) for conjuncts in disjuncts)
 
-    def parse_and(self) -> Predicate:
-        operands = [self.parse_cmp()]
-        while self.keyword("AND"):
-            self.advance()
-            operands.append(self.parse_cmp())
-        if len(operands) == 1:
-            return operands[0]
-        return BoolExpr("AND", tuple(operands))
-
-    def parse_cmp(self) -> Predicate:
-        var = self.expect_ident()
+    def parse_cmp(self) -> Comparison:
+        var = self.use("WHERE", "node")
         token = self.peek()
         if token.kind == ".":
             self.advance()
@@ -318,7 +324,7 @@ class _Parser:
             )
         if token.kind == "<>":
             self.advance()
-            return NodeComparison(left=var, right=self.expect_ident())
+            return NodeComparison(left=var, right=self.use("WHERE", "node"))
         raise QuerySyntaxError(
             f"expected '.' or '<>', found {token.value or 'end of input'!r}",
             token.offset,
@@ -339,29 +345,6 @@ class _Parser:
         raise QuerySyntaxError(
             f"expected literal, found {token.value or 'end of input'!r}", token.offset
         )
-
-    def _check_bindings(self, ast: QueryAst) -> None:
-        bound = {ast.path_var} if ast.path_var else set()
-        for part in ast.pattern:
-            if part.var is not None:
-                bound.add(part.var)
-        for var in (*_predicate_vars(ast.where), *ast.return_items):
-            if var not in bound:
-                raise QuerySyntaxError(
-                    f"variable {var!r} is not bound in the pattern", len(self.text)
-                )
-
-
-def _predicate_vars(pred: Predicate | None) -> Iterator[str]:
-    """The variables `pred` refers to, left to right; none for no predicate."""
-    if isinstance(pred, PropertyComparison):
-        yield pred.var
-    elif isinstance(pred, NodeComparison):
-        yield pred.left
-        yield pred.right
-    elif isinstance(pred, BoolExpr):
-        for operand in pred.operands:
-            yield from _predicate_vars(operand)
 
 
 def parse_query(text: str) -> QueryAst:

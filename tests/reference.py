@@ -16,12 +16,7 @@ from skygraph.errors import GraphError, SkygraphError
 from skygraph.graph import EDGE_TYPES, Edge, Node, PropertyGraph, _EXPORT, _SETTINGS
 from skygraph.ontology import ontology_from_documents
 from skygraph.yamlfile import DEFAULT_STAR_MAX, SCALAR, check_fields, check_positive_int
-from skygraph.query.syntax import (
-    BoolExpr,
-    NodeComparison,
-    PropertyComparison,
-    QueryAst,
-)
+from skygraph.query.syntax import NodeComparison, PropertyComparison, QueryAst
 
 
 def to_document(graph: PropertyGraph, settings: dict | None = None) -> dict:
@@ -160,27 +155,33 @@ def _nodes_equal(graph, left, right) -> bool:
     return (a.class_name, a.name, a.properties) == (b.class_name, b.name, b.properties)
 
 
-def oracle_predicate(graph: PropertyGraph, pred, bindings: dict[str, int]) -> bool:
-    if isinstance(pred, PropertyComparison):
-        if pred.var not in bindings:
+def _oracle_comparison(graph: PropertyGraph, comparison, bindings: dict[str, int]) -> bool:
+    if isinstance(comparison, PropertyComparison):
+        if comparison.var not in bindings:
             return False
-        node = graph.node(bindings[pred.var])
-        if pred.key in node.properties:
-            value = node.properties[pred.key]
-        elif pred.key == "name":
+        node = graph.node(bindings[comparison.var])
+        if comparison.key in node.properties:
+            value = node.properties[comparison.key]
+        elif comparison.key == "name":
             value = node.name
         else:
             return False
-        equal = _scalar_equal(value, pred.literal)
-        return equal if pred.op == "=" else not equal
-    if isinstance(pred, NodeComparison):
-        if pred.left not in bindings or pred.right not in bindings:
+        equal = _scalar_equal(value, comparison.literal)
+        return equal if comparison.op == "=" else not equal
+    if isinstance(comparison, NodeComparison):
+        if comparison.left not in bindings or comparison.right not in bindings:
             return False
-        return not _nodes_equal(graph, bindings[pred.left], bindings[pred.right])
-    if isinstance(pred, BoolExpr):
-        values = [oracle_predicate(graph, p, bindings) for p in pred.operands]
-        return all(values) if pred.op == "AND" else any(values)
-    raise TypeError(pred)
+        return not _nodes_equal(graph, bindings[comparison.left], bindings[comparison.right])
+    raise TypeError(comparison)
+
+
+def oracle_predicate(graph: PropertyGraph, where, bindings: dict[str, int]) -> bool:
+    """`where` as the parser gives it: a tuple of disjuncts, each a tuple
+    of comparisons that must all hold."""
+    for conjuncts in where:
+        if all(_oracle_comparison(graph, c, bindings) for c in conjuncts):
+            return True
+    return False
 
 
 def _bindings(node_patterns, assigned) -> dict[str, int]:

@@ -292,6 +292,24 @@ class TestQuery:
         assert main(["query", str(built_graph_file), "MATCH (n RETURN n"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "query, word",
+        [
+            # always true, so a gate that ran it would have to fire
+            ('MATCH (a:Application)-[r:RUNS_ON]->(b) WHERE r.name = "x" OR r.name <> "x" RETURN a', "'r'"),
+            ('MATCH p=(a:Application)-[:RUNS_ON]->(b) WHERE p.name <> "x" RETURN a', "'p'"),
+            ("MATCH a=(a)-[:RUNS_ON]->(b) RETURN a", "'a'"),
+            ("MATCH (s:ObjectStorge) WHERE s.public_access = true RETURN s", "'ObjectStorge'"),
+            ("MATCH (a)-[:RUNS_ONN]->(b) RETURN a", "'RUNS_ONN'"),
+        ],
+    )
+    def test_misused_query_fails_the_gate(self, built_graph_file, capsys, query, word):
+        assert main(["query", str(built_graph_file), query, "--fail-if-found"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and word in captured.err
+        assert "Traceback" not in captured.err
+
     def test_import_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")

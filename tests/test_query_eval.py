@@ -4,8 +4,11 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skygraph.build import build_graph, load_manifest
+from skygraph.errors import QueryError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import evaluate, explain, parse_query
@@ -269,6 +272,59 @@ class TestExplain:
         assert "node #2 expands only to :CloudResource" in plan
 
 
+class TestUnknownNames:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("MATCH (s:ObjectStorge) WHERE s.public_access = true RETURN s", "unknown node label 'ObjectStorge'"),
+            ("MATCH (a)-[:RUNS_ONN]->(b) RETURN a", "unknown relationship type 'RUNS_ONN'"),
+            ("MATCH (a:Application)-[*2]-(b)<-[:TOO]-(c:Thing) RETURN a", "unknown node label 'Thing'"),
+            ("MATCH (a:Application)-[*2]-(b)<-[:TOO]-(c:Storage) RETURN a", "unknown relationship type 'TOO'"),
+        ],
+    )
+    def test_evaluate_and_explain_name_the_word(self, testbed_graph, text, message):
+        ast = parse_query(text)
+        for run in (evaluate, explain):
+            with pytest.raises(QueryError, match=message):
+                run(testbed_graph, ast)
+
+    def test_labels_come_from_the_graphs_own_ontology(self, tiny_ontology):
+        graph = chain_graph(tiny_ontology, [(0, 1, "DFG")], classes={0: "Sub", 1: "Literal"})
+        text = "MATCH (a:Thing)-[:DFG]->(b:Expression)--(c:Node) RETURN a"
+        assert evaluate(graph, parse_query(text)) == []
+        assert len(evaluate(graph, parse_query("MATCH (a:Thing)-[:DFG]->(b:Literal) RETURN a"))) == 1
+        with pytest.raises(QueryError, match="'Storage'"):
+            evaluate(graph, parse_query("MATCH (s:Storage) RETURN s"))
+
+
+class TestWherePrecedence:
+    """WHERE against Python's own `and`/`or` on the same sequence, on one
+    node with p = 1: `n.p = 1` is true and `n.p = 2` is false."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(
+        st.lists(st.booleans(), min_size=1, max_size=6).flatmap(
+            lambda values: st.tuples(
+                st.just(values),
+                st.lists(st.sampled_from(["and", "or"]), min_size=len(values) - 1, max_size=len(values) - 1),
+            )
+        )
+    )
+    def test_and_binds_tighter_than_or(self, tiny_ontology, values_and_joins):
+        values, joins = values_and_joins
+        graph = PropertyGraph(tiny_ontology)
+        graph.add_node("Thing", "n", {"p": 1})
+        graph.freeze()
+        words = [str(values[0])]
+        clauses = [f"n.p = {1 if values[0] else 2}"]
+        for join, value in zip(joins, values[1:]):
+            words += [join, str(value)]
+            clauses += [join.upper(), f"n.p = {1 if value else 2}"]
+        expected = eval(" ".join(words))  # only True, False, and, or
+        results = evaluate(graph, parse_query(f"MATCH (n) WHERE {' '.join(clauses)} RETURN n"))
+        assert len(results) == (1 if expected else 0), clauses
+
+
 class TestEmptyGraph:
     def test_any_query_empty(self, tiny_ontology):
         graph = PropertyGraph(tiny_ontology)
@@ -343,6 +399,12 @@ class TestOracleAgreement:
                 text = random_query(rng, max_nodes=max_nodes, labels=labels)
                 texts.append(text)
                 ast = parse_query(text)
+                if ":Mystery)" in text:
+                    # no graph can hold the label, so the oracle finds nothing and the engine says why
+                    assert not oracle_paths(graph, ast, star_max=star_max), (case, text)
+                    with pytest.raises(QueryError, match="unknown node label 'Mystery'"):
+                        evaluate(graph, ast, star_max=star_max)
+                    continue
                 for bound in (star_max, 1):
                     results = evaluate(graph, ast, star_max=bound)
                     assert result_paths(results) == oracle_paths(graph, ast, star_max=bound), (case, text, bound)

@@ -3,7 +3,6 @@ import pytest
 from skygraph.errors import QuerySyntaxError
 from skygraph.query import parse_query
 from skygraph.query.syntax import (
-    BoolExpr,
     HopRange,
     NodeComparison,
     NodePattern,
@@ -16,7 +15,8 @@ from .conftest import LISTING_FILES, listing_text
 
 def test_single_node_query():
     ast = parse_query("MATCH (n) RETURN n")
-    assert ast.pattern == (NodePattern(var="n", label=None),)
+    assert ast.node_patterns == (NodePattern(var="n", label=None),)
+    assert ast.rel_patterns == ()
     assert ast.path_var is None
     assert ast.where is None
     assert ast.return_items == ("n",)
@@ -29,10 +29,10 @@ def test_weak_transport_encryption_shape():
     assert len(nodes) == 3
     assert len(rels) == 2
     assert all(r.direction == "undirected" and r.type is None for r in rels)
-    assert isinstance(ast.where, BoolExpr) and ast.where.op == "OR"
-    left, right = ast.where.operands
-    assert left == PropertyComparison(var="te", key="enabled", op="=", literal=False)
-    assert right == PropertyComparison(var="te", key="tlsVersion", op="<>", literal="TLS1_2")
+    assert ast.where == (
+        (PropertyComparison(var="te", key="enabled", op="=", literal=False),),
+        (PropertyComparison(var="te", key="tlsVersion", op="<>", literal="TLS1_2"),),
+    )
     assert ast.path_var == "p"
     assert ast.return_items == ("p",)
 
@@ -44,7 +44,7 @@ def test_public_storage_writes_shape():
     assert [r.type for r in rels] == ["SOURCE", "TO", None, "AUTHENTICITY"]
     labels = [n.label for n in ast.node_patterns]
     assert labels == ["CloudResource", "ObjectStorageRequest", "Storage", "HttpEndpoint", "NoAuthentication"]
-    assert ast.where == PropertyComparison(var="rq", key="type", op="=", literal="append")
+    assert ast.where == ((PropertyComparison(var="rq", key="type", op="=", literal="append"),),)
 
 
 def test_variable_length_star():
@@ -75,7 +75,7 @@ def test_rel_variable():
 
 def test_node_identity_comparison():
     ast = parse_query("MATCH (l1)--(l2) WHERE l1 <> l2 RETURN l1")
-    assert ast.where == NodeComparison(left="l1", right="l2")
+    assert ast.where == ((NodeComparison(left="l1", right="l2"),),)
 
 
 def test_keywords_case_insensitive_labels_not():
@@ -89,9 +89,12 @@ def test_and_binds_tighter_than_or():
     ast = parse_query(
         'MATCH (a)--(b) WHERE a.x = 1 OR a.y = 2 AND b.z = 3 RETURN a'
     )
-    assert isinstance(ast.where, BoolExpr) and ast.where.op == "OR"
-    second = ast.where.operands[1]
-    assert isinstance(second, BoolExpr) and second.op == "AND"
+    x, y, z = (
+        PropertyComparison("a", "x", "=", 1),
+        PropertyComparison("a", "y", "=", 2),
+        PropertyComparison("b", "z", "=", 3),
+    )
+    assert ast.where == ((x,), (y, z))
 
 
 def test_syntax_error_reports_offset():
@@ -102,13 +105,53 @@ def test_syntax_error_reports_offset():
 
 
 def test_unbound_where_variable():
-    with pytest.raises(QuerySyntaxError, match="not bound"):
-        parse_query("MATCH (n) WHERE m.x = 1 RETURN n")
+    text = "MATCH (n) WHERE m.x = 1 RETURN n"
+    with pytest.raises(QuerySyntaxError, match="not bound") as info:
+        parse_query(text)
+    assert info.value.offset == text.index("m.x")
 
 
 def test_unbound_return_variable():
     with pytest.raises(QuerySyntaxError, match="not bound"):
         parse_query("MATCH (n) RETURN q")
+
+
+def test_hop_count_below_one_reports_the_integer():
+    text = "MATCH (a)-[*0]->(b) RETURN a"
+    with pytest.raises(QuerySyntaxError, match="hop count") as info:
+        parse_query(text)
+    assert info.value.offset == text.index("0") == 12
+
+
+@pytest.mark.parametrize(
+    "text, var, kind",
+    [
+        ('MATCH (a)-[r:RUNS_ON]->(b) WHERE r.name = "x" OR r.name <> "x" RETURN a', "r", "relationship"),
+        ('MATCH p=(a)-->(b) WHERE p.name <> "x" RETURN a', "p", "path"),
+        ("MATCH (a)-[r]->(b) WHERE a <> r RETURN a", "r", "relationship"),
+        ("MATCH p=(a)-->(b) WHERE p <> a RETURN a", "p", "path"),
+        ("MATCH (a)-[r]->(b) RETURN r", "r", "relationship"),
+    ],
+)
+def test_only_node_variables_in_where_and_return(text, var, kind):
+    with pytest.raises(QuerySyntaxError, match=f"{kind} variable '{var}' cannot be used") as info:
+        parse_query(text)
+    clause = text.index("WHERE") if "WHERE" in text else text.index("RETURN")
+    assert info.value.offset == text.index(f" {var}", clause) + 1
+
+
+@pytest.mark.parametrize(
+    "text, var",
+    [
+        ("MATCH a=(a)-[:RUNS_ON]->(b) RETURN a", "a"),
+        ("MATCH (a)-[a]->(b) RETURN a", "a"),
+        ("MATCH (a)-[b]->(b) RETURN a", "b"),
+        ("MATCH p=(a)-[p]->(b) RETURN a", "p"),
+    ],
+)
+def test_one_name_bound_as_two_kinds(text, var):
+    with pytest.raises(QuerySyntaxError, match=f"variable '{var}' is bound as both"):
+        parse_query(text)
 
 
 def test_path_var_is_bound():
@@ -123,22 +166,22 @@ def test_trailing_garbage_rejected():
 
 def test_literals():
     ast = parse_query('MATCH (n) WHERE n.a = "x y" AND n.b = 5 AND n.c = true RETURN n')
-    comparisons = ast.where.operands
+    (comparisons,) = ast.where
     assert comparisons[0].literal == "x y"
     assert comparisons[1].literal == 5
     assert comparisons[2].literal is True
 
 
 def test_boolean_literal_distinct_from_integer():
-    ast = parse_query("MATCH (n) WHERE n.a = false RETURN n")
-    assert ast.where.literal is False
-    ast = parse_query("MATCH (n) WHERE n.a = 0 RETURN n")
-    assert ast.where.literal == 0 and ast.where.literal is not False
+    ((comparison,),) = parse_query("MATCH (n) WHERE n.a = false RETURN n").where
+    assert comparison.literal is False
+    ((comparison,),) = parse_query("MATCH (n) WHERE n.a = 0 RETURN n").where
+    assert comparison.literal == 0 and comparison.literal is not False
 
 
 def test_string_escapes():
-    ast = parse_query('MATCH (n) WHERE n.a = "say \\"hi\\"" RETURN n')
-    assert ast.where.literal == 'say "hi"'
+    ((comparison,),) = parse_query('MATCH (n) WHERE n.a = "say \\"hi\\"" RETURN n').where
+    assert comparison.literal == 'say "hi"'
 
 
 def test_all_listings_parse():
