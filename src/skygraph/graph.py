@@ -120,10 +120,19 @@ class PropertyGraph:
         self._by_provider_id: dict[Scalar, int] = {}
         # class -> name -> id: no key tuple per node to allocate on import
         self._by_name: dict[str, dict[str, int]] = {}
-        # class -> property keys its nodes may carry (None: any key)
-        self._property_keys: dict[str, frozenset[str] | None] = {}
-        # label -> concrete classes it matches (None: every class)
-        self._label_classes: dict[str, frozenset[str] | None] = {}
+        # class -> property keys its nodes may carry (None: any key), and
+        # label -> concrete classes it matches (None: every class); an
+        # ontology class wins over a code class of the same name
+        self._property_keys: dict[str, frozenset[str] | None] = dict.fromkeys(CODE_CLASSES)
+        labels = {name: {name} for name in CODE_CLASSES}
+        labels["Expression"] |= EXPRESSION_CLASSES
+        for name in ontology.classes:
+            ancestry = ontology.ancestry(name)
+            keys = (key for a in ancestry for key, _ in ontology.classes[a].data_properties)
+            self._property_keys[name] = UNIVERSAL_PROPERTY_KEYS.union(keys)
+            for ancestor in ancestry:
+                labels.setdefault(ancestor, set()).add(name)
+        self._label_classes = {label: frozenset(c) for label, c in labels.items()} | {"Node": None}
         # `_edge_key` of every edge, from the first `has_edge` call on
         self._edge_keys: set[str] | None = None
         self._next_node = 0
@@ -140,15 +149,10 @@ class PropertyGraph:
         """Property keys a node of `class_name` may carry: its ontology data
         properties plus the universal keys, or None (any key) for a code
         class. Raises UnknownClassError for any other class."""
-        if class_name not in self._property_keys:
-            if self.ontology.has_class(class_name):
-                keys = self.ontology.data_property_keys(class_name) | UNIVERSAL_PROPERTY_KEYS
-                self._property_keys[class_name] = frozenset(keys)
-            elif class_name in CODE_CLASSES:
-                self._property_keys[class_name] = None
-            else:
-                raise UnknownClassError(f"unknown node class {class_name!r}")
-        return self._property_keys[class_name]
+        try:
+            return self._property_keys[class_name]
+        except KeyError:
+            raise UnknownClassError(f"unknown node class {class_name!r}") from None
 
     def add_node(
         self, class_name: str, name: str, properties: dict[str, Scalar] | None = None
@@ -164,10 +168,7 @@ class PropertyGraph:
         node_id, class_name, name, props = node.id, node.class_name, node.name, node.properties
         if not isinstance(class_name, str):
             raise GraphError(f"node {node_id} class must be a string, got {class_name!r}")
-        try:
-            allowed = self._property_keys[class_name]
-        except KeyError:
-            allowed = self.property_keys(class_name)
+        allowed = self.property_keys(class_name)
         if not isinstance(name, str):
             raise GraphError(f"node {node_id} name must be a string, got {name!r}")
         if props:
@@ -306,17 +307,19 @@ class PropertyGraph:
     def _classes_of(self, label: str) -> frozenset[str] | None:
         """The concrete classes matching `label`: the label itself, its
         ontology descendants, and for `Expression` the code-graph
-        expression classes; None for the universal `Node` label."""
-        if label in self._label_classes:
-            return self._label_classes[label]
-        classes: frozenset[str] | None = None
-        if label != "Node":
-            ontology = self.ontology
-            classes = frozenset(ontology.descendants(label) if ontology.has_class(label) else {label})
-            if label == "Expression":
-                classes |= EXPRESSION_CLASSES
-        self._label_classes[label] = classes
-        return classes
+        expression classes; None for the universal `Node` label, and no
+        class for a label the graph does not know."""
+        return self._label_classes.get(label, frozenset())
+
+    def has_label(self, label: str) -> bool:
+        """Whether `label` is `Node`, a code class or an ontology class."""
+        return label in self._label_classes
+
+    def label_may_carry(self, label: str, key: str) -> bool:
+        """Whether some class matching `label` lets its nodes carry `key`."""
+        classes = self._classes_of(label)
+        keys = self._property_keys
+        return classes is None or any(keys[c] is None or key in keys[c] for c in classes)
 
     def label_candidates(self, label: str) -> list[int]:
         """Node ids matching `label` with inheritance resolved."""

@@ -49,15 +49,12 @@ class Ontology:
 
     classes: dict[str, OntologyClass]
     mappings: list[InstanceMapping]
-    _children: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    # class -> its chain from the root down to itself
+    _ancestry: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
     _mapping_index: dict[tuple[str, str], str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self._validate()
-        self._children = {name: [] for name in self.classes}
-        for cls in self.classes.values():
-            if cls.parent is not None:
-                self._children[cls.parent].append(cls.name)
         self._mapping_index = {
             (m.provider, m.provider_type): m.ontology_class for m in self.mappings
         }
@@ -93,7 +90,19 @@ class Ontology:
                     raise OntologyError(
                         f"class {cls.name!r} offers {offered!r} of kind {target.kind!r}"
                     )
-        self._check_cycles()
+        # each class's ancestry, extending the first known one on its
+        # parent chain; a chain that meets itself is a cycle
+        for name in self.classes:
+            chain: list[str] = []
+            cur: str | None = name
+            while cur is not None and cur not in self._ancestry:
+                if cur in chain:
+                    raise OntologyError(f"inheritance cycle through class {cur!r}")
+                chain.append(cur)
+                cur = self.classes[cur].parent
+            ancestry = self._ancestry.get(cur, ())
+            for link in reversed(chain):
+                ancestry = self._ancestry[link] = ancestry + (link,)
         for m in self.mappings:
             cls = self.classes.get(m.ontology_class)
             if cls is None:
@@ -116,60 +125,25 @@ class Ontology:
                 )
             seen.add(key)
 
-    def _check_cycles(self) -> None:
-        for name in self.classes:
-            seen = {name}
-            cur = self.classes[name].parent
-            while cur is not None:
-                if cur in seen:
-                    raise OntologyError(f"inheritance cycle through class {cur!r}")
-                seen.add(cur)
-                cur = self.classes[cur].parent
-
     # -- reasoning -----------------------------------------------------
 
     def has_class(self, name: str) -> bool:
         return name in self.classes
 
-    def _require(self, name: str) -> OntologyClass:
-        cls = self.classes.get(name)
-        if cls is None:
-            raise UnknownClassError(f"unknown ontology class {name!r}")
-        return cls
-
-    def ancestry(self, name: str) -> list[str]:
+    def ancestry(self, name: str) -> tuple[str, ...]:
         """Chain from the root down to `name` itself (ancestor-first)."""
-        chain = []
-        cur: str | None = self._require(name).name
-        while cur is not None:
-            chain.append(cur)
-            cur = self.classes[cur].parent
-        chain.reverse()
-        return chain
+        try:
+            return self._ancestry[name]
+        except KeyError:
+            raise UnknownClassError(f"unknown ontology class {name!r}") from None
 
     def is_subclass(self, child: str, ancestor: str) -> bool:
         """True iff `ancestor` is reachable from `child` by parent links.
 
         Reflexive: every class is a subclass of itself.
         """
-        self._require(ancestor)
-        cur: str | None = self._require(child).name
-        while cur is not None:
-            if cur == ancestor:
-                return True
-            cur = self.classes[cur].parent
-        return False
-
-    def descendants(self, name: str) -> set[str]:
-        """`name` plus every class that inherits from it."""
-        self._require(name)
-        out: set[str] = set()
-        stack = [name]
-        while stack:
-            cur = stack.pop()
-            out.add(cur)
-            stack.extend(self._children[cur])
-        return out
+        self.ancestry(ancestor)  # an unknown ancestor raises too
+        return ancestor in self.ancestry(child)
 
     def resolve_instance_class(self, provider: str, provider_type: str) -> str:
         """Classify a provider-specific resource type, e.g. an AWS EC2
@@ -193,13 +167,6 @@ class Ontology:
                     seen.add(offered)
                     out.append(offered)
         return out
-
-    def data_property_keys(self, class_name: str) -> set[str]:
-        """Property keys declared on the class or any ancestor."""
-        keys: set[str] = set()
-        for ancestor in self.ancestry(class_name):
-            keys.update(name for name, _ in self.classes[ancestor].data_properties)
-        return keys
 
     # -- serialization -------------------------------------------------
 

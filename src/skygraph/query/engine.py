@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from skygraph.errors import QueryError
-from skygraph.graph import CODE_CLASSES, EDGE_TYPES, Edge, Path, PropertyGraph
-from skygraph.query.syntax import Comparison, NodeComparison, QueryAst, RelPattern
+from skygraph.graph import EDGE_TYPES, Edge, Path, PropertyGraph
+from skygraph.query.syntax import Comparison, NodeComparison, PropertyComparison, QueryAst, RelPattern
 from skygraph.yamlfile import DEFAULT_STAR_MAX
 
 
@@ -54,15 +54,22 @@ class _Plan:
 
 
 def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
-    """The plan of `ast`; a QueryError for a label or relationship type
-    that `graph` can never match, which would only ever match nothing."""
+    """The plan of `ast`; a QueryError for a label, relationship type or
+    WHERE property key that `graph` can never match, which would only ever
+    match nothing."""
     nodes = ast.node_patterns
     for label in (np.label for np in nodes):
-        if label not in (None, "Node", *CODE_CLASSES) and not graph.ontology.has_class(label):
+        if label is not None and not graph.has_label(label):
             raise QueryError(f"unknown node label {label!r}")
     for rel in ast.rel_patterns:
         if rel.type is not None and rel.type not in EDGE_TYPES:
             raise QueryError(f"unknown relationship type {rel.type!r}")
+    for term in (term for terms in ast.where or () for term in terms):
+        if not isinstance(term, PropertyComparison):
+            continue
+        for label in (np.label for np in nodes if np.var == term.var):
+            if not graph.label_may_carry(label or "Node", term.key):
+                raise QueryError(f"no node of label {label!r} may carry property {term.key!r}")
     candidates = [graph.label_candidates(np.label or "Node") for np in nodes]
     anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
     hops = [(i, i + 1, nodes[i + 1].label, i, True) for i in range(anchor, len(nodes) - 1)]

@@ -13,8 +13,9 @@ The accepted language is a read-only MATCH/WHERE/RETURN subset:
 Keywords are case-insensitive; variables, labels and relationship types
 are case-sensitive. AND binds tighter than OR, so WHERE parses as an OR of
 ANDs. A variable names a node, a relationship or the path, never two of
-them. WHERE compares node variables only; RETURN takes a node variable or
-the path variable.
+them, and a relationship variable names one relationship pattern. WHERE
+compares node variables only; RETURN takes a node variable or the path
+variable.
 """
 
 from __future__ import annotations
@@ -186,14 +187,21 @@ class _Parser:
         return self.advance().value
 
     def bind(self, kind: str) -> str:
-        """A variable the pattern binds as `kind`."""
+        """A variable the pattern binds as `kind`; only a node variable may
+        be bound again."""
         token = self.peek()
         name = self.expect_ident()
-        bound = self.kinds.setdefault(name, kind)
-        if bound != kind:
+        bound = self.kinds.get(name)
+        if bound is not None and bound != kind:
             raise QuerySyntaxError(
                 f"variable {name!r} is bound as both a {bound} and a {kind}", token.offset
             )
+        if bound == "relationship":
+            raise QuerySyntaxError(
+                f"relationship variable {name!r} is bound by two relationship patterns",
+                token.offset,
+            )
+        self.kinds[name] = kind
         return name
 
     def use(self, clause: str, *kinds: str) -> str:

@@ -12,7 +12,7 @@ import itertools
 import random
 from collections import Counter
 
-from skygraph.errors import GraphError, SkygraphError
+from skygraph.errors import GraphError, SkygraphError, UnknownClassError
 from skygraph.graph import EDGE_TYPES, Edge, Node, PropertyGraph, _EXPORT, _SETTINGS
 from skygraph.ontology import ontology_from_documents
 from skygraph.yamlfile import DEFAULT_STAR_MAX, SCALAR, check_fields, check_positive_int
@@ -144,6 +144,23 @@ def oracle_label_match(graph: PropertyGraph, node_id: int, label: str) -> bool:
                 return True
             cur = ontology.classes[cur].parent
     return False
+
+
+def oracle_property_keys(ontology, class_name: str) -> set[str] | None:
+    """The keys a node of `class_name` may carry, by walking parent links:
+    every declared data property on the way plus `name` and `provider_id`
+    for an ontology class, None (any key) for a code class of no ontology
+    class's name."""
+    if ontology.has_class(class_name):
+        keys = {"name", "provider_id"}
+        cur = class_name
+        while cur is not None:
+            keys.update(key for key, _ in ontology.classes[cur].data_properties)
+            cur = ontology.classes[cur].parent
+        return keys
+    if class_name in ("FunctionDeclaration", "CallExpression", "Expression", "Literal"):
+        return None
+    raise UnknownClassError(class_name)
 
 
 def _scalar_equal(a, b) -> bool:

@@ -301,6 +301,9 @@ class TestQuery:
             ("MATCH a=(a)-[:RUNS_ON]->(b) RETURN a", "'a'"),
             ("MATCH (s:ObjectStorge) WHERE s.public_access = true RETURN s", "'ObjectStorge'"),
             ("MATCH (a)-[:RUNS_ONN]->(b) RETURN a", "'RUNS_ONN'"),
+            ("MATCH (s:ObjectStorage) WHERE s.public_acess = true RETURN s", "'public_acess'"),
+            ("MATCH (s:BlockStorage) WHERE s.public_access = true RETURN s", "'public_access'"),
+            ("MATCH (a)-[r]->(b)<-[r]-(c) RETURN a", "'r'"),
         ],
     )
     def test_misused_query_fails_the_gate(self, built_graph_file, capsys, query, word):

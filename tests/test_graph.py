@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skygraph.build import build_graph, load_manifest
-from skygraph.errors import GraphError, SkygraphError, UnknownClassError
+from skygraph.errors import GraphError, OntologyError, SkygraphError, UnknownClassError
 from skygraph.graph import CODE_CLASSES, EDGE_TYPES, PropertyGraph, export_graph, import_graph
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import evaluate, parse_query
@@ -147,6 +147,83 @@ class TestLabelMatching:
                 n.id for n in testbed_graph.nodes() if testbed_graph.node_matches_label(n.id, label)
             )
             assert testbed_graph.label_candidates(label) == expected
+
+
+FOREST_KEYS = ["k0", "k1", "k2", "name"]
+
+
+@st.composite
+def class_forests(draw, max_depth=8):
+    """Class entries of a random single-kind forest, in a random order:
+    ancestries up to `max_depth` classes long, and sometimes a class named
+    like the code class `Expression` or `Literal`."""
+    count = draw(st.integers(1, 14))
+    names = [f"C{i}" for i in range(count)]
+    for special in ("Expression", "Literal"):
+        index = draw(st.none() | st.integers(0, count - 1))
+        if index is not None:
+            names[index] = special
+    depths: list[int] = []
+    entries = []
+    for i, name in enumerate(names):
+        parent = None
+        if i:  # the previous class half the time, so that deep chains come up
+            parent = i - 1 if draw(st.booleans()) else draw(st.none() | st.integers(0, i - 1))
+        if parent is not None and depths[parent] == max_depth:
+            parent = None
+        depths.append(1 if parent is None else depths[parent] + 1)
+        entry = {"name": name, "kind": "resource"}
+        if parent is not None:
+            entry["parent"] = names[parent]
+        keys = draw(st.lists(st.sampled_from(FOREST_KEYS), unique=True, max_size=3))
+        if keys:
+            entry["data_properties"] = {key: "string" for key in keys}
+        entries.append(entry)
+    return draw(st.permutations(entries))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(class_forests())
+def test_class_tables_agree_with_parent_walk_oracles(entries):
+    """Labels and property keys, read from the tables the graph builds up
+    front, against walking parent links one at a time: one node per
+    ontology and code class, every label against every node."""
+    ontology = ontology_from_documents({"classes": entries}, [])
+    graph = PropertyGraph(ontology)
+    classes = sorted(set(ontology.classes) | CODE_CLASSES)
+    for name in classes:
+        graph.add_node(name, name)
+    graph.freeze()
+    for label in classes + ["Node", "Mystery"]:
+        assert graph.has_label(label) == (label != "Mystery")
+        matching = [n.id for n in graph.nodes() if oracle_label_match(graph, n.id, label)]
+        assert graph.label_candidates(label) == matching, label
+        for node in graph.nodes():
+            assert graph.node_matches_label(node.id, label) == (node.id in matching)
+        for key in FOREST_KEYS + ["provider_id", "k9"]:
+            carried = (reference.oracle_property_keys(ontology, graph.node(i).class_name) for i in matching)
+            may_carry = any(keys is None or key in keys for keys in carried)
+            assert graph.label_may_carry(label, key) == may_carry, (label, key)
+    for name in classes:
+        assert graph.property_keys(name) == reference.oracle_property_keys(ontology, name), name
+    with pytest.raises(UnknownClassError):
+        graph.property_keys("Mystery")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(class_forests(), st.data())
+def test_a_cycle_in_a_class_forest_is_named(entries, data):
+    """Parent links closed into a loop over some of the classes: the
+    ontology rejects it, naming a class on the loop."""
+    names = [entry["name"] for entry in entries]
+    loop = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    entries = [dict(entry) for entry in entries]
+    by_name = {entry["name"]: entry for entry in entries}
+    for child, parent in zip(loop, loop[1:] + loop[:1]):
+        by_name[child]["parent"] = parent
+    with pytest.raises(OntologyError) as info:
+        ontology_from_documents({"classes": entries}, [])
+    assert str(info.value) in {f"inheritance cycle through class {name!r}" for name in loop}
 
 
 class TestAdjacencyConsistency:

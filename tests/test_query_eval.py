@@ -280,6 +280,19 @@ class TestUnknownNames:
             ("MATCH (a)-[:RUNS_ONN]->(b) RETURN a", "unknown relationship type 'RUNS_ONN'"),
             ("MATCH (a:Application)-[*2]-(b)<-[:TOO]-(c:Thing) RETURN a", "unknown node label 'Thing'"),
             ("MATCH (a:Application)-[*2]-(b)<-[:TOO]-(c:Storage) RETURN a", "unknown relationship type 'TOO'"),
+            (
+                "MATCH (s:BlockStorage) WHERE s.public_access = true RETURN s",
+                "no node of label 'BlockStorage' may carry property 'public_access'",
+            ),
+            (
+                "MATCH (s:ObjectStorage) WHERE s.public_acess = true RETURN s",
+                "no node of label 'ObjectStorage' may carry property 'public_acess'",
+            ),
+            # every pattern that binds the variable must allow the key, in either disjunct
+            (
+                'MATCH (s:Storage)--(s:BlockStorage) WHERE s.name = "x" OR s.public_access <> true RETURN s',
+                "'BlockStorage' may carry property 'public_access'",
+            ),
         ],
     )
     def test_evaluate_and_explain_name_the_word(self, testbed_graph, text, message):
@@ -287,6 +300,23 @@ class TestUnknownNames:
         for run in (evaluate, explain):
             with pytest.raises(QueryError, match=message):
                 run(testbed_graph, ast)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # ObjectStorage, a Storage, declares public_access
+            "MATCH (s:Storage) WHERE s.public_access = true RETURN s",
+            "MATCH (s) WHERE s.public_acess = true RETURN s",
+            "MATCH (s:Node) WHERE s.public_acess = true RETURN s",
+            "MATCH (e:Expression) WHERE e.anything = 1 RETURN e",
+            "MATCH (f:FunctionDeclaration)--(c:CallExpression) WHERE f.x = 1 AND c.y <> 2 RETURN f",
+            'MATCH (g:GeoLocation)--(s:BlockStorage) WHERE g.name = "x" OR s.provider_id <> "y" RETURN s',
+        ],
+    )
+    def test_a_key_some_class_under_the_label_may_carry_is_accepted(self, testbed_graph, text):
+        ast = parse_query(text)
+        assert "seed at" in explain(testbed_graph, ast)
+        evaluate(testbed_graph, ast)
 
     def test_labels_come_from_the_graphs_own_ontology(self, tiny_ontology):
         graph = chain_graph(tiny_ontology, [(0, 1, "DFG")], classes={0: "Sub", 1: "Literal"})

@@ -154,6 +154,13 @@ def test_one_name_bound_as_two_kinds(text, var):
         parse_query(text)
 
 
+def test_one_relationship_variable_on_two_patterns():
+    text = "MATCH (a)-[r]->(b)<-[r]-(c) RETURN a"
+    with pytest.raises(QuerySyntaxError, match="relationship variable 'r' is bound by two") as info:
+        parse_query(text)
+    assert info.value.offset == text.rindex("r") == 21
+
+
 def test_path_var_is_bound():
     ast = parse_query("MATCH p=(n) RETURN p")
     assert ast.path_var == "p"
