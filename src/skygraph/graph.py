@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from skygraph.errors import GraphError, UnknownClassError
-from skygraph.ontology import Ontology, ontology_from_documents
+from skygraph.ontology import KIND_OF, PROPERTY_KINDS, Ontology, ontology_from_documents
 from skygraph.yamlfile import DEFAULT_STAR_MAX, SCALAR, check_fields, check_positive_int
 
 Scalar = str | bool | int
@@ -50,8 +50,9 @@ EDGE_TYPES = frozenset(
     }
 )
 
-#: Property keys allowed on every node regardless of class.
-UNIVERSAL_PROPERTY_KEYS = frozenset({"name", "provider_id"})
+#: Property keys allowed on every node regardless of class, with the type
+#: of their values.
+UNIVERSAL_PROPERTY_KEYS = {"name": str, "provider_id": str}
 
 # (required, optional) sections of an export and its settings; the
 # ontology is read by `ontology_from_documents`, star_max by its own rule
@@ -120,17 +121,19 @@ class PropertyGraph:
         self._by_provider_id: dict[Scalar, int] = {}
         # class -> name -> id: no key tuple per node to allocate on import
         self._by_name: dict[str, dict[str, int]] = {}
-        # class -> property keys its nodes may carry (None: any key), and
-        # label -> concrete classes it matches (None: every class); an
-        # ontology class wins over a code class of the same name
-        self._property_keys: dict[str, frozenset[str] | None] = dict.fromkeys(CODE_CLASSES)
+        # class -> property key its nodes may carry -> the type of its
+        # declared kind (None: any key of any scalar type), and label ->
+        # concrete classes it matches (None: every class); an ontology class
+        # wins over a code class of the same name
+        self._property_keys: dict[str, dict[str, type] | None] = dict.fromkeys(CODE_CLASSES)
         labels = {name: {name} for name in CODE_CLASSES}
         labels["Expression"] |= EXPRESSION_CLASSES
         for name in ontology.classes:
             ancestry = ontology.ancestry(name)
-            keys = (key for a in ancestry for key, _ in ontology.classes[a].data_properties)
-            self._property_keys[name] = UNIVERSAL_PROPERTY_KEYS.union(keys)
+            keys = self._property_keys[name] = dict(UNIVERSAL_PROPERTY_KEYS)
             for ancestor in ancestry:
+                for key, kind in ontology.classes[ancestor].data_properties:
+                    keys[key] = PROPERTY_KINDS[kind]
                 labels.setdefault(ancestor, set()).add(name)
         self._label_classes = {label: frozenset(c) for label, c in labels.items()} | {"Node": None}
         # `_edge_key` of every edge, from the first `has_edge` call on
@@ -145,10 +148,11 @@ class PropertyGraph:
         if self._frozen:
             raise GraphError("graph is frozen; no further construction allowed")
 
-    def property_keys(self, class_name: str) -> frozenset[str] | None:
-        """Property keys a node of `class_name` may carry: its ontology data
-        properties plus the universal keys, or None (any key) for a code
-        class. Raises UnknownClassError for any other class."""
+    def property_keys(self, class_name: str) -> dict[str, type] | None:
+        """Property keys a node of `class_name` may carry, each with the
+        type of its declared kind: its ontology data properties plus the
+        universal keys, or None (any key) for a code class. Raises
+        UnknownClassError for any other class."""
         try:
             return self._property_keys[class_name]
         except KeyError:
@@ -173,10 +177,16 @@ class PropertyGraph:
             raise GraphError(f"node {node_id} name must be a string, got {name!r}")
         if props:
             for key, value in props.items():
-                if allowed is not None and key not in allowed:
-                    raise GraphError(f"property {key!r} not allowed on class {class_name!r}")
-                if not isinstance(value, SCALAR):
-                    raise _not_scalar(key, value)
+                if allowed is None:
+                    if not isinstance(value, SCALAR):
+                        raise _not_scalar(key, value)
+                elif type(value) is not allowed.get(key):
+                    if key not in allowed:
+                        raise GraphError(f"property {key!r} not allowed on class {class_name!r}")
+                    raise GraphError(
+                        f"property {key!r} of class {class_name!r} must be "
+                        f"{KIND_OF[allowed[key]]}, got {type(value).__name__}"
+                    )
         nodes = self._nodes
         if node_id in nodes:
             raise GraphError(f"duplicate node id {node_id}")
@@ -315,11 +325,15 @@ class PropertyGraph:
         """Whether `label` is `Node`, a code class or an ontology class."""
         return label in self._label_classes
 
-    def label_may_carry(self, label: str, key: str) -> bool:
-        """Whether some class matching `label` lets its nodes carry `key`."""
+    def label_may_carry(self, label: str, key: str, value_type: type | None = None) -> bool:
+        """Whether some class matching `label` lets its nodes carry `key`,
+        with a value of `value_type` if given."""
         classes = self._classes_of(label)
         keys = self._property_keys
-        return classes is None or any(keys[c] is None or key in keys[c] for c in classes)
+        return classes is None or any(
+            keys[c] is None or (key in keys[c] and value_type in (None, keys[c][key]))
+            for c in classes
+        )
 
     def label_candidates(self, label: str) -> list[int]:
         """Node ids matching `label` with inheritance resolved."""

@@ -15,7 +15,10 @@ from skygraph.errors import OntologyError, UnknownClassError, UnknownMappingErro
 from skygraph.yamlfile import check_fields, load_document
 
 CLASS_KINDS = ("resource", "framework", "functionality", "security-feature")
-PROPERTY_KINDS = ("string", "boolean", "integer")
+#: Each data property kind, and the Python type of its values.
+PROPERTY_KINDS = {"string": str, "boolean": bool, "integer": int}
+#: The kind of a value of each of those types.
+KIND_OF = {value_type: kind for kind, value_type in PROPERTY_KINDS.items()}
 
 # (required, optional) fields of each document and entry
 _ONTOLOGY = ({}, {"classes": list})

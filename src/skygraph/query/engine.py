@@ -21,6 +21,7 @@ from typing import Iterator
 
 from skygraph.errors import QueryError
 from skygraph.graph import EDGE_TYPES, Edge, Path, PropertyGraph
+from skygraph.ontology import KIND_OF
 from skygraph.query.syntax import Comparison, NodeComparison, PropertyComparison, QueryAst, RelPattern
 from skygraph.yamlfile import DEFAULT_STAR_MAX
 
@@ -54,9 +55,9 @@ class _Plan:
 
 
 def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
-    """The plan of `ast`; a QueryError for a label, relationship type or
-    WHERE property key that `graph` can never match, which would only ever
-    match nothing."""
+    """The plan of `ast`; a QueryError for a label, relationship type,
+    WHERE property key or WHERE literal kind that `graph` can never match,
+    which would only ever match nothing."""
     nodes = ast.node_patterns
     for label in (np.label for np in nodes):
         if label is not None and not graph.has_label(label):
@@ -70,6 +71,11 @@ def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
         for label in (np.label for np in nodes if np.var == term.var):
             if not graph.label_may_carry(label or "Node", term.key):
                 raise QueryError(f"no node of label {label!r} may carry property {term.key!r}")
+            if not graph.label_may_carry(label or "Node", term.key, type(term.literal)):
+                kind = KIND_OF[type(term.literal)]
+                raise QueryError(
+                    f"no node of label {label!r} may carry property {term.key!r} of kind {kind}"
+                )
     candidates = [graph.label_candidates(np.label or "Node") for np in nodes]
     anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
     hops = [(i, i + 1, nodes[i + 1].label, i, True) for i in range(anchor, len(nodes) - 1)]
@@ -182,14 +188,60 @@ def _nodes_equal(graph: PropertyGraph, left: int, right: int) -> bool:
     return a.class_name == b.class_name and a.name == b.name and a.properties == b.properties
 
 
-def _comparison_holds(graph: PropertyGraph, term: Comparison, bindings: dict[str, int]) -> bool:
-    if isinstance(term, NodeComparison):
-        return not _nodes_equal(graph, bindings[term.left], bindings[term.right])
-    value = graph.property_value(bindings[term.var], term.key)
+# A WHERE comparison read on pattern indices: the comparison, the index of
+# its node variable (the left one of a `<>`), and the right one's or -1.
+_Test = tuple[Comparison, int, int]
+
+
+def _holds(graph: PropertyGraph, test: _Test, nodes: list[int]) -> bool:
+    term, left, right = test
+    if right >= 0:
+        return not _nodes_equal(graph, nodes[left], nodes[right])
+    value = graph.property_value(nodes[left], term.key)
     if value is None:
         return False
     equal = _scalar_equal(value, term.literal)
     return equal if term.op == "=" else not equal
+
+
+def _where_tests(
+    where: tuple[tuple[Comparison, ...], ...] | None, near: dict, far: dict, size: int
+) -> tuple[list[list[_Test]], list[list[_Test]]]:
+    """Where `evaluate` tests WHERE: per pattern index, the comparisons due
+    once it is bound, and the disjuncts left for each joined match. `near`
+    and `far` map each variable to the index that first binds it on either
+    side, the anchor included.
+
+    With one disjunct, a comparison whose variables all bind on the near
+    side is due where the last of them binds; failing that, one whose
+    variables all bind on the far side is due there likewise. Only one that
+    spans both sides waits for the join. With several disjuncts, all of
+    them wait for the join.
+    """
+    at_bind: list[list[_Test]] = [[] for _ in range(size)]
+
+    def place(term: Comparison) -> tuple[int | None, _Test]:
+        """Where `term` is due (None: on the join), and its test."""
+        pair = isinstance(term, NodeComparison)
+        names = (term.left, term.right) if pair else (term.var,)
+        index = None
+        if all(name in near for name in names):
+            at, index = near, max(near[name] for name in names)
+        elif all(name in far for name in names):
+            at, index = far, min(far[name] for name in names)
+        else:
+            at = far | near
+        return index, (term, at[names[0]], at[names[1]] if pair else -1)
+
+    if where is None:
+        return at_bind, []
+    if len(where) > 1:
+        return at_bind, [[place(term)[1] for term in terms] for terms in where]
+    spanning = []
+    for term in where[0]:
+        index, test = place(term)
+        (spanning if index is None else at_bind[index]).append(test)
+    return at_bind, [spanning] if spanning else []
 
 
 def evaluate(
@@ -197,39 +249,58 @@ def evaluate(
     ast: QueryAst,
     star_max: int = DEFAULT_STAR_MAX,
 ) -> list[MatchResult]:
-    """Every assignment of graph nodes and edge routes to the pattern."""
+    """Every assignment of graph nodes and edge routes to the pattern.
+
+    For each seed of the anchor, the hops on its right (the near side) are
+    walked one route at a time. The hops on its left (the far side) depend
+    only on the seed: they are walked once, when the seed's first near
+    match is complete, into a list of far matches that each near match
+    joins. A pair is kept when no edge serves both sides, a variable
+    repeated across the anchor binds one node on both, and WHERE holds.
+    """
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
     plan = _plan(graph, ast)
+    anchor, hops = plan.anchor, plan.hops
+    split = len(node_patterns) - 1 - anchor  # `hops[:split]` is the near side
     nodes: list[int | None] = [None] * len(node_patterns)
     segments: list[list[_Step]] = [[] for _ in rel_patterns]  # left-to-right
-    used: set[int] = set()
+    near_used: set[int] = set()
+    far_used: set[int] = set()
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
-    where = ast.where
+
+    # variable -> the index that binds it first walking out from the anchor,
+    # on the near side and on the far side
+    names = [np.var for np in node_patterns]
+    near = {names[i]: i for i in reversed(range(anchor, len(names)))}
+    far = {names[i]: i for i in range(anchor + 1)}
+    # per pattern, that index on its side, which a repeated variable must
+    # bind to the same node; pairs across the anchor wait for the join
+    home = [(near if i >= anchor else far)[var] if var else i for i, var in enumerate(names)]
+    across = [(far[var], near[var]) for var in far if var and far[var] < anchor < near.get(var, 0)]
+    at_bind, at_join = _where_tests(ast.where, near, far, len(names))
 
     def bind(index: int, node_id: int) -> bool:
-        """Bind pattern `index` unless a repeated variable rules `node_id`
-        out; its label already holds, from the seeds or the route."""
-        np = node_patterns[index]
-        if np.var is not None:
-            for j, other in enumerate(node_patterns):
-                if other.var == np.var and nodes[j] is not None and nodes[j] != node_id:
-                    return False
+        """Bind pattern `index` unless a repeated variable or a WHERE
+        comparison due there rules `node_id` out; its label already holds,
+        from the seeds or the route."""
+        bound = home[index]
+        if bound != index and nodes[bound] != node_id:
+            return False
         nodes[index] = node_id
+        for test in at_bind[index]:
+            if not _holds(graph, test, nodes):
+                return False
         return True
 
-    def emit() -> None:
+    def emit(far_segments: list[list[_Step]]) -> None:
         bindings = {
             np.var: node_id for np, node_id in zip(node_patterns, nodes) if np.var is not None
         }
-        if where is not None and not any(
-            all(_comparison_holds(graph, term, bindings) for term in terms) for terms in where
-        ):
-            return
         node_ids = [nodes[0]]
         edge_ids: list[int] = []
         flags: list[bool] = []
-        for segment in segments:
+        for segment in far_segments + segments[anchor:]:
             for edge, forward in segment:
                 node_ids.append(edge.to_id if forward else edge.from_id)
                 edge_ids.append(edge.id)
@@ -237,36 +308,57 @@ def evaluate(
         path = Path(tuple(node_ids), tuple(edge_ids), tuple(flags)) if ast.path_var else None
         results.append((tuple(nodes), tuple(edge_ids), MatchResult(bindings, path)))
 
-    hops = plan.hops
     memos: list[_Memo] = [{} for _ in hops]
 
-    def routes(hop: int) -> Iterator[tuple[list[_Step], int]]:
+    def routes(hop: int, used: set[int]) -> Iterator[tuple[list[_Step], int]]:
         source, _, label, rel_index, rightward = hops[hop]
         rel = rel_patterns[rel_index]
         return _routes(graph, nodes[source], rel, rightward, used, star_max, label, memos[hop])
 
-    for seed in plan.candidates[plan.anchor]:
-        nodes[plan.anchor] = seed
-        if not hops:  # a single node pattern
-            emit()
-            continue
+    def walk(start: int, stop: int, used: set[int]) -> Iterator[None]:
+        """Yield once per binding of `hops[start:stop]` out from the bound
+        anchor: each hop's target in `nodes`, its segment in `segments` and
+        its edges in `used`, valid until the next one is drawn."""
+        if start == stop:
+            yield
+            return
         # one route iterator per hop entered; the innermost one draws next
-        stack = [routes(0)]
+        stack = [routes(start, used)]
         while stack:
-            entered = len(stack)
-            _, target, _, rel_index, rightward = hops[entered - 1]
-            nodes[target] = None  # so `bind` does not see the last route's end
+            hop = start + len(stack) - 1
+            _, target, _, rel_index, rightward = hops[hop]
             for steps, end in stack[-1]:
                 if not bind(target, end):
                     continue
                 segments[rel_index] = steps if rightward else steps[::-1]
-                if entered < len(hops):
-                    stack.append(routes(entered))
+                if hop + 1 < stop:
+                    stack.append(routes(hop + 1, used))
                     break
-                emit()
-                nodes[target] = None
+                yield
             else:
                 stack.pop()
+
+    for seed in plan.candidates[anchor]:
+        if not bind(anchor, seed):
+            continue
+        far_matches = None  # (nodes, segments, edge ids) of the far side, on first need
+        for _ in walk(0, split, near_used):
+            if far_matches is None:
+                far_matches = [
+                    (nodes[:anchor], segments[:anchor], frozenset(far_used))
+                    for _ in walk(split, len(hops), far_used)
+                ]
+            for far_nodes, far_segments, far_edges in far_matches:
+                if not near_used.isdisjoint(far_edges):
+                    continue
+                nodes[:anchor] = far_nodes
+                if across and any(nodes[i] != nodes[j] for i, j in across):
+                    continue
+                if at_join and not any(
+                    all(_holds(graph, test, nodes) for test in tests) for tests in at_join
+                ):
+                    continue
+                emit(far_segments)
 
     results.sort(key=lambda item: (item[0], item[1]))
     return [result for _, _, result in results]

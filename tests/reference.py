@@ -70,11 +70,18 @@ def _check_node(graph: PropertyGraph, node: Node) -> None:
     allowed = graph.property_keys(node.class_name)
     if not isinstance(node.name, str):
         raise GraphError(f"node {node.id} name must be a string, got {node.name!r}")
+    kinds = {str: "string", bool: "boolean", int: "integer"}
     for key, value in node.properties.items():
-        if allowed is not None and key not in allowed:
+        if allowed is None:
+            if not isinstance(value, SCALAR):
+                raise _not_scalar(key, value)
+        elif key not in allowed:
             raise GraphError(f"property {key!r} not allowed on class {node.class_name!r}")
-        if not isinstance(value, SCALAR):
-            raise _not_scalar(key, value)
+        elif type(value) is not allowed[key]:
+            raise GraphError(
+                f"property {key!r} of class {node.class_name!r} must be {kinds[allowed[key]]}, "
+                f"got {type(value).__name__}"
+            )
     if node.id in graph._nodes:
         raise GraphError(f"duplicate node id {node.id}")
 
@@ -146,18 +153,21 @@ def oracle_label_match(graph: PropertyGraph, node_id: int, label: str) -> bool:
     return False
 
 
-def oracle_property_keys(ontology, class_name: str) -> set[str] | None:
-    """The keys a node of `class_name` may carry, by walking parent links:
-    every declared data property on the way plus `name` and `provider_id`
-    for an ontology class, None (any key) for a code class of no ontology
-    class's name."""
+def oracle_property_keys(ontology, class_name: str) -> dict[str, type] | None:
+    """The keys a node of `class_name` may carry, each with the Python type
+    of its kind, by walking parent links: every declared data property on
+    the way, the nearest declaration winning, plus `name` and `provider_id`
+    as strings for an ontology class; None (any key) for a code class of no
+    ontology class's name."""
+    types = {"string": str, "boolean": bool, "integer": int}
     if ontology.has_class(class_name):
-        keys = {"name", "provider_id"}
+        keys = {}
         cur = class_name
         while cur is not None:
-            keys.update(key for key, _ in ontology.classes[cur].data_properties)
+            for key, kind in ontology.classes[cur].data_properties:
+                keys.setdefault(key, types[kind])
             cur = ontology.classes[cur].parent
-        return keys
+        return {"name": str, "provider_id": str} | keys
     if class_name in ("FunctionDeclaration", "CallExpression", "Expression", "Literal"):
         return None
     raise UnknownClassError(class_name)

@@ -304,6 +304,7 @@ class TestQuery:
             ("MATCH (s:ObjectStorage) WHERE s.public_acess = true RETURN s", "'public_acess'"),
             ("MATCH (s:BlockStorage) WHERE s.public_access = true RETURN s", "'public_access'"),
             ("MATCH (a)-[r]->(b)<-[r]-(c) RETURN a", "'r'"),
+            ('MATCH (s:ObjectStorage) WHERE s.public_access = "true" RETURN s', "'public_access'"),
         ],
     )
     def test_misused_query_fails_the_gate(self, built_graph_file, capsys, query, word):
@@ -359,6 +360,16 @@ class TestQuery:
         built_graph_file.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["query", str(built_graph_file), "MATCH (n) RETURN n"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {built_graph_file}: ")
+
+    def test_export_value_of_another_kind_exits_2(self, built_graph_file, capsys):
+        doc = json.loads(built_graph_file.read_text(encoding="utf-8"))
+        storage = next(n for n in doc["nodes"] if n["name"] == "am-containerlog")
+        storage["properties"]["public_access"] = "yes"
+        built_graph_file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["query", str(built_graph_file), "MATCH (n) RETURN n"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {built_graph_file}: ")
+        assert "'public_access' of class 'ObjectStorage' must be boolean, got str" in err
 
     def test_query_file_not_utf8_exits_2(self, built_graph_file, tmp_path, capsys):
         query_file = tmp_path / "query.cypher"

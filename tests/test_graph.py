@@ -39,6 +39,20 @@ class TestAddNode:
         with pytest.raises(GraphError, match="nonexistent_key"):
             graph.add_node("ObjectStorage", "s", {"nonexistent_key": 1})
 
+    @pytest.mark.parametrize(
+        "class_name, properties, message",
+        [
+            ("ObjectStorage", {"public_access": "yes"}, "'public_access' of class 'ObjectStorage' must be boolean, got str"),
+            ("ObjectStorage", {"public_access": 1}, "must be boolean, got int"),
+            ("HttpEndpoint", {"url": True}, "'url' of class 'HttpEndpoint' must be string, got bool"),
+            ("ObjectStorage", {"provider_id": 7}, "'provider_id' of class 'ObjectStorage' must be string"),
+            ("GeoLocation", {"region": ["eu"]}, "must be string, got list"),
+        ],
+    )
+    def test_value_of_another_kind_than_declared(self, graph, class_name, properties, message):
+        with pytest.raises(GraphError, match=message):
+            graph.add_node(class_name, "s", properties)
+
     def test_unknown_class(self, graph):
         with pytest.raises(UnknownClassError):
             graph.add_node("NotAClass", "x", {})
@@ -495,7 +509,8 @@ def assert_export_is_json_dumps(graph, settings):
 TEXT = st.text(
     st.sampled_from('"\\/\x00\x1f\x7f\n\u00e9\u2028\U0001d11e') | st.characters(), max_size=8
 )
-VALUES = st.one_of(TEXT, st.booleans(), st.integers(-(2**70), 2**70))
+KIND_VALUES = {str: TEXT, bool: st.booleans(), int: st.integers(-(2**70), 2**70)}
+VALUES = st.one_of(*KIND_VALUES.values())
 NODE_CLASSES = sorted(CODE_CLASSES) + ["ObjectStorage", "GeoLocation", "HttpEndpoint"]
 
 
@@ -506,8 +521,11 @@ def test_export_is_json_dumps_of_document(core_ontology, data):
     for _ in range(data.draw(st.integers(0, 6))):
         class_name = data.draw(st.sampled_from(NODE_CLASSES))
         allowed = graph.property_keys(class_name)
-        keys = TEXT if allowed is None else st.sampled_from(sorted(allowed))
-        properties = data.draw(st.dictionaries(keys, VALUES, max_size=4))
+        if allowed is None:
+            properties = data.draw(st.dictionaries(TEXT, VALUES, max_size=4))
+        else:  # each declared key with a value of its declared kind
+            keys = data.draw(st.lists(st.sampled_from(sorted(allowed)), unique=True, max_size=4))
+            properties = {key: data.draw(KIND_VALUES[allowed[key]]) for key in keys}
         graph.add_node(class_name, data.draw(TEXT), properties)
     if graph.node_count:
         ids = st.integers(0, graph.node_count - 1)

@@ -1,6 +1,7 @@
 import importlib
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from skygraph.build import build_graph, load_manifest
 from skygraph.errors import QueryError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import ontology_from_documents
-from skygraph.query import evaluate, explain, parse_query
+from skygraph.query import engine, evaluate, explain, parse_query
 
 from .conftest import DATA, listing_text
 from .reference import (
@@ -288,6 +289,18 @@ class TestUnknownNames:
                 "MATCH (s:ObjectStorage) WHERE s.public_acess = true RETURN s",
                 "no node of label 'ObjectStorage' may carry property 'public_acess'",
             ),
+            (
+                'MATCH (s:ObjectStorage) WHERE s.public_access = "true" RETURN s',
+                "no node of label 'ObjectStorage' may carry property 'public_access' of kind string",
+            ),
+            (
+                "MATCH (g:GeoLocation)--(s:Storage) WHERE g.region <> 1 RETURN s",
+                "label 'GeoLocation' may carry property 'region' of kind integer",
+            ),
+            (
+                "MATCH (s:ObjectStorage) WHERE s.name = false RETURN s",
+                "label 'ObjectStorage' may carry property 'name' of kind boolean",
+            ),
             # every pattern that binds the variable must allow the key, in either disjunct
             (
                 'MATCH (s:Storage)--(s:BlockStorage) WHERE s.name = "x" OR s.public_access <> true RETURN s',
@@ -311,6 +324,10 @@ class TestUnknownNames:
             "MATCH (e:Expression) WHERE e.anything = 1 RETURN e",
             "MATCH (f:FunctionDeclaration)--(c:CallExpression) WHERE f.x = 1 AND c.y <> 2 RETURN f",
             'MATCH (g:GeoLocation)--(s:BlockStorage) WHERE g.name = "x" OR s.provider_id <> "y" RETURN s',
+            # literals of the declared kind, and of any kind where some class takes any
+            "MATCH (s:ObjectStorage) WHERE s.public_access <> false RETURN s",
+            'MATCH (s) WHERE s.public_access = "true" RETURN s',
+            "MATCH (e:Expression) WHERE e.name = 1 RETURN e",
         ],
     )
     def test_a_key_some_class_under_the_label_may_carry_is_accepted(self, testbed_graph, text):
@@ -355,6 +372,70 @@ class TestWherePrecedence:
         assert len(results) == (1 if expected else 0), clauses
 
 
+@st.composite
+def interior_anchor_cases(draw):
+    """A graph with one SubSub node and at least two nodes of every other
+    class, and a 3- or 4-pattern query that puts the only `:SubSub` pattern
+    between its ends, so that the plan seeds there and walks both sides."""
+    classes = ["SubSub", "Sub", "CallExpression", "Literal", "Other", "Other", "Thing", "Sub"]
+    classes += draw(st.lists(st.sampled_from(["Thing", "Sub", "Other", "Literal"]), max_size=2))
+    graph = PropertyGraph(ontology_from_documents(*small_ontology_documents()))
+    for cls in classes:
+        props = draw(st.fixed_dictionaries({}, optional={"p": st.sampled_from([1, 2]), "q": st.sampled_from(["x", "y"])}))
+        graph.add_node(cls, draw(st.sampled_from(["alpha", "beta"])), props)
+    ids = st.integers(0, len(classes) - 1)
+    for _ in range(draw(st.integers(2, 14))):
+        graph.add_edge(draw(ids), draw(ids), draw(st.sampled_from(["DFG", "TO"])))
+    graph.freeze()
+
+    count = draw(st.integers(3, 4))
+    anchor = draw(st.integers(1, count - 2))
+    names = [draw(st.sampled_from(["a", "b", "c", None])) for _ in range(count)]
+    parts = []
+    for i, name in enumerate(names):
+        label = "SubSub" if i == anchor else draw(st.sampled_from([None, "Node", "Thing", "Sub", "Other", "Expression"]))
+        parts.append(f"({name or ''}{':' + label if label else ''})")
+        if i < count - 1:
+            rtype = draw(st.sampled_from(["", ":DFG", ":TO"]))
+            hops = draw(st.sampled_from(["", "", "*", "*2"]))
+            arrow = draw(st.sampled_from(["-{}->", "<-{}-", "-{}-"]))
+            parts.append(arrow.format(f"[{rtype}{hops}]" if rtype or hops else ""))
+    text = "MATCH p=" + "".join(parts)
+    bound = sorted({name for name in names if name})
+    if bound and draw(st.booleans()):
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            var = draw(st.sampled_from(bound))
+            terms.append(
+                draw(
+                    st.sampled_from(
+                        [f"{var}.p = 1", f"{var}.p <> 2", f'{var}.q = "x"']
+                        + [f"{var} <> {other}" for other in bound if other != var]
+                    )
+                )
+            )
+        joins = [draw(st.sampled_from([" AND ", " OR "])) for _ in terms[1:]]
+        text += " WHERE " + terms[0] + "".join(join + term for join, term in zip(joins, terms[1:]))
+    return graph, text + f" RETURN {bound[0] if bound else 'p'}", anchor
+
+
+class TestInteriorAnchor:
+    """A seed's far side is listed once and joined with each near match;
+    the joined matches must be the oracle's, path for path, including
+    variables repeated across the anchor, edges that either side could
+    take, and WHERE clauses on one side, across both, and OR-ed."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(interior_anchor_cases())
+    def test_joined_sides_match_the_oracle(self, case):
+        graph, text, anchor = case
+        ast = parse_query(text)
+        assert explain(graph, ast).startswith(f"seed at node #{anchor} "), text
+        for star_max in (2, 1):
+            results = evaluate(graph, ast, star_max=star_max)
+            assert result_paths(results) == oracle_paths(graph, ast, star_max=star_max), (text, star_max)
+
+
 class TestEmptyGraph:
     def test_any_query_empty(self, tiny_ontology):
         graph = PropertyGraph(tiny_ontology)
@@ -394,6 +475,10 @@ class TestOracleAgreement:
             "MATCH (a:Sub)-[:DFG]-(b)-[:CALLS]-(c) RETURN a",
             "MATCH (a)-[:DFG]->(b)-[:TO]->(a) RETURN a",
             "MATCH (a)-[*2]-(a) RETURN a",
+            # seeded at the one SubSub node, between the two sides it joins
+            "MATCH (a)-[:DFG]-(s:SubSub)-[:DFG]-(b) RETURN a",
+            "MATCH (a)-[*2]-(s:SubSub)--(a) RETURN a",
+            "MATCH (a)--(s:SubSub)-[*2]-(b) WHERE a <> b RETURN a",
         ]
         for text in queries:
             ast = parse_query(text)
@@ -467,9 +552,10 @@ class TestHubScaling:
     @staticmethod
     def counts(graph, text):
         """(`out_edges`/`in_edges` calls, edges they returned,
-        `node_matches_label` calls) while evaluating `text`, and the result
-        count."""
+        `node_matches_label` calls) while evaluating `text`, the results,
+        and how many routes the walk started from each (node, rightward)."""
         tally = {"calls": 0, "edges": 0, "labels": 0}
+        walks: Counter = Counter()
 
         def listing(method):
             def counted(*args, **kwargs):
@@ -484,18 +570,26 @@ class TestHubScaling:
             tally["labels"] += 1
             return PropertyGraph.node_matches_label(graph, *args)
 
+        def routes(graph, start, rel, rightward, *args):
+            walks[start, rightward] += 1
+            return walk(graph, start, rel, rightward, *args)
+
         graph.out_edges = listing(graph.out_edges)
         graph.in_edges = listing(graph.in_edges)
         graph.node_matches_label = matcher
-        results = evaluate(graph, parse_query(text))
-        return tally["calls"], tally["edges"], tally["labels"], len(results)
+        walk, engine._routes = engine._routes, routes
+        try:
+            results = evaluate(graph, parse_query(text))
+        finally:
+            engine._routes = walk
+        return tally["calls"], tally["edges"], tally["labels"], results, walks
 
     def test_cross_region_flows_linear_in_tenants(self, core_ontology):
         text = listing_text("cross-region-resource-flows")
         k = 40
-        _, edges_k, labels_k, results_k = self.counts(self.fleet(core_ontology, k), text)
-        _, edges_2k, labels_2k, results_2k = self.counts(self.fleet(core_ontology, 2 * k), text)
-        assert results_2k == 2 * results_k > 0
+        _, edges_k, labels_k, results_k, _ = self.counts(self.fleet(core_ontology, k), text)
+        _, edges_2k, labels_2k, results_2k, _ = self.counts(self.fleet(core_ontology, 2 * k), text)
+        assert len(results_2k) == 2 * len(results_k) > 0
         assert edges_2k <= 2.2 * edges_k, (edges_k, edges_2k)
         assert labels_2k <= 2.2 * labels_k, (labels_k, labels_2k)
 
@@ -511,7 +605,21 @@ class TestHubScaling:
         calls, labels, results = {}, {}, {}
         for n in (4, 8):
             manifest = fleet.generate(Path(str(DATA)), tmp_path / f"fleet-{n}", n, 3, "shared").manifest
-            calls[n], _, labels[n], results[n] = self.counts(build_graph(load_manifest(manifest))[0], text)
+            graph = build_graph(load_manifest(manifest))[0]
+            calls[n], _, labels[n], found, walks = self.counts(graph, text)
+            results[n] = len(found)
+            # The plan seeds at node #2, an :Application, and walks #3..#7
+            # (the near side) before #1 and #0 (the far side). Only the far
+            # side starts leftward from an :Application: once per seed whose
+            # near side completes, however many times it completes.
+            assert explain(graph, parse_query(text)).startswith("seed at node #2 _:Application")
+            seeds = {r.path.node_ids[2] for r in found}
+            far = {
+                start: k
+                for (start, rightward), k in walks.items()
+                if not rightward and graph.node(start).class_name == "Application"
+            }
+            assert set(far.values()) == {1} and seeds <= far.keys(), far
         assert (results[4], results[8]) == (64, 384)
         assert calls[8] <= 2.2 * calls[4], calls
         assert labels == {4: 0, 8: 0}
