@@ -128,6 +128,7 @@ def build_graph(manifest: BuildManifest) -> tuple[PropertyGraph, Ontology, Build
     timed("link_applications", discovery.link_applications)
     for name in dataflow._PASSES:
         timed(name, lambda: getattr(dataflow, name)(graph))
+    graph.settings = {"star_max": manifest.star_max}
     graph.freeze()
 
     node_counts, edge_counts = graph_counts(graph)

@@ -40,7 +40,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     graph, _ontology, report = build_graph(manifest)
     out = Path(args.out)
-    out.write_text(export_graph(graph, {"star_max": manifest.star_max}), encoding="utf-8")
+    out.write_text(export_graph(graph), encoding="utf-8")
     print(report.render())
     print(f"Wrote {out}")
     return 0

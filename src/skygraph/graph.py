@@ -439,16 +439,16 @@ def _entries(lines: list[str]) -> str:
     return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
 
 
-def export_graph(graph: PropertyGraph, settings: dict | None = None) -> str:
+def export_graph(graph: PropertyGraph) -> str:
     """Serialize to the JSON export format, deterministically ordered.
 
     The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) +
     "\\n"`` of the document with the graph's `ontology` and `mappings`
-    documents, `settings` (the graph's own when None), and one entry per
-    node (`id`, `class`, `name`, `properties`) and per edge (`id`, `type`,
-    `from`, `to`, `properties`) sorted by id, ids as strings. It is laid
-    out here straight from the node and edge tables, so that strings and
-    property dicts go through the C encoder and no document is built.
+    documents, its `settings`, and one entry per node (`id`, `class`,
+    `name`, `properties`) and per edge (`id`, `type`, `from`, `to`,
+    `properties`) sorted by id, ids as strings. It is laid out here
+    straight from the node and edge tables, so that strings and property
+    dicts go through the C encoder and no document is built.
     """
     ontology_doc, mapping_docs = graph.ontology.to_documents()
     nodes = [
@@ -476,7 +476,7 @@ def export_graph(graph: PropertyGraph, settings: dict | None = None) -> str:
         f'  "mappings": {_section(mapping_docs)},\n'
         f'  "nodes": {_entries(nodes)},\n'
         f'  "ontology": {_section(ontology_doc)},\n'
-        f'  "settings": {_section(graph.settings if settings is None else settings)}\n'
+        f'  "settings": {_section(graph.settings)}\n'
         "}\n"
     )
 

@@ -7,6 +7,7 @@ Matching semantics:
   match either orientation, untyped ones match every edge type,
 * variable-length segments expand to simple edge sequences within bounds,
 * one match never uses the same edge twice (relationship isomorphism),
+* a node variable repeated in the pattern binds one node,
 * a comparison on a property the bound node lacks is false, not an error,
 * `a <> b` compares bound nodes by value: class, name and properties.
 
@@ -37,6 +38,12 @@ class MatchResult:
 _Step = tuple[Edge, bool]
 
 
+# A constraint on a match, read on pattern indices: a WHERE comparison with
+# the index of its node variable (the left one of a `<>`) and the right
+# one's or -1, or None with two indices that must bind one node.
+_Test = tuple[Comparison | None, int, int]
+
+
 @dataclass
 class _Plan:
     """What `evaluate` runs and `explain` prints.
@@ -46,18 +53,45 @@ class _Plan:
     leftward, as (source, target, label, rel, rightward): the pattern
     indices, the target's label, which filters the last step of the hop's
     segment, the index of the relationship pattern it walks, and whether
-    it walks that pattern left to right.
+    it walks that pattern left to right. `at_bind[i]` holds the tests due
+    once pattern `i` is bound, and `at_join` the disjuncts, each a list of
+    tests, of which a joined match must pass one.
     """
 
     anchor: int
     candidates: list[list[int]]
     hops: list[tuple[int, int, str | None, int, bool]]
+    at_bind: list[list[_Test]]
+    at_join: list[list[_Test]]
+
+
+def _place(tests: list[_Test], anchor: int, at_bind: list[list[_Test]]) -> list[_Test]:
+    """Add each test to `at_bind` where it is due, and return those that
+    wait for the join. The near side binds rightward from the anchor and
+    the far side leftward, so a test reading only indices at or right of
+    the anchor is due at the highest, one reading only indices at or left
+    of it at the lowest; one that reads both sides waits."""
+    spanning = []
+    for test in tests:
+        indices = [i for i in test[1:] if i >= 0]
+        if min(indices) >= anchor:
+            at_bind[max(indices)].append(test)
+        elif max(indices) <= anchor:
+            at_bind[min(indices)].append(test)
+        else:
+            spanning.append(test)
+    return spanning
 
 
 def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
     """The plan of `ast`; a QueryError for a label, relationship type,
     WHERE property key or WHERE literal kind that `graph` can never match,
-    which would only ever match nothing."""
+    which would only ever match nothing.
+
+    Every constraint is a test on pattern indices: each later occurrence
+    of a node variable must bind the node of the occurrence before it,
+    and a WHERE comparison reads its variables' first occurrences.
+    """
     nodes = ast.node_patterns
     for label in (np.label for np in nodes):
         if label is not None and not graph.has_label(label):
@@ -80,7 +114,31 @@ def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
     anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
     hops = [(i, i + 1, nodes[i + 1].label, i, True) for i in range(anchor, len(nodes) - 1)]
     hops += [(i + 1, i, nodes[i].label, i, False) for i in reversed(range(anchor))]
-    return _Plan(anchor, candidates, hops)
+
+    first: dict[str, int] = {}
+    latest: dict[str, int] = {}
+    identities: list[_Test] = []
+    for i, var in enumerate(np.var for np in nodes):
+        if var is None:
+            continue
+        if var in latest:
+            identities.append((None, latest[var], i))
+        first.setdefault(var, i)
+        latest[var] = i
+
+    def test(term: Comparison) -> _Test:
+        if isinstance(term, NodeComparison):
+            return term, first[term.left], first[term.right]
+        return term, first[term.var], -1
+
+    disjuncts = [[test(term) for term in terms] for terms in ast.where or ()]
+    # one disjunct is placed test by test; with an OR, each disjunct waits
+    # for the join and carries the spanning tests
+    conjuncts = identities + (disjuncts.pop() if len(disjuncts) == 1 else [])
+    at_bind: list[list[_Test]] = [[] for _ in nodes]
+    spanning = _place(conjuncts, anchor, at_bind)
+    at_join = [spanning + tests for tests in disjuncts or ([[]] if spanning else [])]
+    return _Plan(anchor, candidates, hops, at_bind, at_join)
 
 
 def _bounds(rel: RelPattern, star_max: int) -> tuple[int, int]:
@@ -188,13 +246,10 @@ def _nodes_equal(graph: PropertyGraph, left: int, right: int) -> bool:
     return a.class_name == b.class_name and a.name == b.name and a.properties == b.properties
 
 
-# A WHERE comparison read on pattern indices: the comparison, the index of
-# its node variable (the left one of a `<>`), and the right one's or -1.
-_Test = tuple[Comparison, int, int]
-
-
 def _holds(graph: PropertyGraph, test: _Test, nodes: list[int]) -> bool:
     term, left, right = test
+    if term is None:
+        return nodes[left] == nodes[right]
     if right >= 0:
         return not _nodes_equal(graph, nodes[left], nodes[right])
     value = graph.property_value(nodes[left], term.key)
@@ -202,46 +257,6 @@ def _holds(graph: PropertyGraph, test: _Test, nodes: list[int]) -> bool:
         return False
     equal = _scalar_equal(value, term.literal)
     return equal if term.op == "=" else not equal
-
-
-def _where_tests(
-    where: tuple[tuple[Comparison, ...], ...] | None, near: dict, far: dict, size: int
-) -> tuple[list[list[_Test]], list[list[_Test]]]:
-    """Where `evaluate` tests WHERE: per pattern index, the comparisons due
-    once it is bound, and the disjuncts left for each joined match. `near`
-    and `far` map each variable to the index that first binds it on either
-    side, the anchor included.
-
-    With one disjunct, a comparison whose variables all bind on the near
-    side is due where the last of them binds; failing that, one whose
-    variables all bind on the far side is due there likewise. Only one that
-    spans both sides waits for the join. With several disjuncts, all of
-    them wait for the join.
-    """
-    at_bind: list[list[_Test]] = [[] for _ in range(size)]
-
-    def place(term: Comparison) -> tuple[int | None, _Test]:
-        """Where `term` is due (None: on the join), and its test."""
-        pair = isinstance(term, NodeComparison)
-        names = (term.left, term.right) if pair else (term.var,)
-        index = None
-        if all(name in near for name in names):
-            at, index = near, max(near[name] for name in names)
-        elif all(name in far for name in names):
-            at, index = far, min(far[name] for name in names)
-        else:
-            at = far | near
-        return index, (term, at[names[0]], at[names[1]] if pair else -1)
-
-    if where is None:
-        return at_bind, []
-    if len(where) > 1:
-        return at_bind, [[place(term)[1] for term in terms] for terms in where]
-    spanning = []
-    for term in where[0]:
-        index, test = place(term)
-        (spanning if index is None else at_bind[index]).append(test)
-    return at_bind, [spanning] if spanning else []
 
 
 def evaluate(
@@ -255,13 +270,14 @@ def evaluate(
     walked one route at a time. The hops on its left (the far side) depend
     only on the seed: they are walked once, when the seed's first near
     match is complete, into a list of far matches that each near match
-    joins. A pair is kept when no edge serves both sides, a variable
-    repeated across the anchor binds one node on both, and WHERE holds.
+    joins. Each test of the plan runs once the patterns it reads are
+    bound: on one side as the walk binds them, or on the joined pair, which
+    is kept when no edge serves both sides and its tests pass.
     """
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
     plan = _plan(graph, ast)
-    anchor, hops = plan.anchor, plan.hops
+    anchor, hops, at_bind, at_join = plan.anchor, plan.hops, plan.at_bind, plan.at_join
     split = len(node_patterns) - 1 - anchor  # `hops[:split]` is the near side
     nodes: list[int | None] = [None] * len(node_patterns)
     segments: list[list[_Step]] = [[] for _ in rel_patterns]  # left-to-right
@@ -269,24 +285,9 @@ def evaluate(
     far_used: set[int] = set()
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
 
-    # variable -> the index that binds it first walking out from the anchor,
-    # on the near side and on the far side
-    names = [np.var for np in node_patterns]
-    near = {names[i]: i for i in reversed(range(anchor, len(names)))}
-    far = {names[i]: i for i in range(anchor + 1)}
-    # per pattern, that index on its side, which a repeated variable must
-    # bind to the same node; pairs across the anchor wait for the join
-    home = [(near if i >= anchor else far)[var] if var else i for i, var in enumerate(names)]
-    across = [(far[var], near[var]) for var in far if var and far[var] < anchor < near.get(var, 0)]
-    at_bind, at_join = _where_tests(ast.where, near, far, len(names))
-
     def bind(index: int, node_id: int) -> bool:
-        """Bind pattern `index` unless a repeated variable or a WHERE
-        comparison due there rules `node_id` out; its label already holds,
-        from the seeds or the route."""
-        bound = home[index]
-        if bound != index and nodes[bound] != node_id:
-            return False
+        """Bind pattern `index` unless a test due there rules `node_id` out;
+        its label already holds, from the seeds or the route."""
         nodes[index] = node_id
         for test in at_bind[index]:
             if not _holds(graph, test, nodes):
@@ -352,8 +353,6 @@ def evaluate(
                 if not near_used.isdisjoint(far_edges):
                     continue
                 nodes[:anchor] = far_nodes
-                if across and any(nodes[i] != nodes[j] for i, j in across):
-                    continue
                 if at_join and not any(
                     all(_holds(graph, test, nodes) for test in tests) for tests in at_join
                 ):

@@ -139,6 +139,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _expected(what: str, token: _Token) -> QuerySyntaxError:
+    found = token.value or "end of input"
+    return QuerySyntaxError(f"expected {what}, found {found!r}", token.offset)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -158,10 +163,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         token = self.peek()
         if token.kind != kind:
-            raise QuerySyntaxError(
-                f"expected {kind!r}, found {token.value or 'end of input'!r}",
-                token.offset,
-            )
+            raise _expected(repr(kind), token)
         return self.advance()
 
     def keyword(self, word: str) -> bool:
@@ -171,19 +173,13 @@ class _Parser:
     def expect_keyword(self, word: str) -> None:
         token = self.peek()
         if not self.keyword(word):
-            raise QuerySyntaxError(
-                f"expected {word}, found {token.value or 'end of input'!r}",
-                token.offset,
-            )
+            raise _expected(word, token)
         self.advance()
 
     def expect_ident(self) -> str:
         token = self.peek()
         if token.kind != "IDENT" or token.value.upper() in KEYWORDS:
-            raise QuerySyntaxError(
-                f"expected identifier, found {token.value or 'end of input'!r}",
-                token.offset,
-            )
+            raise _expected("identifier", token)
         return self.advance().value
 
     def bind(self, kind: str) -> str:
@@ -274,10 +270,7 @@ class _Parser:
             self.advance()
             direction = "undirected"
         else:
-            raise QuerySyntaxError(
-                f"expected '-' or '->', found {closing.value or 'end of input'!r}",
-                closing.offset,
-            )
+            raise _expected("'-' or '->'", closing)
         return RelPattern(var=var, type=rtype, direction=direction, hops=hops)
 
     def parse_rel_body(self) -> tuple[str | None, str | None, HopRange]:
@@ -322,10 +315,7 @@ class _Parser:
             key = self.expect_ident()
             op_token = self.peek()
             if op_token.kind not in ("=", "<>"):
-                raise QuerySyntaxError(
-                    f"expected '=' or '<>', found {op_token.value or 'end of input'!r}",
-                    op_token.offset,
-                )
+                raise _expected("'=' or '<>'", op_token)
             self.advance()
             return PropertyComparison(
                 var=var, key=key, op=op_token.kind, literal=self.parse_literal()
@@ -333,10 +323,7 @@ class _Parser:
         if token.kind == "<>":
             self.advance()
             return NodeComparison(left=var, right=self.use("WHERE", "node"))
-        raise QuerySyntaxError(
-            f"expected '.' or '<>', found {token.value or 'end of input'!r}",
-            token.offset,
-        )
+        raise _expected("'.' or '<>'", token)
 
     def parse_literal(self) -> Literal:
         token = self.peek()
@@ -350,9 +337,7 @@ class _Parser:
         if token.kind == "IDENT" and token.value.lower() in ("true", "false"):
             self.advance()
             return token.value.lower() == "true"
-        raise QuerySyntaxError(
-            f"expected literal, found {token.value or 'end of input'!r}", token.offset
-        )
+        raise _expected("literal", token)
 
 
 def parse_query(text: str) -> QueryAst:

@@ -19,15 +19,15 @@ from skygraph.yamlfile import DEFAULT_STAR_MAX, SCALAR, check_fields, check_posi
 from skygraph.query.syntax import NodeComparison, PropertyComparison, QueryAst
 
 
-def to_document(graph: PropertyGraph, settings: dict | None = None) -> dict:
+def to_document(graph: PropertyGraph) -> dict:
     """The export document of `graph`: the spec that `export_graph`'s text
-    is ``json.dumps(to_document(graph, settings), indent=2, sort_keys=True)``
+    is ``json.dumps(to_document(graph), indent=2, sort_keys=True)``
     of, and the document `import_graph` reads."""
     ontology_doc, mapping_docs = graph.ontology.to_documents()
     return {
         "ontology": ontology_doc,
         "mappings": mapping_docs,
-        "settings": dict(settings if settings is not None else graph.settings),
+        "settings": dict(graph.settings),
         "nodes": [
             {"id": str(n.id), "class": n.class_name, "name": n.name, "properties": dict(n.properties)}
             for n in sorted(graph.nodes(), key=lambda n: n.id)

@@ -85,7 +85,7 @@ def _ingest_workflow(doc):
 
 def _export():
     graph, _, _ = build_graph(load_manifest(BOOKINFO / "manifest.yaml"))
-    return json.loads(export_graph(graph, {"star_max": 10}))
+    return json.loads(export_graph(graph))
 
 
 # document -> (how to load the document, how it is read)

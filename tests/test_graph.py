@@ -114,6 +114,21 @@ class TestFreeze:
         with pytest.raises(GraphError, match="frozen"):
             graph.add_edge(0, 0, "DFG")
 
+    def test_built_and_imported_graphs_are_frozen(self, testbed_graph):
+        for graph in (testbed_graph, import_graph(export_graph(testbed_graph))):
+            node = graph.node(0)
+            # an edge the graph lacks, so that `add_edge_once` would add it
+            edge_type = next(t for t in sorted(EDGE_TYPES) if not graph.has_edge(0, 0, t))
+            counts = graph.node_count, graph.edge_count
+            for add in (
+                lambda: graph.add_node(node.class_name, "another", {}),
+                lambda: graph.add_edge(0, 0, edge_type),
+                lambda: graph.add_edge_once(0, 0, edge_type),
+            ):
+                with pytest.raises(GraphError, match="^graph is frozen"):
+                    add()
+            assert (graph.node_count, graph.edge_count) == counts
+
 
 class TestLabelMatching:
     def test_subclass_matches(self, graph):
@@ -500,9 +515,11 @@ def test_import_reads_only_what_export_writes(section, change):
         import_graph(doc)
 
 
-def assert_export_is_json_dumps(graph, settings):
-    expected = json.dumps(to_document(graph, settings), indent=2, sort_keys=True) + "\n"
-    assert export_graph(graph, settings) == expected
+def assert_export_is_json_dumps(graph, settings=None):
+    if settings is not None:
+        graph.settings = settings
+    expected = json.dumps(to_document(graph), indent=2, sort_keys=True) + "\n"
+    assert export_graph(graph) == expected
 
 
 # strings that JSON must escape, or write as \u escapes, surrogate pairs included
@@ -547,7 +564,8 @@ def test_fleet_export_is_json_dumps_of_document(tmp_path, monkeypatch, n, paths)
     fleet = importlib.import_module("fleet")
     manifest = fleet.generate(Path(str(DATA)), tmp_path / "fleet", n, 3, paths).manifest
     graph, _, _ = build_graph(load_manifest(manifest))
-    assert_export_is_json_dumps(graph, {"star_max": 10})
+    assert graph.settings == {"star_max": 10}
+    assert_export_is_json_dumps(graph)
 
 
 # ids as `export_graph` never writes them: not strings, signed, spaced,
@@ -604,7 +622,7 @@ def fleet_shared_export(tmp_path_factory):
         fleet = importlib.import_module("fleet")
         out = tmp_path_factory.mktemp("fleet")
         manifest = fleet.generate(Path(str(DATA)), out, 8, 4, "shared").manifest
-    return export_graph(build_graph(load_manifest(manifest))[0], {"star_max": 10})
+    return export_graph(build_graph(load_manifest(manifest))[0])
 
 
 @pytest.mark.parametrize("section", ["nodes", "edges"])

@@ -46,7 +46,7 @@ def export_text(request, bench_modules, tmp_path_factory):
         _, fleet = bench_modules
         out = tmp_path_factory.mktemp("fleet")
         manifest = fleet.generate(Path(str(DATA)), out, 8, 4, "shared").manifest
-    return export_graph(build_graph(load_manifest(manifest))[0], {"star_max": 10})
+    return export_graph(build_graph(load_manifest(manifest))[0])
 
 
 @pytest.fixture
@@ -169,7 +169,7 @@ def test_build_export_import_query_loop_holds_objects_flat(bench_modules, collec
     manifest = data_path("fixtures/bookinfo/manifest.yaml")
     counts = []
     for _ in range(20):
-        text = export_graph(build_graph(load_manifest(manifest))[0], {"star_max": 10})
+        text = export_graph(build_graph(load_manifest(manifest))[0])
         graph_ref, results = run_queries(text, queries, 10)
         assert results > 0 and graph_ref() is None
         gc.collect()

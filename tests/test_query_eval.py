@@ -458,12 +458,37 @@ class TestRepeatedVariables:
         results = evaluate(graph, parse_query("MATCH (a)-[:DFG]->(a) RETURN a"))
         assert binding_set(results) == {frozenset([("a", 0)])}
 
+    def test_repeat_prunes_where_it_binds(self, tiny_ontology, monkeypatch):
+        # `a` binds again at #2, on the anchor's side: the last hop is
+        # walked only from the 2-step walks that came back to their start
+        graph = chain_graph(
+            tiny_ontology,
+            [(0, 1, "DFG"), (1, 0, "DFG"), (1, 2, "DFG"), (2, 3, "DFG"), (3, 1, "DFG"), (0, 4, "DFG"), (4, 5, "DFG")],
+        )
+        ast = parse_query("MATCH (a)-[:DFG]->(b)-[:DFG]->(a)-[:DFG]->(c) RETURN a")
+        assert explain(graph, ast).startswith("seed at node #0 ")
+        starts: Counter = Counter()
+        walk = engine._routes
+
+        def routes(graph, start, rel, *args):
+            if rel is ast.rel_patterns[2]:
+                starts[start] += 1
+            return walk(graph, start, rel, *args)
+
+        monkeypatch.setattr(engine, "_routes", routes)
+        results = evaluate(graph, ast)
+        assert binding_set(results) == {
+            frozenset([("a", 0), ("b", 1), ("c", 4)]),
+            frozenset([("a", 1), ("b", 0), ("c", 2)]),
+        }
+        assert starts == Counter({0: 1, 1: 1})
+
 
 class TestOracleAgreement:
     def test_handpicked_cases(self, tiny_ontology):
         graph = chain_graph(
             tiny_ontology,
-            [(0, 1, "DFG"), (1, 2, "DFG"), (2, 0, "TO"), (3, 3, "DFG"), (1, 3, "CALLS")],
+            [(0, 1, "DFG"), (1, 2, "DFG"), (2, 0, "TO"), (3, 3, "DFG"), (1, 3, "CALLS"), (3, 1, "DFG"), (2, 1, "CALLS")],
             classes={0: "SubSub", 1: "Sub", 2: "CallExpression", 3: "Other"},
         )
         queries = [
@@ -479,12 +504,19 @@ class TestOracleAgreement:
             "MATCH (a)-[:DFG]-(s:SubSub)-[:DFG]-(b) RETURN a",
             "MATCH (a)-[*2]-(s:SubSub)--(a) RETURN a",
             "MATCH (a)--(s:SubSub)-[*2]-(b) WHERE a <> b RETURN a",
+            # one variable three times: on one side of the anchor, then across it
+            "MATCH p=(s:SubSub)-[*]-(a)-[*]-(a)-[*]-(a) RETURN p",
+            "MATCH p=(a)-[*]-(a)-[*]-(a)-[*]-(s:SubSub) RETURN p",
+            "MATCH p=(a)-[*]-(a)-[*]-(s:SubSub)-[*]-(a) WHERE s <> a RETURN p",
+            "MATCH p=(a)-[*]-(s:SubSub)-[*]-(a)-[*]-(a) WHERE a <> s RETURN p",
+            "MATCH p=(a)-[*]-(s:SubSub)-[*]-(a)--(a) WHERE a <> s OR s <> a RETURN p",
         ]
         for text in queries:
             ast = parse_query(text)
-            assert binding_set(evaluate(graph, ast, star_max=5)) == oracle_matches(
-                graph, ast, star_max=5
-            ), text
+            results = evaluate(graph, ast, star_max=5)
+            assert binding_set(results) == oracle_matches(graph, ast, star_max=5), text
+            if ast.path_var:
+                assert result_paths(results) == oracle_paths(graph, ast, star_max=5), text
 
     def test_randomized_quick(self, tiny_ontology):
         rng = random.Random(20260811)
