@@ -16,9 +16,10 @@ Each pass is idempotent: it inserts through `PropertyGraph.add_edge_once`
 and proxies an endpoint once per balancer, so rerunning it leaves the edge
 multiset unchanged.
 URL matching compares host (without port) and path (duplicate slashes
-collapsed); scheme is ignored. Endpoints built from application code carry
-no host and match on path alone; an endpoint with a `url` matches on that
-and never on a `path`.
+collapsed); scheme is ignored. An endpoint with a `url` matches on that and
+never on a `path`. Endpoints built from application code carry no host and
+match on path, for requests whose host addresses their application or
+addresses no application at all (see `resolve_http_requests`).
 
 Matching is bucketed, so each pass is linear in the graph: endpoints are
 parsed once per pass into `(host, path)` and path-only buckets, storages
@@ -72,6 +73,15 @@ def _endpoints_of_application(graph: PropertyGraph, app_id: int) -> list[int]:
     ]
 
 
+def _applications_behind(graph: PropertyGraph, balancer_id: int) -> list[int]:
+    """Applications running on the compute a load balancer targets."""
+    return [
+        runs.from_id
+        for target in graph.out_edges(balancer_id, "TARGETS")
+        for runs in graph.in_edges(target.to_id, "RUNS_ON")
+    ]
+
+
 def create_proxied_endpoints(graph: PropertyGraph) -> int:
     """Mirror each local endpoint of every application running behind a
     load balancer as a ProxiedEndpoint named balancer-url + path; an
@@ -88,23 +98,21 @@ def create_proxied_endpoints(graph: PropertyGraph) -> int:
             for has in graph.out_edges(balancer_id, "HAS_ENDPOINT", "ProxiedEndpoint")
             for proxies in graph.out_edges(has.to_id, "PROXIES")
         }
-        for target in graph.out_edges(balancer_id, "TARGETS"):
-            for runs in graph.in_edges(target.to_id, "RUNS_ON"):
-                app_id = runs.from_id
-                for endpoint_id in _endpoints_of_application(graph, app_id):
-                    if endpoint_id in seen:
-                        continue
-                    seen.add(endpoint_id)
-                    endpoint = graph.node(endpoint_id)
-                    proxied_url = f"{url}{endpoint.properties['path']}"
-                    proxied_id = graph.add_node(
-                        "ProxiedEndpoint",
-                        proxied_url,
-                        {"url": proxied_url, "method": endpoint.properties["method"]},
-                    )
-                    graph.add_edge(balancer_id, proxied_id, "HAS_ENDPOINT")
-                    graph.add_edge(proxied_id, endpoint_id, "PROXIES")
-                    created += 1
+        for app_id in _applications_behind(graph, balancer_id):
+            for endpoint_id in _endpoints_of_application(graph, app_id):
+                if endpoint_id in seen:
+                    continue
+                seen.add(endpoint_id)
+                endpoint = graph.node(endpoint_id)
+                proxied_url = f"{url}{endpoint.properties['path']}"
+                proxied_id = graph.add_node(
+                    "ProxiedEndpoint",
+                    proxied_url,
+                    {"url": proxied_url, "method": endpoint.properties["method"]},
+                )
+                graph.add_edge(balancer_id, proxied_id, "HAS_ENDPOINT")
+                graph.add_edge(proxied_id, endpoint_id, "PROXIES")
+                created += 1
     return created
 
 
@@ -113,19 +121,34 @@ def create_proxied_endpoints(graph: PropertyGraph) -> int:
 
 def _endpoint_buckets(
     graph: PropertyGraph,
-) -> tuple[dict[tuple[str, str], list[int]], dict[str, list[int]]]:
-    """Endpoints by `(host_key, path)` of their url, and application-local
-    endpoints, whose host is unknowable, by path alone."""
+) -> tuple[dict[tuple[str, str], list[int]], dict[str, set[int]]]:
+    """Endpoints by `(host_key, path)` of their url, and endpoints without
+    a url, such as application-local ones, by path alone."""
     by_url: dict[tuple[str, str], list[int]] = {}
-    by_path: dict[str, list[int]] = {}
+    by_path: dict[str, set[int]] = {}
     for endpoint_id in graph.label_candidates("HttpEndpoint"):
         props = graph.node(endpoint_id).properties
         if props.get("url") is not None:
             parts = parse_url(str(props["url"]))
             by_url.setdefault((parts.host_key, parts.path), []).append(endpoint_id)
         elif props.get("path") is not None:
-            by_path.setdefault(re.sub("/+", "/", str(props["path"])), []).append(endpoint_id)
+            by_path.setdefault(re.sub("/+", "/", str(props["path"])), set()).add(endpoint_id)
     return by_url, by_path
+
+
+def _host_buckets(graph: PropertyGraph) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Applications by name, and the applications behind each load balancer
+    by the host key of its url."""
+    by_name: dict[str, list[int]] = {}
+    for app_id in graph.nodes_with_class("Application"):
+        by_name.setdefault(graph.node(app_id).name, []).append(app_id)
+    by_balancer: dict[str, list[int]] = {}
+    for balancer_id in graph.label_candidates("LoadBalancer"):
+        url = graph.property_value(balancer_id, "url")
+        if url is not None:
+            apps = by_balancer.setdefault(parse_url(str(url)).host_key, [])
+            apps.extend(_applications_behind(graph, balancer_id))
+    return by_name, by_balancer
 
 
 def _handler_function(graph: PropertyGraph, endpoint_id: int) -> int | None:
@@ -142,17 +165,28 @@ def resolve_http_requests(graph: PropertyGraph) -> int:
     """Connect each HttpRequest to every endpoint matching its URL and
     method, and splice DFG edges between the calling expression and the
     handler function. Unmatched requests stay in the graph. Returns the
-    number of TO edges added."""
+    number of TO edges added.
+
+    A request's host addresses the applications its first DNS label names,
+    failing that those behind the load balancers whose url host it is. Of
+    the endpoints without a url, only the addressed applications' match
+    on path, or every one when the host addresses neither."""
     added = 0
     by_url, by_path = _endpoint_buckets(graph)
+    by_name, by_balancer = _host_buckets(graph)
     for request_id in graph.nodes_with_class("HttpRequest"):
         request = graph.node(request_id)
         url = parse_url(str(request.properties.get("url", "")))
         method = str(request.properties.get("method", ""))
         sources = graph.out_edges(request_id, "SOURCE")
         call_id = sources[0].to_id if sources else None
-        candidates = by_url.get((url.host_key, url.path), []) + by_path.get(url.path, [])
-        for endpoint_id in sorted(candidates):
+        local = by_path.get(url.path, set())
+        apps = by_name.get(url.host_key.split(".", 1)[0]) or by_balancer.get(url.host_key)
+        if apps is not None:
+            local = local.intersection(
+                owned for app_id in apps for owned in _endpoints_of_application(graph, app_id)
+            )
+        for endpoint_id in sorted([*by_url.get((url.host_key, url.path), ()), *local]):
             if graph.node(endpoint_id).properties.get("method") not in ("ANY", method):
                 continue
             added += graph.add_edge_once(request_id, endpoint_id, "TO")
@@ -251,8 +285,3 @@ _PASSES = (
     "resolve_storage_requests",
     "propagate_log_flows",
 )
-
-
-def run_all_passes(graph: PropertyGraph) -> dict[str, int]:
-    """Run the four resolution passes in their required order."""
-    return {name: globals()[name](graph) for name in _PASSES}

@@ -54,33 +54,25 @@ class _Plan:
     indices, the target's label, which filters the last step of the hop's
     segment, the index of the relationship pattern it walks, and whether
     it walks that pattern left to right. `at_bind[i]` holds the tests due
-    once pattern `i` is bound, and `at_join` the disjuncts, each a list of
-    tests, of which a joined match must pass one.
+    once pattern `i` is bound, and `disjuncts` the OR-ed lists of tests, of
+    which a complete match must pass one.
     """
 
     anchor: int
     candidates: list[list[int]]
     hops: list[tuple[int, int, str | None, int, bool]]
     at_bind: list[list[_Test]]
-    at_join: list[list[_Test]]
+    disjuncts: list[list[_Test]]
 
 
-def _place(tests: list[_Test], anchor: int, at_bind: list[list[_Test]]) -> list[_Test]:
-    """Add each test to `at_bind` where it is due, and return those that
-    wait for the join. The near side binds rightward from the anchor and
-    the far side leftward, so a test reading only indices at or right of
-    the anchor is due at the highest, one reading only indices at or left
-    of it at the lowest; one that reads both sides waits."""
-    spanning = []
+def _place(tests: list[_Test], anchor: int, at_bind: list[list[_Test]]) -> None:
+    """Add each test to `at_bind` at the index it reads that binds last.
+    The hops bind rightward from the anchor, then leftward, so that is the
+    highest index if all it reads are at or right of the anchor, and the
+    lowest otherwise."""
     for test in tests:
         indices = [i for i in test[1:] if i >= 0]
-        if min(indices) >= anchor:
-            at_bind[max(indices)].append(test)
-        elif max(indices) <= anchor:
-            at_bind[min(indices)].append(test)
-        else:
-            spanning.append(test)
-    return spanning
+        at_bind[max(indices) if min(indices) >= anchor else min(indices)].append(test)
 
 
 def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
@@ -132,13 +124,12 @@ def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
         return term, first[term.var], -1
 
     disjuncts = [[test(term) for term in terms] for terms in ast.where or ()]
-    # one disjunct is placed test by test; with an OR, each disjunct waits
-    # for the join and carries the spanning tests
+    # one disjunct is placed test by test; with an OR, each disjunct is
+    # checked on a complete match
     conjuncts = identities + (disjuncts.pop() if len(disjuncts) == 1 else [])
     at_bind: list[list[_Test]] = [[] for _ in nodes]
-    spanning = _place(conjuncts, anchor, at_bind)
-    at_join = [spanning + tests for tests in disjuncts or ([[]] if spanning else [])]
-    return _Plan(anchor, candidates, hops, at_bind, at_join)
+    _place(conjuncts, anchor, at_bind)
+    return _Plan(anchor, candidates, hops, at_bind, disjuncts)
 
 
 def _bounds(rel: RelPattern, star_max: int) -> tuple[int, int]:
@@ -266,23 +257,18 @@ def evaluate(
 ) -> list[MatchResult]:
     """Every assignment of graph nodes and edge routes to the pattern.
 
-    For each seed of the anchor, the hops on its right (the near side) are
-    walked one route at a time. The hops on its left (the far side) depend
-    only on the seed: they are walked once, when the seed's first near
-    match is complete, into a list of far matches that each near match
-    joins. Each test of the plan runs once the patterns it reads are
-    bound: on one side as the walk binds them, or on the joined pair, which
-    is kept when no edge serves both sides and its tests pass.
+    From each seed of the anchor, the hops are walked one route at a time,
+    rightward from the anchor, then leftward. Each test of the plan runs
+    once the last of the patterns it reads is bound, and a complete match
+    is kept when it passes one of the plan's disjuncts, if there are any.
     """
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
     plan = _plan(graph, ast)
-    anchor, hops, at_bind, at_join = plan.anchor, plan.hops, plan.at_bind, plan.at_join
-    split = len(node_patterns) - 1 - anchor  # `hops[:split]` is the near side
+    hops, at_bind, disjuncts = plan.hops, plan.at_bind, plan.disjuncts
     nodes: list[int | None] = [None] * len(node_patterns)
     segments: list[list[_Step]] = [[] for _ in rel_patterns]  # left-to-right
-    near_used: set[int] = set()
-    far_used: set[int] = set()
+    used: set[int] = set()
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
 
     def bind(index: int, node_id: int) -> bool:
@@ -294,14 +280,18 @@ def evaluate(
                 return False
         return True
 
-    def emit(far_segments: list[list[_Step]]) -> None:
+    def emit() -> None:
+        if disjuncts and not any(
+            all(_holds(graph, test, nodes) for test in tests) for tests in disjuncts
+        ):
+            return
         bindings = {
             np.var: node_id for np, node_id in zip(node_patterns, nodes) if np.var is not None
         }
         node_ids = [nodes[0]]
         edge_ids: list[int] = []
         flags: list[bool] = []
-        for segment in far_segments + segments[anchor:]:
+        for segment in segments:
             for edge, forward in segment:
                 node_ids.append(edge.to_id if forward else edge.from_id)
                 edge_ids.append(edge.id)
@@ -311,53 +301,32 @@ def evaluate(
 
     memos: list[_Memo] = [{} for _ in hops]
 
-    def routes(hop: int, used: set[int]) -> Iterator[tuple[list[_Step], int]]:
+    def routes(hop: int) -> Iterator[tuple[list[_Step], int]]:
         source, _, label, rel_index, rightward = hops[hop]
         rel = rel_patterns[rel_index]
         return _routes(graph, nodes[source], rel, rightward, used, star_max, label, memos[hop])
 
-    def walk(start: int, stop: int, used: set[int]) -> Iterator[None]:
-        """Yield once per binding of `hops[start:stop]` out from the bound
-        anchor: each hop's target in `nodes`, its segment in `segments` and
-        its edges in `used`, valid until the next one is drawn."""
-        if start == stop:
-            yield
-            return
+    for seed in plan.candidates[plan.anchor]:
+        if not bind(plan.anchor, seed):
+            continue
+        if not hops:  # a single node pattern
+            emit()
+            continue
         # one route iterator per hop entered; the innermost one draws next
-        stack = [routes(start, used)]
+        stack = [routes(0)]
         while stack:
-            hop = start + len(stack) - 1
+            hop = len(stack) - 1
             _, target, _, rel_index, rightward = hops[hop]
             for steps, end in stack[-1]:
                 if not bind(target, end):
                     continue
                 segments[rel_index] = steps if rightward else steps[::-1]
-                if hop + 1 < stop:
-                    stack.append(routes(hop + 1, used))
+                if hop + 1 < len(hops):
+                    stack.append(routes(hop + 1))
                     break
-                yield
+                emit()
             else:
                 stack.pop()
-
-    for seed in plan.candidates[anchor]:
-        if not bind(anchor, seed):
-            continue
-        far_matches = None  # (nodes, segments, edge ids) of the far side, on first need
-        for _ in walk(0, split, near_used):
-            if far_matches is None:
-                far_matches = [
-                    (nodes[:anchor], segments[:anchor], frozenset(far_used))
-                    for _ in walk(split, len(hops), far_used)
-                ]
-            for far_nodes, far_segments, far_edges in far_matches:
-                if not near_used.isdisjoint(far_edges):
-                    continue
-                nodes[:anchor] = far_nodes
-                if at_join and not any(
-                    all(_holds(graph, test, nodes) for test in tests) for tests in at_join
-                ):
-                    continue
-                emit(far_segments)
 
     results.sort(key=lambda item: (item[0], item[1]))
     return [result for _, _, result in results]

@@ -2,6 +2,7 @@ from collections import Counter, deque
 
 import pytest
 
+from skygraph import dataflow
 from skygraph.codefacts import (
     bundle_from_document,
     ingest_code_facts,
@@ -13,7 +14,6 @@ from skygraph.dataflow import (
     propagate_log_flows,
     resolve_http_requests,
     resolve_storage_requests,
-    run_all_passes,
 )
 from skygraph.errors import AmbiguousStorageError
 from skygraph.graph import PropertyGraph
@@ -376,27 +376,22 @@ class TestPropagateLogFlows:
 
 
 class TestIdempotency:
-    PASSES = [
-        create_proxied_endpoints,
-        resolve_http_requests,
-        resolve_storage_requests,
-        propagate_log_flows,
-    ]
-
     def edge_multiset(self, graph):
         return Counter((e.type, e.from_id, e.to_id) for e in graph.edges())
 
-    @pytest.mark.parametrize("run_pass", PASSES, ids=lambda f: f.__name__)
-    def test_each_pass_idempotent(self, core_ontology, run_pass):
+    @pytest.mark.parametrize("name", dataflow._PASSES)
+    def test_each_pass_idempotent(self, core_ontology, name):
         graph, *_ = two_app_graph(core_ontology)
         storage = graph.add_node("ObjectStorage", "sink", {})
         endpoint = graph.add_node(
             "HttpEndpoint", "https://h/sink", {"url": "https://h/sink", "method": "ANY"}
         )
         graph.add_edge(storage, endpoint, "HAS_ENDPOINT")
-        run_all_passes(graph)
+        # every pass once, in the order `build_graph` runs them
+        for name in dataflow._PASSES:
+            getattr(dataflow, name)(graph)
         before = self.edge_multiset(graph)
-        count = run_pass(graph)
+        count = getattr(dataflow, name)(graph)
         assert count == 0
         assert self.edge_multiset(graph) == before
 
@@ -410,7 +405,9 @@ def test_to_edges_land_on_http_endpoints(testbed_graph):
 
 def cross_product_oracle(g):
     """(request, endpoint) pairs from the documented matching predicate,
-    applied to every pair by brute force."""
+    applied to every pair by brute force: an endpoint with a url matches on
+    its host and path; one without matches on path if an application the
+    request's host addresses offers it, or if the host addresses none."""
 
     def collapse(path):
         while "//" in path:
@@ -422,10 +419,42 @@ def cross_product_oracle(g):
         host, _, path = rest.partition("/")
         return host.split(":")[0], collapse("/" + path)
 
+    def ends(type, start=None, end=None):
+        """(from, to) of every `type` edge from `start` or to `end`."""
+        return {
+            (e.from_id, e.to_id)
+            for e in g.edges()
+            if e.type == type and start in (None, e.from_id) and end in (None, e.to_id)
+        }
+
+    def addressed(host):
+        """The applications named by the host's first DNS label, failing that
+        those behind the balancers with this url host; None if neither."""
+        label = host.split(".")[0]
+        apps = {n.id for n in g.nodes() if n.class_name == "Application" and n.name == label}
+        if apps:
+            return apps
+        balancers = [
+            n.id
+            for n in g.nodes()
+            if g.node_matches_label(n.id, "LoadBalancer")
+            and "url" in n.properties
+            and split(str(n.properties["url"]))[0] == host
+        ]
+        if not balancers:
+            return None
+        computes = {c for b in balancers for _, c in ends("TARGETS", start=b)}
+        return {a for c in computes for a, _ in ends("RUNS_ON", end=c)}
+
+    def offered_by(endpoint):
+        handlers = {h for h, _ in ends("HAS_ENDPOINT", end=endpoint)}
+        return {a for h in handlers for a, _ in ends("OFFERS", end=h)}
+
     expected = set()
     for request_id in g.nodes_with_class("HttpRequest"):
         req = g.node(request_id)
         req_host, req_path = split(str(req.properties["url"]))
+        apps = addressed(req_host)
         for node in g.nodes():
             if not g.node_matches_label(node.id, "HttpEndpoint"):
                 continue
@@ -437,7 +466,8 @@ def cross_product_oracle(g):
                 if ep_host == req_host and ep_path == req_path:
                     expected.add((request_id, node.id))
             elif "path" in ep and collapse(str(ep["path"])) == req_path:
-                expected.add((request_id, node.id))
+                if apps is None or apps & offered_by(node.id):
+                    expected.add((request_id, node.id))
     return expected
 
 
@@ -511,16 +541,41 @@ def test_shared_path_resolution_matches_cross_product_oracle(core_ontology):
     assert resolved_pairs(graph) == expected
     assert added == len(expected)
     targets = Counter(graph.node(endpoint).name for _, endpoint in expected)
-    # each GET /reviews reaches both tenants' handlers; only t1's addresses
-    # the host of the ANY url endpoint, whose port differs
-    assert targets["/reviews"] == 2 * 2
+    # each GET /reviews reaches the handler of the tenant its host names;
+    # only t1's addresses the host of the ANY url endpoint, whose port differs
+    assert targets["/reviews"] == 2
     assert targets["https://t1-reviews:443/reviews"] == 1
-    # GET /reviews/all misses the POST handlers; each POST reaches both
-    # tenants' local handlers and the balancer's mirror of t1's
-    assert targets["//reviews//all"] == 2 * 2
+    # GET /reviews/all misses the POST handlers; each POST reaches the local
+    # handler of t1, the application behind the balancer, and its mirror
+    assert targets["//reviews//all"] == 2
     assert targets["lb.example.io//reviews//all"] == 2
     assert "http://elsewhere/x" not in targets
 
+
+def test_host_addressing_no_application_matches_on_path_alone(core_ontology):
+    # a host that names no application and fronts no balancer reaches every
+    # tenant's handler on the path; one fronting a balancer with nothing
+    # behind it addresses no application, so it reaches none
+    graph = shared_path_graph(core_ontology)
+    graph.add_node("LoadBalancer", "idle", {"url": "idle.example.io"})
+    urls = ["http://unknown/reviews", "http://idle.example.io/reviews"]
+    calls = [
+        {"id": f"c{i}", "inside": "caller", "kind": "http_client", "http": http}
+        for i, http in enumerate({"url": url, "method": "GET"} for url in urls)
+    ]
+    document = {"application": "t3-client", "functions": [{"name": "caller"}], "calls": calls}
+    ingest_code_facts(graph, bundle_from_document(document))
+    create_proxied_endpoints(graph)
+    resolve_http_requests(graph)
+    assert resolved_pairs(graph) == cross_product_oracle(graph)
+    reached = {
+        graph.node(r).properties["url"]: sorted(
+            graph.node(e.to_id).name for e in graph.out_edges(r, "TO")
+        )
+        for r in graph.nodes_with_class("HttpRequest")
+    }
+    assert reached["http://unknown/reviews"] == ["/reviews", "/reviews"]
+    assert reached["http://idle.example.io/reviews"] == []
 
 def test_login_expression_reaches_storage(testbed_graph):
     # independent breadth-first search over DFG edges

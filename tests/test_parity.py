@@ -37,13 +37,13 @@ RESULTS_SHA256 = {
     "bookinfo": "5abd720f0183b67e3a0bdfea65e6280f013859f295c53d6108a5f4532c8c8587",
     "bookinfo_clean": "4a25c6595a5974029acafc4a374bcf2cafefb201be28af7ba2187bfd5cd3bc0e",
     "fleet-20-unique-9": "da6595f0561cbee92fb677576b64a8f08bb414156f7e5cc3b19597b087abdc72",
-    "fleet-8-shared-4": "9d4b15d0803edacb54c7c0f681e69aed114d61e06db04fe28cbfdf3f78e0bfcc",
+    "fleet-8-shared-4": "c3775c7647554dec5154eda9b4c7e46e3c46fb9447dcdd52c21d5e437211bb59",
 }
 
 # sha256 of each fleet's export as `skygraph build` writes it
 EXPORT_SHA256 = {
     "fleet-20-unique-9": "3979a942a0fcbe21a6c31f74ad1b9d65c100b15cccbc14516aca2571c6b2cc1d",
-    "fleet-8-shared-4": "a25036c321dd3f85ab4cf9fc05297aeec2627ebe3eb2a5f2035c72091e7d94c3",
+    "fleet-8-shared-4": "12bec9b3cd17a70409017afa2575877f07e60f88a7bf85d543c0951f7452aafd",
 }
 
 
