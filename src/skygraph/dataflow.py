@@ -16,10 +16,11 @@ Each pass is idempotent: it inserts through `PropertyGraph.add_edge_once`
 and proxies an endpoint once per balancer, so rerunning it leaves the edge
 multiset unchanged.
 URL matching compares host (without port) and path (duplicate slashes
-collapsed); scheme is ignored. An endpoint with a `url` matches on that and
-never on a `path`. Endpoints built from application code carry no host and
-match on path, for requests whose host addresses their application or
-addresses no application at all (see `resolve_http_requests`).
+collapsed); scheme, query and fragment are ignored. An endpoint with a
+`url` matches on that and never on a `path`. Endpoints built from
+application code carry no host and match on path, for requests whose host
+addresses their application or addresses no application at all (see
+`resolve_http_requests`).
 
 Matching is bucketed, so each pass is linear in the graph: endpoints are
 parsed once per pass into `(host, path)` and path-only buckets, storages
@@ -52,8 +53,9 @@ class UrlParts:
 
 
 def parse_url(text: str) -> UrlParts:
-    """Split a URL into host and a normalized path; any scheme is dropped."""
-    rest = text.split("://", 1)[-1]
+    """Split a URL into host and a normalized path; any scheme, query and
+    fragment are dropped."""
+    rest = text.split("://", 1)[-1].split("#", 1)[0].split("?", 1)[0]
     if "/" in rest:
         host, path = rest.split("/", 1)
         path = "/" + path
@@ -170,13 +172,15 @@ def resolve_http_requests(graph: PropertyGraph) -> int:
     A request's host addresses the applications its first DNS label names,
     failing that those behind the load balancers whose url host it is. Of
     the endpoints without a url, only the addressed applications' match
-    on path, or every one when the host addresses neither."""
+    on path, or every one when the host addresses neither, which is logged
+    as a warning."""
     added = 0
     by_url, by_path = _endpoint_buckets(graph)
     by_name, by_balancer = _host_buckets(graph)
     for request_id in graph.nodes_with_class("HttpRequest"):
         request = graph.node(request_id)
-        url = parse_url(str(request.properties.get("url", "")))
+        url_text = str(request.properties.get("url", ""))
+        url = parse_url(url_text)
         method = str(request.properties.get("method", ""))
         sources = graph.out_edges(request_id, "SOURCE")
         call_id = sources[0].to_id if sources else None
@@ -185,6 +189,13 @@ def resolve_http_requests(graph: PropertyGraph) -> int:
         if apps is not None:
             local = local.intersection(
                 owned for app_id in apps for owned in _endpoints_of_application(graph, app_id)
+            )
+        elif local:
+            log.warning(
+                "request to %r: host %r addresses no application or load balancer;"
+                " matched on path alone",
+                url_text,
+                url.host_key,
             )
         for endpoint_id in sorted([*by_url.get((url.host_key, url.path), ()), *local]):
             if graph.node(endpoint_id).properties.get("method") not in ("ANY", method):

@@ -18,7 +18,6 @@ order, then by the path's edge ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from skygraph.errors import QueryError
 from skygraph.graph import EDGE_TYPES, Edge, Path, PropertyGraph
@@ -31,11 +30,6 @@ from skygraph.yamlfile import DEFAULT_STAR_MAX
 class MatchResult:
     bindings: dict[str, int]
     path: Path | None = None
-
-
-# One step of a route: the edge and whether it points along the pattern
-# left-to-right.
-_Step = tuple[Edge, bool]
 
 
 # A constraint on a match, read on pattern indices: a WHERE comparison with
@@ -175,57 +169,6 @@ def _expand(
     return hops
 
 
-def _routes(
-    graph: PropertyGraph,
-    start: int,
-    rel: RelPattern,
-    rightward: bool,
-    used: set[int],
-    star_max: int,
-    label: str | None,
-    memo: _Memo,
-) -> Iterator[tuple[list[_Step], int]]:
-    """Simple edge sequences walking one relationship pattern, depth first,
-    each route before its extensions.
-
-    Steps come back in walk order, in a list that is only valid until the
-    next route is drawn. Edges in `used` are excluded; each step's edge
-    stays in `used` while the route is out with the caller. Every route
-    ends at a node matching `label`: the last step a route may take only
-    reaches such nodes, and a shorter route's end, which is also a
-    waypoint, is checked before it is yielded.
-
-    Neighbor lists come from `memo` through `_expand`. It never holds the
-    `used` check, which depends on the rest of the match.
-    """
-    lo, hi = _bounds(rel, star_max)
-    # one iterator per waypoint: `stack[d]` lists the steps out of `steps[:d]`'s end
-    steps: list[_Step] = []
-    last = label if hi == 1 else None
-    stack = [iter(_expand(graph, start, rel, rightward, last, memo))] if hi > 0 else []
-    while stack:
-        depth = len(stack)  # of the steps `stack[-1]` lists
-        for edge, neighbor, forward in stack[-1]:
-            if edge.id in used:
-                continue
-            used.add(edge.id)
-            steps.append((edge, forward))
-            if lo <= depth and (
-                depth == hi or label is None or graph.node_matches_label(neighbor, label)
-            ):
-                yield steps, neighbor
-            if depth < hi:
-                last = label if depth + 1 == hi else None
-                stack.append(iter(_expand(graph, neighbor, rel, rightward, last, memo)))
-                break
-            steps.pop()
-            used.discard(edge.id)
-        else:
-            stack.pop()
-            if steps:
-                used.discard(steps.pop()[0].id)
-
-
 def _scalar_equal(a, b) -> bool:
     return isinstance(a, bool) == isinstance(b, bool) and a == b
 
@@ -257,19 +200,30 @@ def evaluate(
 ) -> list[MatchResult]:
     """Every assignment of graph nodes and edge routes to the pattern.
 
-    From each seed of the anchor, the hops are walked one route at a time,
-    rightward from the anchor, then leftward. Each test of the plan runs
-    once the last of the patterns it reads is bound, and a complete match
-    is kept when it passes one of the plan's disjuncts, if there are any.
+    From each seed of the anchor, the hops are walked one step at a time,
+    rightward from the anchor, then leftward, on one stack. It holds one
+    frame per hop entered and one per step taken, each listing the steps
+    out of the node reached, and popping a frame releases the step that
+    pushed it. A step that ends a route and binds its target enters the
+    next hop, or completes a match on the last one. Each test of the plan
+    runs once the last of the patterns it reads is bound, and a complete
+    match is kept when it passes one of the plan's disjuncts, if there are
+    any.
     """
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
     plan = _plan(graph, ast)
-    hops, at_bind, disjuncts = plan.hops, plan.at_bind, plan.disjuncts
+    at_bind, disjuncts = plan.at_bind, plan.disjuncts
     nodes: list[int | None] = [None] * len(node_patterns)
-    segments: list[list[_Step]] = [[] for _ in rel_patterns]  # left-to-right
+    # per relationship pattern, the (edge, forward) steps of its live route
+    # in walk order: right to left for the patterns left of the anchor
+    routes: list[list[tuple[Edge, bool]]] = [[] for _ in rel_patterns]
     used: set[int] = set()
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
+    walks = []  # per hop: (source, target, label, rel, rightward, lo, hi, memo, route)
+    for source, target, label, r, rightward in plan.hops:
+        rel = rel_patterns[r]
+        walks.append((source, target, label, rel, rightward, *_bounds(rel, star_max), {}, routes[r]))
 
     def bind(index: int, node_id: int) -> bool:
         """Bind pattern `index` unless a test due there rules `node_id` out;
@@ -279,6 +233,16 @@ def evaluate(
             if not _holds(graph, test, nodes):
                 return False
         return True
+
+    def frame(hop: int, depth: int, node_id: int) -> tuple:
+        """The frame at `node_id` after `depth` steps of `hop`, listing the
+        steps out of it: none at the hop's upper bound, and only to the
+        target's label on the last step the hop may take."""
+        _, _, label, rel, rightward, _, hi, memo, _ = walks[hop]
+        if depth == hi:
+            return hop, depth, ()
+        last = label if depth + 1 == hi else None
+        return hop, depth, iter(_expand(graph, node_id, rel, rightward, last, memo))
 
     def emit() -> None:
         if disjuncts and not any(
@@ -291,42 +255,47 @@ def evaluate(
         node_ids = [nodes[0]]
         edge_ids: list[int] = []
         flags: list[bool] = []
-        for segment in segments:
-            for edge, forward in segment:
+        for i, route in enumerate(routes):
+            for edge, forward in route if i >= plan.anchor else reversed(route):
                 node_ids.append(edge.to_id if forward else edge.from_id)
                 edge_ids.append(edge.id)
                 flags.append(forward)
         path = Path(tuple(node_ids), tuple(edge_ids), tuple(flags)) if ast.path_var else None
         results.append((tuple(nodes), tuple(edge_ids), MatchResult(bindings, path)))
 
-    memos: list[_Memo] = [{} for _ in hops]
-
-    def routes(hop: int) -> Iterator[tuple[list[_Step], int]]:
-        source, _, label, rel_index, rightward = hops[hop]
-        rel = rel_patterns[rel_index]
-        return _routes(graph, nodes[source], rel, rightward, used, star_max, label, memos[hop])
-
     for seed in plan.candidates[plan.anchor]:
         if not bind(plan.anchor, seed):
             continue
-        if not hops:  # a single node pattern
+        if not walks:  # a single node pattern
             emit()
             continue
-        # one route iterator per hop entered; the innermost one draws next
-        stack = [routes(0)]
+        stack = [frame(0, 0, seed)]
         while stack:
-            hop = len(stack) - 1
-            _, target, _, rel_index, rightward = hops[hop]
-            for steps, end in stack[-1]:
-                if not bind(target, end):
+            hop, depth, steps = stack[-1]
+            _, target, label, _, _, lo, hi, _, route = walks[hop]
+            for edge, neighbor, forward in steps:
+                if edge.id in used:
                     continue
-                segments[rel_index] = steps if rightward else steps[::-1]
-                if hop + 1 < len(hops):
-                    stack.append(routes(hop + 1))
-                    break
-                emit()
+                used.add(edge.id)
+                route.append((edge, forward))
+                depth += 1
+                stack.append(frame(hop, depth, neighbor))
+                # a route shorter than `hi` ends at a waypoint, whose label
+                # no step filtered
+                if (
+                    lo <= depth
+                    and (depth == hi or label is None or graph.node_matches_label(neighbor, label))
+                    and bind(target, neighbor)
+                ):
+                    if hop + 1 < len(walks):
+                        stack.append(frame(hop + 1, 0, nodes[walks[hop + 1][0]]))
+                    else:
+                        emit()
+                break
             else:
                 stack.pop()
+                if depth:
+                    used.discard(route.pop()[0].id)
 
     results.sort(key=lambda item: (item[0], item[1]))
     return [result for _, _, result in results]

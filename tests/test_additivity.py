@@ -8,6 +8,10 @@ per-tenant counts of `bench/expected.py` are the only oracle, and the
 fleets of `bench/fleet.py` vary the tenant count, seed, path mode and
 template mix. On shared paths it fails unless a request reaches only the
 application its host addresses.
+
+A fleet's build is additive too: its nodes per class and edges per type
+are those of one-tenant builds of each tenant's template, summed, less the
+registry that the tenants of one template share.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,3 +72,31 @@ def test_fleet_finds_the_sum_of_its_tenants(bench, n, seed, paths, templates, rn
     kinds = [tenant.template for tenant in made.tenants]
     assert built[0] == {name: expected.expected_count(name, kinds) for name in queries}
     assert rebuilt == built
+
+
+def build_counts(fleet, n, seed, paths, templates):
+    """The tenants, and nodes per class and edges per type, of a fleet build."""
+    with tempfile.TemporaryDirectory() as tmp:
+        made = fleet.generate(Path(str(DATA)), Path(tmp) / "fleet", n, seed, paths, templates)
+        _, _, report = build_graph(load_manifest(made.manifest))
+    return made.tenants, Counter(report.node_counts), Counter(report.edge_counts)
+
+
+@pytest.mark.parametrize("paths", ["unique", "shared"])
+@pytest.mark.parametrize("templates", [("bookinfo",), ("bookinfo", "bookinfo_clean")], ids="+".join)
+def test_fleet_builds_the_sum_of_its_tenants(bench, paths, templates):
+    # the tenants of one template share its registry: one ContainerRegistry
+    # node, its GeoLocation node and the GEO_LOCATION edge between them
+    fleet, _ = bench
+    alone = {t: build_counts(fleet, 1, 0, paths, (t,))[1:] for t in templates}
+    for n in (2, 4, 6):
+        tenants, nodes, edges = build_counts(fleet, n, n, paths, templates)
+        kinds = [tenant.template for tenant in tenants]
+        shared = n - len(set(kinds))
+        want_nodes, want_edges = Counter(), Counter()
+        for kind in kinds:
+            want_nodes.update(alone[kind][0])
+            want_edges.update(alone[kind][1])
+        want_nodes.subtract({"ContainerRegistry": shared, "GeoLocation": shared})
+        want_edges.subtract({"GEO_LOCATION": shared})
+        assert (nodes, edges) == (want_nodes, want_edges)

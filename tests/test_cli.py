@@ -444,7 +444,7 @@ def restore_recursion_limit():
 
 
 class TestDeepQuery:
-    """The walk keeps routes and hops on explicit stacks, so a route
+    """The walk keeps its steps on one explicit stack, so a route
     thousands of edges long is an ordinary result."""
 
     def test_evaluate_finds_the_one_long_route(self):

@@ -36,6 +36,11 @@ class TestUrlParts:
             for host in ("example.io", "svc:9080", "a.b.c"):
                 for path in ("/", "/x", "/x/y"):
                     assert parse_url(scheme + host + path) == UrlParts(host, path)
+                    # a query string and a fragment belong to neither part
+                    for tail in ("?id=0", "#top", "?id=0&x=/y#top", "#a?b"):
+                        assert parse_url(scheme + host + path + tail) == UrlParts(host, path)
+                for tail in ("?id=0", "#top"):
+                    assert parse_url(scheme + host + tail) == UrlParts(host, "/")
 
 
 def two_app_graph(core_ontology):
@@ -247,6 +252,26 @@ class TestResolveHttpRequests:
         # scheme differs, host and path match, ANY accepts POST
         assert resolve_http_requests(graph) == 1
 
+    def test_query_string_request_reaches_handler(self, core_ontology):
+        graph = PropertyGraph(core_ontology)
+        handler = {"name": "get", "http_handler": {"path": "/reviews", "method": "GET"}}
+        ingest_code_facts(
+            graph, bundle_from_document({"application": "reviews", "functions": [handler]})
+        )
+        http = {"url": "http://reviews:9080/reviews?productId=0#top", "method": "GET"}
+        fact = {"id": "productpage-call", "inside": "caller", "kind": "http_client", "http": http}
+        caller = {"application": "productpage", "functions": [{"name": "caller"}], "calls": [fact]}
+        ingest_code_facts(graph, bundle_from_document(caller))
+        assert resolve_http_requests(graph) == 1
+        request = graph.nodes_with_class("HttpRequest")[0]
+        endpoint = graph.find_by_name("HttpEndpoint", "/reviews")
+        assert [e.to_id for e in graph.out_edges(request, "TO")] == [endpoint]
+        call = graph.find_by_name("CallExpression", "productpage-call")
+        handler_fn = graph.find_by_name("FunctionDeclaration", "get")
+        assert graph.has_edge(call, handler_fn, "DFG")
+        assert graph.has_edge(handler_fn, call, "DFG")
+        assert resolved_pairs(graph) == cross_product_oracle(graph)
+
     def test_local_endpoint_matches_on_path(self, core_ontology):
         graph, _, _, _ = two_app_graph(core_ontology)
         create_proxied_endpoints(graph)
@@ -416,6 +441,7 @@ def cross_product_oracle(g):
 
     def split(url):
         rest = url.split("://", 1)[1] if "://" in url else url
+        rest = rest.partition("#")[0].partition("?")[0]
         host, _, path = rest.partition("/")
         return host.split(":")[0], collapse("/" + path)
 
@@ -552,10 +578,11 @@ def test_shared_path_resolution_matches_cross_product_oracle(core_ontology):
     assert "http://elsewhere/x" not in targets
 
 
-def test_host_addressing_no_application_matches_on_path_alone(core_ontology):
+def test_host_addressing_no_application_matches_on_path_alone(core_ontology, caplog):
     # a host that names no application and fronts no balancer reaches every
-    # tenant's handler on the path; one fronting a balancer with nothing
-    # behind it addresses no application, so it reaches none
+    # tenant's handler on the path, with one warning; one fronting a
+    # balancer with nothing behind it addresses no application, so it
+    # reaches none
     graph = shared_path_graph(core_ontology)
     graph.add_node("LoadBalancer", "idle", {"url": "idle.example.io"})
     urls = ["http://unknown/reviews", "http://idle.example.io/reviews"]
@@ -566,7 +593,11 @@ def test_host_addressing_no_application_matches_on_path_alone(core_ontology):
     document = {"application": "t3-client", "functions": [{"name": "caller"}], "calls": calls}
     ingest_code_facts(graph, bundle_from_document(document))
     create_proxied_endpoints(graph)
-    resolve_http_requests(graph)
+    with caplog.at_level("WARNING", logger="skygraph.dataflow"):
+        resolve_http_requests(graph)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "'http://unknown/reviews'" in warnings[0] and "host 'unknown'" in warnings[0]
     assert resolved_pairs(graph) == cross_product_oracle(graph)
     reached = {
         graph.node(r).properties["url"]: sorted(
@@ -576,6 +607,7 @@ def test_host_addressing_no_application_matches_on_path_alone(core_ontology):
     }
     assert reached["http://unknown/reviews"] == ["/reviews", "/reviews"]
     assert reached["http://idle.example.io/reviews"] == []
+
 
 def test_login_expression_reaches_storage(testbed_graph):
     # independent breadth-first search over DFG edges

@@ -469,14 +469,14 @@ class TestRepeatedVariables:
         ast = parse_query("MATCH (a)-[:DFG]->(b)-[:DFG]->(a)-[:DFG]->(c) RETURN a")
         assert explain(graph, ast).startswith("seed at node #0 ")
         starts: Counter = Counter()
-        walk = engine._routes
+        expand = engine._expand
 
-        def routes(graph, start, rel, *args):
+        def counted(graph, node_id, rel, *args):
             if rel is ast.rel_patterns[2]:
-                starts[start] += 1
-            return walk(graph, start, rel, *args)
+                starts[node_id] += 1
+            return expand(graph, node_id, rel, *args)
 
-        monkeypatch.setattr(engine, "_routes", routes)
+        monkeypatch.setattr(engine, "_expand", counted)
         results = evaluate(graph, ast)
         assert binding_set(results) == {
             frozenset([("a", 0), ("b", 1), ("c", 4)]),
