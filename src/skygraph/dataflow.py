@@ -15,9 +15,9 @@ workflows are in the graph:
 Each pass is idempotent: it inserts through `PropertyGraph.add_edge_once`
 and proxies an endpoint once per balancer, so rerunning it leaves the edge
 multiset unchanged.
-URL matching compares host (without port) and path (duplicate slashes
-collapsed); scheme, query and fragment are ignored. An endpoint with a
-`url` matches on that and never on a `path`. Endpoints built from
+URL matching compares host (without port, in any case) and path
+(duplicate slashes collapsed); scheme, query and fragment are ignored. An
+endpoint with a `url` matches on that and never on a `path`. Endpoints built from
 application code carry no host and match on path, for requests whose host
 addresses their application or addresses no application at all (see
 `resolve_http_requests`).
@@ -48,8 +48,9 @@ class UrlParts:
 
     @property
     def host_key(self) -> str:
-        """Host with any port stripped, for comparisons."""
-        return self.host.split(":", 1)[0]
+        """Host with any port stripped and lowercased, for comparisons: DNS
+        names are case-insensitive."""
+        return self.host.split(":", 1)[0].lower()
 
 
 def parse_url(text: str) -> UrlParts:
@@ -139,11 +140,11 @@ def _endpoint_buckets(
 
 
 def _host_buckets(graph: PropertyGraph) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    """Applications by name, and the applications behind each load balancer
-    by the host key of its url."""
+    """Applications by lowercased name, and the applications behind each
+    load balancer by the host key of its url."""
     by_name: dict[str, list[int]] = {}
     for app_id in graph.nodes_with_class("Application"):
-        by_name.setdefault(graph.node(app_id).name, []).append(app_id)
+        by_name.setdefault(graph.node(app_id).name.lower(), []).append(app_id)
     by_balancer: dict[str, list[int]] = {}
     for balancer_id in graph.label_candidates("LoadBalancer"):
         url = graph.property_value(balancer_id, "url")
@@ -170,7 +171,7 @@ def resolve_http_requests(graph: PropertyGraph) -> int:
     number of TO edges added.
 
     A request's host addresses the applications its first DNS label names,
-    failing that those behind the load balancers whose url host it is. Of
+    in any case, failing that those behind the load balancers whose url host it is. Of
     the endpoints without a url, only the addressed applications' match
     on path, or every one when the host addresses neither, which is logged
     as a warning."""

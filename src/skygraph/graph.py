@@ -115,8 +115,8 @@ class PropertyGraph:
         self.settings: dict = {}
         self._nodes: dict[int, Node] = {}
         self._edges: dict[int, Edge] = {}
-        self._by_from: dict[int, list[int]] = {}
-        self._by_to: dict[int, list[int]] = {}
+        self._by_from: dict[int, list[Edge]] = {}
+        self._by_to: dict[int, list[Edge]] = {}
         self._label_index: dict[str, list[int]] = {}
         self._by_provider_id: dict[Scalar, int] = {}
         # class -> name -> id: no key tuple per node to allocate on import
@@ -233,8 +233,8 @@ class PropertyGraph:
         if edge_id in edges:
             raise GraphError(f"duplicate edge id {edge_id}")
         edges[edge_id] = edge
-        self._by_from[from_id].append(edge_id)
-        self._by_to[to_id].append(edge_id)
+        self._by_from[from_id].append(edge)
+        self._by_to[to_id].append(edge)
         if self._edge_keys is not None:
             self._edge_keys.add(_edge_key(from_id, to_id, edge_type))
         if edge_id >= self._next_edge:
@@ -282,25 +282,35 @@ class PropertyGraph:
         self, node_id: int, type: str | None = None, label: str | None = None
     ) -> list[Edge]:
         """Edges leaving `node_id`, of `type` if given, and whose target
-        matches `label` if given."""
-        edges = [self._edges[e] for e in self._by_from[node_id]]
-        if type is not None:
-            edges = [e for e in edges if e.type == type]
-        if label is not None and (classes := self._classes_of(label)) is not None:
-            edges = [e for e in edges if self._nodes[e.to_id].class_name in classes]
-        return edges
+        matches `label` if given; each call returns a new list."""
+        edges = self._by_from[node_id]
+        classes = None if label is None else self._classes_of(label)
+        if type is None and classes is None:
+            return list(edges)
+        nodes = self._nodes
+        return [
+            e
+            for e in edges
+            if (type is None or e.type == type)
+            and (classes is None or nodes[e.to_id].class_name in classes)
+        ]
 
     def in_edges(
         self, node_id: int, type: str | None = None, label: str | None = None
     ) -> list[Edge]:
         """Edges entering `node_id`; `type` and `label` (on the source) as
-        in `out_edges`."""
-        edges = [self._edges[e] for e in self._by_to[node_id]]
-        if type is not None:
-            edges = [e for e in edges if e.type == type]
-        if label is not None and (classes := self._classes_of(label)) is not None:
-            edges = [e for e in edges if self._nodes[e.from_id].class_name in classes]
-        return edges
+        in `out_edges`, and each call returns a new list."""
+        edges = self._by_to[node_id]
+        classes = None if label is None else self._classes_of(label)
+        if type is None and classes is None:
+            return list(edges)
+        nodes = self._nodes
+        return [
+            e
+            for e in edges
+            if (type is None or e.type == type)
+            and (classes is None or nodes[e.from_id].class_name in classes)
+        ]
 
     def has_edge(self, from_id: int, to_id: int, type: str) -> bool:
         """Whether an edge of `type` leads from `from_id` to `to_id`; a set

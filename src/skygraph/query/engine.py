@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from skygraph.errors import QueryError
-from skygraph.graph import EDGE_TYPES, Edge, Path, PropertyGraph
+from skygraph.graph import EDGE_TYPES, Path, PropertyGraph
 from skygraph.ontology import KIND_OF
 from skygraph.query.syntax import Comparison, NodeComparison, PropertyComparison, QueryAst, RelPattern
 from skygraph.yamlfile import DEFAULT_STAR_MAX
@@ -130,8 +130,8 @@ def _bounds(rel: RelPattern, star_max: int) -> tuple[int, int]:
     return rel.hops.min, rel.hops.max if rel.hops.max is not None else star_max
 
 
-# A hop's neighbor lists: (node id, label) -> what `_expand` lists there.
-_Memo = dict[tuple[int, str | None], list[tuple[Edge, int, bool]]]
+# A step: (edge id, neighbor, forward).
+_Step = tuple[int, int, bool]
 
 
 def _expand(
@@ -139,34 +139,41 @@ def _expand(
     node_id: int,
     rel: RelPattern,
     rightward: bool,
-    label: str | None,
-    memo: _Memo,
-) -> list[tuple[Edge, int, bool]]:
-    """Single hops from `node_id` honoring the pattern's direction, to
-    neighbors matching `label` if given.
+    members: set[int] | None,
+    memo: dict[int, list[_Step]],
+) -> list[_Step]:
+    """Single steps from `node_id` honoring the pattern's direction and
+    type, to neighbors in `members` if given.
 
-    Lists (edge, neighbor, forward): first the edges that point along the
-    pattern's left-to-right orientation (`forward`), then those against it.
-    An undirected self-loop comes once, as forward. The list is kept in
-    `memo`, which must belong to this (rel, rightward) pair.
+    Lists (edge id, neighbor, forward) in one pass over each of
+    `out_edges` and `in_edges` of `node_id`: first the edges that point
+    along the pattern's left-to-right orientation (`forward`), then those
+    against it. An undirected self-loop comes once, as forward. The list
+    is kept in `memo`, which must belong to this (rel, rightward, members)
+    triple.
     """
-    hops = memo.get((node_id, label))
-    if hops is not None:
-        return hops
-    along, against = (
-        (graph.out_edges, graph.in_edges) if rightward else (graph.in_edges, graph.out_edges)
-    )
-    hops = []
+    steps = memo.get(node_id)
+    if steps is not None:
+        return steps
+    kind = rel.type
+    steps = []
     if rel.direction != "left":
-        for edge in along(node_id, rel.type, label):
-            hops.append((edge, edge.to_id if edge.from_id == node_id else edge.from_id, True))
+        for edge in graph.out_edges(node_id) if rightward else graph.in_edges(node_id):
+            neighbor = edge.to_id if rightward else edge.from_id
+            if (kind is None or edge.type == kind) and (members is None or neighbor in members):
+                steps.append((edge.id, neighbor, True))
     if rel.direction != "right":
-        for edge in against(node_id, rel.type, label):
-            if rel.direction == "undirected" and edge.from_id == edge.to_id:
-                continue
-            hops.append((edge, edge.to_id if edge.from_id == node_id else edge.from_id, False))
-    memo[node_id, label] = hops
-    return hops
+        undirected = rel.direction == "undirected"
+        for edge in graph.in_edges(node_id) if rightward else graph.out_edges(node_id):
+            neighbor = edge.from_id if rightward else edge.to_id
+            if (
+                (kind is None or edge.type == kind)
+                and (members is None or neighbor in members)
+                and not (undirected and neighbor == node_id)
+            ):
+                steps.append((edge.id, neighbor, False))
+    memo[node_id] = steps
+    return steps
 
 
 def _scalar_equal(a, b) -> bool:
@@ -201,29 +208,40 @@ def evaluate(
     """Every assignment of graph nodes and edge routes to the pattern.
 
     From each seed of the anchor, the hops are walked one step at a time,
-    rightward from the anchor, then leftward, on one stack. It holds one
-    frame per hop entered and one per step taken, each listing the steps
-    out of the node reached, and popping a frame releases the step that
-    pushed it. A step that ends a route and binds its target enters the
-    next hop, or completes a match on the last one. Each test of the plan
-    runs once the last of the patterns it reads is bound, and a complete
-    match is kept when it passes one of the plan's disjuncts, if there are
-    any.
+    rightward from the anchor, then leftward, on one stack. Its frames
+    are `(hop, steps taken in the hop, iterator over _expand's steps out
+    of the node reached, held)`: one per hop entered and one per step
+    taken below the hop's upper bound. Popping a frame releases the step
+    it holds, if any: a step's own frame holds that step. A step that
+    ends a route and binds its target enters the next hop, or completes a
+    match on the last one. A step at the hop's bound takes no frame: it
+    binds, then enters the next hop, whose entry frame holds it, or else
+    is released at once. Each test of the plan runs once the last of the
+    patterns it reads is bound, and a complete match is kept when it
+    passes one of the plan's disjuncts, if there are any.
     """
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
     plan = _plan(graph, ast)
     at_bind, disjuncts = plan.at_bind, plan.disjuncts
     nodes: list[int | None] = [None] * len(node_patterns)
-    # per relationship pattern, the (edge, forward) steps of its live route
-    # in walk order: right to left for the patterns left of the anchor
-    routes: list[list[tuple[Edge, bool]]] = [[] for _ in rel_patterns]
+    # per relationship pattern, the steps of its live route in walk order:
+    # right to left for the patterns left of the anchor
+    routes: list[list[_Step]] = [[] for _ in rel_patterns]
     used: set[int] = set()
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
-    walks = []  # per hop: (source, target, label, rel, rightward, lo, hi, memo, route)
+    # per hop: (source, target, label, rel, rightward, lo, hi, route, the
+    # target's candidates, and the memos of _expand's lists for every step
+    # but the last the hop may take, and for that last one)
+    walks = []
     for source, target, label, r, rightward in plan.hops:
         rel = rel_patterns[r]
-        walks.append((source, target, label, rel, rightward, *_bounds(rel, star_max), {}, routes[r]))
+        candidates = plan.candidates[target]
+        # a label that every node matches filters nothing
+        members = None if label is None or len(candidates) == graph.node_count else set(candidates)
+        walks.append(
+            (source, target, label, rel, rightward, *_bounds(rel, star_max), routes[r], members, {}, {})
+        )
 
     def bind(index: int, node_id: int) -> bool:
         """Bind pattern `index` unless a test due there rules `node_id` out;
@@ -234,15 +252,17 @@ def evaluate(
                 return False
         return True
 
-    def frame(hop: int, depth: int, node_id: int) -> tuple:
-        """The frame at `node_id` after `depth` steps of `hop`, listing the
-        steps out of it: none at the hop's upper bound, and only to the
-        target's label on the last step the hop may take."""
-        _, _, label, rel, rightward, _, hi, memo, _ = walks[hop]
-        if depth == hi:
-            return hop, depth, ()
-        last = label if depth + 1 == hi else None
-        return hop, depth, iter(_expand(graph, node_id, rel, rightward, last, memo))
+    def frame(hop: int, depth: int, node_id: int, held: list[_Step] | None) -> tuple:
+        """The frame at `node_id` after `depth` steps of `hop`, below its
+        upper bound, holding the last step of the route `held`, if given.
+        It lists the steps out of `node_id`, only to the target's label if
+        the next step is the last the hop may take."""
+        _, _, _, rel, rightward, _, hi, _, members, inner, last = walks[hop]
+        if depth + 1 == hi:
+            steps = _expand(graph, node_id, rel, rightward, members, last)
+        else:
+            steps = _expand(graph, node_id, rel, rightward, None, inner)
+        return hop, depth, iter(steps), held
 
     def emit() -> None:
         if disjuncts and not any(
@@ -252,16 +272,20 @@ def evaluate(
         bindings = {
             np.var: node_id for np, node_id in zip(node_patterns, nodes) if np.var is not None
         }
-        node_ids = [nodes[0]]
-        edge_ids: list[int] = []
-        flags: list[bool] = []
-        for i, route in enumerate(routes):
-            for edge, forward in route if i >= plan.anchor else reversed(route):
+        steps = [
+            step
+            for i, route in enumerate(routes)
+            for step in (route if i >= plan.anchor else reversed(route))
+        ]
+        edge_ids = tuple(edge_id for edge_id, _, _ in steps)
+        path = None
+        if ast.path_var:
+            node_ids = [nodes[0]]
+            for edge_id, _, forward in steps:
+                edge = graph.edge(edge_id)
                 node_ids.append(edge.to_id if forward else edge.from_id)
-                edge_ids.append(edge.id)
-                flags.append(forward)
-        path = Path(tuple(node_ids), tuple(edge_ids), tuple(flags)) if ast.path_var else None
-        results.append((tuple(nodes), tuple(edge_ids), MatchResult(bindings, path)))
+            path = Path(tuple(node_ids), edge_ids, tuple(forward for _, _, forward in steps))
+        results.append((tuple(nodes), edge_ids, MatchResult(bindings, path)))
 
     for seed in plan.candidates[plan.anchor]:
         if not bind(plan.anchor, seed):
@@ -269,17 +293,19 @@ def evaluate(
         if not walks:  # a single node pattern
             emit()
             continue
-        stack = [frame(0, 0, seed)]
+        stack = [frame(0, 0, seed, None)]
         while stack:
-            hop, depth, steps = stack[-1]
-            _, target, label, _, _, lo, hi, _, route = walks[hop]
-            for edge, neighbor, forward in steps:
-                if edge.id in used:
+            hop, depth, steps, held = stack[-1]
+            _, target, label, _, _, lo, hi, route, _, _, _ = walks[hop]
+            depth += 1
+            for step in steps:
+                edge_id, neighbor, _ = step
+                if edge_id in used:
                     continue
-                used.add(edge.id)
-                route.append((edge, forward))
-                depth += 1
-                stack.append(frame(hop, depth, neighbor))
+                used.add(edge_id)
+                route.append(step)
+                if depth < hi:
+                    stack.append(frame(hop, depth, neighbor, route))
                 # a route shorter than `hi` ends at a waypoint, whose label
                 # no step filtered
                 if (
@@ -288,14 +314,18 @@ def evaluate(
                     and bind(target, neighbor)
                 ):
                     if hop + 1 < len(walks):
-                        stack.append(frame(hop + 1, 0, nodes[walks[hop + 1][0]]))
-                    else:
-                        emit()
-                break
+                        entry = nodes[walks[hop + 1][0]]
+                        stack.append(frame(hop + 1, 0, entry, route if depth == hi else None))
+                        break
+                    emit()
+                if depth < hi:
+                    break
+                used.discard(edge_id)
+                route.pop()
             else:
                 stack.pop()
-                if depth:
-                    used.discard(route.pop()[0].id)
+                if held is not None:
+                    used.discard(held.pop()[0])
 
     results.sort(key=lambda item: (item[0], item[1]))
     return [result for _, _, result in results]

@@ -443,7 +443,7 @@ def cross_product_oracle(g):
         rest = url.split("://", 1)[1] if "://" in url else url
         rest = rest.partition("#")[0].partition("?")[0]
         host, _, path = rest.partition("/")
-        return host.split(":")[0], collapse("/" + path)
+        return host.split(":")[0].lower(), collapse("/" + path)
 
     def ends(type, start=None, end=None):
         """(from, to) of every `type` edge from `start` or to `end`."""
@@ -454,10 +454,11 @@ def cross_product_oracle(g):
         }
 
     def addressed(host):
-        """The applications named by the host's first DNS label, failing that
-        those behind the balancers with this url host; None if neither."""
+        """The applications named by the host's first DNS label, in any case,
+        failing that those behind the balancers with this url host; None if
+        neither."""
         label = host.split(".")[0]
-        apps = {n.id for n in g.nodes() if n.class_name == "Application" and n.name == label}
+        apps = {n.id for n in g.nodes() if n.class_name == "Application" and n.name.lower() == label}
         if apps:
             return apps
         balancers = [
@@ -607,6 +608,32 @@ def test_host_addressing_no_application_matches_on_path_alone(core_ontology, cap
     }
     assert reached["http://unknown/reviews"] == ["/reviews", "/reviews"]
     assert reached["http://idle.example.io/reviews"] == []
+
+
+def test_host_matches_application_name_in_any_case(core_ontology, caplog):
+    # DNS names are case-insensitive: a host that names one of two tenants
+    # serving the same path in capitals addresses that tenant's
+    # application, so the request is not matched on path alone
+    graph = PropertyGraph(core_ontology)
+    for tenant in ("t1", "t2"):
+        handler = {"name": "get", "http_handler": {"path": "/reviews", "method": "GET"}}
+        ingest_code_facts(graph, bundle_from_document({"application": f"{tenant}-reviews", "functions": [handler]}))
+    url = "http://T1-Reviews:9080/reviews"
+    call = {"id": "c0", "inside": "caller", "kind": "http_client", "http": {"url": url, "method": "GET"}}
+    document = {"application": "client", "functions": [{"name": "caller"}], "calls": [call]}
+    ingest_code_facts(graph, bundle_from_document(document))
+    with caplog.at_level("WARNING", logger="skygraph.dataflow"):
+        assert resolve_http_requests(graph) == 1
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+    assert resolved_pairs(graph) == cross_product_oracle(graph)
+    (request,) = graph.nodes_with_class("HttpRequest")
+    (edge,) = graph.out_edges(request, "TO")
+    t1 = graph.find_by_name("Application", "t1-reviews")
+    assert edge.to_id in {
+        has.to_id
+        for offer in graph.out_edges(t1, "OFFERS", "HttpRequestHandler")
+        for has in graph.out_edges(offer.to_id, "HAS_ENDPOINT")
+    }
 
 
 def test_login_expression_reaches_storage(testbed_graph):

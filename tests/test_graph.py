@@ -264,6 +264,21 @@ class TestAdjacencyConsistency:
         assert sum(len(g.out_edges(n.id)) for n in g.nodes()) == g.edge_count
         assert sum(len(g.in_edges(n.id)) for n in g.nodes()) == g.edge_count
 
+    def test_listed_edges_are_not_aliased(self, testbed_graph):
+        # each call returns a new list: changing the one a caller got leaves
+        # the graph's adjacency as it was, with and without filters
+        g = testbed_graph
+        assert g.frozen
+        listed = 0
+        for node in g.nodes():
+            for listing in (g.out_edges, g.in_edges):
+                for args in ((), ("DFG",), (None, "Node"), (None, "Expression"), ("DFG", "Expression")):
+                    before = [e.id for e in listing(node.id, *args)]
+                    listing(node.id, *args).clear()
+                    assert [e.id for e in listing(node.id, *args)] == before
+                    listed += bool(before)
+        assert listed > g.node_count
+
     @pytest.mark.parametrize("frozen", [True, False])
     def test_label_filter_agrees_with_matcher(self, testbed_graph, clean_testbed, frozen):
         # in order: a labelled list is the unlabelled one, filtered
