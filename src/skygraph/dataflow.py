@@ -15,7 +15,7 @@ workflows are in the graph:
 Each pass is idempotent: it inserts through `PropertyGraph.add_edge_once`
 and proxies an endpoint once per balancer, so rerunning it leaves the edge
 multiset unchanged.
-URL matching compares host (without port, in any case) and path
+URL matching compares host (without userinfo or port, in any case) and path
 (duplicate slashes collapsed); scheme, query and fragment are ignored. An
 endpoint with a `url` matches on that and never on a `path`. Endpoints built from
 application code carry no host and match on path, for requests whose host
@@ -48,9 +48,13 @@ class UrlParts:
 
     @property
     def host_key(self) -> str:
-        """Host with any port stripped and lowercased, for comparisons: DNS
-        names are case-insensitive."""
-        return self.host.split(":", 1)[0].lower()
+        """Host with any userinfo and port stripped and lowercased, for
+        comparisons: DNS names are case-insensitive. A bracketed IPv6
+        address gives the address inside the brackets."""
+        host = self.host.rpartition("@")[2]
+        if host.startswith("["):
+            return host[1:].partition("]")[0].lower()
+        return host.partition(":")[0].lower()
 
 
 def parse_url(text: str) -> UrlParts:

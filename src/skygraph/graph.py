@@ -141,6 +141,8 @@ class PropertyGraph:
         self._next_node = 0
         self._next_edge = 0
         self._frozen = False
+        #: the query engine's step lists, from `freeze` on
+        self.hop_steps: dict | None = None
 
     # -- construction ----------------------------------------------------
 
@@ -250,7 +252,15 @@ class PropertyGraph:
         return True
 
     def freeze(self) -> None:
-        self._frozen = True
+        """End construction. A frozen graph never changes, so it gets
+        `hop_steps`, an empty store that only the query engine reads and
+        writes: each query adds the step lists it lists, keyed by hop shape
+        and node, and later queries reuse them. It lives as long as the
+        graph and holds at most one list per node and hop shape, each no
+        longer than the node's degree."""
+        if not self._frozen:
+            self._frozen = True
+            self.hop_steps = {}
 
     @property
     def frozen(self) -> bool:

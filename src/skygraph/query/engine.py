@@ -149,8 +149,8 @@ def _expand(
     `out_edges` and `in_edges` of `node_id`: first the edges that point
     along the pattern's left-to-right orientation (`forward`), then those
     against it. An undirected self-loop comes once, as forward. The list
-    is kept in `memo`, which must belong to this (rel, rightward, members)
-    triple.
+    is kept in `memo`, which must belong to this hop shape: the list
+    depends only on `rel`'s type and direction, `rightward` and `members`.
     """
     steps = memo.get(node_id)
     if steps is not None:
@@ -219,6 +219,14 @@ def evaluate(
     is released at once. Each test of the plan runs once the last of the
     patterns it reads is bound, and a complete match is kept when it
     passes one of the plan's disjuncts, if there are any.
+
+    The step lists come from `_expand`, one memo per hop shape: the
+    relationship type and direction, the walk's orientation, and the
+    target's label where it filters a hop's last step. On a frozen graph
+    the memos are its `hop_steps` store, so a later query reuses every list
+    an earlier one listed; on a graph still being built they last one call.
+    Only the lists are shared: the check that no match uses an edge twice
+    is still made for each match.
     """
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
@@ -230,6 +238,7 @@ def evaluate(
     routes: list[list[_Step]] = [[] for _ in rel_patterns]
     used: set[int] = set()
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
+    store = {} if graph.hop_steps is None else graph.hop_steps
     # per hop: (source, target, label, rel, rightward, lo, hi, route, the
     # target's candidates, and the memos of _expand's lists for every step
     # but the last the hop may take, and for that last one)
@@ -239,8 +248,11 @@ def evaluate(
         candidates = plan.candidates[target]
         # a label that every node matches filters nothing
         members = None if label is None or len(candidates) == graph.node_count else set(candidates)
+        shape = (rel.type, rel.direction, rightward)
+        inner = store.setdefault((*shape, None), {})
+        last = inner if members is None else store.setdefault((*shape, label), {})
         walks.append(
-            (source, target, label, rel, rightward, *_bounds(rel, star_max), routes[r], members, {}, {})
+            (source, target, label, rel, rightward, *_bounds(rel, star_max), routes[r], members, inner, last)
         )
 
     def bind(index: int, node_id: int) -> bool:

@@ -1,4 +1,5 @@
 from collections import Counter, deque
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -32,8 +33,19 @@ class TestUrlParts:
         assert parse_url("http://h//a///b").path == "/a/b"
 
     def test_parse_table(self):
+        # each host with its host_key: userinfo, port and IPv6 brackets go
+        keys = {
+            "example.io": "example.io",
+            "svc:9080": "svc",
+            "a.b.c": "a.b.c",
+            "user:pw@reviews:9080": "reviews",
+            "user@Reviews": "reviews",
+            "[::1]:9080": "::1",
+            "[FE80::1]": "fe80::1",
+        }
         for scheme in ("", "http://", "https://"):
-            for host in ("example.io", "svc:9080", "a.b.c"):
+            for host, key in keys.items():
+                assert parse_url(scheme + host + "/x").host_key == key
                 for path in ("/", "/x", "/x/y"):
                     assert parse_url(scheme + host + path) == UrlParts(host, path)
                     # a query string and a fragment belong to neither part
@@ -443,7 +455,7 @@ def cross_product_oracle(g):
         rest = url.split("://", 1)[1] if "://" in url else url
         rest = rest.partition("#")[0].partition("?")[0]
         host, _, path = rest.partition("/")
-        return host.split(":")[0].lower(), collapse("/" + path)
+        return urlsplit("//" + host).hostname or "", collapse("/" + path)
 
     def ends(type, start=None, end=None):
         """(from, to) of every `type` edge from `start` or to `end`."""
@@ -610,15 +622,13 @@ def test_host_addressing_no_application_matches_on_path_alone(core_ontology, cap
     assert reached["http://idle.example.io/reviews"] == []
 
 
-def test_host_matches_application_name_in_any_case(core_ontology, caplog):
-    # DNS names are case-insensitive: a host that names one of two tenants
-    # serving the same path in capitals addresses that tenant's
-    # application, so the request is not matched on path alone
-    graph = PropertyGraph(core_ontology)
+def assert_reaches_t1_only(ontology, caplog, url):
+    """Of two tenants serving `GET /reviews`, a request to `url` reaches
+    t1's handler alone, with no path-only fallback warning."""
+    graph = PropertyGraph(ontology)
     for tenant in ("t1", "t2"):
         handler = {"name": "get", "http_handler": {"path": "/reviews", "method": "GET"}}
         ingest_code_facts(graph, bundle_from_document({"application": f"{tenant}-reviews", "functions": [handler]}))
-    url = "http://T1-Reviews:9080/reviews"
     call = {"id": "c0", "inside": "caller", "kind": "http_client", "http": {"url": url, "method": "GET"}}
     document = {"application": "client", "functions": [{"name": "caller"}], "calls": [call]}
     ingest_code_facts(graph, bundle_from_document(document))
@@ -634,6 +644,18 @@ def test_host_matches_application_name_in_any_case(core_ontology, caplog):
         for offer in graph.out_edges(t1, "OFFERS", "HttpRequestHandler")
         for has in graph.out_edges(offer.to_id, "HAS_ENDPOINT")
     }
+
+
+def test_host_matches_application_name_in_any_case(core_ontology, caplog):
+    # DNS names are case-insensitive: a host that names one of two tenants
+    # serving the same path in capitals addresses that tenant's
+    # application, so the request is not matched on path alone
+    assert_reaches_t1_only(core_ontology, caplog, "http://T1-Reviews:9080/reviews")
+
+
+def test_host_after_userinfo_addresses_its_application(core_ontology, caplog):
+    # the userinfo before `@` is no part of the host
+    assert_reaches_t1_only(core_ontology, caplog, "http://user@t1-reviews:9080/reviews")
 
 
 def test_login_expression_reaches_storage(testbed_graph):

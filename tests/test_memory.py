@@ -175,3 +175,28 @@ def test_build_export_import_query_loop_holds_objects_flat(bench_modules, collec
         gc.collect()
         counts.append((len(gc.get_objects()), gc.get_freeze_count()))
     assert len(set(counts[1:])) == 1, counts
+
+
+def test_repeated_queries_on_one_graph_hold_objects_flat(export_text, bench_modules, collector_on):
+    """The nine queries, evaluated and rendered four times over on one
+    imported graph with the collector on: the step lists the first pass
+    leaves in the graph's `hop_steps` are all later passes use, so the
+    number of tracked objects stays the same after it, and the store
+    frees with the graph."""
+    expected, _ = bench_modules
+    queries = {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
+    graph = import_graph(export_text)
+    counts = []
+    for _ in range(4):
+        for query in queries.values():
+            for result in evaluate(graph, parse_query(query), 10):
+                if result.path is not None:
+                    render_path(graph, result.path)
+        gc.collect()
+        counts.append(len(gc.get_objects()))
+    assert graph.hop_steps
+    assert len(set(counts[1:])) == 1, counts
+    graph_ref = weakref.ref(graph)
+    del graph
+    assert graph_ref() is None
+    assert gc.collect() == 0

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 import re
@@ -12,7 +13,7 @@ from skygraph.build import build_graph, load_manifest
 from skygraph.errors import QueryError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import ontology_from_documents
-from skygraph.query import engine, evaluate, explain, parse_query
+from skygraph.query import RelPattern, engine, evaluate, explain, parse_query
 
 from .conftest import DATA, listing_text
 from .reference import (
@@ -26,6 +27,7 @@ from .reference import (
     result_paths,
     small_ontology_documents,
 )
+from .test_parity import RESULTS_SHA256, fleet_manifest, results_text
 
 
 @pytest.fixture(scope="module")
@@ -640,3 +642,71 @@ class TestHubScaling:
         assert calls[4] > 0 and calls[8] > 0, calls
         assert calls[8] <= 2.2 * calls[4], calls
         assert labels == {4: 0, 8: 0}
+
+
+class TestHopIndex:
+    """A frozen graph keeps the engine's step lists in `hop_steps`, one
+    memo per hop shape, for every later query; a graph still being built
+    keeps none."""
+
+    FLEET = "fleet-8-shared-4"
+
+    @staticmethod
+    def queries():
+        expected = importlib.import_module("expected")
+        return {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
+
+    def test_warm_pass_lists_no_adjacency(self, tmp_path, monkeypatch):
+        graph = build_graph(load_manifest(fleet_manifest(self.FLEET, tmp_path, monkeypatch)))[0]
+        listings = Counter()
+        for name in ("out_edges", "in_edges"):
+
+            def counted(*args, _method=getattr(graph, name), **kwargs):
+                listings["calls"] += 1
+                return _method(*args, **kwargs)
+
+            setattr(graph, name, counted)
+        cold = results_text(graph, self.queries())
+        assert listings["calls"] > 0
+        listings.clear()
+        warm = results_text(graph, self.queries())
+        assert hashlib.sha256(warm.encode("utf-8")).hexdigest() == RESULTS_SHA256[self.FLEET]
+        assert warm == cold
+        assert not listings
+
+    def test_graph_being_built_keeps_no_lists(self, tmp_path, monkeypatch):
+        built = build_graph(load_manifest(fleet_manifest(self.FLEET, tmp_path, monkeypatch)))[0]
+        graph = PropertyGraph(built.ontology)
+        for node in built.nodes():
+            assert graph.add_node(node.class_name, node.name, node.properties) == node.id
+        for edge in built.edges():
+            assert graph.add_edge(edge.from_id, edge.to_id, edge.type, edge.properties) == edge.id
+        ast = parse_query(importlib.import_module("expected").OWNED["registry-pulls"])
+        assert explain(graph, ast).startswith("seed at node #0 r:ContainerRegistry")
+        before = evaluate(graph, ast)
+        # a registry feeds a compute it did not feed, which runs an application
+        registry = graph.label_candidates("ContainerRegistry")[0]
+        fed = {edge.to_id for edge in graph.out_edges(registry, "DFG")}
+        compute = next(
+            c for c in graph.label_candidates("Compute") if c not in fed and graph.in_edges(c, "RUNS_ON")
+        )
+        edge_id = graph.add_edge(registry, compute, "DFG")
+        after = evaluate(graph, ast)
+        new = [result for result in after if edge_id in result.path.edge_ids]
+        assert new and len(after) == len(before) + len(new)
+        assert graph.hop_steps is None
+
+    def test_cached_lists_are_fresh_and_bounded(self, tmp_path, monkeypatch):
+        graph = build_graph(load_manifest(fleet_manifest(self.FLEET, tmp_path, monkeypatch)))[0]
+        for text in self.queries().values():
+            evaluate(graph, parse_query(text))
+        store = graph.hop_steps
+        assert store
+        for (kind, direction, rightward, label), memo in store.items():
+            rel = RelPattern(type=kind, direction=direction)
+            members = None if label is None else set(graph.label_candidates(label))
+            for node_id, steps in memo.items():
+                assert steps == engine._expand(graph, node_id, rel, rightward, members, {})
+                assert len(steps) <= len(graph.out_edges(node_id)) + len(graph.in_edges(node_id))
+        cached = sum(len(steps) for memo in store.values() for steps in memo.values())
+        assert 0 < cached <= len(store) * 2 * graph.edge_count
