@@ -17,6 +17,7 @@ import logging
 import re
 import shlex
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from skygraph.errors import DiscoveryError, SkygraphError, UnknownMappingError
@@ -195,7 +196,9 @@ class Discovery:
         self.registry_locations = dict(registry_locations or {})
         # (resource, link key, target id, inventory file or None)
         self._pending_links: list[tuple[int, str, str, str | Path | None]] = []
+        # every tag a scanned build names, and each push as (workflow, image)
         self._built_images: set[str] = set()
+        self._pushes: list[tuple[str, str]] = []
 
     # -- inventories ----------------------------------------------------
 
@@ -291,13 +294,20 @@ class Discovery:
 
     def ingest_workflow(self, doc: WorkflowDocument) -> int:
         """Scan job steps for docker build/push commands; returns the
-        number of container image nodes created."""
+        number of container image nodes created. A build's image node is
+        named by its first tag; a push of an image that no workflow builds
+        is reported by `link_applications`, once every workflow is read."""
         created = 0
         for command in doc.commands:
             build = command.startswith("docker build")
-            if not build and not command.startswith("docker push"):
+            if build:
+                names = _build_image_names(command)
+                self._built_images.update(names)
+                name = names[0] if names else None
+            elif command.startswith("docker push"):
+                name = _push_image_name(command)
+            else:
                 continue
-            name = (_build_image_name if build else _push_image_name)(command)
             if name is None:
                 continue
             image_id = self.graph.find_by_name("ContainerImage", name)
@@ -305,14 +315,8 @@ class Discovery:
                 image_id = self.graph.add_node("ContainerImage", name)
                 created += 1
             if build:
-                self._built_images.add(name)
                 continue
-            if name not in self._built_images:
-                log.warning(
-                    "workflow %r pushes image %r that no scanned workflow builds",
-                    doc.name,
-                    name,
-                )
+            self._pushes.append((doc.name, name))
             registry_id = self._registry_node(_registry_host(name))
             self.graph.add_edge_once(image_id, registry_id, "PUSHES_TO")
         return created
@@ -322,7 +326,13 @@ class Discovery:
     def link_applications(self) -> int:
         """Anchor applications to the compute resources they run on and
         record registry pulls as data flows into the pulling containers.
-        Returns the number of RUNS_ON edges created."""
+        Returns the number of RUNS_ON edges created. Runs after the last
+        workflow is ingested, so it also warns of each pushed image that no
+        workflow builds."""
+        for workflow, name in self._pushes:
+            if name not in self._built_images:
+                log.warning("workflow %r pushes image %r that no scanned workflow builds", workflow, name)
+        self._pushes.clear()
         created = 0
         for app_id in self.graph.nodes_with_class("Application"):
             app = self.graph.node(app_id)
@@ -380,14 +390,16 @@ def _split_command(command: str) -> list[str]:
         return []
 
 
-def _build_image_name(command: str) -> str | None:
-    parts = _split_command(command)
-    for i, part in enumerate(parts):
-        if part in ("-t", "--tag") and i + 1 < len(parts):
-            return parts[i + 1]
-        if part.startswith("--tag="):
-            return part.split("=", 1)[1]
-    return None
+def _build_image_names(command: str) -> list[str]:
+    """Every tag of a `docker build`, in command order."""
+    args = iter(_split_command(command))
+    names = []
+    for arg in args:
+        if arg in ("-t", "--tag"):
+            names.extend(islice(args, 1))  # its value, if there is one
+        elif arg.startswith("--tag="):
+            names.append(arg.split("=", 1)[1])
+    return names
 
 
 def _push_image_name(command: str) -> str | None:

@@ -141,8 +141,8 @@ class PropertyGraph:
         self._next_node = 0
         self._next_edge = 0
         self._frozen = False
-        #: the query engine's step lists, from `freeze` on
-        self.hop_steps: dict | None = None
+        #: the query engine's step lists; `add_edge` empties them
+        self.hop_steps: dict = {}
 
     # -- construction ----------------------------------------------------
 
@@ -213,6 +213,8 @@ class PropertyGraph:
         self, from_id: int, to_id: int, type: str, properties: dict[str, Scalar] | None = None
     ) -> int:
         self._check_mutable()
+        if self.hop_steps:
+            self.hop_steps.clear()
         edge_id = self._next_edge
         self._insert_edge(Edge(edge_id, type, from_id, to_id, dict(properties or {})))
         return edge_id
@@ -252,15 +254,8 @@ class PropertyGraph:
         return True
 
     def freeze(self) -> None:
-        """End construction. A frozen graph never changes, so it gets
-        `hop_steps`, an empty store that only the query engine reads and
-        writes: each query adds the step lists it lists, keyed by hop shape
-        and node, and later queries reuse them. It lives as long as the
-        graph and holds at most one list per node and hop shape, each no
-        longer than the node's degree."""
-        if not self._frozen:
-            self._frozen = True
-            self.hop_steps = {}
+        """End construction."""
+        self._frozen = True
 
     @property
     def frozen(self) -> bool:

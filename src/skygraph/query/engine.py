@@ -1,4 +1,4 @@
-"""Pattern evaluation against a frozen property graph.
+"""Pattern evaluation against a property graph.
 
 Matching semantics:
 
@@ -23,7 +23,7 @@ from skygraph.errors import QueryError
 from skygraph.graph import EDGE_TYPES, Path, PropertyGraph
 from skygraph.ontology import KIND_OF
 from skygraph.query.syntax import Comparison, NodeComparison, PropertyComparison, QueryAst, RelPattern
-from skygraph.yamlfile import DEFAULT_STAR_MAX
+from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int
 
 
 @dataclass
@@ -34,8 +34,9 @@ class MatchResult:
 
 # A constraint on a match, read on pattern indices: a WHERE comparison with
 # the index of its node variable (the left one of a `<>`) and the right
-# one's or -1, or None with two indices that must bind one node.
-_Test = tuple[Comparison | None, int, int]
+# one's or -1, None with two indices that must bind one node, or an OR's
+# disjuncts, lists of tests, with the lowest and highest index they read.
+_Test = tuple[Comparison | list | None, int, int]
 
 
 @dataclass
@@ -48,15 +49,13 @@ class _Plan:
     indices, the target's label, which filters the last step of the hop's
     segment, the index of the relationship pattern it walks, and whether
     it walks that pattern left to right. `at_bind[i]` holds the tests due
-    once pattern `i` is bound, and `disjuncts` the OR-ed lists of tests, of
-    which a complete match must pass one.
+    once pattern `i` is bound: every constraint of a match is one of them.
     """
 
     anchor: int
     candidates: list[list[int]]
     hops: list[tuple[int, int, str | None, int, bool]]
     at_bind: list[list[_Test]]
-    disjuncts: list[list[_Test]]
 
 
 def _place(tests: list[_Test], anchor: int, at_bind: list[list[_Test]]) -> None:
@@ -69,15 +68,17 @@ def _place(tests: list[_Test], anchor: int, at_bind: list[list[_Test]]) -> None:
         at_bind[max(indices) if min(indices) >= anchor else min(indices)].append(test)
 
 
-def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
-    """The plan of `ast`; a QueryError for a label, relationship type,
-    WHERE property key or WHERE literal kind that `graph` can never match,
-    which would only ever match nothing.
+def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int) -> _Plan:
+    """The plan of `ast`; a QueryError for a bad `star_max`, and for a
+    label, relationship type, WHERE property key or WHERE literal kind
+    that `graph` can never match, which would only ever match nothing.
 
     Every constraint is a test on pattern indices: each later occurrence
-    of a node variable must bind the node of the occurrence before it,
-    and a WHERE comparison reads its variables' first occurrences.
+    of a node variable must bind the node of the occurrence before it, a
+    WHERE comparison reads its variables' first occurrences, and an OR
+    holds when all the tests of one of its disjuncts do.
     """
+    check_positive_int(star_max, QueryError, "star_max")
     nodes = ast.node_patterns
     for label in (np.label for np in nodes):
         if label is not None and not graph.has_label(label):
@@ -103,12 +104,12 @@ def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
 
     first: dict[str, int] = {}
     latest: dict[str, int] = {}
-    identities: list[_Test] = []
+    tests: list[_Test] = []
     for i, var in enumerate(np.var for np in nodes):
         if var is None:
             continue
         if var in latest:
-            identities.append((None, latest[var], i))
+            tests.append((None, latest[var], i))
         first.setdefault(var, i)
         latest[var] = i
 
@@ -118,12 +119,14 @@ def _plan(graph: PropertyGraph, ast: QueryAst) -> _Plan:
         return term, first[term.var], -1
 
     disjuncts = [[test(term) for term in terms] for terms in ast.where or ()]
-    # one disjunct is placed test by test; with an OR, each disjunct is
-    # checked on a complete match
-    conjuncts = identities + (disjuncts.pop() if len(disjuncts) == 1 else [])
+    if len(disjuncts) == 1:  # an AND places each comparison on its own
+        tests += disjuncts[0]
+    elif disjuncts:
+        read = [i for conjuncts in disjuncts for t in conjuncts for i in t[1:] if i >= 0]
+        tests.append((disjuncts, min(read), max(read)))
     at_bind: list[list[_Test]] = [[] for _ in nodes]
-    _place(conjuncts, anchor, at_bind)
-    return _Plan(anchor, candidates, hops, at_bind, disjuncts)
+    _place(tests, anchor, at_bind)
+    return _Plan(anchor, candidates, hops, at_bind)
 
 
 def _bounds(rel: RelPattern, star_max: int) -> tuple[int, int]:
@@ -192,6 +195,8 @@ def _holds(graph: PropertyGraph, test: _Test, nodes: list[int]) -> bool:
     if term is None:
         return nodes[left] == nodes[right]
     if right >= 0:
+        if type(term) is list:  # an OR, whose indices only place it
+            return any(all(_holds(graph, t, nodes) for t in conjuncts) for conjuncts in term)
         return not _nodes_equal(graph, nodes[left], nodes[right])
     value = graph.property_value(nodes[left], term.key)
     if value is None:
@@ -217,31 +222,32 @@ def evaluate(
     match on the last one. A step at the hop's bound takes no frame: it
     binds, then enters the next hop, whose entry frame holds it, or else
     is released at once. Each test of the plan runs once the last of the
-    patterns it reads is bound, and a complete match is kept when it
-    passes one of the plan's disjuncts, if there are any.
+    patterns it reads is bound, so a complete match has passed them all.
+    A path is read off the steps: each holds the node it reached.
 
     The step lists come from `_expand`, one memo per hop shape: the
     relationship type and direction, the walk's orientation, and the
-    target's label where it filters a hop's last step. On a frozen graph
-    the memos are its `hop_steps` store, so a later query reuses every list
-    an earlier one listed; on a graph still being built they last one call.
-    Only the lists are shared: the check that no match uses an edge twice
-    is still made for each match.
+    target's label where it filters a hop's last step. The memos are the
+    graph's `hop_steps` store, so a later query reuses every list an
+    earlier one listed, until `add_edge` empties it. Only the lists are
+    shared: the check that no match uses an edge twice is still made for
+    each match.
     """
     node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
-    plan = _plan(graph, ast)
-    at_bind, disjuncts = plan.at_bind, plan.disjuncts
+    plan = _plan(graph, ast, star_max)
+    at_bind, anchor = plan.at_bind, plan.anchor
     nodes: list[int | None] = [None] * len(node_patterns)
     # per relationship pattern, the steps of its live route in walk order:
     # right to left for the patterns left of the anchor
     routes: list[list[_Step]] = [[] for _ in rel_patterns]
+    left_routes, right_routes = routes[:anchor], routes[anchor:]
     used: set[int] = set()
     results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
-    store = {} if graph.hop_steps is None else graph.hop_steps
-    # per hop: (source, target, label, rel, rightward, lo, hi, route, the
-    # target's candidates, and the memos of _expand's lists for every step
-    # but the last the hop may take, and for that last one)
+    store = graph.hop_steps
+    # per hop: (source, target, rel, rightward, lo, hi, route, the target's
+    # candidates, and the memos of _expand's lists for every step but the
+    # last the hop may take, and for that last one)
     walks = []
     for source, target, label, r, rightward in plan.hops:
         rel = rel_patterns[r]
@@ -252,7 +258,7 @@ def evaluate(
         inner = store.setdefault((*shape, None), {})
         last = inner if members is None else store.setdefault((*shape, label), {})
         walks.append(
-            (source, target, label, rel, rightward, *_bounds(rel, star_max), routes[r], members, inner, last)
+            (source, target, rel, rightward, *_bounds(rel, star_max), routes[r], members, inner, last)
         )
 
     def bind(index: int, node_id: int) -> bool:
@@ -269,7 +275,7 @@ def evaluate(
         upper bound, holding the last step of the route `held`, if given.
         It lists the steps out of `node_id`, only to the target's label if
         the next step is the last the hop may take."""
-        _, _, _, rel, rightward, _, hi, _, members, inner, last = walks[hop]
+        _, _, rel, rightward, _, hi, _, members, inner, last = walks[hop]
         if depth + 1 == hi:
             steps = _expand(graph, node_id, rel, rightward, members, last)
         else:
@@ -277,30 +283,22 @@ def evaluate(
         return hop, depth, iter(steps), held
 
     def emit() -> None:
-        if disjuncts and not any(
-            all(_holds(graph, test, nodes) for test in tests) for tests in disjuncts
-        ):
-            return
         bindings = {
             np.var: node_id for np, node_id in zip(node_patterns, nodes) if np.var is not None
         }
-        steps = [
-            step
-            for i, route in enumerate(routes)
-            for step in (route if i >= plan.anchor else reversed(route))
-        ]
+        steps = [step for route in left_routes for step in reversed(route)]
+        left = len(steps)
+        steps += [step for route in right_routes for step in route]
         edge_ids = tuple(edge_id for edge_id, _, _ in steps)
         path = None
         if ast.path_var:
-            node_ids = [nodes[0]]
-            for edge_id, _, forward in steps:
-                edge = graph.edge(edge_id)
-                node_ids.append(edge.to_id if forward else edge.from_id)
+            node_ids = [neighbor for _, neighbor, _ in steps]
+            node_ids.insert(left, nodes[anchor])
             path = Path(tuple(node_ids), edge_ids, tuple(forward for _, _, forward in steps))
         results.append((tuple(nodes), edge_ids, MatchResult(bindings, path)))
 
-    for seed in plan.candidates[plan.anchor]:
-        if not bind(plan.anchor, seed):
+    for seed in plan.candidates[anchor]:
+        if not bind(anchor, seed):
             continue
         if not walks:  # a single node pattern
             emit()
@@ -308,7 +306,7 @@ def evaluate(
         stack = [frame(0, 0, seed, None)]
         while stack:
             hop, depth, steps, held = stack[-1]
-            _, target, label, _, _, lo, hi, route, _, _, _ = walks[hop]
+            _, target, _, _, lo, hi, route, members, _, _ = walks[hop]
             depth += 1
             for step in steps:
                 edge_id, neighbor, _ = step
@@ -322,7 +320,7 @@ def evaluate(
                 # no step filtered
                 if (
                     lo <= depth
-                    and (depth == hi or label is None or graph.node_matches_label(neighbor, label))
+                    and (depth == hi or members is None or neighbor in members)
                     and bind(target, neighbor)
                 ):
                     if hop + 1 < len(walks):
@@ -345,7 +343,7 @@ def evaluate(
 
 def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MAX) -> str:
     """Describe the plan `evaluate` runs: seed choice and expansion order."""
-    plan = _plan(graph, ast)
+    plan = _plan(graph, ast, star_max)
 
     def node_text(i: int) -> str:
         np = ast.node_patterns[i]

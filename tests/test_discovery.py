@@ -385,8 +385,31 @@ class TestIngestWorkflow:
     def test_push_without_build_warns_but_creates(self, discovery, graph, caplog):
         with caplog.at_level("WARNING"):
             discovery.ingest_workflow(workflow(["docker push ghcr.io/acme/ghostimage"]))
+            discovery.link_applications()
         assert "ghostimage" in caplog.text
         assert graph.find_by_name("ContainerImage", "ghcr.io/acme/ghostimage") is not None
+
+    @pytest.mark.parametrize("push_first", [True, False])
+    def test_push_built_by_another_workflow_does_not_warn(self, discovery, caplog, push_first):
+        runs = [["docker push ghcr.io/acme/app"], ["docker build -t ghcr.io/acme/app ."]]
+        with caplog.at_level("WARNING"):
+            for run in runs if push_first else reversed(runs):
+                discovery.ingest_workflow(workflow(run))
+            discovery.link_applications()
+        assert "pushes image" not in caplog.text
+
+    def test_every_build_tag_is_built(self, discovery, graph, caplog):
+        runs = [
+            "docker build -t ghcr.io/acme/app:1 --tag ghcr.io/acme/app:2 --tag=ghcr.io/acme/app:3 .",
+            "docker push ghcr.io/acme/app:2",
+            "docker push ghcr.io/acme/app:3",
+        ]
+        with caplog.at_level("WARNING"):
+            assert discovery.ingest_workflow(workflow(runs)) == 3
+            discovery.link_applications()
+        assert "pushes image" not in caplog.text
+        for tag in "123":
+            assert graph.find_by_name("ContainerImage", f"ghcr.io/acme/app:{tag}") is not None
 
     def test_default_registry_host(self, discovery, graph):
         discovery.ingest_workflow(

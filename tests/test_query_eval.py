@@ -15,7 +15,7 @@ from skygraph.graph import PropertyGraph
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import RelPattern, engine, evaluate, explain, parse_query
 
-from .conftest import DATA, listing_text
+from .conftest import DATA, data_path, listing_text
 from .reference import (
     QUERY_LABELS,
     naive_matches,
@@ -27,7 +27,7 @@ from .reference import (
     result_paths,
     small_ontology_documents,
 )
-from .test_parity import RESULTS_SHA256, fleet_manifest, results_text
+from .test_parity import BENCH, GRAPHS, RESULTS_SHA256, fleet_manifest, results_text
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +148,14 @@ class TestVariableLength:
         graph = chain_graph(tiny_ontology, [(0, 1, "DFG"), (1, 2, "DFG"), (1, 5, "DFG"), (5, 3, "DFG")], 6, classes)
         results = evaluate(graph, parse_query("MATCH (a:Sub)-[:DFG*]->(b:Other) RETURN a"), star_max=2)
         assert [tuple(r.bindings.values()) for r in results] == [(0, 2), (1, 2), (1, 3)]
+
+    @pytest.mark.parametrize("star_max", [0, -3, True, "10"])
+    def test_star_max_must_be_a_positive_int(self, tiny_ontology, star_max):
+        graph = self.chain(tiny_ontology, 4)
+        ast = parse_query("MATCH (a)-[:DFG*]->(b) RETURN a")
+        for run in (evaluate, explain):
+            with pytest.raises(QueryError, match="star_max must be a positive integer"):
+                run(graph, ast, star_max)
 
 
 class TestPredicates:
@@ -372,6 +380,40 @@ class TestWherePrecedence:
         expected = eval(" ".join(words))  # only True, False, and, or
         results = evaluate(graph, parse_query(f"MATCH (n) WHERE {' '.join(clauses)} RETURN n"))
         assert len(results) == (1 if expected else 0), clauses
+
+
+class TestOrPlacement:
+    """An OR is one test, due like any other at the index it reads that
+    binds last, so a binding that fails it is dropped before the walk goes
+    on from it."""
+
+    def test_or_failing_at_the_seed_lists_no_steps(self, tiny_ontology, monkeypatch):
+        graph = chain_graph(tiny_ontology, [(0, 1, "DFG"), (1, 2, "DFG"), (2, 0, "DFG")])
+        listings = Counter()
+        for name in ("out_edges", "in_edges"):
+
+            def counted(*args, _method=getattr(graph, name), **kwargs):
+                listings["calls"] += 1
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(graph, name, counted)
+        ast = parse_query('MATCH p=(a)-[:DFG*]-(b) WHERE a.q = "x" OR a.p = 7 RETURN p')
+        assert evaluate(graph, ast) == []
+        assert not listings
+        ast = parse_query('MATCH p=(a)-[:DFG*]-(b) WHERE a.q = "x" OR a.name = "n1" RETURN p')
+        results = evaluate(graph, ast)
+        assert results and {r.bindings["a"] for r in results} == {1}
+        assert result_paths(results) == oracle_paths(graph, ast)
+
+    @pytest.mark.parametrize(("labels", "anchor", "due"), [(("Sub", "", ""), 0, 2), (("", "Sub", ""), 1, 0)])
+    def test_or_is_due_only_where_it_binds_last(self, tiny_ontology, labels, anchor, due):
+        graph = chain_graph(tiny_ontology, [(0, 1, "DFG"), (1, 2, "DFG"), (2, 3, "DFG")], classes={1: "Sub"})
+        a, b, c = (f":{label}" if label else "" for label in labels)
+        ast = parse_query(f'MATCH p=(x{a})-[:DFG]->(y{b})-[:DFG]->(z{c}) WHERE x.p = 1 OR z.name = "n3" RETURN p')
+        plan = engine._plan(graph, ast, 10)
+        assert plan.anchor == anchor
+        assert [len(tests) for tests in plan.at_bind] == [int(i == due) for i in range(3)]
+        assert result_paths(evaluate(graph, ast)) == oracle_paths(graph, ast)
 
 
 @st.composite
@@ -645,9 +687,8 @@ class TestHubScaling:
 
 
 class TestHopIndex:
-    """A frozen graph keeps the engine's step lists in `hop_steps`, one
-    memo per hop shape, for every later query; a graph still being built
-    keeps none."""
+    """A graph keeps the engine's step lists in `hop_steps`, one memo per
+    hop shape, for every later query; `add_edge` empties them."""
 
     FLEET = "fleet-8-shared-4"
 
@@ -674,7 +715,7 @@ class TestHopIndex:
         assert warm == cold
         assert not listings
 
-    def test_graph_being_built_keeps_no_lists(self, tmp_path, monkeypatch):
+    def test_add_edge_empties_the_lists(self, tmp_path, monkeypatch):
         built = build_graph(load_manifest(fleet_manifest(self.FLEET, tmp_path, monkeypatch)))[0]
         graph = PropertyGraph(built.ontology)
         for node in built.nodes():
@@ -684,6 +725,7 @@ class TestHopIndex:
         ast = parse_query(importlib.import_module("expected").OWNED["registry-pulls"])
         assert explain(graph, ast).startswith("seed at node #0 r:ContainerRegistry")
         before = evaluate(graph, ast)
+        assert graph.hop_steps
         # a registry feeds a compute it did not feed, which runs an application
         registry = graph.label_candidates("ContainerRegistry")[0]
         fed = {edge.to_id for edge in graph.out_edges(registry, "DFG")}
@@ -691,10 +733,10 @@ class TestHopIndex:
             c for c in graph.label_candidates("Compute") if c not in fed and graph.in_edges(c, "RUNS_ON")
         )
         edge_id = graph.add_edge(registry, compute, "DFG")
+        assert graph.hop_steps == {}
         after = evaluate(graph, ast)
         new = [result for result in after if edge_id in result.path.edge_ids]
         assert new and len(after) == len(before) + len(new)
-        assert graph.hop_steps is None
 
     def test_cached_lists_are_fresh_and_bounded(self, tmp_path, monkeypatch):
         graph = build_graph(load_manifest(fleet_manifest(self.FLEET, tmp_path, monkeypatch)))[0]
@@ -710,3 +752,33 @@ class TestHopIndex:
                 assert len(steps) <= len(graph.out_edges(node_id)) + len(graph.in_edges(node_id))
         cached = sum(len(steps) for memo in store.values() for steps in memo.values())
         assert 0 < cached <= len(store) * 2 * graph.edge_count
+
+
+class TestStepsCarryPaths:
+    """Each step holds the node it reaches and a hop's target candidates
+    are its label's nodes, so `evaluate` builds paths and ends routes that
+    are shorter than their bound without looking up an edge or testing a
+    label."""
+
+    SHORT_ROUTES = "MATCH p=(a:Application)-[*]-(s:Storage) RETURN p"
+
+    @pytest.mark.parametrize("name", ["bookinfo", "fleet-8-shared-4"])
+    def test_pinned_results_without_edge_or_label_lookups(self, name, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        if GRAPHS[name] is None:
+            manifest = data_path(f"fixtures/{name}/manifest.yaml")
+        else:
+            manifest = fleet_manifest(name, tmp_path, monkeypatch)
+        graph = build_graph(load_manifest(manifest))[0]
+        short = parse_query(self.SHORT_ROUTES)
+        expected = oracle_paths(graph, short, star_max=4)
+        assert any(len(edge_ids) < 4 for _, _, edge_ids, _ in expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate looked up an edge or tested a label")
+
+        monkeypatch.setattr(graph, "edge", refuse)
+        monkeypatch.setattr(graph, "node_matches_label", refuse)
+        text = results_text(graph, TestHopIndex.queries())
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RESULTS_SHA256[name]
+        assert result_paths(evaluate(graph, short, star_max=4)) == expected
