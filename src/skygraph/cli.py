@@ -138,8 +138,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (SkygraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    # a runaway query; reported once the handler has let go of what it made
+    except MemoryError:
+        message = f"{args.command} ran out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 
 from skygraph.errors import AmbiguousStorageError
 from skygraph.graph import PropertyGraph
@@ -41,32 +40,17 @@ from skygraph.graph import PropertyGraph
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class UrlParts:
-    host: str
-    path: str
-
-    @property
-    def host_key(self) -> str:
-        """Host with any userinfo and port stripped and lowercased, for
-        comparisons: DNS names are case-insensitive. A bracketed IPv6
-        address gives the address inside the brackets."""
-        host = self.host.rpartition("@")[2]
-        if host.startswith("["):
-            return host[1:].partition("]")[0].lower()
-        return host.partition(":")[0].lower()
-
-
-def parse_url(text: str) -> UrlParts:
-    """Split a URL into host and a normalized path; any scheme, query and
-    fragment are dropped."""
+def parse_url(text: str) -> tuple[str, str]:
+    """The (host, path) pair that URLs are compared by. The host has any
+    userinfo and port stripped and is lowercased, as DNS names are
+    case-insensitive; a bracketed IPv6 address gives the address inside the
+    brackets. The path has duplicate slashes collapsed. Any scheme, query
+    and fragment are dropped."""
     rest = text.split("://", 1)[-1].split("#", 1)[0].split("?", 1)[0]
-    if "/" in rest:
-        host, path = rest.split("/", 1)
-        path = "/" + path
-    else:
-        host, path = rest, "/"
-    return UrlParts(host=host, path=re.sub("/+", "/", path))
+    host, _, path = rest.partition("/")
+    host = host.rpartition("@")[2]
+    host = host[1:].partition("]")[0] if host.startswith("[") else host.partition(":")[0]
+    return host.lower(), re.sub("/+", "/", "/" + path)
 
 
 # -- pass 1: proxied endpoints -------------------------------------------------
@@ -129,15 +113,14 @@ def create_proxied_endpoints(graph: PropertyGraph) -> int:
 def _endpoint_buckets(
     graph: PropertyGraph,
 ) -> tuple[dict[tuple[str, str], list[int]], dict[str, set[int]]]:
-    """Endpoints by `(host_key, path)` of their url, and endpoints without
+    """Endpoints by the `parse_url` pair of their url, and endpoints without
     a url, such as application-local ones, by path alone."""
     by_url: dict[tuple[str, str], list[int]] = {}
     by_path: dict[str, set[int]] = {}
     for endpoint_id in graph.label_candidates("HttpEndpoint"):
         props = graph.node(endpoint_id).properties
         if props.get("url") is not None:
-            parts = parse_url(str(props["url"]))
-            by_url.setdefault((parts.host_key, parts.path), []).append(endpoint_id)
+            by_url.setdefault(parse_url(str(props["url"])), []).append(endpoint_id)
         elif props.get("path") is not None:
             by_path.setdefault(re.sub("/+", "/", str(props["path"])), set()).add(endpoint_id)
     return by_url, by_path
@@ -145,7 +128,7 @@ def _endpoint_buckets(
 
 def _host_buckets(graph: PropertyGraph) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
     """Applications by lowercased name, and the applications behind each
-    load balancer by the host key of its url."""
+    load balancer by the host of its url."""
     by_name: dict[str, list[int]] = {}
     for app_id in graph.nodes_with_class("Application"):
         by_name.setdefault(graph.node(app_id).name.lower(), []).append(app_id)
@@ -153,7 +136,7 @@ def _host_buckets(graph: PropertyGraph) -> tuple[dict[str, list[int]], dict[str,
     for balancer_id in graph.label_candidates("LoadBalancer"):
         url = graph.property_value(balancer_id, "url")
         if url is not None:
-            apps = by_balancer.setdefault(parse_url(str(url)).host_key, [])
+            apps = by_balancer.setdefault(parse_url(str(url))[0], [])
             apps.extend(_applications_behind(graph, balancer_id))
     return by_name, by_balancer
 
@@ -185,12 +168,12 @@ def resolve_http_requests(graph: PropertyGraph) -> int:
     for request_id in graph.nodes_with_class("HttpRequest"):
         request = graph.node(request_id)
         url_text = str(request.properties.get("url", ""))
-        url = parse_url(url_text)
+        host, path = parse_url(url_text)
         method = str(request.properties.get("method", ""))
         sources = graph.out_edges(request_id, "SOURCE")
         call_id = sources[0].to_id if sources else None
-        local = by_path.get(url.path, set())
-        apps = by_name.get(url.host_key.split(".", 1)[0]) or by_balancer.get(url.host_key)
+        local = by_path.get(path, set())
+        apps = by_name.get(host.split(".", 1)[0]) or by_balancer.get(host)
         if apps is not None:
             local = local.intersection(
                 owned for app_id in apps for owned in _endpoints_of_application(graph, app_id)
@@ -200,9 +183,9 @@ def resolve_http_requests(graph: PropertyGraph) -> int:
                 "request to %r: host %r addresses no application or load balancer;"
                 " matched on path alone",
                 url_text,
-                url.host_key,
+                host,
             )
-        for endpoint_id in sorted([*by_url.get((url.host_key, url.path), ()), *local]):
+        for endpoint_id in sorted([*by_url.get((host, path), ()), *local]):
             if graph.node(endpoint_id).properties.get("method") not in ("ANY", method):
                 continue
             added += graph.add_edge_once(request_id, endpoint_id, "TO")
@@ -238,12 +221,12 @@ def resolve_storage_requests(graph: PropertyGraph) -> int:
         container = request.properties.get("container")
         if account_url is None or container is None:
             continue
-        host = parse_url(str(account_url)).host_key
+        host = parse_url(str(account_url))[0]
         matches = []
         for storage_id in by_name.get(container, []):
             for has in graph.out_edges(storage_id, "HAS_ENDPOINT"):
                 endpoint_url = graph.node(has.to_id).properties.get("url")
-                if endpoint_url is not None and parse_url(str(endpoint_url)).host_key == host:
+                if endpoint_url is not None and parse_url(str(endpoint_url))[0] == host:
                     matches.append(storage_id)
                     break
         if len(matches) > 1:

@@ -132,7 +132,7 @@ class PropertyGraph:
             ancestry = ontology.ancestry(name)
             keys = self._property_keys[name] = dict(UNIVERSAL_PROPERTY_KEYS)
             for ancestor in ancestry:
-                for key, kind in ontology.classes[ancestor].data_properties:
+                for key, kind in (ontology.classes[ancestor].get("data_properties") or {}).items():
                     keys[key] = PROPERTY_KINDS[kind]
                 labels.setdefault(ancestor, set()).add(name)
         self._label_classes = {label: frozenset(c) for label, c in labels.items()} | {"Node": None}

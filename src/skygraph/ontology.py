@@ -2,13 +2,20 @@
 features, plus the per-provider type mappings that classify inventory
 resources into abstract classes.
 
+The ontology keeps its documents as checked, with no copy of its own:
+`classes` holds each class entry of the ontology document, and `mappings`
+the `(provider, provider_type) -> class` bindings of the mapping documents,
+in declaration order. The class entries are checked once, when the ontology
+document is read. A mapping document is checked when it is added: the shape
+of its entries, then their classes, then duplicates against the mappings
+already held. So `load_ontology` checks each class once, names the file of
+every fault, and reports a mapping that two files declare in the later one.
+
 The ontology is immutable after loading and safe to share between threads.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from skygraph.errors import OntologyError, UnknownClassError, UnknownMappingError
@@ -30,71 +37,51 @@ _MAPPING_DOCUMENT = ({"provider": str}, {"types": list})
 _MAPPING = ({"provider_type": str, "ontology_class": str}, {})
 
 
-@dataclass(frozen=True)
-class OntologyClass:
-    name: str
-    kind: str
-    parent: str | None = None
-    data_properties: tuple[tuple[str, str], ...] = ()
-    offers: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class InstanceMapping:
-    provider: str
-    provider_type: str
-    ontology_class: str
-
-
-@dataclass
 class Ontology:
     """Validated class hierarchy plus provider instance mappings."""
 
-    classes: dict[str, OntologyClass]
-    mappings: list[InstanceMapping]
-    # class -> its chain from the root down to itself
-    _ancestry: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
-    _mapping_index: dict[tuple[str, str], str] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._validate()
-        self._mapping_index = {
-            (m.provider, m.provider_type): m.ontology_class for m in self.mappings
-        }
-
-    # -- validation ----------------------------------------------------
-
-    def _validate(self) -> None:
-        for cls in self.classes.values():
-            if cls.kind not in CLASS_KINDS:
-                raise OntologyError(f"class {cls.name!r} has unknown kind {cls.kind!r}")
-            for prop, prop_kind in cls.data_properties:
+    def __init__(self, ontology_doc: dict):
+        """Check the ontology document and hold its class entries, with no
+        mappings yet."""
+        check_fields(ontology_doc, "ontology document", OntologyError, *_ONTOLOGY)
+        #: class name -> its checked entry
+        self.classes: dict[str, dict] = {}
+        for entry in ontology_doc.get("classes") or []:
+            check_fields(entry, "class entry", OntologyError, *_CLASS)
+            if entry["name"] in self.classes:
+                raise OntologyError(f"duplicate class name {entry['name']!r}")
+            self.classes[entry["name"]] = entry
+        for name, cls in self.classes.items():
+            kind = cls["kind"]
+            if kind not in CLASS_KINDS:
+                raise OntologyError(f"class {name!r} has unknown kind {kind!r}")
+            for prop, prop_kind in (cls.get("data_properties") or {}).items():
                 if prop_kind not in PROPERTY_KINDS:
                     raise OntologyError(
-                        f"class {cls.name!r} property {prop!r} has unknown kind {prop_kind!r}"
+                        f"class {name!r} property {prop!r} has unknown kind {prop_kind!r}"
                     )
-            if cls.parent is not None:
-                parent = self.classes.get(cls.parent)
+            if cls.get("parent") is not None:
+                parent = self.classes.get(cls["parent"])
                 if parent is None:
                     raise OntologyError(
-                        f"class {cls.name!r} references unknown parent {cls.parent!r}"
+                        f"class {name!r} references unknown parent {cls['parent']!r}"
                     )
-                if parent.kind != cls.kind:
+                if parent["kind"] != kind:
                     raise OntologyError(
-                        f"class {cls.name!r} ({cls.kind}) has parent of kind {parent.kind!r}"
+                        f"class {name!r} ({kind}) has parent of kind {parent['kind']!r}"
                     )
-            for offered in cls.offers:
+            for offered in cls.get("offers") or ():
                 target = self.classes.get(offered)
                 if target is None:
+                    raise OntologyError(f"class {name!r} offers unknown class {offered!r}")
+                if target["kind"] not in ("functionality", "security-feature"):
                     raise OntologyError(
-                        f"class {cls.name!r} offers unknown class {offered!r}"
+                        f"class {name!r} offers {offered!r} of kind {target['kind']!r}"
                     )
-                if target.kind not in ("functionality", "security-feature"):
-                    raise OntologyError(
-                        f"class {cls.name!r} offers {offered!r} of kind {target.kind!r}"
-                    )
-        # each class's ancestry, extending the first known one on its
-        # parent chain; a chain that meets itself is a cycle
+        # class -> its chain from the root down to itself, extending the
+        # first known one on its parent chain; a chain that meets itself is
+        # a cycle
+        self._ancestry: dict[str, tuple[str, ...]] = {}
         for name in self.classes:
             chain: list[str] = []
             cur: str | None = name
@@ -102,31 +89,33 @@ class Ontology:
                 if cur in chain:
                     raise OntologyError(f"inheritance cycle through class {cur!r}")
                 chain.append(cur)
-                cur = self.classes[cur].parent
+                cur = self.classes[cur].get("parent")
             ancestry = self._ancestry.get(cur, ())
             for link in reversed(chain):
                 ancestry = self._ancestry[link] = ancestry + (link,)
-        for m in self.mappings:
-            cls = self.classes.get(m.ontology_class)
-            if cls is None:
-                raise OntologyError(
-                    f"mapping {m.provider}/{m.provider_type} references unknown "
-                    f"class {m.ontology_class!r}"
-                )
-            if cls.kind != "resource":
-                raise OntologyError(
-                    f"mapping {m.provider}/{m.provider_type} targets non-resource "
-                    f"class {m.ontology_class!r}"
-                )
-        seen: set[tuple[str, str]] = set()
-        for m in self.mappings:
-            key = (m.provider, m.provider_type)
-            if key in seen:
-                raise OntologyError(
-                    f"duplicate mapping for provider {m.provider!r} "
-                    f"type {m.provider_type!r}"
-                )
-            seen.add(key)
+        #: (provider, provider_type) -> class, in declaration order
+        self.mappings: dict[tuple[str, str], str] = {}
+
+    def _add_mappings(self, doc: dict) -> None:
+        """Check one mapping document and hold its entries: first the shape
+        of every entry, then each entry's class, then duplicates against
+        the mappings already held."""
+        check_fields(doc, "mapping document", OntologyError, *_MAPPING_DOCUMENT)
+        provider, entries = doc["provider"], doc.get("types") or []
+        for entry in entries:
+            check_fields(entry, "mapping entry", OntologyError, *_MAPPING)
+        for entry in entries:
+            where = f"mapping {provider}/{entry['provider_type']}"
+            name = entry["ontology_class"]
+            if name not in self.classes:
+                raise OntologyError(f"{where} references unknown class {name!r}")
+            if self.classes[name]["kind"] != "resource":
+                raise OntologyError(f"{where} targets non-resource class {name!r}")
+        for entry in entries:
+            key = (provider, entry["provider_type"])
+            if key in self.mappings:
+                raise OntologyError(f"duplicate mapping for provider {provider!r} type {key[1]!r}")
+            self.mappings[key] = entry["ontology_class"]
 
     # -- reasoning -----------------------------------------------------
 
@@ -151,7 +140,7 @@ class Ontology:
     def resolve_instance_class(self, provider: str, provider_type: str) -> str:
         """Classify a provider-specific resource type, e.g. an AWS EC2
         Volume into BlockStorage."""
-        cls = self._mapping_index.get((provider, provider_type))
+        cls = self.mappings.get((provider, provider_type))
         if cls is None:
             raise UnknownMappingError(provider, provider_type)
         return cls
@@ -165,7 +154,7 @@ class Ontology:
         out: list[str] = []
         seen: set[str] = set()
         for ancestor in self.ancestry(class_name):
-            for offered in self.classes[ancestor].offers:
+            for offered in self.classes[ancestor].get("offers") or ():
                 if offered not in seen:
                     seen.add(offered)
                     out.append(offered)
@@ -174,72 +163,34 @@ class Ontology:
     # -- serialization -------------------------------------------------
 
     def to_documents(self) -> tuple[dict, list[dict]]:
-        """Rebuild the (ontology document, mapping documents) pair.
+        """The (ontology document, mapping documents) pair.
 
-        Classes are sorted by name; offers and data properties keep
-        declaration order.
+        Class entries are sorted by name, without their empty optional
+        fields; offers and data properties keep declaration order. There is
+        one mapping document per provider, sorted by provider, with its
+        entries in declaration order.
         """
-        classes = []
-        for cls in sorted(self.classes.values(), key=lambda c: c.name):
-            entry: dict = {"name": cls.name, "kind": cls.kind}
-            if cls.parent is not None:
-                entry["parent"] = cls.parent
-            if cls.data_properties:
-                entry["data_properties"] = {k: v for k, v in cls.data_properties}
-            if cls.offers:
-                entry["offers"] = list(cls.offers)
-            classes.append(entry)
+        classes = [
+            {key: value for key, value in self.classes[name].items() if value or key not in _CLASS[1]}
+            for name in sorted(self.classes)
+        ]
         by_provider: dict[str, list[dict]] = {}
-        for m in self.mappings:
-            by_provider.setdefault(m.provider, []).append(
-                {"provider_type": m.provider_type, "ontology_class": m.ontology_class}
+        for (provider, provider_type), cls in self.mappings.items():
+            by_provider.setdefault(provider, []).append(
+                {"provider_type": provider_type, "ontology_class": cls}
             )
         mapping_docs = [
-            {"provider": provider, "types": types}
-            for provider, types in sorted(by_provider.items())
+            {"provider": provider, "types": types} for provider, types in sorted(by_provider.items())
         ]
         return {"classes": classes}, mapping_docs
 
 
-def _check_ontology_document(doc: dict) -> dict:
-    check_fields(doc, "ontology document", OntologyError, *_ONTOLOGY)
-    for entry in doc.get("classes") or []:
-        check_fields(entry, "class entry", OntologyError, *_CLASS)
-    return doc
-
-
-def _mappings(doc: dict) -> list[InstanceMapping]:
-    """The entries of one mapping document, after checking its shape."""
-    check_fields(doc, "mapping document", OntologyError, *_MAPPING_DOCUMENT)
-    mappings = []
-    for entry in doc.get("types") or []:
-        check_fields(entry, "mapping entry", OntologyError, *_MAPPING)
-        mappings.append(
-            InstanceMapping(doc["provider"], entry["provider_type"], entry["ontology_class"])
-        )
-    return mappings
-
-
 def ontology_from_documents(ontology_doc: dict, mapping_docs: list[dict]) -> Ontology:
-    """Build and validate an Ontology from already-parsed documents."""
-    classes: dict[str, OntologyClass] = {}
-    for entry in _check_ontology_document(ontology_doc).get("classes") or []:
-        if entry["name"] in classes:
-            raise OntologyError(f"duplicate class name {entry['name']!r}")
-        classes[entry["name"]] = OntologyClass(
-            name=entry["name"],
-            kind=entry["kind"],
-            parent=entry.get("parent"),
-            data_properties=tuple((entry.get("data_properties") or {}).items()),
-            offers=tuple(entry.get("offers") or []),
-        )
-    return Ontology(classes=classes, mappings=[m for doc in mapping_docs for m in _mappings(doc)])
-
-
-def _with_mappings(ontology: Ontology, doc: dict) -> Ontology:
-    """`ontology` plus the entries of one mapping document, validated
-    again, so that `load_ontology` can name the file an error belongs to."""
-    return Ontology(ontology.classes, ontology.mappings + _mappings(doc))
+    """Check already-parsed documents and build the Ontology that holds them."""
+    ontology = Ontology(ontology_doc)
+    for doc in mapping_docs:
+        ontology._add_mappings(doc)
+    return ontology
 
 
 def load_ontology(ontology_path: str | Path, mapping_paths: list[str | Path] = ()) -> Ontology:
@@ -248,5 +199,5 @@ def load_ontology(ontology_path: str | Path, mapping_paths: list[str | Path] = (
     for its classes, a mapping file for its entries."""
     ontology = load_document(ontology_path, OntologyError, lambda doc: ontology_from_documents(doc, []))
     for path in mapping_paths:
-        ontology = load_document(path, OntologyError, functools.partial(_with_mappings, ontology))
+        load_document(path, OntologyError, ontology._add_mappings)
     return ontology

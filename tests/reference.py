@@ -149,7 +149,7 @@ def oracle_label_match(graph: PropertyGraph, node_id: int, label: str) -> bool:
         while cur is not None:
             if cur == label:
                 return True
-            cur = ontology.classes[cur].parent
+            cur = ontology.classes[cur].get("parent")
     return False
 
 
@@ -164,9 +164,9 @@ def oracle_property_keys(ontology, class_name: str) -> dict[str, type] | None:
         keys = {}
         cur = class_name
         while cur is not None:
-            for key, kind in ontology.classes[cur].data_properties:
+            for key, kind in (ontology.classes[cur].get("data_properties") or {}).items():
                 keys.setdefault(key, types[kind])
-            cur = ontology.classes[cur].parent
+            cur = ontology.classes[cur].get("parent")
         return {"name": str, "provider_id": str} | keys
     if class_name in ("FunctionDeclaration", "CallExpression", "Expression", "Literal"):
         return None

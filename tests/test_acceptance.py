@@ -173,10 +173,10 @@ class TestCriterion3OntologyProperties:
                 for c in names_all:
                     if (b, c) in subclass:
                         assert (a, c) in subclass
-            for cls in core_ontology.classes.values():
-                if cls.parent is not None:
-                    assert set(core_ontology.offered_features(cls.name)) >= set(
-                        core_ontology.offered_features(cls.parent)
+            for name, cls in core_ontology.classes.items():
+                if cls.get("parent") is not None:
+                    assert set(core_ontology.offered_features(name)) >= set(
+                        core_ontology.offered_features(cls["parent"])
                     )
             assert time.perf_counter() - start < 1.0
 

@@ -288,6 +288,19 @@ class TestQuery:
         no_hit = "MATCH (n:BlockStorage)-[:TO]->(m) RETURN n"
         assert main(["query", str(built_graph_file), no_hit, "--fail-if-found"]) == 0
 
+    def test_out_of_memory_exits_2_without_traceback(self, built_graph_file, monkeypatch, capsys):
+        """A runaway query that exhausts memory ends in one error line."""
+
+        def runaway(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("skygraph.cli.evaluate", runaway)
+        query = "MATCH p=(a:ContainerImage)-[*]-(b:Storage) RETURN p"
+        assert main(["query", str(built_graph_file), query, "--format", "count"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: query ran out of memory\n"
+
     def test_parse_error_exit_code(self, built_graph_file, capsys):
         assert main(["query", str(built_graph_file), "MATCH (n RETURN n"]) == 2
         assert "error" in capsys.readouterr().err

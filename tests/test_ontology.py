@@ -2,6 +2,7 @@ import pytest
 import yaml
 
 from skygraph.errors import OntologyError, UnknownClassError, UnknownMappingError
+from skygraph.graph import PropertyGraph, export_graph
 from skygraph.ontology import load_ontology, ontology_from_documents
 
 from .conftest import data_path
@@ -14,12 +15,12 @@ def make(classes, mappings=None):
 def test_minimal_single_root():
     ontology = make([{"name": "CloudResource", "kind": "resource"}])
     assert ontology.has_class("CloudResource")
-    assert ontology.mappings == []
+    assert ontology.mappings == {}
 
 
 def test_bundled_inheritance_chain(core_ontology):
-    assert core_ontology.classes["ObjectStorage"].parent == "Storage"
-    assert core_ontology.classes["Storage"].parent == "CloudResource"
+    assert core_ontology.classes["ObjectStorage"]["parent"] == "Storage"
+    assert core_ontology.classes["Storage"]["parent"] == "CloudResource"
 
 
 def test_cycle_is_rejected():
@@ -112,6 +113,29 @@ def test_one_mapping_shape(tmp_path, mutate, faulty, message):
     assert str(info.value).startswith(f"{tmp_path / faulty}: ")
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"provider_type": "AWS::EC2::Volume", "ontology_class": "BlockStorage"},
+         r"duplicate mapping for provider 'aws' type 'AWS::EC2::Volume'"),
+        ({"provider_type": "AWS::New::Thing", "ontology_class": "Ghost"},
+         r"mapping aws/AWS::New::Thing references unknown class 'Ghost'"),
+        ({"provider_type": "AWS::New::Thing", "ontology_class": "TransportEncryption"},
+         r"mapping aws/AWS::New::Thing targets non-resource class 'TransportEncryption'"),
+    ],
+    ids=["duplicate-of-first-file", "unknown-class", "non-resource-class"],
+)
+def test_mapping_fault_names_the_later_file(tmp_path, entry, message):
+    """A fault of the second mapping file names that file, also when the
+    mapping it repeats was declared by the first."""
+    later = tmp_path / "more-aws.yaml"
+    later.write_text(yaml.safe_dump({"provider": "aws", "types": [entry]}), encoding="utf-8")
+    first = data_path("ontology/aws.yaml")
+    with pytest.raises(OntologyError, match=message) as info:
+        load_ontology(data_path("ontology/core.yaml"), [first, later])
+    assert str(info.value).startswith(f"{later}: ")
+
+
 def test_duplicate_mapping_rejected():
     classes = [{"name": "BlockStorage", "kind": "resource"}]
     mapping = {
@@ -199,23 +223,29 @@ def test_subclass_transitivity_exhaustive(core_ontology):
 
 
 def test_feature_inheritance_superset(core_ontology):
-    for cls in core_ontology.classes.values():
-        if cls.parent is None:
+    for name, cls in core_ontology.classes.items():
+        if cls.get("parent") is None:
             continue
-        child_features = set(core_ontology.offered_features(cls.name))
-        parent_features = set(core_ontology.offered_features(cls.parent))
+        child_features = set(core_ontology.offered_features(name))
+        parent_features = set(core_ontology.offered_features(cls["parent"]))
         assert child_features >= parent_features
 
 
 def test_round_trip(core_ontology):
     doc, mapping_docs = core_ontology.to_documents()
     reloaded = ontology_from_documents(doc, mapping_docs)
-    assert set(reloaded.classes) == set(core_ontology.classes)
-    for name, cls in core_ontology.classes.items():
-        other = reloaded.classes[name]
-        assert other.parent == cls.parent
-        assert set(other.offers) == set(cls.offers)
-        assert dict(other.data_properties) == dict(cls.data_properties)
-    assert sorted(
-        (m.provider, m.provider_type, m.ontology_class) for m in reloaded.mappings
-    ) == sorted((m.provider, m.provider_type, m.ontology_class) for m in core_ontology.mappings)
+    assert reloaded.to_documents() == (doc, mapping_docs)
+    assert reloaded.mappings == core_ontology.mappings
+
+
+def test_empty_optional_fields_export_as_absent():
+    """`parent: null`, `offers: []` and `data_properties: {}` export exactly
+    as a class entry without them."""
+    root = {"name": "CloudResource", "kind": "resource"}
+    bare = {"name": "Disk", "kind": "resource"}
+    empty = dict(bare, parent=None, offers=[], data_properties={})
+    texts = [
+        export_graph(PropertyGraph(make([root, entry]))) for entry in (bare, empty)
+    ]
+    assert texts[0] == texts[1]
+    assert '"parent"' not in texts[0] and '"offers"' not in texts[0]
