@@ -22,17 +22,17 @@ from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int
 
 def render_path(graph: PropertyGraph, path: GraphPath) -> str:
     """`name(Class) -[TYPE]-> name(Class) ...` with direction-aware arrows."""
-
-    def node_text(node_id: int) -> str:
-        node = graph.node(node_id)
-        return f"{node.name}({node.class_name})"
-
-    parts = [node_text(path.node_ids[0])]
-    for i, edge_id in enumerate(path.edge_ids):
-        edge_type = graph.edge(edge_id).type
-        arrow = f"-[{edge_type}]->" if path.forward[i] else f"<-[{edge_type}]-"
-        parts.append(arrow)
-        parts.append(node_text(path.node_ids[i + 1]))
+    node, edge = graph.node, graph.edge
+    parts = []
+    # each edge after the node before it; zip stops short of the last node
+    for node_id, edge_id, forward in zip(path.node_ids, path.edge_ids, path.forward):
+        source, edge_type = node(node_id), edge(edge_id).type
+        if forward:
+            parts.append(f"{source.name}({source.class_name}) -[{edge_type}]->")
+        else:
+            parts.append(f"{source.name}({source.class_name}) <-[{edge_type}]-")
+    last = node(path.node_ids[-1])
+    parts.append(f"{last.name}({last.class_name})")
     return " ".join(parts)
 
 

@@ -80,7 +80,7 @@ class Edge:
     properties: dict[str, Scalar] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """Alternating node/edge walk; `forward[i]` is False when edge i was
     traversed against its direction. Edge ids never repeat."""

@@ -9,7 +9,7 @@ from skygraph.query.syntax import (
     RelPattern,
     parse_query,
 )
-from skygraph.query.engine import MatchResult, evaluate, explain
+from skygraph.query.engine import MatchResult, evaluate, explain, iter_matches
 
 __all__ = [
     "HopRange",
@@ -21,5 +21,6 @@ __all__ = [
     "RelPattern",
     "evaluate",
     "explain",
+    "iter_matches",
     "parse_query",
 ]

@@ -11,13 +11,20 @@ Matching semantics:
 * a comparison on a property the bound node lacks is false, not an error,
 * `a <> b` compares bound nodes by value: class, name and properties.
 
-Results are deterministic: ordered by the bound node ids in pattern
-order, then by the path's edge ids.
+`iter_matches` yields one row per match, in walk order: a tuple of the
+bound node ids in pattern order, the edge ids, the path's node ids and its
+forward flags. The row is read off the walk's steps, each of which holds
+its edge id, the node it reached and its direction, so no bindings dict,
+`Path` or `MatchResult` is made per match. `evaluate` sorts the rows by
+bound node ids, then edge ids, which makes its results deterministic, and
+only then builds each result from its row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from skygraph.errors import QueryError
 from skygraph.graph import EDGE_TYPES, Path, PropertyGraph
@@ -136,6 +143,10 @@ def _bounds(rel: RelPattern, star_max: int) -> tuple[int, int]:
 # A step: (edge id, neighbor, forward).
 _Step = tuple[int, int, bool]
 
+# A match row: (bound node ids in pattern order, edge ids, path node ids,
+# forward flags).
+Row = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[bool, ...]]
+
 
 def _expand(
     graph: PropertyGraph,
@@ -205,12 +216,25 @@ def _holds(graph: PropertyGraph, test: _Test, nodes: list[int]) -> bool:
     return equal if term.op == "=" else not equal
 
 
-def evaluate(
+def iter_matches(
     graph: PropertyGraph,
     ast: QueryAst,
     star_max: int = DEFAULT_STAR_MAX,
-) -> list[MatchResult]:
-    """Every assignment of graph nodes and edge routes to the pattern.
+) -> Iterator[Row]:
+    """A generator over the rows of every match of `ast`, in walk order.
+
+    The query is planned and checked here, so a bad `star_max`, label,
+    relationship type or WHERE key raises `QueryError` at the call, not
+    at the first row. Each row is `(bound node ids in pattern order, edge
+    ids, path node ids, forward flags)`, read off the walk's steps; a
+    single node pattern's row has empty edge, path and flag tuples.
+    """
+    return _walk(graph, ast, _plan(graph, ast, star_max), star_max)
+
+
+def _walk(graph: PropertyGraph, ast: QueryAst, plan: _Plan, star_max: int) -> Iterator[Row]:
+    """The rows of every assignment of graph nodes and edge routes to the
+    pattern.
 
     From each seed of the anchor, the hops are walked one step at a time,
     rightward from the anchor, then leftward, on one stack. Its frames
@@ -223,7 +247,9 @@ def evaluate(
     binds, then enters the next hop, whose entry frame holds it, or else
     is released at once. Each test of the plan runs once the last of the
     patterns it reads is bound, so a complete match has passed them all.
-    A path is read off the steps: each holds the node it reached.
+    A match's row is read off its steps, each of which holds the node it
+    reached: one `zip` transposes them into edge ids, path nodes and
+    flags, with no graph lookup.
 
     The step lists come from `_expand`, one memo per hop shape: the
     relationship type and direction, the walk's orientation, and the
@@ -233,17 +259,14 @@ def evaluate(
     shared: the check that no match uses an edge twice is still made for
     each match.
     """
-    node_patterns = ast.node_patterns
     rel_patterns = ast.rel_patterns
-    plan = _plan(graph, ast, star_max)
     at_bind, anchor = plan.at_bind, plan.anchor
-    nodes: list[int | None] = [None] * len(node_patterns)
+    nodes: list[int | None] = [None] * len(ast.node_patterns)
     # per relationship pattern, the steps of its live route in walk order:
     # right to left for the patterns left of the anchor
     routes: list[list[_Step]] = [[] for _ in rel_patterns]
     left_routes, right_routes = routes[:anchor], routes[anchor:]
     used: set[int] = set()
-    results: list[tuple[tuple[int, ...], tuple[int, ...], MatchResult]] = []
     store = graph.hop_steps
     # per hop: (source, target, rel, rightward, lo, hi, route, the target's
     # candidates, and the memos of _expand's lists for every step but the
@@ -282,26 +305,11 @@ def evaluate(
             steps = _expand(graph, node_id, rel, rightward, None, inner)
         return hop, depth, iter(steps), held
 
-    def emit() -> None:
-        bindings = {
-            np.var: node_id for np, node_id in zip(node_patterns, nodes) if np.var is not None
-        }
-        steps = [step for route in left_routes for step in reversed(route)]
-        left = len(steps)
-        steps += [step for route in right_routes for step in route]
-        edge_ids = tuple(edge_id for edge_id, _, _ in steps)
-        path = None
-        if ast.path_var:
-            node_ids = [neighbor for _, neighbor, _ in steps]
-            node_ids.insert(left, nodes[anchor])
-            path = Path(tuple(node_ids), edge_ids, tuple(forward for _, _, forward in steps))
-        results.append((tuple(nodes), edge_ids, MatchResult(bindings, path)))
-
     for seed in plan.candidates[anchor]:
         if not bind(anchor, seed):
             continue
         if not walks:  # a single node pattern
-            emit()
+            yield tuple(nodes), (), (), ()
             continue
         stack = [frame(0, 0, seed, None)]
         while stack:
@@ -327,7 +335,17 @@ def evaluate(
                         entry = nodes[walks[hop + 1][0]]
                         stack.append(frame(hop + 1, 0, entry, route if depth == hi else None))
                         break
-                    emit()
+                    # the match's steps left to right: the left routes'
+                    # reversed, then the right ones'
+                    taken = []
+                    for part in left_routes:
+                        taken += reversed(part)
+                    left = len(taken)
+                    for part in right_routes:
+                        taken += part
+                    edge_ids, reached, forward = zip(*taken)
+                    path_ids = (*reached[:left], nodes[anchor], *reached[left:])
+                    yield tuple(nodes), edge_ids, path_ids, forward
                 if depth < hi:
                     break
                 used.discard(edge_id)
@@ -337,8 +355,27 @@ def evaluate(
                 if held is not None:
                     used.discard(held.pop()[0])
 
-    results.sort(key=lambda item: (item[0], item[1]))
-    return [result for _, _, result in results]
+
+def evaluate(
+    graph: PropertyGraph,
+    ast: QueryAst,
+    star_max: int = DEFAULT_STAR_MAX,
+) -> list[MatchResult]:
+    """Every assignment of graph nodes and edge routes to the pattern, as
+    results ordered by bound node ids, then edge ids.
+
+    The rows of `iter_matches` are sorted first; each result's bindings
+    and path are built only after the sort, from its row.
+    """
+    rows = sorted(iter_matches(graph, ast, star_max), key=itemgetter(0, 1))
+    # a repeated variable binds one node at each of its indices
+    variables = list({np.var: i for i, np in enumerate(ast.node_patterns) if np.var is not None}.items())
+    if not ast.path_var:
+        return [MatchResult({var: row[0][i] for var, i in variables}) for row in rows]
+    return [
+        MatchResult({var: nodes[i] for var, i in variables}, Path(path_ids or nodes, edge_ids, forward))
+        for nodes, edge_ids, path_ids, forward in rows
+    ]
 
 
 def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MAX) -> str:

@@ -302,6 +302,16 @@ def result_paths(results) -> Counter:
     )
 
 
+def row_paths(ast: QueryAst, rows) -> Counter:
+    """Rows of `iter_matches` in the form `oracle_paths` returns; a single
+    node pattern's path is its one bound node."""
+    variables = [(np.var, i) for i, np in enumerate(ast.node_patterns) if np.var is not None]
+    return Counter(
+        (frozenset((var, nodes[i]) for var, i in variables), path_ids or nodes, edge_ids, forward)
+        for nodes, edge_ids, path_ids, forward in rows
+    )
+
+
 def naive_matches(graph: PropertyGraph, ast: QueryAst, star_max: int = 10) -> set[frozenset]:
     """Even blunter oracle: try every node assignment, then every
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import importlib
+import itertools
 import json
 import weakref
 from pathlib import Path
@@ -24,7 +25,7 @@ from skygraph.build import build_graph, load_manifest
 from skygraph.cli import render_path
 from skygraph.errors import GraphError
 from skygraph.graph import Edge, Node, export_graph, import_graph
-from skygraph.query import evaluate, parse_query
+from skygraph.query import evaluate, iter_matches, parse_query
 
 from .conftest import DATA, data_path, listing_text
 
@@ -89,6 +90,22 @@ def test_query_leaves_no_cyclic_garbage(export_text, bench_modules, star_max, co
     queries = {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
     graph_ref, count = run_queries(export_text, queries, star_max)
     assert count > 0
+    assert graph_ref() is None
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("end", ["close", "drop"])
+def test_rows_read_partway_leave_no_cyclic_garbage(export_text, end, collector_off):
+    """A row generator left in the middle of its walk, its stack holding
+    frames on both sides of an interior anchor, frees the walk and the
+    graph when closed or dropped."""
+    graph = import_graph(export_text)
+    rows = iter_matches(graph, parse_query(listing_text("cross-region-service-calls")), 10)
+    assert len(list(itertools.islice(rows, 2))) == 2
+    if end == "close":
+        rows.close()
+    graph_ref = weakref.ref(graph)
+    del graph, rows
     assert graph_ref() is None
     assert gc.collect() == 0
 

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import random
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from skygraph.build import build_graph, load_manifest
 from skygraph.errors import QueryError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import ontology_from_documents
-from skygraph.query import RelPattern, engine, evaluate, explain, parse_query
+from skygraph.query import RelPattern, engine, evaluate, explain, iter_matches, parse_query
 
 from .conftest import DATA, data_path, listing_text
 from .reference import (
@@ -25,6 +26,7 @@ from .reference import (
     random_hub_graph,
     random_query,
     result_paths,
+    row_paths,
     small_ontology_documents,
 )
 from .test_parity import BENCH, GRAPHS, RESULTS_SHA256, fleet_manifest, results_text
@@ -153,7 +155,7 @@ class TestVariableLength:
     def test_star_max_must_be_a_positive_int(self, tiny_ontology, star_max):
         graph = self.chain(tiny_ontology, 4)
         ast = parse_query("MATCH (a)-[:DFG*]->(b) RETURN a")
-        for run in (evaluate, explain):
+        for run in (evaluate, explain, iter_matches):
             with pytest.raises(QueryError, match="star_max must be a positive integer"):
                 run(graph, ast, star_max)
 
@@ -320,7 +322,7 @@ class TestUnknownNames:
     )
     def test_evaluate_and_explain_name_the_word(self, testbed_graph, text, message):
         ast = parse_query(text)
-        for run in (evaluate, explain):
+        for run in (evaluate, explain, iter_matches):
             with pytest.raises(QueryError, match=message):
                 run(testbed_graph, ast)
 
@@ -604,6 +606,72 @@ class TestOracleAgreement:
         assert sum(bool(labelled_star_end.search(t)) for t in texts) >= 50
         for label in ("Node", "Expression", "Mystery"):
             assert any(f":{label})" in t for t in texts), label
+
+
+class TestMatchRows:
+    """`iter_matches` yields one row of tuples per match, read off the
+    walk's steps, and `evaluate` builds its results from the same rows.
+    It plans the query when called, so `star_max` and the names are
+    checked then (TestVariableLength, TestUnknownNames)."""
+
+    @staticmethod
+    def rows_as_results(graph, ast, star_max):
+        """The rows in `oracle_paths`' form, checked against `evaluate`'s
+        results: their paths if the query binds one, else their bindings."""
+        rows = row_paths(ast, iter_matches(graph, ast, star_max))
+        results = evaluate(graph, ast, star_max)
+        if ast.path_var:
+            assert rows == result_paths(results)
+        else:
+            assert Counter(bindings for bindings, _, _, _ in rows.elements()) == Counter(
+                frozenset(r.bindings.items()) for r in results
+            )
+        return rows
+
+    def test_rows_encode_the_results_on_random_graphs(self, tiny_ontology):
+        rng = random.Random(20261019)
+        for case in range(200):
+            graph = random_graph(rng, tiny_ontology, max_nodes=8)
+            for _ in range(2):
+                text = random_query(rng, max_nodes=3)
+                if case % 2:
+                    text = text.replace("MATCH p=", "MATCH ")
+                ast = parse_query(text)
+                rows = self.rows_as_results(graph, ast, 3)
+                assert rows == oracle_paths(graph, ast, star_max=3), (case, text)
+
+    def test_rows_encode_the_results_on_hub_graphs(self, tiny_ontology):
+        rng = random.Random(20261020)
+        for case in range(50):
+            graph = random_hub_graph(rng, tiny_ontology)
+            star_max, max_nodes = (3, 2) if case % 2 else (2, 3)
+            for _ in range(3):
+                text = random_query(rng, max_nodes=max_nodes)
+                if case % 4 < 2:
+                    text = text.replace("MATCH p=", "MATCH ")
+                self.rows_as_results(graph, parse_query(text), star_max)
+
+    def test_single_node_rows(self, tiny_ontology):
+        graph = chain_graph(tiny_ontology, [(0, 1, "DFG")], classes={1: "Sub"})
+        for text in ("MATCH (a:Sub) RETURN a", "MATCH p=(a:Sub) RETURN p"):
+            assert list(iter_matches(graph, parse_query(text))) == [((1,), (), (), ())]
+        [result] = evaluate(graph, parse_query("MATCH p=(a:Sub) RETURN p"))
+        assert (result.path.node_ids, result.path.edge_ids, result.path.forward) == ((1,), (), ())
+
+    def test_counting_rows_holds_no_results(self, testbed_graph):
+        # the walk holds one route; the results of every match stay unmade
+        ast = parse_query("MATCH p=(a:ContainerImage)-[*]-(b:Storage) RETURN p")
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in iter_matches(testbed_graph, ast, 12))
+            _, counting = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            results = len(evaluate(testbed_graph, ast, 12))
+            _, evaluating = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == results == 22559
+        assert counting * 10 <= evaluating, (counting, evaluating)
 
 
 class TestHubScaling:
