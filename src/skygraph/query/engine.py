@@ -53,7 +53,7 @@ class _Plan:
     The anchor pattern is seeded from its candidates; each hop then binds
     its target pattern from its source, rightward from the anchor, then
     leftward, as (source, target, label, rel, rightward): the pattern
-    indices, the target's label, which filters the last step of the hop's
+    indices, the target's label, which filters the steps of the hop's
     segment, the index of the relationship pattern it walks, and whether
     it walks that pattern left to right. `at_bind[i]` holds the tests due
     once pattern `i` is bound: every constraint of a match is one of them.
@@ -165,6 +165,9 @@ def _expand(
     against it. An undirected self-loop comes once, as forward. The list
     is kept in `memo`, which must belong to this hop shape: the list
     depends only on `rel`'s type and direction, `rightward` and `members`.
+    Without `members` it is the list `_budgeted` filters for every step of
+    a hop to a labelled target; with them, the list of its last step, at
+    budget 0, where only a member can end the hop.
     """
     steps = memo.get(node_id)
     if steps is not None:
@@ -188,6 +191,66 @@ def _expand(
                 steps.append((edge.id, neighbor, False))
     memo[node_id] = steps
     return steps
+
+
+def _budgeted(
+    graph: PropertyGraph,
+    node_id: int,
+    rel: RelPattern,
+    rightward: bool,
+    members: set[int],
+    inner: dict[int, list[_Step]],
+    memos: list[dict[int, list[_Step]]],
+    budget: int,
+    slack: int,
+) -> list[_Step]:
+    """The steps from `node_id` after which a hop to a node in `members`
+    can still end, with `budget` (at least 1) more steps allowed after
+    them and `slack` the hop's upper bound less its lower one.
+
+    A step is kept if its neighbor is a member and `budget <= slack`, so
+    a route would be long enough to end there, or if the neighbor has a
+    kept step at `budget - 1`; at budget 0 that is `_expand`'s list to
+    `members`. Each list is `inner`'s unfiltered list for the node, in
+    its order, less the steps that cannot end, and is that list itself
+    if it keeps them all. Relationship isomorphism and WHERE are ignored,
+    so no step of a match is dropped. `memos[b]` keeps the lists at
+    budget `b`. The lists a list depends on are made first, on an
+    explicit stack, so a long budget cannot overflow Python's recursion
+    limit.
+    """
+    pending = [(node_id, budget)]  # (node, budget) pairs whose lists are wanted
+    while pending:
+        node, left = pending[-1]
+        memo = memos[left]
+        if node in memo:
+            pending.pop()
+            continue
+        below = memos[left - 1]
+        ends = left <= slack
+        unfiltered = _expand(graph, node, rel, rightward, None, inner)
+        kept = []
+        waiting = False
+        for step in unfiltered:
+            neighbor = step[1]
+            if ends and neighbor in members:
+                kept.append(step)
+                continue
+            listed = below.get(neighbor)
+            if listed is None:
+                if left > 1:
+                    pending.append((neighbor, left - 1))
+                    waiting = True
+                    continue
+                # a list at budget 0 depends on no other
+                listed = _expand(graph, neighbor, rel, rightward, members, below)
+            if listed:
+                kept.append(step)
+        if waiting:  # back once the lists it waits for are made
+            continue
+        pending.pop()
+        memo[node] = unfiltered if len(kept) == len(unfiltered) else kept
+    return memos[budget][node_id]
 
 
 def _scalar_equal(a, b) -> bool:
@@ -252,12 +315,19 @@ def _walk(graph: PropertyGraph, ast: QueryAst, plan: _Plan, star_max: int) -> It
     flags, with no graph lookup.
 
     The step lists come from `_expand`, one memo per hop shape: the
-    relationship type and direction, the walk's orientation, and the
-    target's label where it filters a hop's last step. The memos are the
-    graph's `hop_steps` store, so a later query reuses every list an
-    earlier one listed, until `add_edge` empties it. Only the lists are
-    shared: the check that no match uses an edge twice is still made for
-    each match.
+    relationship type and direction and the walk's orientation. Where
+    the target has a label, every step of the hop takes its list from
+    `_budgeted` instead: a step with `r` steps still allowed after it
+    keeps only neighbours that are the target's candidates, if `r <=
+    hi - lo`, or that have such a step at budget `r - 1`, so no route
+    is walked that could not end within the hop's bounds. Each budget
+    has its own memo, keyed by the label, `r` and `min(r, hi - lo)`; at
+    budget 0 it is the label-filtered memo of a one-step hop. A budgeted
+    list keeps its unfiltered list's order, so the rows come in the same
+    order as without the budgets. The memos are the graph's `hop_steps`
+    store, so a later query reuses every list an earlier one listed,
+    until `add_edge` empties it. Only the lists are shared: the check
+    that no match uses an edge twice is still made for each match.
     """
     rel_patterns = ast.rel_patterns
     at_bind, anchor = plan.at_bind, plan.anchor
@@ -269,20 +339,26 @@ def _walk(graph: PropertyGraph, ast: QueryAst, plan: _Plan, star_max: int) -> It
     used: set[int] = set()
     store = graph.hop_steps
     # per hop: (source, target, rel, rightward, lo, hi, route, the target's
-    # candidates, and the memos of _expand's lists for every step but the
-    # last the hop may take, and for that last one)
+    # candidates, the memo of _expand's unfiltered lists, and the memos of
+    # the budgeted lists by budget, None without candidates)
     walks = []
     for source, target, label, r, rightward in plan.hops:
         rel = rel_patterns[r]
+        lo, hi = _bounds(rel, star_max)
+        # a route takes each edge once, so no route is longer than the graph
+        # has edges, and a labelled hop keeps no more budgets than that
+        hi = min(hi, max(graph.edge_count, 1))
         candidates = plan.candidates[target]
         # a label that every node matches filters nothing
         members = None if label is None or len(candidates) == graph.node_count else set(candidates)
         shape = (rel.type, rel.direction, rightward)
         inner = store.setdefault((*shape, None), {})
-        last = inner if members is None else store.setdefault((*shape, label), {})
-        walks.append(
-            (source, target, rel, rightward, *_bounds(rel, star_max), routes[r], members, inner, last)
-        )
+        budgets = None
+        if members is not None:
+            # budget 0 is the label-filtered list of the hop's last step
+            budgets = [store.setdefault((*shape, label), {})]
+            budgets += [store.setdefault((*shape, label, b, min(b, hi - lo)), {}) for b in range(1, hi)]
+        walks.append((source, target, rel, rightward, lo, hi, routes[r], members, inner, budgets))
 
     def bind(index: int, node_id: int) -> bool:
         """Bind pattern `index` unless a test due there rules `node_id` out;
@@ -296,13 +372,19 @@ def _walk(graph: PropertyGraph, ast: QueryAst, plan: _Plan, star_max: int) -> It
     def frame(hop: int, depth: int, node_id: int, held: list[_Step] | None) -> tuple:
         """The frame at `node_id` after `depth` steps of `hop`, below its
         upper bound, holding the last step of the route `held`, if given.
-        It lists the steps out of `node_id`, only to the target's label if
-        the next step is the last the hop may take."""
-        _, _, rel, rightward, _, hi, _, members, inner, last = walks[hop]
-        if depth + 1 == hi:
-            steps = _expand(graph, node_id, rel, rightward, members, last)
-        else:
+        It lists the steps out of `node_id`, if the target has a label
+        only those after which the hop can still end there."""
+        _, _, rel, rightward, lo, hi, _, members, inner, budgets = walks[hop]
+        budget = hi - depth - 1
+        if budgets is None:
             steps = _expand(graph, node_id, rel, rightward, None, inner)
+        else:
+            steps = budgets[budget].get(node_id)
+            if steps is None:
+                if budget:
+                    steps = _budgeted(graph, node_id, rel, rightward, members, inner, budgets, budget, hi - lo)
+                else:
+                    steps = _expand(graph, node_id, rel, rightward, members, budgets[0])
         return hop, depth, iter(steps), held
 
     for seed in plan.candidates[anchor]:

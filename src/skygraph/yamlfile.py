@@ -54,12 +54,38 @@ class _RestrictedLoader:
     """Loader mixin: restricted construction, on top of the base loader's
     parsing, composition and scalar resolution."""
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # per first character, the base's implicit resolvers for it, then its
+        # wildcard ones, the (tag, regexp) pairs `resolve` tries in turn
+        resolvers = cls.yaml_implicit_resolvers
+        wildcard = resolvers.get(None, [])
+        cls._wildcard = tuple(wildcard)
+        cls._implicit = {
+            first: tuple(pairs + wildcard) for first, pairs in resolvers.items() if first is not None
+        }
+
     # no path resolvers are registered, so tracking the path is wasted work
     def descend_resolver(self, current_node, current_index):
         pass
 
     def ascend_resolver(self):
         pass
+
+    def resolve(self, kind, value, implicit):
+        """The tag `BaseResolver.resolve` gives, without its list
+        concatenation per call or its path resolvers, none of which are
+        registered."""
+        if kind is ScalarNode:
+            if implicit[0]:
+                for tag, regexp in self._implicit.get(value[:1], self._wildcard):
+                    if regexp.match(value):
+                        return tag
+            return self.DEFAULT_SCALAR_TAG
+        if kind is SequenceNode:
+            return self.DEFAULT_SEQUENCE_TAG
+        if kind is MappingNode:
+            return self.DEFAULT_MAPPING_TAG
 
     def get_single_data(self):
         """The stream's one document, or None for an empty stream."""

@@ -94,6 +94,20 @@ def test_query_leaves_no_cyclic_garbage(export_text, bench_modules, star_max, co
     assert gc.collect() == 0
 
 
+def test_budgeted_lists_leave_no_cyclic_garbage(export_text, bench_modules, collector_off):
+    """A `[*3]` hop to a labelled end fills the graph's hop index with
+    budgeted step lists; they hold no reference back to the graph, so
+    dropping it frees it, and a collection then finds nothing."""
+    expected, _ = bench_modules
+    graph = import_graph(export_text)
+    results = evaluate(graph, parse_query(expected.OWNED["application-storage-3hop"]), 10)
+    assert results and any(len(key) == 6 for key in graph.hop_steps)
+    graph_ref = weakref.ref(graph)
+    del graph, results
+    assert graph_ref() is None
+    assert gc.collect() == 0
+
+
 @pytest.mark.parametrize("end", ["close", "drop"])
 def test_rows_read_partway_leave_no_cyclic_garbage(export_text, end, collector_off):
     """A row generator left in the middle of its walk, its stack holding

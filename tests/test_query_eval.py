@@ -2,8 +2,10 @@ import hashlib
 import importlib
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from skygraph.build import build_graph, load_manifest
 from skygraph.errors import QueryError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import ontology_from_documents
-from skygraph.query import RelPattern, engine, evaluate, explain, iter_matches, parse_query
+from skygraph.query import HopRange, RelPattern, engine, evaluate, explain, iter_matches, parse_query
 
 from .conftest import DATA, data_path, listing_text
 from .reference import (
@@ -608,6 +610,85 @@ class TestOracleAgreement:
             assert any(f":{label})" in t for t in texts), label
 
 
+class TestBudgetedSteps:
+    """Every step of a multi-step hop to a labelled target keeps only the
+    neighbours from which the hop can still end within its bounds; the
+    matches stay the oracle's, path for path."""
+
+    RANGES = [(2, 2), (3, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, None), (2, None), (1, 1)]
+    LABELS = (None, "Thing", "Sub", "SubSub", "Other", "Expression", "CallExpression")
+
+    @staticmethod
+    def dense_graph(rng, ontology):
+        """4-10 nodes and one to two edges per node, of two types."""
+        graph = PropertyGraph(ontology)
+        count = rng.randint(4, 10)
+        for _ in range(count):
+            graph.add_node(rng.choice(["Thing", "Sub", "SubSub", "Other", "CallExpression", "Literal"]), "n")
+        for _ in range(rng.randint(count, 2 * count)):
+            graph.add_edge(rng.randrange(count), rng.randrange(count), rng.choice(["DFG", "TO"]))
+        graph.freeze()
+        return graph
+
+    def test_hop_ranges_match_the_oracle(self, tiny_ontology):
+        rng = random.Random(20261021)
+        seen, matches = Counter(), 0
+        for case in range(250):
+            graph = self.dense_graph(rng, tiny_ontology)
+            parsed = parse_query(random_query(rng, max_nodes=3, labels=self.LABELS))
+            # three sets of bounds on one graph, whose hop index they share
+            for _ in range(3):
+                hops = [HopRange(*rng.choice(self.RANGES)) for _ in parsed.rel_patterns]
+                rels = tuple(replace(rel, hops=h) for rel, h in zip(parsed.rel_patterns, hops))
+                ast = replace(parsed, rel_patterns=rels)
+                for rel, *ends in zip(rels, ast.node_patterns, ast.node_patterns[1:]):
+                    if not rel.hops.is_single and any(end.label is not None for end in ends):
+                        kind = "exact" if rel.hops.min == rel.hops.max else "range" if rel.hops.max else "star"
+                        seen[kind, rel.direction] += 1
+                for star_max in (4, 2):
+                    results = evaluate(graph, ast, star_max=star_max)
+                    assert result_paths(results) == oracle_paths(graph, ast, star_max=star_max), (case, ast, star_max)
+                    matches += len(results)
+        kinds = {(kind, direction) for kind in ("exact", "range", "star") for direction in ("left", "right", "undirected")}
+        assert kinds <= set(seen), seen
+        assert sum(seen.values()) >= 200 and matches >= 1000, (seen, matches)
+
+    def test_budgets_are_bounded_by_the_graph(self, tiny_ontology):
+        # no route is longer than the graph has edges, so a `star_max` far
+        # above that keeps no more budgets than the edges allow
+        graph = chain_graph(
+            tiny_ontology, [(0, 1, "DFG"), (1, 2, "DFG"), (2, 0, "DFG"), (1, 3, "TO")], classes={0: "SubSub", 2: "Sub"}
+        )
+        ast = parse_query("MATCH p=(a:SubSub)-[:DFG*]->(b:Sub) RETURN p")
+        results = evaluate(graph, ast, star_max=100_000)
+        assert result_paths(results) == oracle_paths(graph, ast, star_max=100_000)
+        assert len(results) == 2
+        assert len(graph.hop_steps) <= 1 + graph.edge_count
+
+    def test_long_chain_within_the_recursion_limit(self, tiny_ontology):
+        # budgets above the recursion limit are made without recursing
+        length = sys.getrecursionlimit() + 200
+        others = {length // 3, length - 100, length}
+        graph = chain_graph(
+            tiny_ontology,
+            [(i, i + 1, "DFG") for i in range(length)],
+            classes={0: "Sub", **{i: "Other" for i in others}},
+        )
+        texts = ["MATCH p=(a:Sub)-[:DFG*]->(b:Other) RETURN p", "MATCH p=(b:Other)<-[*]-(a:Sub) RETURN p"]
+        for text in texts:
+            ast = parse_query(text)
+            results = evaluate(graph, ast, star_max=length)
+            assert len(results) == len(others)
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(4 * length)  # the oracle recurses once per step
+            try:
+                assert result_paths(results) == oracle_paths(graph, ast, star_max=length), text
+            finally:
+                sys.setrecursionlimit(limit)
+            # one step short of the farthest `Other` drops it
+            assert len(evaluate(graph, ast, star_max=length - 1)) == len(others) - 1
+
+
 class TestMatchRows:
     """`iter_matches` yields one row of tuples per match, read off the
     walk's steps, and `evaluate` builds its results from the same rows.
@@ -756,7 +837,8 @@ class TestHubScaling:
 
 class TestHopIndex:
     """A graph keeps the engine's step lists in `hop_steps`, one memo per
-    hop shape, for every later query; `add_edge` empties them."""
+    hop shape and, for a labelled target, per budget, for every later
+    query; `add_edge` empties them."""
 
     FLEET = "fleet-8-shared-4"
 
@@ -806,18 +888,46 @@ class TestHopIndex:
         new = [result for result in after if edge_id in result.path.edge_ids]
         assert new and len(after) == len(before) + len(new)
 
+    @staticmethod
+    def ends_within(lists, members, budget, slack):
+        """The nodes from which a walk over `lists` of `budget - slack` to
+        `budget` steps ends in `members`."""
+        reach, ends = set(members), set(members) if slack >= budget else set()
+        for steps in range(1, budget + 1):
+            reach = {node for node, listed in lists.items() if any(step[1] in reach for step in listed)}
+            if steps >= budget - slack:
+                ends |= reach
+        return ends
+
     def test_cached_lists_are_fresh_and_bounded(self, tmp_path, monkeypatch):
         graph = build_graph(load_manifest(fleet_manifest(self.FLEET, tmp_path, monkeypatch)))[0]
         for text in self.queries().values():
             evaluate(graph, parse_query(text))
         store = graph.hop_steps
-        assert store
-        for (kind, direction, rightward, label), memo in store.items():
+        assert {len(key) for key in store} == {4, 6}
+        nodes = [node.id for node in graph.nodes()]
+        pruned = 0
+        for (kind, direction, rightward, label, *budgeted), memo in store.items():
             rel = RelPattern(type=kind, direction=direction)
+            unfiltered = {node_id: engine._expand(graph, node_id, rel, rightward, None, {}) for node_id in nodes}
             members = None if label is None else set(graph.label_candidates(label))
+            if budgeted:
+                budget, slack = budgeted
+                assert 0 <= slack <= budget
+                # the lists at `budget`, kept where a walk can end, made afresh
+                ends = self.ends_within(unfiltered, members, budget, slack)
+                memos = [{} for _ in range(budget + 1)]
             for node_id, steps in memo.items():
-                assert steps == engine._expand(graph, node_id, rel, rightward, members, {})
+                if not budgeted:  # unfiltered, or to the label at budget 0
+                    assert steps == engine._expand(graph, node_id, rel, rightward, members, {})
+                else:
+                    assert steps == engine._budgeted(graph, node_id, rel, rightward, members, {}, memos, budget, slack)
+                    assert steps == [step for step in unfiltered[node_id] if step[1] in ends]
+                    pruned += len(unfiltered[node_id]) - len(steps)
+                listed = iter(unfiltered[node_id])
+                assert all(step in listed for step in steps), "not an in-order sub-list"
                 assert len(steps) <= len(graph.out_edges(node_id)) + len(graph.in_edges(node_id))
+        assert pruned
         cached = sum(len(steps) for memo in store.values() for steps in memo.values())
         assert 0 < cached <= len(store) * 2 * graph.edge_count
 

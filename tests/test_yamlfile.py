@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +69,29 @@ def assert_loads_as_safe_loader(text: str, loader):
 def test_loader_builds_on_libyaml_when_present(loader):
     base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     assert issubclass(loader, base) and issubclass(loader, yamlfile._RestrictedLoader)
+
+
+# scalars for each kind of implicit resolver, and near misses of them
+RESOLVED_SCALARS = [
+    "", "~", "null", "Null", "nil", "true", "Yes", "no", "OFF", "on", "y", "N", "tRUE",
+    "0", "-1", "+12", "0x1F", "0o17", "0b101", "1_000", "190:20:30", "3.5", "-.inf", ".NaN", ".5", "1e3", "1.5e3",
+    "2001-02-03", "2001-12-14t21:59:43.10-05:00", "2001-2-3", "<<", "=", "!tag", "&anchor", "*alias", "plain", "é",
+]
+
+
+def test_resolve_gives_pyyaml_tags(loader):
+    assert loader.resolve is yamlfile._RestrictedLoader.resolve
+    instance = loader("")
+    firsts = [first for first in loader.yaml_implicit_resolvers if first]
+    values = RESOLVED_SCALARS + firsts + [first + "x" for first in firsts]
+    for value in values:
+        # plain, quoted, and both
+        for implicit in ((True, False), (False, True), (False, False), (True, True)):
+            expected = yaml.resolver.BaseResolver.resolve(instance, ScalarNode, value, implicit)
+            assert instance.resolve(ScalarNode, value, implicit) == expected, (value, implicit)
+    for kind in (SequenceNode, MappingNode):
+        for implicit in (True, False):
+            assert instance.resolve(kind, None, implicit) == yaml.resolver.BaseResolver.resolve(instance, kind, None, implicit)
 
 
 def test_bundled_and_fleet_files_load_as_safe_loader(loader, tmp_path, monkeypatch):
