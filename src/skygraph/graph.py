@@ -2,8 +2,9 @@
 
 Nodes are classed either by an ontology class or by one of the fixed
 code-graph classes; edges carry a type from a closed vocabulary. The graph
-is built single-threaded by the pipeline passes, then frozen; queries only
-ever see a frozen graph.
+is built single-threaded by the pipeline passes, then frozen. Queries may
+run on a graph that is still being built: the query engine keeps its step
+lists in `hop_steps`, and `add_edge` empties it.
 """
 
 from __future__ import annotations
@@ -107,7 +108,10 @@ class PropertyGraph:
     """Labeled property graph with by-from / by-to adjacency, a
     concrete-class label index (inheritance is resolved at query time), and
     `provider_id` and `(class, name)` lookup indexes in which the
-    first-inserted node wins.
+    first-inserted node wins. Only the build passes look nodes up, so each
+    lookup index, like the edge-key set of `has_edge`, is built from the
+    node table on its first use and kept current by every insert after it;
+    an imported graph that only serves queries builds none of them.
     """
 
     def __init__(self, ontology: Ontology):
@@ -118,9 +122,10 @@ class PropertyGraph:
         self._by_from: dict[int, list[Edge]] = {}
         self._by_to: dict[int, list[Edge]] = {}
         self._label_index: dict[str, list[int]] = {}
-        self._by_provider_id: dict[Scalar, int] = {}
-        # class -> name -> id: no key tuple per node to allocate on import
-        self._by_name: dict[str, dict[str, int]] = {}
+        # the lookup indexes, from the first `find_by_*` call on
+        self._by_provider_id: dict[Scalar, int] | None = None
+        # class -> name -> id: no key tuple per node to allocate
+        self._by_name: dict[str, dict[str, int]] | None = None
         # class -> property key its nodes may carry -> the type of its
         # declared kind (None: any key of any scalar type), and label ->
         # concrete classes it matches (None: every class); an ontology class
@@ -165,13 +170,13 @@ class PropertyGraph:
     ) -> int:
         self._check_mutable()
         node_id = self._next_node
-        self._insert_node(Node(node_id, class_name, name, dict(properties or {})))
+        self._insert_node(node_id, class_name, name, dict(properties or {}))
         return node_id
 
-    def _insert_node(self, node: Node) -> None:
-        """The one way into the node table: check `node`, then index it; an
-        index entry already taken by an earlier node is kept."""
-        node_id, class_name, name, props = node.id, node.class_name, node.name, node.properties
+    def _insert_node(self, node_id: int, class_name: str, name: str, props: dict[str, Scalar]) -> None:
+        """The one way into the node table: check the fields, then make the
+        node, which keeps `props` itself, and index it; a lookup-index entry
+        already taken by an earlier node is kept."""
         if not isinstance(class_name, str):
             raise GraphError(f"node {node_id} class must be a string, got {class_name!r}")
         allowed = self.property_keys(class_name)
@@ -192,19 +197,20 @@ class PropertyGraph:
         nodes = self._nodes
         if node_id in nodes:
             raise GraphError(f"duplicate node id {node_id}")
-        nodes[node_id] = node
+        nodes[node_id] = Node(node_id, class_name, name, props)
         self._by_from[node_id] = []
         self._by_to[node_id] = []
         ids = self._label_index.get(class_name)
         if ids is None:
             ids = self._label_index[class_name] = []
         ids.append(node_id)
-        names = self._by_name.get(class_name)
-        if names is None:
-            names = self._by_name[class_name] = {}
-        if name not in names:
-            names[name] = node_id
-        if props and "provider_id" in props:
+        if self._by_name is not None:
+            names = self._by_name.get(class_name)
+            if names is None:
+                names = self._by_name[class_name] = {}
+            if name not in names:
+                names[name] = node_id
+        if self._by_provider_id is not None and props and "provider_id" in props:
             self._by_provider_id.setdefault(props["provider_id"], node_id)
         if node_id >= self._next_node:
             self._next_node = node_id + 1
@@ -216,12 +222,14 @@ class PropertyGraph:
         if self.hop_steps:
             self.hop_steps.clear()
         edge_id = self._next_edge
-        self._insert_edge(Edge(edge_id, type, from_id, to_id, dict(properties or {})))
+        self._insert_edge(edge_id, type, from_id, to_id, dict(properties or {}))
         return edge_id
 
-    def _insert_edge(self, edge: Edge) -> None:
-        """The one way into the edge table: check the edge and index it."""
-        edge_id, edge_type, from_id, to_id = edge.id, edge.type, edge.from_id, edge.to_id
+    def _insert_edge(
+        self, edge_id: int, edge_type: str, from_id: int, to_id: int, props: dict[str, Scalar]
+    ) -> None:
+        """The one way into the edge table: check the fields, then make the
+        edge, which keeps `props` itself, and index it."""
         if not isinstance(edge_type, str) or edge_type not in EDGE_TYPES:
             raise GraphError(f"unregistered edge type {edge_type!r}")
         nodes = self._nodes
@@ -229,14 +237,14 @@ class PropertyGraph:
             raise GraphError(f"edge source {from_id!r} does not exist")
         if to_id not in nodes:
             raise GraphError(f"edge target {to_id!r} does not exist")
-        if edge.properties:
-            for key, value in edge.properties.items():
+        if props:
+            for key, value in props.items():
                 if not isinstance(value, SCALAR):
                     raise _not_scalar(key, value)
         edges = self._edges
         if edge_id in edges:
             raise GraphError(f"duplicate edge id {edge_id}")
-        edges[edge_id] = edge
+        edge = edges[edge_id] = Edge(edge_id, edge_type, from_id, to_id, props)
         self._by_from[from_id].append(edge)
         self._by_to[to_id].append(edge)
         if self._edge_keys is not None:
@@ -379,15 +387,29 @@ class PropertyGraph:
     # -- convenience lookups used by the pipeline passes -------------------
 
     def find_by_name(self, class_name: str, name: str) -> int | None:
+        if self._by_name is None:
+            by_name: dict[str, dict[str, int]] = {}
+            for node in self._nodes.values():
+                by_name.setdefault(node.class_name, {}).setdefault(node.name, node.id)
+            self._by_name = by_name
         return self._by_name.get(class_name, {}).get(name)
 
     def find_by_provider_id(self, provider_id: str) -> int | None:
+        if self._by_provider_id is None:
+            by_provider_id: dict[Scalar, int] = {}
+            for node in self._nodes.values():
+                if "provider_id" in node.properties:
+                    by_provider_id.setdefault(node.properties["provider_id"], node.id)
+            self._by_provider_id = by_provider_id
         return self._by_provider_id.get(provider_id)
 
     # -- serialization ------------------------------------------------------
 
     @classmethod
     def from_document(cls, doc: dict) -> "PropertyGraph":
+        """Check an export document and build the frozen graph it holds. The
+        graph takes over the document's property mappings: each node and
+        edge keeps its entry's `properties` dict, not a copy of it."""
         check_fields(doc, "graph document", GraphError, *_EXPORT)
         graph = cls(ontology_from_documents(doc["ontology"], doc.get("mappings") or []))
         settings = check_fields(doc.get("settings") or {}, "settings", GraphError, *_SETTINGS)
@@ -407,10 +429,10 @@ class PropertyGraph:
                     or not (node_id.isascii() and node_id.isdigit())
                 ):
                     raise ValueError("not a node entry as export_graph writes it")
-                node = Node(int(node_id), entry["class"], entry["name"], dict(props))
+                node_id, class_name, name = int(node_id), entry["class"], entry["name"]
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed node entry {entry!r}") from exc
-            insert_node(node)
+            insert_node(node_id, class_name, name, props)
         insert_edge = graph._insert_edge
         for entry in doc["edges"]:
             try:
@@ -424,10 +446,10 @@ class PropertyGraph:
                     or not (to_id.isascii() and to_id.isdigit())
                 ):
                     raise ValueError("not an edge entry as export_graph writes it")
-                edge = Edge(int(edge_id), entry["type"], int(from_id), int(to_id), dict(props))
+                edge_id, edge_type, from_id, to_id = int(edge_id), entry["type"], int(from_id), int(to_id)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise GraphError(f"malformed edge entry {entry!r}") from exc
-            insert_edge(edge)
+            insert_edge(edge_id, edge_type, from_id, to_id, props)
         graph.freeze()
         return graph
 
@@ -497,7 +519,8 @@ def export_graph(graph: PropertyGraph) -> str:
 
 
 def import_graph(text: str | dict) -> PropertyGraph:
-    """Rebuild a frozen graph from an export document.
+    """Rebuild a frozen graph from an export document. A document passed
+    as a dict is read in place, and the graph keeps its property dicts.
 
     The cyclic collector is paused meanwhile: import builds acyclic data
     only, so a collection during it could free nothing. Before it is

@@ -100,9 +100,9 @@ def _check_edge(graph: PropertyGraph, edge: Edge) -> None:
         raise GraphError(f"duplicate edge id {edge.id}")
 
 
-def _index(insert, item) -> None:
+def _index(insert, *fields) -> None:
     try:
-        insert(item)
+        insert(*fields)
     except SkygraphError as exc:
         raise AssertionError(f"the insert path rejects what the reference accepts: {exc}") from exc
 
@@ -124,7 +124,7 @@ def from_document(doc) -> PropertyGraph:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed node entry {entry!r}") from exc
         _check_node(graph, node)
-        _index(graph._insert_node, node)
+        _index(graph._insert_node, node.id, node.class_name, node.name, node.properties)
     for entry in doc["edges"]:
         try:
             props = _entry_properties(entry, ("id", "type", "from", "to", "properties"))
@@ -132,7 +132,7 @@ def from_document(doc) -> PropertyGraph:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed edge entry {entry!r}") from exc
         _check_edge(graph, edge)
-        _index(graph._insert_edge, edge)
+        _index(graph._insert_edge, edge.id, edge.type, edge.from_id, edge.to_id, edge.properties)
     graph.freeze()
     return graph
 

@@ -3,7 +3,6 @@ replaced or deleted, and reading the result must either succeed or raise a
 `SkygraphError`; any other exception is a crash the CLI would print as a
 traceback."""
 
-import copy
 import functools
 import json
 from pathlib import Path
@@ -51,15 +50,26 @@ def _slots(doc, path=()):
         yield from _slots(value, path + (key,))
 
 
+def _copy(doc):
+    """A copy of every dict and list in a loaded document or a fuzz value,
+    so that no two documents share one; the leaves are scalars, which no
+    reader can change."""
+    if type(doc) is dict:
+        return {key: _copy(value) for key, value in doc.items()}
+    if type(doc) is list:
+        return [_copy(value) for value in doc]
+    return doc
+
+
 def _mutated(doc, path, value):
-    doc = copy.deepcopy(doc)
+    doc = _copy(doc)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if value is DELETE:
         del parent[path[-1]]
     else:
-        parent[path[-1]] = value
+        parent[path[-1]] = _copy(value)
     return doc
 
 
@@ -123,24 +133,27 @@ def test_mutated_document_raises_only_skygraph_errors(kind):
 
 @pytest.mark.parametrize(
     "kind, check",
-    [("codefacts", bundle_from_document), ("inventory", inventory_from_document)],
-    ids=["codefacts", "inventory"],
+    [("codefacts", bundle_from_document), ("export", None), ("inventory", inventory_from_document)],
+    ids=["codefacts", "export", "inventory"],
 )
 def test_accepted_document_is_read_in_place(kind, check):
     """A checker returns the document it was given, and neither it nor the
     ingest that reads the checked document writes into it: for the document
     and each of its one-slot mutations, tried exhaustively, since a default
-    written in place shows only when that slot is absent."""
+    written in place shows only when that slot is absent. An export has no
+    checker of its own; the graph `import_graph` makes of it keeps the
+    document's property dicts, so a write into one would show here."""
     load, read = READERS[kind]
     doc = load()
-    documents = [copy.deepcopy(doc)]
-    documents += [_mutated(doc, path, value) for path in _slots(doc) for value in VALUES]
-    for document in documents:
-        before = copy.deepcopy(document)
+    changes = [None] + [(path, value) for path in _slots(doc) for value in VALUES]
+    for change in changes:
+        # `doc` itself is never read, so it and its mutations made anew
+        # are what each document held before it was read
+        document = _copy(doc) if change is None else _mutated(doc, *change)
         try:
-            checked = check(document)
+            checked = document if check is None else check(document)
             read(document)
         except SkygraphError:
             continue
         assert checked is document
-        assert document == before
+        assert document == (doc if change is None else _mutated(doc, *change))

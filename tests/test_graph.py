@@ -417,6 +417,55 @@ class TestLookupIndexes:
             for provider_id, node_id in first_by_provider_id.items():
                 assert graph.find_by_provider_id(provider_id) == node_id
 
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_lookups_at_any_point_agree_with_scan(self, core_ontology, data):
+        """Each index is built by its first lookup, which may come at any
+        point of a build, and must then take every later insert: a
+        first-inserted-wins scan of `graph.nodes()` answers every lookup
+        made during the build, after it, and on the graph imported in
+        document order and in reverse."""
+        classes = ["ObjectStorage", "BlockStorage", "CallExpression"]
+        names = ["a", "b", "c"]
+        provider_ids = ["p", "q", "r"]
+
+        def scan(graph):
+            by_name: dict = {}
+            by_provider_id: dict = {}
+            for node in graph.nodes():
+                by_name.setdefault((node.class_name, node.name), node.id)
+                if "provider_id" in node.properties:
+                    by_provider_id.setdefault(node.properties["provider_id"], node.id)
+            return by_name, by_provider_id
+
+        def assert_lookups(graph, keys):
+            by_name, by_provider_id = scan(graph)
+            for key in keys:
+                if isinstance(key, tuple):
+                    assert graph.find_by_name(*key) == by_name.get(key)
+                else:
+                    assert graph.find_by_provider_id(key) == by_provider_id.get(key)
+
+        every_key = [(c, n) for c in classes for n in names] + provider_ids
+        graph = PropertyGraph(core_ontology)
+        for _ in range(data.draw(st.integers(0, 12))):
+            if data.draw(st.booleans()):
+                assert_lookups(graph, [data.draw(st.sampled_from(every_key))])
+            else:
+                pid = data.draw(st.none() | st.sampled_from(provider_ids))
+                graph.add_node(
+                    data.draw(st.sampled_from(classes)),
+                    data.draw(st.sampled_from(names)),
+                    {} if pid is None else {"provider_id": pid},
+                )
+        assert_lookups(graph, every_key)
+        graph.freeze()
+        doc = json.loads(export_graph(graph))
+        assert_lookups(import_graph(doc), every_key)
+        doc = json.loads(export_graph(graph))
+        doc["nodes"].reverse()
+        assert_lookups(import_graph(doc), every_key)
+
     @pytest.mark.parametrize("field", ["name", "provider_id"])
     def test_unhashable_key_in_document(self, graph, field):
         graph.add_node("ObjectStorage", "s", {"provider_id": "p"})
