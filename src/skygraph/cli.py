@@ -21,17 +21,19 @@ from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int
 
 
 def render_path(graph: PropertyGraph, path: GraphPath) -> str:
-    """`name(Class) -[TYPE]-> name(Class) ...` with direction-aware arrows."""
-    node, edge = graph.node, graph.edge
+    """`name(Class) -[TYPE]-> name(Class) ...` with direction-aware arrows,
+    read straight from the graph's node and edge tables."""
+    nodes, edges = graph.node_table, graph.edge_table
+    node_ids = path.node_ids
     parts = []
     # each edge after the node before it; zip stops short of the last node
-    for node_id, edge_id, forward in zip(path.node_ids, path.edge_ids, path.forward):
-        source, edge_type = node(node_id), edge(edge_id).type
+    for node_id, edge_id, forward in zip(node_ids, path.edge_ids, path.forward):
+        source = nodes[node_id]
         if forward:
-            parts.append(f"{source.name}({source.class_name}) -[{edge_type}]->")
+            parts.append(f"{source.name}({source.class_name}) -[{edges[edge_id].type}]->")
         else:
-            parts.append(f"{source.name}({source.class_name}) <-[{edge_type}]-")
-    last = node(path.node_ids[-1])
+            parts.append(f"{source.name}({source.class_name}) <-[{edges[edge_id].type}]-")
+    last = nodes[node_ids[-1]]
     parts.append(f"{last.name}({last.class_name})")
     return " ".join(parts)
 

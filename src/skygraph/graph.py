@@ -4,7 +4,8 @@ Nodes are classed either by an ontology class or by one of the fixed
 code-graph classes; edges carry a type from a closed vocabulary. The graph
 is built single-threaded by the pipeline passes, then frozen. Queries may
 run on a graph that is still being built: the query engine keeps its step
-lists in `hop_steps`, and `add_edge` empties it.
+lists in `hop_steps`, which `add_edge` empties, and reads each label's
+nodes from `label_members`, which every node insert empties.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass, field
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from skygraph.errors import GraphError, UnknownClassError
 from skygraph.ontology import KIND_OF, PROPERTY_KINDS, Ontology, ontology_from_documents
@@ -81,10 +83,11 @@ class Edge:
     properties: dict[str, Scalar] = field(default_factory=dict)
 
 
-@dataclass(frozen=True, slots=True)
-class Path:
+class Path(NamedTuple):
     """Alternating node/edge walk; `forward[i]` is False when edge i was
-    traversed against its direction. Edge ids never repeat."""
+    traversed against its direction. Edge ids never repeat. A named tuple,
+    so it is immutable, hashable and equal by value, and costs one tuple
+    to make."""
 
     node_ids: tuple[int, ...]
     edge_ids: tuple[int, ...]
@@ -119,9 +122,16 @@ class PropertyGraph:
         self.settings: dict = {}
         self._nodes: dict[int, Node] = {}
         self._edges: dict[int, Edge] = {}
+        #: read-only views of the node and edge tables by id, for readers
+        #: that look up many elements at once, such as path rendering
+        self.node_table: Mapping[int, Node] = MappingProxyType(self._nodes)
+        self.edge_table: Mapping[int, Edge] = MappingProxyType(self._edges)
         self._by_from: dict[int, list[Edge]] = {}
         self._by_to: dict[int, list[Edge]] = {}
         self._label_index: dict[str, list[int]] = {}
+        # label -> (its nodes' ids in id order, their set), from the first
+        # `label_members` call for the label until the next node insert
+        self._label_members: dict[str, tuple[tuple[int, ...], frozenset[int]]] = {}
         # the lookup indexes, from the first `find_by_*` call on
         self._by_provider_id: dict[Scalar, int] | None = None
         # class -> name -> id: no key tuple per node to allocate
@@ -198,6 +208,8 @@ class PropertyGraph:
         if node_id in nodes:
             raise GraphError(f"duplicate node id {node_id}")
         nodes[node_id] = Node(node_id, class_name, name, props)
+        if self._label_members:
+            self._label_members.clear()
         self._by_from[node_id] = []
         self._by_to[node_id] = []
         ids = self._label_index.get(class_name)
@@ -359,15 +371,25 @@ class PropertyGraph:
         )
 
     def label_candidates(self, label: str) -> list[int]:
-        """Node ids matching `label` with inheritance resolved."""
-        classes = self._classes_of(label)
-        if classes is None:
-            return list(self._nodes)
-        out: list[int] = []
-        for cls in classes:
-            out.extend(self._label_index.get(cls, []))
-        out.sort()
-        return out
+        """Node ids matching `label` with inheritance resolved; each call
+        returns a new list."""
+        return list(self.label_members(label)[0])
+
+    def label_members(self, label: str) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The ids of the nodes matching `label`, in id order (`Node`: in
+        insertion order), and as a set. Both are made on the first call for
+        the label and kept until the next node insert, so queries on a
+        graph do not sort or collect them again."""
+        members = self._label_members.get(label)
+        if members is None:
+            classes = self._classes_of(label)
+            if classes is None:
+                ids = tuple(self._nodes)
+            else:
+                index = self._label_index
+                ids = tuple(sorted(i for cls in classes for i in index.get(cls, ())))
+            members = self._label_members[label] = (ids, frozenset(ids))
+        return members
 
     def node_matches_label(self, node_id: int, label: str) -> bool:
         """Label matching: the universal Node label, the concrete class,

@@ -33,7 +33,7 @@ from skygraph.query.syntax import Comparison, NodeComparison, PropertyComparison
 from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int
 
 
-@dataclass
+@dataclass(slots=True)
 class MatchResult:
     bindings: dict[str, int]
     path: Path | None = None
@@ -55,12 +55,15 @@ class _Plan:
     leftward, as (source, target, label, rel, rightward): the pattern
     indices, the target's label, which filters the steps of the hop's
     segment, the index of the relationship pattern it walks, and whether
-    it walks that pattern left to right. `at_bind[i]` holds the tests due
-    once pattern `i` is bound: every constraint of a match is one of them.
+    it walks that pattern left to right. `candidates[i]` and `members[i]`
+    are the ids and the set of the nodes pattern `i`'s label matches, as
+    the graph keeps them. `at_bind[i]` holds the tests due once pattern
+    `i` is bound: every constraint of a match is one of them.
     """
 
     anchor: int
-    candidates: list[list[int]]
+    candidates: tuple[tuple[int, ...], ...]
+    members: tuple[frozenset[int], ...]
     hops: list[tuple[int, int, str | None, int, bool]]
     at_bind: list[list[_Test]]
 
@@ -104,7 +107,7 @@ def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int) -> _Plan:
                 raise QueryError(
                     f"no node of label {label!r} may carry property {term.key!r} of kind {kind}"
                 )
-    candidates = [graph.label_candidates(np.label or "Node") for np in nodes]
+    candidates, members = zip(*(graph.label_members(np.label or "Node") for np in nodes))
     anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
     hops = [(i, i + 1, nodes[i + 1].label, i, True) for i in range(anchor, len(nodes) - 1)]
     hops += [(i + 1, i, nodes[i].label, i, False) for i in reversed(range(anchor))]
@@ -133,7 +136,7 @@ def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int) -> _Plan:
         tests.append((disjuncts, min(read), max(read)))
     at_bind: list[list[_Test]] = [[] for _ in nodes]
     _place(tests, anchor, at_bind)
-    return _Plan(anchor, candidates, hops, at_bind)
+    return _Plan(anchor, candidates, members, hops, at_bind)
 
 
 def _bounds(rel: RelPattern, star_max: int) -> tuple[int, int]:
@@ -153,7 +156,7 @@ def _expand(
     node_id: int,
     rel: RelPattern,
     rightward: bool,
-    members: set[int] | None,
+    members: frozenset[int] | None,
     memo: dict[int, list[_Step]],
 ) -> list[_Step]:
     """Single steps from `node_id` honoring the pattern's direction and
@@ -198,7 +201,7 @@ def _budgeted(
     node_id: int,
     rel: RelPattern,
     rightward: bool,
-    members: set[int],
+    members: frozenset[int],
     inner: dict[int, list[_Step]],
     memos: list[dict[int, list[_Step]]],
     budget: int,
@@ -260,7 +263,7 @@ def _scalar_equal(a, b) -> bool:
 def _nodes_equal(graph: PropertyGraph, left: int, right: int) -> bool:
     if left == right:
         return True
-    a, b = graph.node(left), graph.node(right)
+    a, b = graph.node_table[left], graph.node_table[right]
     return a.class_name == b.class_name and a.name == b.name and a.properties == b.properties
 
 
@@ -348,9 +351,10 @@ def _walk(graph: PropertyGraph, ast: QueryAst, plan: _Plan, star_max: int) -> It
         # a route takes each edge once, so no route is longer than the graph
         # has edges, and a labelled hop keeps no more budgets than that
         hi = min(hi, max(graph.edge_count, 1))
-        candidates = plan.candidates[target]
         # a label that every node matches filters nothing
-        members = None if label is None or len(candidates) == graph.node_count else set(candidates)
+        members = plan.members[target]
+        if label is None or len(members) == graph.node_count:
+            members = None
         shape = (rel.type, rel.direction, rightward)
         inner = store.setdefault((*shape, None), {})
         budgets = None

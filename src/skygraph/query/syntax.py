@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from skygraph.errors import QuerySyntaxError
 
@@ -110,32 +111,31 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT, INT, STRING, or the symbol text itself
     value: str
     offset: int
 
 
+# the kind of a token by its `_TOKEN_RE` group; None skips whitespace, and
+# a symbol's group is absent, so its kind is its text
+_KINDS = {"ws": None, "ident": "IDENT", "int": "INT", "string": "STRING"}
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    match = _TOKEN_RE.match
+    pos, end = 0, len(text)
+    while pos < end:
+        m = match(text, pos)
         if m is None:
             raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
         value = m.group()
-        if kind == "ident":
-            tokens.append(_Token("IDENT", value, pos))
-        elif kind == "int":
-            tokens.append(_Token("INT", value, pos))
-        elif kind == "string":
-            tokens.append(_Token("STRING", value, pos))
-        elif kind != "ws":
-            tokens.append(_Token(value, value, pos))
+        kind = _KINDS.get(m.lastgroup, value)
+        if kind is not None:
+            tokens.append(_Token(kind, value, pos))
         pos = m.end()
-    tokens.append(_Token("EOF", "", len(text)))
+    tokens.append(_Token("EOF", "", end))
     return tokens
 
 

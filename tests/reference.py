@@ -312,6 +312,19 @@ def row_paths(ast: QueryAst, rows) -> Counter:
     )
 
 
+def render_path(graph: PropertyGraph, path) -> str:
+    """`skygraph query`'s line for `path`, read through `graph.node` and
+    `graph.edge` one element at a time."""
+    parts = []
+    for i, edge_id in enumerate(path.edge_ids):
+        node = graph.node(path.node_ids[i])
+        arrow = "-[{}]->" if path.forward[i] else "<-[{}]-"
+        parts.append(f"{node.name}({node.class_name}) " + arrow.format(graph.edge(edge_id).type))
+    last = graph.node(path.node_ids[-1])
+    parts.append(f"{last.name}({last.class_name})")
+    return " ".join(parts)
+
+
 def naive_matches(graph: PropertyGraph, ast: QueryAst, star_max: int = 10) -> set[frozenset]:
     """Even blunter oracle: try every node assignment, then every
 

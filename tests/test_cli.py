@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import shutil
 import subprocess
@@ -7,12 +8,15 @@ import sys
 import pytest
 import yaml
 
+from skygraph.build import build_graph, load_manifest
 from skygraph.cli import main, render_path
 from skygraph.graph import PropertyGraph, export_graph, import_graph
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import evaluate, parse_query
 
+from . import reference
 from .conftest import DATA, data_path, listing_text
+from .test_parity import BENCH, fleet_manifest
 
 # sha256 of the `skygraph build` export of each bundled testbed; exports
 # must stay byte-identical unless a change means to alter the graph
@@ -531,6 +535,72 @@ def test_render_path_arrows(testbed_graph):
     text = render_path(testbed_graph, result.path)
     assert text.startswith("kubernetes-logs(ContainerCluster) <-[SOURCE]-")
     assert "-[TO]->" in text
+
+
+# sha256 of the `skygraph query <export> @<query>` stdout of each benchmark
+# query on each bundled testbed: rendered paths, or bindings, then the
+# `N results` line
+QUERY_STDOUT_SHA256 = {
+    "bookinfo": {
+        "application-storage-3hop": "fe451edd463740ebfb203d73c842fc463510d65ee787e5c8a2980e81222bd1a7",
+        "cross-region-resource-flows": "352a5730526bf2ba91fe86c0152a5a673cd7f3e60ff7b93d7ed37417934bebfb",
+        "cross-region-service-calls": "ecec3fd61b684d10a3a4af92f058826f0b0c0c39be152b0e635dc7c2012c48d3",
+        "expression-to-public-storage": "33e9f44d4bcfbe395f16629f2045b360c8126f2d97cd05086e007829254d11d6",
+        "public-object-storage": "269514a76e3db1d835e8bd4ada18100afa9aef65a614cf1070678b6b4d6fde72",
+        "public-storage-writes": "bff591a6e298d865633db406f4df26a95e5b1c8347b9c0fcb540f75a7c0d03d0",
+        "registry-pulls": "06c4fb423297775b5ca6a0950d25cbeb4e47987af3619f0b29d76d02def112c7",
+        "request-to-handler": "3bdda37913a90d8d44a8eff8fff5eadecdd64282235c66e88d5e44cfad00c958",
+        "weak-transport-encryption": "cfd1e0688a5c8834b1abdd9589e07b96770388d653fb7c39eb7a06f762739acb",
+    },
+    "bookinfo_clean": {
+        "application-storage-3hop": "21a7861ae87facbe4309ab69970b133229b0ae37054902feaf2f765a08e68116",
+        "cross-region-resource-flows": "09f9e79af3ac002c31a27ab3facb5ee621e86d27b34fe78b505f3f738549907c",
+        "cross-region-service-calls": "09f9e79af3ac002c31a27ab3facb5ee621e86d27b34fe78b505f3f738549907c",
+        "expression-to-public-storage": "09f9e79af3ac002c31a27ab3facb5ee621e86d27b34fe78b505f3f738549907c",
+        "public-object-storage": "09f9e79af3ac002c31a27ab3facb5ee621e86d27b34fe78b505f3f738549907c",
+        "public-storage-writes": "09f9e79af3ac002c31a27ab3facb5ee621e86d27b34fe78b505f3f738549907c",
+        "registry-pulls": "9d7d584c87f004c2cc5251dd4662343188cd121f1457eb2cdcd9ec1dfc350210",
+        "request-to-handler": "b4aa25d14052ccc050cf1ac09fef729a5161ddfdc76fe5658bab26f4c4add28e",
+        "weak-transport-encryption": "09f9e79af3ac002c31a27ab3facb5ee621e86d27b34fe78b505f3f738549907c",
+    },
+}
+
+
+@pytest.mark.parametrize("testbed", sorted(QUERY_STDOUT_SHA256))
+def test_query_stdout_pinned(testbed, tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    expected = importlib.import_module("expected")
+    queries = {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
+    export = tmp_path / "graph.json"
+    assert main(["build", data_path(f"fixtures/{testbed}/manifest.yaml"), "--out", str(export)]) == 0
+    capsys.readouterr()
+    digests = {}
+    for name, text in queries.items():
+        query_file = tmp_path / f"{name}.cypher"
+        query_file.write_text(text, encoding="utf-8")
+        assert main(["query", str(export), f"@{query_file}"]) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digests == QUERY_STDOUT_SHA256[testbed]
+
+
+def test_render_path_matches_per_element_reference(tmp_path, monkeypatch):
+    """`render_path` reads the node and edge tables; on every path result
+    of the benchmark queries on a shared-paths fleet, with arrows both
+    ways, it prints what rendering through `graph.node`/`graph.edge`
+    prints."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    expected = importlib.import_module("expected")
+    queries = {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
+    graph = build_graph(load_manifest(fleet_manifest("fleet-8-shared-4", tmp_path, monkeypatch)))[0]
+    paths = [
+        result.path
+        for text in queries.values()
+        for result in evaluate(graph, parse_query(text))
+        if result.path is not None
+    ]
+    assert {flag for path in paths for flag in path.forward} == {True, False}
+    for path in paths:
+        assert render_path(graph, path) == reference.render_path(graph, path)
 
 
 def test_console_entry_point(tmp_path):

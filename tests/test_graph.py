@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from skygraph.build import build_graph, load_manifest
 from skygraph.errors import GraphError, OntologyError, SkygraphError, UnknownClassError
 from skygraph.graph import CODE_CLASSES, EDGE_TYPES, PropertyGraph, export_graph, import_graph
+from skygraph.graph import Path as GraphPath
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import evaluate, parse_query
 
@@ -176,6 +177,18 @@ class TestLabelMatching:
                 n.id for n in testbed_graph.nodes() if testbed_graph.node_matches_label(n.id, label)
             )
             assert testbed_graph.label_candidates(label) == expected
+
+
+def test_path_is_an_immutable_triple_of_tuples():
+    path = GraphPath((0, 1, 2), (5, 6), (True, False))
+    assert isinstance(path, tuple) and tuple(path) == ((0, 1, 2), (5, 6), (True, False))
+    assert (path.node_ids, path.edge_ids, path.forward) == tuple(path)
+    for field in ("node_ids", "edge_ids", "forward", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(path, field, ())
+    twin = GraphPath((0, 1, 2), (5, 6), (True, False))
+    assert twin == path and hash(twin) == hash(path) and len({path, twin}) == 1
+    assert GraphPath((0, 1, 2), (5, 6), (True, True)) != path
 
 
 FOREST_KEYS = ["k0", "k1", "k2", "name"]

@@ -932,6 +932,39 @@ class TestHopIndex:
         assert 0 < cached <= len(store) * 2 * graph.edge_count
 
 
+class TestLabelMembers:
+    """A graph keeps each label's candidate ids and member set from the
+    first query that reads them; a node inserted after it, as on a graph
+    still being built, empties them."""
+
+    def test_a_node_added_between_queries_is_seeded_and_matched(self, tiny_ontology):
+        graph = PropertyGraph(tiny_ontology)  # never frozen: still being built
+        for cls in ("Other", "Thing", "Other"):
+            graph.add_node(cls, cls.lower())
+        graph.add_edge(0, 1, "DFG")
+        seeds = parse_query("MATCH (n:Thing) RETURN n")
+        hop = parse_query("MATCH p=(a:Other)-[:DFG]->(b:Thing) RETURN p")
+        assert [r.bindings["n"] for r in evaluate(graph, seeds)] == [1]
+        assert [r.bindings["b"] for r in evaluate(graph, hop)] == [1]
+        added = graph.add_node("SubSub", "late")
+        graph.add_edge(2, added, "DFG")
+        assert [r.bindings["n"] for r in evaluate(graph, seeds)] == [1, added]
+        # the hop's target filter is the label's member set
+        assert explain(graph, hop).startswith("seed at node #0 a:Other")
+        assert [r.bindings["b"] for r in evaluate(graph, hop)] == [1, added]
+        assert result_paths(evaluate(graph, hop)) == oracle_paths(graph, hop)
+
+    def test_label_candidates_returns_a_new_list(self, tiny_ontology):
+        graph = chain_graph(tiny_ontology, [], node_count=3, classes={1: "Sub", 2: "Other"})
+        for label in ("Thing", "Node"):
+            first = graph.label_candidates(label)
+            want = list(first)
+            first.append(99)
+            first.reverse()
+            assert graph.label_candidates(label) == want
+            assert graph.label_members(label) == (tuple(want), frozenset(want))
+
+
 class TestStepsCarryPaths:
     """Each step holds the node it reaches and a hop's target candidates
     are its label's nodes, so `evaluate` builds paths and ends routes that

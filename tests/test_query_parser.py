@@ -104,6 +104,23 @@ def test_syntax_error_reports_offset():
     assert info.value.offset == text.index("RETURN")
 
 
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("$MATCH (n) RETURN n", "unexpected character '$'", 0),
+        ("MATCH (n)  ? RETURN n", "unexpected character '?'", 11),
+        # a string with no closing quote never matches: the error is its opening quote
+        ('MATCH (n) WHERE n.name = "abc RETURN n', "unexpected character '\"'", 25),
+        ("MATCH (n) ", "expected RETURN, found 'end of input'", 10),
+    ],
+)
+def test_syntax_error_message_and_offset(text, message, offset):
+    with pytest.raises(QuerySyntaxError) as info:
+        parse_query(text)
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.offset == offset
+
+
 def test_unbound_where_variable():
     text = "MATCH (n) WHERE m.x = 1 RETURN n"
     with pytest.raises(QuerySyntaxError, match="not bound") as info:
