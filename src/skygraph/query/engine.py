@@ -13,16 +13,22 @@ Matching semantics:
 
 `iter_matches` yields one row per match, in walk order: a tuple of the
 bound node ids in pattern order, the edge ids, the path's node ids and its
-forward flags. The row is read off the walk's steps, each of which holds
-its edge id, the node it reached and its direction, so no bindings dict,
-`Path` or `MatchResult` is made per match. `evaluate` sorts the rows by
-bound node ids, then edge ids, which makes its results deterministic, and
-only then builds each result from its row.
+forward flags. The walk is compiled per plan shape, the plan reduced to
+ints, bools and None, into one generator of nested loops: one over the
+anchor's seeds, one per step of a one-step or fixed `*k` hop, so a fixed
+hop is unrolled into k loops, and one per range hop, over the routes
+`_range_ends` walks on its own explicit stack. A generated function nests
+at most `_MAX_LOOPS` loops, so a longer pattern chains functions, and an
+`lru_cache` keeps the walks by shape. The loops bind the row's ids as
+they go, so no bindings dict, `Path` or `MatchResult` is made per match.
+`evaluate` sorts the rows by bound node ids, then edge ids, which makes
+its results deterministic, and only then builds each result from its row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import functools
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -267,7 +273,7 @@ def _nodes_equal(graph: PropertyGraph, left: int, right: int) -> bool:
     return a.class_name == b.class_name and a.name == b.name and a.properties == b.properties
 
 
-def _holds(graph: PropertyGraph, test: _Test, nodes: list[int]) -> bool:
+def _holds(graph: PropertyGraph, test: _Test, nodes: Sequence[int | None]) -> bool:
     term, left, right = test
     if term is None:
         return nodes[left] == nodes[right]
@@ -282,6 +288,236 @@ def _holds(graph: PropertyGraph, test: _Test, nodes: list[int]) -> bool:
     return equal if term.op == "=" else not equal
 
 
+def _passes(graph: PropertyGraph, tests: list[_Test], nodes: tuple[int | None, ...]) -> bool:
+    for test in tests:
+        if not _holds(graph, test, nodes):
+            return False
+    return True
+
+
+def _steps(
+    graph: PropertyGraph,
+    node_id: int,
+    rel: RelPattern,
+    rightward: bool,
+    members: frozenset[int] | None,
+    inner: dict[int, list[_Step]],
+    budgets: list[dict[int, list[_Step]]] | None,
+    budget: int,
+    slack: int,
+) -> list[_Step]:
+    """The steps out of `node_id` with `budget` more steps allowed after
+    them: `_expand`'s unfiltered list without `budgets`, else the budgeted
+    list, at budget 0 the one filtered to `members`."""
+    if budgets is None:
+        return _expand(graph, node_id, rel, rightward, None, inner)
+    steps = budgets[budget].get(node_id)
+    if steps is None:
+        if budget:
+            steps = _budgeted(graph, node_id, rel, rightward, members, inner, budgets, budget, slack)
+        else:
+            steps = _expand(graph, node_id, rel, rightward, members, budgets[0])
+    return steps
+
+
+def _range_ends(
+    graph: PropertyGraph,
+    source: int,
+    rel: RelPattern,
+    rightward: bool,
+    lo: int,
+    hi: int,
+    members: frozenset[int] | None,
+    inner: dict[int, list[_Step]],
+    budgets: list[dict[int, list[_Step]]] | None,
+    used: set[int],
+    fixed: tuple[int, ...],
+    edges: list[int],
+    reached: list[int],
+    flags: list[bool],
+) -> Iterator[int]:
+    """The end node of every route of a range hop from `source`, in walk
+    order: a route that can end is yielded before any route it prefixes.
+
+    The route's edge ids, the nodes it reached and its forward flags are
+    on `edges`, `reached` and `flags` while its end is yielded, and its
+    edges are in `used`, which holds the edges of the match's earlier
+    range hops; `fixed` holds those of its earlier one-step and fixed
+    hops. No route takes an edge of either. The routes are walked on an
+    explicit stack of step iterators, one per step taken below `hi`, so a
+    long route costs no recursion depth.
+    """
+    slack = hi - lo
+    stack = [iter(_steps(graph, source, rel, rightward, members, inner, budgets, hi - 1, slack))]
+    while stack:
+        depth = len(stack)
+        for edge_id, neighbor, forward in stack[-1]:
+            if edge_id in used or edge_id in fixed:
+                continue
+            used.add(edge_id)
+            edges.append(edge_id)
+            reached.append(neighbor)
+            flags.append(forward)
+            if depth < hi:
+                stack.append(iter(_steps(graph, neighbor, rel, rightward, members, inner, budgets, hi - depth - 1, slack)))
+            # a route shorter than `hi` ends at a waypoint, whose label no
+            # step filtered
+            if lo <= depth and (depth == hi or members is None or neighbor in members):
+                yield neighbor
+            if depth < hi:
+                break
+            used.discard(edge_id)
+            edges.pop()
+            reached.pop()
+            flags.pop()
+        else:
+            stack.pop()
+            if stack:
+                used.discard(edges.pop())
+                reached.pop()
+                flags.pop()
+
+
+# CPython rejects a function that nests more than 20 loops, so a generated
+# walk nests at most this many and a longer pattern chains functions.
+_MAX_LOOPS = 16
+
+
+def _tuple_text(items: list[str]) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def _source(count: int, anchor: int, tested: tuple[int, ...], hops: tuple) -> str:
+    """The Python text of the walk of plan shape `(count, anchor, tested,
+    hops)`: a generator function `walk(graph, seeds, hops, tests)`.
+
+    It nests one loop over the anchor's seeds, one per step of a one-step
+    or fixed hop (`lo == hi`), over its step lists, and one per range hop,
+    over `_range_ends`. Each loop skips an edge an earlier hop of the
+    match took, by comparing it with their edge variables and, after a
+    range hop, the used set, then runs the tests due at the index it
+    binds. The innermost loop yields the row. Each group of `_MAX_LOOPS`
+    loops is a function of its own, which the group before calls with
+    the variables bound so far. Only names made from the shape's ints go
+    into the text; the query's labels, types and literals are arguments.
+    """
+    setup: list[str] = []
+    # per loop: (the lines before it, the loop, the lines inside it, the names it binds)
+    levels: list[tuple[list[str], str, list[str], list[str]]] = []
+    bound = {anchor}
+    fixed: list[str] = []  # the edge variables of one-step and fixed hops so far
+    routes: set[int] = set()  # the relationship patterns of range hops
+    # per relationship pattern, its edges, reached nodes and flags in walk order
+    parts: dict[int, tuple[list[str], list[str], list[str]]] = {}
+
+    def due(index: int) -> list[str]:
+        if index not in tested:
+            return []
+        setup.append(f"tests{index} = tests[{index}]")
+        nodes = [f"n{i}" if i in bound else "None" for i in range(count)]
+        return [f"if not _passes(graph, tests{index}, {_tuple_text(nodes)}): continue"]
+
+    levels.append(([], f"for n{anchor} in seeds:", due(anchor), [f"n{anchor}"]))
+    for h, (source, target, r, rightward, lo, hi, labelled) in enumerate(hops):
+        setup.append(f"rel{h}, members{h}, inner{h}, budgets{h} = hops[{h}]")
+        if lo != hi:
+            setup.append(f"route{r} = [], [], []")
+            ends = (
+                f"_range_ends(graph, n{source}, rel{h}, {rightward}, {lo}, {hi}, members{h}, inner{h}, "
+                f"budgets{h}, used, {_tuple_text(fixed)}, *route{r})"
+            )
+            routes.add(r)
+            bound.add(target)
+            levels.append(([], f"for n{target} in {ends}:", due(target), [f"n{target}"]))
+            parts[r] = ([f"*route{r}[0]"], [f"*route{r}[1]"], [f"*route{r}[2]"])
+            continue
+        parts[r] = ([], [], [])
+        for j in range(hi):
+            here = f"n{source}" if j == 0 else f"w{r}_{j}"
+            there = f"n{target}" if j == hi - 1 else f"w{r}_{j + 1}"
+            edge, flag = f"e{r}_{j}", f"f{r}_{j}"
+            budget = hi - j - 1
+            if not labelled:
+                before = [f"steps = _expand(graph, {here}, rel{h}, {rightward}, None, inner{h})"]
+            else:
+                setup.append(f"memo{h}_{budget} = budgets{h}[{budget}]")
+                if budget:
+                    made = f"_budgeted(graph, {here}, rel{h}, {rightward}, members{h}, inner{h}, budgets{h}, {budget}, 0)"
+                else:
+                    made = f"_expand(graph, {here}, rel{h}, {rightward}, members{h}, memo{h}_0)"
+                before = [f"steps = memo{h}_{budget}.get({here})", "if steps is None:", f"    steps = {made}"]
+            inside = []
+            if fixed:
+                inside.append(f"if {' or '.join(f'{edge} == {other}' for other in fixed)}: continue")
+            if routes:
+                inside.append(f"if {edge} in used: continue")
+            fixed.append(edge)
+            if j == hi - 1:
+                bound.add(target)
+                inside += due(target)
+            levels.append((before, f"for {edge}, {there}, {flag} in steps:", inside, [edge, there, flag]))
+            for part, name in zip(parts[r], (edge, there, flag)):
+                part.append(name)
+    if routes:
+        setup.append("used = set()")
+
+    if hops:
+        # left to right: the left hops' steps reversed, then the right ones'
+        row: list[list[str]] = [[f"n{i}" for i in range(count)], [], [], []]
+        for r in range(count - 1):
+            if r == anchor:
+                row[2].append(f"n{anchor}")
+            for items, part in zip(row[1:], parts[r]):
+                if r >= anchor:
+                    items += part
+                elif r in routes:
+                    items += [f"{item}[::-1]" for item in part]
+                else:
+                    items += reversed(part)
+        if anchor == count - 1:
+            row[2].append(f"n{anchor}")
+        last = "yield " + ", ".join(_tuple_text(items) for items in row)
+    else:  # a single node pattern
+        last = f"yield (n{anchor},), (), (), ()"
+
+    lines = ["def walk(graph, seeds, hops, tests):"]
+    lines += [f"    {line}" for line in setup]
+    groups = [levels[i : i + _MAX_LOOPS] for i in range(0, len(levels), _MAX_LOOPS)]
+    names: list[str] = []  # the variables the groups so far bind
+    calls = []
+    for g, group in enumerate(groups):
+        calls.append(f"group{g}({', '.join(names)})")
+        names += [name for level in group for name in level[3]]
+    for g, group in reversed(list(enumerate(groups))):
+        if g:
+            lines.append(f"    def {calls[g]}:")
+        depth = 2 if g else 1
+        for before, loop, inside, _ in group:
+            lines += ["    " * depth + line for line in (*before, loop)]
+            depth += 1
+            lines += ["    " * depth + line for line in inside]
+        lines.append("    " * depth + (f"yield from {calls[g + 1]}" if g + 1 < len(groups) else last))
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(count: int, anchor: int, tested: tuple[int, ...], *hops: tuple) -> Callable[..., Iterator[Row]]:
+    """The walk of a plan shape, compiled once per process: the node
+    pattern count, the anchor, the indices tests are due at, and per hop
+    (source, target, relationship pattern index, rightward, lo, hi,
+    whether the target's label filters steps), all ints, bools or None.
+
+    The shape is the call's arguments, so the cache keeps each as one
+    tuple of flat tuples. The cyclic collector stops tracking a tuple of
+    untracked items one nesting level per collection, so a key this
+    shallow leaves the tracked objects flat from the second collection
+    after its query on. The walk runs with this module's globals, so it
+    calls the helpers as they are at call time."""
+    made: dict = {}
+    exec(compile(_source(count, anchor, tested, hops), "<walk>", "exec"), globals(), made)
+    return made["walk"]
+
+
 def iter_matches(
     graph: PropertyGraph,
     ast: QueryAst,
@@ -292,30 +528,15 @@ def iter_matches(
     The query is planned and checked here, so a bad `star_max`, label,
     relationship type or WHERE key raises `QueryError` at the call, not
     at the first row. Each row is `(bound node ids in pattern order, edge
-    ids, path node ids, forward flags)`, read off the walk's steps; a
-    single node pattern's row has empty edge, path and flag tuples.
-    """
-    return _walk(graph, ast, _plan(graph, ast, star_max), star_max)
+    ids, path node ids, forward flags)`; a single node pattern's row has
+    empty edge, path and flag tuples.
 
-
-def _walk(graph: PropertyGraph, ast: QueryAst, plan: _Plan, star_max: int) -> Iterator[Row]:
-    """The rows of every assignment of graph nodes and edge routes to the
-    pattern.
-
-    From each seed of the anchor, the hops are walked one step at a time,
-    rightward from the anchor, then leftward, on one stack. Its frames
-    are `(hop, steps taken in the hop, iterator over _expand's steps out
-    of the node reached, held)`: one per hop entered and one per step
-    taken below the hop's upper bound. Popping a frame releases the step
-    it holds, if any: a step's own frame holds that step. A step that
-    ends a route and binds its target enters the next hop, or completes a
-    match on the last one. A step at the hop's bound takes no frame: it
-    binds, then enters the next hop, whose entry frame holds it, or else
-    is released at once. Each test of the plan runs once the last of the
-    patterns it reads is bound, so a complete match has passed them all.
-    A match's row is read off its steps, each of which holds the node it
-    reached: one `zip` transposes them into edge ids, path nodes and
-    flags, with no graph lookup.
+    The plan is reduced to its shape, which holds only ints, bools and
+    None, and the generator is the shape's compiled walk (`_source`),
+    which binds the hops rightward from the anchor, then leftward. The
+    graph, the seeds, each hop's relationship pattern, target members and
+    step memos, and the tests due at each index are its arguments, so no
+    query text is compiled and the cache of walks holds no graph.
 
     The step lists come from `_expand`, one memo per hop shape: the
     relationship type and direction and the walk's orientation. Where
@@ -332,21 +553,15 @@ def _walk(graph: PropertyGraph, ast: QueryAst, plan: _Plan, star_max: int) -> It
     until `add_edge` empties it. Only the lists are shared: the check
     that no match uses an edge twice is still made for each match.
     """
-    rel_patterns = ast.rel_patterns
-    at_bind, anchor = plan.at_bind, plan.anchor
-    nodes: list[int | None] = [None] * len(ast.node_patterns)
-    # per relationship pattern, the steps of its live route in walk order:
-    # right to left for the patterns left of the anchor
-    routes: list[list[_Step]] = [[] for _ in rel_patterns]
-    left_routes, right_routes = routes[:anchor], routes[anchor:]
-    used: set[int] = set()
+    plan = _plan(graph, ast, star_max)
     store = graph.hop_steps
-    # per hop: (source, target, rel, rightward, lo, hi, route, the target's
-    # candidates, the memo of _expand's unfiltered lists, and the memos of
-    # the budgeted lists by budget, None without candidates)
-    walks = []
+    # per hop: (rel, the target's members, the memo of _expand's unfiltered
+    # lists, and the memos of the budgeted lists by budget, None without
+    # members)
+    hops = []
+    shape = []
     for source, target, label, r, rightward in plan.hops:
-        rel = rel_patterns[r]
+        rel = ast.rel_patterns[r]
         lo, hi = _bounds(rel, star_max)
         # a route takes each edge once, so no route is longer than the graph
         # has edges, and a labelled hop keeps no more budgets than that
@@ -355,93 +570,18 @@ def _walk(graph: PropertyGraph, ast: QueryAst, plan: _Plan, star_max: int) -> It
         members = plan.members[target]
         if label is None or len(members) == graph.node_count:
             members = None
-        shape = (rel.type, rel.direction, rightward)
-        inner = store.setdefault((*shape, None), {})
+        kind = (rel.type, rel.direction, rightward)
+        inner = store.setdefault((*kind, None), {})
         budgets = None
         if members is not None:
             # budget 0 is the label-filtered list of the hop's last step
-            budgets = [store.setdefault((*shape, label), {})]
-            budgets += [store.setdefault((*shape, label, b, min(b, hi - lo)), {}) for b in range(1, hi)]
-        walks.append((source, target, rel, rightward, lo, hi, routes[r], members, inner, budgets))
-
-    def bind(index: int, node_id: int) -> bool:
-        """Bind pattern `index` unless a test due there rules `node_id` out;
-        its label already holds, from the seeds or the route."""
-        nodes[index] = node_id
-        for test in at_bind[index]:
-            if not _holds(graph, test, nodes):
-                return False
-        return True
-
-    def frame(hop: int, depth: int, node_id: int, held: list[_Step] | None) -> tuple:
-        """The frame at `node_id` after `depth` steps of `hop`, below its
-        upper bound, holding the last step of the route `held`, if given.
-        It lists the steps out of `node_id`, if the target has a label
-        only those after which the hop can still end there."""
-        _, _, rel, rightward, lo, hi, _, members, inner, budgets = walks[hop]
-        budget = hi - depth - 1
-        if budgets is None:
-            steps = _expand(graph, node_id, rel, rightward, None, inner)
-        else:
-            steps = budgets[budget].get(node_id)
-            if steps is None:
-                if budget:
-                    steps = _budgeted(graph, node_id, rel, rightward, members, inner, budgets, budget, hi - lo)
-                else:
-                    steps = _expand(graph, node_id, rel, rightward, members, budgets[0])
-        return hop, depth, iter(steps), held
-
-    for seed in plan.candidates[anchor]:
-        if not bind(anchor, seed):
-            continue
-        if not walks:  # a single node pattern
-            yield tuple(nodes), (), (), ()
-            continue
-        stack = [frame(0, 0, seed, None)]
-        while stack:
-            hop, depth, steps, held = stack[-1]
-            _, target, _, _, lo, hi, route, members, _, _ = walks[hop]
-            depth += 1
-            for step in steps:
-                edge_id, neighbor, _ = step
-                if edge_id in used:
-                    continue
-                used.add(edge_id)
-                route.append(step)
-                if depth < hi:
-                    stack.append(frame(hop, depth, neighbor, route))
-                # a route shorter than `hi` ends at a waypoint, whose label
-                # no step filtered
-                if (
-                    lo <= depth
-                    and (depth == hi or members is None or neighbor in members)
-                    and bind(target, neighbor)
-                ):
-                    if hop + 1 < len(walks):
-                        entry = nodes[walks[hop + 1][0]]
-                        stack.append(frame(hop + 1, 0, entry, route if depth == hi else None))
-                        break
-                    # the match's steps left to right: the left routes'
-                    # reversed, then the right ones'
-                    taken = []
-                    for part in left_routes:
-                        taken += reversed(part)
-                    left = len(taken)
-                    for part in right_routes:
-                        taken += part
-                    edge_ids, reached, forward = zip(*taken)
-                    path_ids = (*reached[:left], nodes[anchor], *reached[left:])
-                    yield tuple(nodes), edge_ids, path_ids, forward
-                if depth < hi:
-                    break
-                used.discard(edge_id)
-                route.pop()
-            else:
-                stack.pop()
-                if held is not None:
-                    used.discard(held.pop()[0])
-
-
+            budgets = [store.setdefault((*kind, label), {})]
+            budgets += [store.setdefault((*kind, label, b, min(b, hi - lo)), {}) for b in range(1, hi)]
+        hops.append((rel, members, inner, budgets))
+        shape.append((source, target, r, rightward, lo, hi, members is not None))
+    tested = tuple(i for i, tests in enumerate(plan.at_bind) if tests)
+    walk = _compile(len(ast.node_patterns), plan.anchor, tested, *shape)
+    return walk(graph, plan.candidates[plan.anchor], hops, plan.at_bind)
 def evaluate(
     graph: PropertyGraph,
     ast: QueryAst,

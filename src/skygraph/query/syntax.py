@@ -115,6 +115,7 @@ class _Token(NamedTuple):
     kind: str  # IDENT, INT, STRING, or the symbol text itself
     value: str
     offset: int
+    word: str  # an identifier's upper-cased value, to compare with keywords; "" otherwise
 
 
 # the kind of a token by its `_TOKEN_RE` group; None skips whitespace, and
@@ -133,9 +134,9 @@ def _tokenize(text: str) -> list[_Token]:
         value = m.group()
         kind = _KINDS.get(m.lastgroup, value)
         if kind is not None:
-            tokens.append(_Token(kind, value, pos))
+            tokens.append(_Token(kind, value, pos, value.upper() if kind == "IDENT" else ""))
         pos = m.end()
-    tokens.append(_Token("EOF", "", end))
+    tokens.append(_Token("EOF", "", end, ""))
     return tokens
 
 
@@ -151,10 +152,11 @@ class _Parser:
         self.pos = 0
         self.kinds: dict[str, str] = {}  # variable -> node | relationship | path
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> _Token:
+        """The next token, consumed; `pos` never moves past EOF, the last."""
         token = self.tokens[self.pos]
         if token.kind != "EOF":
             self.pos += 1
@@ -168,7 +170,7 @@ class _Parser:
 
     def keyword(self, word: str) -> bool:
         token = self.peek()
-        return token.kind == "IDENT" and token.value.upper() == word
+        return token.word == word
 
     def expect_keyword(self, word: str) -> None:
         token = self.peek()
@@ -178,7 +180,7 @@ class _Parser:
 
     def expect_ident(self) -> str:
         token = self.peek()
-        if token.kind != "IDENT" or token.value.upper() in KEYWORDS:
+        if token.kind != "IDENT" or token.word in KEYWORDS:
             raise _expected("identifier", token)
         return self.advance().value
 
@@ -220,11 +222,9 @@ class _Parser:
     def parse(self) -> QueryAst:
         self.expect_keyword("MATCH")
         path_var = None
-        if (
-            self.peek().kind == "IDENT"
-            and self.peek().value.upper() not in KEYWORDS
-            and self.peek(1).kind == "="
-        ):
+        token = self.peek()
+        # an identifier is never the last token, EOF is
+        if token.kind == "IDENT" and token.word not in KEYWORDS and self.tokens[self.pos + 1].kind == "=":
             path_var = self.bind("path")
             self.advance()
         nodes = [self.parse_node()]
@@ -302,7 +302,7 @@ class _Parser:
         """Comparisons joined by AND and OR, as disjuncts of conjuncts."""
         disjuncts = [[self.parse_cmp()]]
         while self.keyword("AND") or self.keyword("OR"):
-            if self.advance().value.upper() == "OR":
+            if self.advance().word == "OR":
                 disjuncts.append([])
             disjuncts[-1].append(self.parse_cmp())
         return tuple(tuple(conjuncts) for conjuncts in disjuncts)
@@ -334,9 +334,9 @@ class _Parser:
         if token.kind == "INT":
             self.advance()
             return int(token.value)
-        if token.kind == "IDENT" and token.value.lower() in ("true", "false"):
+        if token.word in ("TRUE", "FALSE"):
             self.advance()
-            return token.value.lower() == "true"
+            return token.word == "TRUE"
         raise _expected("literal", token)
 
 

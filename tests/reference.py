@@ -1,9 +1,11 @@
 """Reference implementations used as oracles by the test suite.
 
-Everything here is deliberately naive and shares no traversal code with
-the engine: labels are matched by walking parent links one at a time,
-matching enumerates assignments left to right with plain edge-list scans,
-and `naive_matches` additionally tries every node assignment up front.
+Everything here but `reference_rows` is deliberately naive and shares no
+traversal code with the engine: labels are matched by walking parent links
+one at a time, matching enumerates assignments left to right with plain
+edge-list scans, and `naive_matches` additionally tries every node
+assignment up front. `reference_rows` is the order oracle: the engine's
+earlier interpreted walk, on the engine's plan and step lists.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from skygraph.errors import GraphError, SkygraphError, UnknownClassError
 from skygraph.graph import EDGE_TYPES, Edge, Node, PropertyGraph, _EXPORT, _SETTINGS
 from skygraph.ontology import ontology_from_documents
 from skygraph.yamlfile import DEFAULT_STAR_MAX, SCALAR, check_fields, check_positive_int
+from skygraph.query.engine import _bounds, _budgeted, _expand, _holds, _plan
 from skygraph.query.syntax import NodeComparison, PropertyComparison, QueryAst
 
 
@@ -325,6 +328,111 @@ def render_path(graph: PropertyGraph, path) -> str:
     return " ".join(parts)
 
 
+def reference_rows(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MAX) -> list:
+    """The rows of `iter_matches`, in its order, from one interpreted walk
+    on one stack: the engine's walk before it was compiled per plan shape.
+
+    It walks the engine's plan over lists made by the engine's `_expand`
+    and `_budgeted`, but keeps them in a store of its own, so a list the
+    graph's `hop_steps` kept from an earlier query is never read here.
+    Its frames are `(hop, steps taken in the hop, iterator over the steps
+    out of the node reached, held)`: one per hop entered and one per step
+    taken below the hop's upper bound. Popping a frame releases the step
+    it holds, if any. A step that ends a route and binds its target
+    enters the next hop, or completes a match on the last one; a step at
+    the hop's bound takes no frame.
+    """
+    plan = _plan(graph, ast, star_max)
+    rel_patterns = ast.rel_patterns
+    at_bind, anchor = plan.at_bind, plan.anchor
+    nodes: list = [None] * len(ast.node_patterns)
+    routes: list[list] = [[] for _ in rel_patterns]
+    left_routes, right_routes = routes[:anchor], routes[anchor:]
+    used: set[int] = set()
+    store: dict = {}
+    walks = []
+    for source, target, label, r, rightward in plan.hops:
+        rel = rel_patterns[r]
+        lo, hi = _bounds(rel, star_max)
+        hi = min(hi, max(graph.edge_count, 1))
+        members = plan.members[target]
+        if label is None or len(members) == graph.node_count:
+            members = None
+        shape = (rel.type, rel.direction, rightward)
+        inner = store.setdefault((*shape, None), {})
+        budgets = None
+        if members is not None:
+            budgets = [store.setdefault((*shape, label), {})]
+            budgets += [store.setdefault((*shape, label, b, min(b, hi - lo)), {}) for b in range(1, hi)]
+        walks.append((source, target, rel, rightward, lo, hi, routes[r], members, inner, budgets))
+
+    def bind(index: int, node_id: int) -> bool:
+        nodes[index] = node_id
+        return all(_holds(graph, test, nodes) for test in at_bind[index])
+
+    def frame(hop: int, depth: int, node_id: int, held) -> tuple:
+        _, _, rel, rightward, lo, hi, _, members, inner, budgets = walks[hop]
+        budget = hi - depth - 1
+        if budgets is None:
+            steps = _expand(graph, node_id, rel, rightward, None, inner)
+        else:
+            steps = budgets[budget].get(node_id)
+            if steps is None:
+                if budget:
+                    steps = _budgeted(graph, node_id, rel, rightward, members, inner, budgets, budget, hi - lo)
+                else:
+                    steps = _expand(graph, node_id, rel, rightward, members, budgets[0])
+        return hop, depth, iter(steps), held
+
+    rows = []
+    for seed in plan.candidates[anchor]:
+        if not bind(anchor, seed):
+            continue
+        if not walks:
+            rows.append((tuple(nodes), (), (), ()))
+            continue
+        stack = [frame(0, 0, seed, None)]
+        while stack:
+            hop, depth, steps, held = stack[-1]
+            _, target, _, _, lo, hi, route, members, _, _ = walks[hop]
+            depth += 1
+            for step in steps:
+                edge_id, neighbor, _ = step
+                if edge_id in used:
+                    continue
+                used.add(edge_id)
+                route.append(step)
+                if depth < hi:
+                    stack.append(frame(hop, depth, neighbor, route))
+                if (
+                    lo <= depth
+                    and (depth == hi or members is None or neighbor in members)
+                    and bind(target, neighbor)
+                ):
+                    if hop + 1 < len(walks):
+                        entry = nodes[walks[hop + 1][0]]
+                        stack.append(frame(hop + 1, 0, entry, route if depth == hi else None))
+                        break
+                    taken = []
+                    for part in left_routes:
+                        taken += reversed(part)
+                    left = len(taken)
+                    for part in right_routes:
+                        taken += part
+                    edge_ids, reached, forward = zip(*taken)
+                    path_ids = (*reached[:left], nodes[anchor], *reached[left:])
+                    rows.append((tuple(nodes), edge_ids, path_ids, forward))
+                if depth < hi:
+                    break
+                used.discard(edge_id)
+                route.pop()
+            else:
+                stack.pop()
+                if held is not None:
+                    used.discard(held.pop()[0])
+    return rows
+
+
 def naive_matches(graph: PropertyGraph, ast: QueryAst, star_max: int = 10) -> set[frozenset]:
     """Even blunter oracle: try every node assignment, then every
 
@@ -444,9 +552,8 @@ def random_hub_graph(rng: random.Random, ontology) -> PropertyGraph:
 QUERY_LABELS = (None, "Node", "Thing", "Sub", "SubSub", "Other", "Expression", "CallExpression")
 
 
-def random_query(rng: random.Random, max_nodes: int = 3, labels=QUERY_LABELS) -> str:
+def random_query(rng: random.Random, max_nodes: int = 3, labels=QUERY_LABELS, types=(None, "DFG", "TO", "CALLS")) -> str:
     """Random query text over the same vocabulary as `random_graph`."""
-    types = [None, "DFG", "TO", "CALLS"]
     count = rng.randint(1, max_nodes)
     vars_used = []
     parts = []

@@ -25,9 +25,10 @@ from skygraph.build import build_graph, load_manifest
 from skygraph.cli import render_path
 from skygraph.errors import GraphError
 from skygraph.graph import Edge, Node, export_graph, import_graph
-from skygraph.query import evaluate, iter_matches, parse_query
+from skygraph.query import engine, evaluate, iter_matches, parse_query
 
 from .conftest import DATA, data_path, listing_text
+from .test_walk_order import chain, path_graph
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -108,6 +109,21 @@ def test_budgeted_lists_leave_no_cyclic_garbage(export_text, bench_modules, coll
     assert gc.collect() == 0
 
 
+def test_compiled_walks_hold_no_graph(export_text, bench_modules, collector_off):
+    """The walks compiled for the nine queries stay cached once the graph
+    they ran on is dropped; the cache is keyed by plan shape and holds
+    code, so the graph frees and a collection finds nothing."""
+    expected, _ = bench_modules
+    graph = import_graph(export_text)
+    for text in [listing_text(q) for q in expected.BUNDLED] + list(expected.OWNED.values()):
+        evaluate(graph, parse_query(text), 10)
+    graph_ref = weakref.ref(graph)
+    del graph
+    assert graph_ref() is None
+    assert engine._compile.cache_info().currsize > 0
+    assert gc.collect() == 0
+
+
 @pytest.mark.parametrize("end", ["close", "drop"])
 def test_rows_read_partway_leave_no_cyclic_garbage(export_text, end, collector_off):
     """A row generator left in the middle of its walk, its stack holding
@@ -118,6 +134,19 @@ def test_rows_read_partway_leave_no_cyclic_garbage(export_text, end, collector_o
     assert len(list(itertools.islice(rows, 2))) == 2
     if end == "close":
         rows.close()
+    graph_ref = weakref.ref(graph)
+    del graph, rows
+    assert graph_ref() is None
+    assert gc.collect() == 0
+
+
+def test_chained_walk_read_partway_leaves_no_cyclic_garbage(collector_off):
+    """A walk of more loops than one generated function nests is chained
+    functions that share the walk's variables as closures; left after two
+    rows, it frees the graph with no cycle."""
+    graph = path_graph()
+    rows = iter_matches(graph, parse_query(chain(30) + " RETURN p"), 10)
+    assert len(list(itertools.islice(rows, 2))) == 2
     graph_ref = weakref.ref(graph)
     del graph, rows
     assert graph_ref() is None

@@ -8,6 +8,8 @@ from skygraph.query.syntax import (
     NodePattern,
     PropertyComparison,
     RelPattern,
+    _Parser,
+    _tokenize,
 )
 
 from .conftest import LISTING_FILES, listing_text
@@ -218,3 +220,18 @@ def test_all_listings_parse():
 def test_whitespace_and_newlines_insignificant():
     ast = parse_query("MATCH\n  (n:Node)\n--\n(m)\nRETURN\nn")
     assert len(ast.node_patterns) == 2
+
+
+def test_tokens_carry_the_upper_cased_identifier():
+    tokens = _tokenize('match (n:Node) WHERE n.x = "s" return n')
+    assert [(token.kind, token.word) for token in tokens if token.word] == [
+        ("IDENT", word) for word in ("MATCH", "N", "NODE", "WHERE", "N", "X", "RETURN", "N")
+    ]
+    assert all(token.word == "" for token in tokens if token.kind != "IDENT")
+
+
+def test_advance_stops_at_the_last_token():
+    parser = _Parser("MATCH")
+    assert parser.advance().word == "MATCH"
+    for _ in range(3):
+        assert parser.advance().kind == "EOF" and parser.peek().kind == "EOF"

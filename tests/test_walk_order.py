@@ -1,0 +1,266 @@
+"""The compiled walk yields the rows of the interpreted one, in its order.
+
+`iter_matches` runs one generated generator per plan shape. Its rows must
+be `reference_rows`', the engine's earlier one-stack walk, row for row: on
+random graphs and queries, on a graph that keeps its step lists between
+queries, and on patterns longer than one generated function may nest.
+Query text never reaches the generated code: the shape it is compiled
+from holds only ints, bools and None.
+"""
+
+from __future__ import annotations
+
+import importlib
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skygraph.build import build_graph, load_manifest
+from skygraph.errors import QueryError, QuerySyntaxError
+from skygraph.graph import PropertyGraph
+from skygraph.ontology import ontology_from_documents
+from skygraph.query import engine, evaluate, iter_matches, parse_query
+from skygraph.query.syntax import NodePattern, PropertyComparison, QueryAst, RelPattern
+
+from .conftest import DATA, listing_text
+from .reference import oracle_paths, random_graph, random_query, reference_rows, row_paths, small_ontology_documents
+from .test_parity import BENCH
+
+ONTOLOGY = ontology_from_documents(*small_ontology_documents())
+
+
+def rows(graph, ast, star_max):
+    return list(iter_matches(graph, ast, star_max))
+
+
+# labels and types most nodes and edges of `random_graph` match, so that
+# long patterns match too
+NARROW = {"labels": (None, None, "Node", "Thing", "Sub"), "types": (None, None, "DFG")}
+
+
+def random_case(seed: int, narrow: bool) -> tuple[PropertyGraph, str]:
+    rng = random.Random(seed)
+    graph = random_graph(rng, ONTOLOGY)
+    return graph, random_query(rng, max_nodes=6, **(NARROW if narrow else {}))
+
+
+class TestRandomCases:
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 4))
+    def test_rows_in_the_reference_order(self, seed, narrow, star_max):
+        graph, text = random_case(seed, narrow)
+        ast = parse_query(text)
+        assert rows(graph, ast, star_max) == reference_rows(graph, ast, star_max), (seed, text)
+
+    def test_cases_cover_every_hop_kind_and_test(self):
+        """Among the matches of the cases `random_case` draws are some of
+        patterns of five or six nodes, of repeated variables and OR
+        comparisons, some over `*` and `*2` hops and some that take a
+        self-loop; on each of 2 x 300 seeds the rows are the reference's
+        at star_max 1 to 4."""
+        seen = set()
+        for seed in range(300):
+            for narrow in (False, True):
+                graph, text = random_case(seed, narrow)
+                ast = parse_query(text)
+                variables = [np.var for np in ast.node_patterns if np.var]
+                loops = {edge.id for edge in graph.edges() if edge.from_id == edge.to_id}
+                for star_max in range(1, 5):
+                    found = rows(graph, ast, star_max)
+                    assert found == reference_rows(graph, ast, star_max), (seed, text, star_max)
+                    if not found:
+                        continue
+                    seen |= {"long"} if len(ast.node_patterns) >= 5 else set()
+                    seen |= {"repeat"} if len(variables) > len(set(variables)) else set()
+                    seen |= {"or"} if ast.where and len(ast.where) > 1 else set()
+                    seen |= {"star"} if "*]" in text else set()
+                    seen |= {"*2"} if "*2]" in text else set()
+                    seen |= {"self-loop"} if any(loops & set(row[1]) for row in found) else set()
+        assert seen == {"long", "repeat", "or", "star", "*2", "self-loop"}
+
+
+class TestKeptStepLists:
+    def test_shuffled_decks_on_one_graph(self, tmp_path, monkeypatch):
+        """The nine benchmark queries in seeded random order, three decks on
+        one graph whose `hop_steps` keeps every list between queries: a
+        stale or wrong kept list would change a row."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        expected, fleet = importlib.import_module("expected"), importlib.import_module("fleet")
+        manifest = fleet.generate(Path(str(DATA)), tmp_path / "fleet", 16, 4, "shared").manifest
+        graph = build_graph(load_manifest(manifest))[0]
+        queries = [listing_text(q) for q in expected.BUNDLED] + list(expected.OWNED.values())
+        rng = random.Random(31)
+        for _ in range(3):
+            rng.shuffle(queries)
+            for text in queries:
+                ast = parse_query(text)
+                found = rows(graph, ast, 10)
+                assert found == reference_rows(graph, ast, 10), text
+        assert graph.hop_steps
+
+
+def path_graph(length: int = 40, classes=None) -> PropertyGraph:
+    """Nodes 0 to `length - 1`, each joined to the next by a DFG edge."""
+    graph = PropertyGraph(ONTOLOGY)
+    for i in range(length):
+        graph.add_node((classes or {}).get(i, "Thing"), f"n{i}")
+    for i in range(length - 1):
+        graph.add_edge(i, i + 1, "DFG")
+    graph.freeze()
+    return graph
+
+
+def chain(steps: int, end: str = "") -> str:
+    return "MATCH p=(a)" + "-->()" * (steps - 1) + f"-->(b{end})"
+
+
+class TestLongPatterns:
+    """CPython rejects a function nesting 21 loops; a walk of more than 16
+    loops is chained functions, and agrees with the oracles."""
+
+    @pytest.mark.parametrize(
+        "text, matches",
+        [
+            (chain(30) + " RETURN p", 10),
+            ("MATCH p=(a)<--" + "()<--" * 29 + "(b) RETURN p", 10),
+            ("MATCH p=(a)-[*25]->(b) RETURN p", 15),
+            ("MATCH p=(a)-[:DFG*25]-(b:Sub) RETURN p", 4),
+            (chain(18, ")-[*]->(c") + " RETURN p", 165),
+            (chain(18, ")-[*]->(c:Sub") + " RETURN p", 30),
+        ],
+    )
+    def test_agrees_with_the_oracles(self, text, matches):
+        graph = path_graph(classes={5: "Sub", 30: "Sub", 33: "SubSub", 39: "Sub"})
+        ast = parse_query(text)
+        found = rows(graph, ast, 10)
+        assert len(found) == matches
+        assert found == reference_rows(graph, ast, 10)
+        assert row_paths(ast, found) == oracle_paths(graph, ast, star_max=10)
+
+    def test_a_long_walk_is_chained_functions(self):
+        source = engine._source(31, 0, (), tuple((i, i + 1, i, True, 1, 1, False) for i in range(30)))
+        assert "def group1(" in source and "def group2(" not in source
+        compile(source, "<walk>", "exec")
+
+    @pytest.mark.parametrize(
+        "text, matches",
+        [
+            ("MATCH p=(a)-[*]-(b) RETURN p", 221),
+            ("MATCH p=(a)-[*]-(b:Sub) RETURN p", 98),
+            ("MATCH p=(a:Sub)-[*]->(b)<-[*2]-(c) RETURN p", 6),
+        ],
+    )
+    def test_star_max_1000_on_a_cyclic_graph(self, text, matches):
+        graph = PropertyGraph(ONTOLOGY)
+        for i in range(5):
+            graph.add_node("Sub" if i % 3 == 0 else "Thing", f"n{i}")
+        for i in range(5):
+            graph.add_edge(i, (i + 1) % 5, "DFG")
+        graph.add_edge(0, 2, "TO")
+        graph.add_edge(3, 3, "TO")
+        graph.freeze()
+        ast = parse_query(text)
+        found = rows(graph, ast, 1000)
+        assert len(found) == matches
+        assert found == reference_rows(graph, ast, 1000)
+
+
+def leaves(value):
+    if type(value) is tuple:
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+# a node name, label, relationship type and property key carrying quotes,
+# backslashes, a newline and a call
+HOSTILE = "x\"'\n__import__('os')\\"
+
+
+class TestQueryTextStaysData:
+    @pytest.fixture
+    def graph(self):
+        graph = PropertyGraph(ONTOLOGY)
+        graph.add_node("Thing", HOSTILE, {"q": "\\\"); __import__('os').system('true') #"})
+        graph.add_node("Sub", "plain")
+        graph.add_edge(0, 1, "DFG")
+        graph.freeze()
+        return graph
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        compiled = engine._compile
+        keys = []
+
+        def recorded(count, anchor, tested, *hops):
+            keys.append((count, anchor, tested, hops))
+            return compiled(count, anchor, tested, *hops)
+
+        monkeypatch.setattr(engine, "_compile", recorded)
+        return keys
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('MATCH (a:Foo"bar) RETURN a', "unexpected character '\"'"),
+            ("MATCH (a)-[:TO\"]->(b) RETURN a", "unexpected character '\"'"),
+            ("MATCH (a:Thing) WHERE a.name = '__import__' RETURN a", "unexpected character \"'\""),
+        ],
+    )
+    def test_syntax_errors(self, graph, text, error):
+        with pytest.raises(QuerySyntaxError, match=error):
+            evaluate(graph, parse_query(text))
+
+    @pytest.mark.parametrize(
+        "text, bindings",
+        [
+            ('MATCH (a:Thing) WHERE a.name = "x\\"\'\n__import__(\'os\')\\\\" RETURN a', [{"a": 0}]),
+            ('MATCH (a:Thing) WHERE a.q = "\\\\\\"); __import__(\'os\').system(\'true\') #" RETURN a', [{"a": 0}]),
+            ('MATCH p=(a:Thing)-[]->(b) WHERE a.name <> "__import__(\'os\')" RETURN p', [{"a": 0, "b": 1}]),
+            ("MATCH (__import__:Thing) RETURN __import__", [{"__import__": 0}, {"__import__": 1}]),
+        ],
+    )
+    def test_literals_and_variables_are_data(self, graph, shapes, text, bindings):
+        assert [result.bindings for result in evaluate(graph, parse_query(text))] == bindings
+        assert shapes and all(type(leaf) in (int, bool, type(None)) for leaf in leaves(tuple(shapes)))
+        assert all("import" not in engine._source(*shape) for shape in shapes)
+
+    @pytest.mark.parametrize(
+        "ast, error",
+        [
+            (QueryAst(None, (NodePattern("a", HOSTILE),), (), None, ("a",)), "unknown node label"),
+            (
+                QueryAst(None, (NodePattern("a"), NodePattern("b")), (RelPattern(type=HOSTILE, direction="right"),), None, ("a",)),
+                "unknown relationship type",
+            ),
+            (
+                QueryAst(None, (NodePattern("a", "Thing"),), (), ((PropertyComparison("a", HOSTILE, "=", "x"),),), ("a",)),
+                "may carry property",
+            ),
+        ],
+    )
+    def test_hostile_names_in_an_ast_are_unknown(self, graph, shapes, ast, error):
+        with pytest.raises(QueryError, match=error):
+            evaluate(graph, ast)
+        assert not shapes
+
+    def test_hostile_literal_and_variables_in_an_ast(self, graph, shapes):
+        literal = QueryAst(None, (NodePattern("a", "Thing"),), (), ((PropertyComparison("a", "name", "=", HOSTILE),),), ("a",))
+        assert [result.bindings for result in evaluate(graph, literal)] == [{"a": 0}]
+        repeated = QueryAst(
+            None, (NodePattern(HOSTILE, "Thing"), NodePattern(HOSTILE)), (RelPattern(var=HOSTILE, direction="right"),), None, (HOSTILE,)
+        )
+        assert evaluate(graph, repeated) == []
+        assert len(shapes) == 2 and all(type(leaf) in (int, bool, type(None)) for leaf in leaves(tuple(shapes)))
+
+    def test_benchmark_shapes_hold_only_ints_bools_and_none(self, testbed_graph, shapes, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        expected = importlib.import_module("expected")
+        for text in [listing_text(q) for q in expected.BUNDLED] + list(expected.OWNED.values()):
+            evaluate(testbed_graph, parse_query(text))
+        assert len(shapes) == 9
+        assert all(type(leaf) in (int, bool, type(None)) for leaf in leaves(tuple(shapes)))
