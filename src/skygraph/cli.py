@@ -15,27 +15,26 @@ from pathlib import Path
 from skygraph.build import build_graph, graph_counts, load_manifest, render_counts
 from skygraph.errors import GraphError, QueryError, SkygraphError
 from skygraph.graph import Path as GraphPath
-from skygraph.graph import PropertyGraph, export_graph, import_graph
+from skygraph.graph import EDGE_TYPES, PropertyGraph, export_graph, import_graph
 from skygraph.query import evaluate, parse_query
 from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int
 
 
+# the text between two nodes of a path, per edge type, for an edge walked
+# against its direction and along it
+_ARROWS = {kind: (f" <-[{kind}]- ", f" -[{kind}]-> ") for kind in EDGE_TYPES}
+
+
 def render_path(graph: PropertyGraph, path: GraphPath) -> str:
     """`name(Class) -[TYPE]-> name(Class) ...` with direction-aware arrows,
-    read straight from the graph's node and edge tables."""
-    nodes, edges = graph.node_table, graph.edge_table
+    joined from the graph's kept node texts and the arrow table."""
+    texts, edges = graph.node_texts, graph.edge_table
     node_ids = path.node_ids
-    parts = []
-    # each edge after the node before it; zip stops short of the last node
-    for node_id, edge_id, forward in zip(node_ids, path.edge_ids, path.forward):
-        source = nodes[node_id]
-        if forward:
-            parts.append(f"{source.name}({source.class_name}) -[{edges[edge_id].type}]->")
-        else:
-            parts.append(f"{source.name}({source.class_name}) <-[{edges[edge_id].type}]-")
-    last = nodes[node_ids[-1]]
-    parts.append(f"{last.name}({last.class_name})")
-    return " ".join(parts)
+    parts = [texts[node_ids[0]]]
+    for edge_id, forward, node_id in zip(path.edge_ids, path.forward, node_ids[1:]):
+        parts.append(_ARROWS[edges[edge_id].type][forward])
+        parts.append(texts[node_id])
+    return "".join(parts)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -78,16 +77,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
     ast = parse_query(text)
     star_max = args.star_max or graph.settings.get("star_max", DEFAULT_STAR_MAX)
     results = evaluate(graph, ast, star_max=star_max)
+    texts = graph.node_texts
     if args.format == "paths":
         for result in results:
             if result.path is not None:
                 print(render_path(graph, result.path))
             else:
-                shown = ", ".join(
-                    f"{var}={graph.node(node_id).name}({graph.node(node_id).class_name})"
-                    for var, node_id in sorted(result.bindings.items())
-                )
-                print(shown)
+                print(", ".join(f"{var}={texts[node_id]}" for var, node_id in sorted(result.bindings.items())))
     print(f"{len(results)} results")
     if args.fail_if_found and results:
         return 1

@@ -94,6 +94,22 @@ class Path(NamedTuple):
     forward: tuple[bool, ...]
 
 
+class _NodeTexts(dict):
+    """`name(Class)` of each node by id, made on the node's first lookup and
+    then kept: a node's name and class never change."""
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self, nodes: dict[int, Node]):
+        super().__init__()
+        self._nodes = nodes
+
+    def __missing__(self, node_id: int) -> str:
+        node = self._nodes[node_id]
+        text = self[node_id] = f"{node.name}({node.class_name})"
+        return text
+
+
 def _edge_key(from_id: int, to_id: int, type: str) -> str:
     # A string, not a tuple: strings are not tracked by the cyclic collector,
     # while one long-lived tuple per edge moved a full collection into the
@@ -126,6 +142,9 @@ class PropertyGraph:
         #: that look up many elements at once, such as path rendering
         self.node_table: Mapping[int, Node] = MappingProxyType(self._nodes)
         self.edge_table: Mapping[int, Edge] = MappingProxyType(self._edges)
+        #: `name(Class)` per node id, as paths are rendered, filled on the
+        #: first lookup of each node
+        self.node_texts: Mapping[int, str] = _NodeTexts(self._nodes)
         self._by_from: dict[int, list[Edge]] = {}
         self._by_to: dict[int, list[Edge]] = {}
         self._label_index: dict[str, list[int]] = {}

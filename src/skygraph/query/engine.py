@@ -20,16 +20,20 @@ hop is unrolled into k loops, and one per range hop, over the routes
 `_range_ends` walks on its own explicit stack. A generated function nests
 at most `_MAX_LOOPS` loops, so a longer pattern chains functions, and an
 `lru_cache` keeps the walks by shape. The loops bind the row's ids as
-they go, so no bindings dict, `Path` or `MatchResult` is made per match.
-`evaluate` sorts the rows by bound node ids, then edge ids, which makes
-its results deterministic, and only then builds each result from its row.
+they go, so no bindings dict, `Path` or `MatchResult` is made per match,
+and each WHERE test and repeated variable is part of the shape, run as an
+inline condition in the loop that binds its last index. `evaluate` sorts
+the rows by bound node ids, then edge ids, which makes its results
+deterministic, and only then builds the results, with one generated
+builder per shape of variables.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 from skygraph.errors import QueryError
@@ -262,39 +266,6 @@ def _budgeted(
     return memos[budget][node_id]
 
 
-def _scalar_equal(a, b) -> bool:
-    return isinstance(a, bool) == isinstance(b, bool) and a == b
-
-
-def _nodes_equal(graph: PropertyGraph, left: int, right: int) -> bool:
-    if left == right:
-        return True
-    a, b = graph.node_table[left], graph.node_table[right]
-    return a.class_name == b.class_name and a.name == b.name and a.properties == b.properties
-
-
-def _holds(graph: PropertyGraph, test: _Test, nodes: Sequence[int | None]) -> bool:
-    term, left, right = test
-    if term is None:
-        return nodes[left] == nodes[right]
-    if right >= 0:
-        if type(term) is list:  # an OR, whose indices only place it
-            return any(all(_holds(graph, t, nodes) for t in conjuncts) for conjuncts in term)
-        return not _nodes_equal(graph, nodes[left], nodes[right])
-    value = graph.property_value(nodes[left], term.key)
-    if value is None:
-        return False
-    equal = _scalar_equal(value, term.literal)
-    return equal if term.op == "=" else not equal
-
-
-def _passes(graph: PropertyGraph, tests: list[_Test], nodes: tuple[int | None, ...]) -> bool:
-    for test in tests:
-        if not _holds(graph, test, nodes):
-            return False
-    return True
-
-
 def _steps(
     graph: PropertyGraph,
     node_id: int,
@@ -387,35 +358,125 @@ def _tuple_text(items: list[str]) -> str:
     return "(" + "".join(f"{item}, " for item in items) + ")"
 
 
-def _source(count: int, anchor: int, tested: tuple[int, ...], hops: tuple) -> str:
-    """The Python text of the walk of plan shape `(count, anchor, tested,
-    hops)`: a generator function `walk(graph, seeds, hops, tests)`.
+# The kinds of a test: two indices of one variable bind one node, a WHERE
+# property comparison, `a <> b`, and an OR, whose disjuncts' tests follow it.
+_SAME, _PROPERTY, _DISTINCT, _OR = range(4)
+
+# The kinds of a WHERE literal, by their index in a test's shape.
+_LITERALS = (str, int, bool)
+
+# The condition of a property comparison per literal kind, for `=` and for
+# `<>`, on the property's value (None where the node lacks the key, which
+# fails both) and the literal: a bool equals only a bool of its value, and
+# an int only an int.
+_COMPARISONS = (
+    ("{0} == {1}", "(value := {0}) is not None and value != {1}"),
+    (
+        "(value := {0}) == {1} and value is not True and value is not False",
+        "(value := {0}) is not None and (value != {1} or value is True or value is False)",
+    ),
+    ("{0} is {1}", "(value := {0}) is not None and value is not {1}"),
+)
+
+
+def _test_shape(test: _Test, at: int) -> tuple[tuple, tuple | None]:
+    """The shape of a test other than an OR, due at index `at`, and its key
+    and literal if it is a property comparison, else None."""
+    term, left, right = test
+    if term is None:
+        return (_SAME, at, left, right, False, False, 0), None
+    if right >= 0:
+        return (_DISTINCT, at, left, right, True, False, 0), None
+    literal = _LITERALS.index(type(term.literal))
+    return (_PROPERTY, at, left, -1, term.op == "<>", term.key == "name", literal), (term.key, term.literal)
+
+
+def _test_shapes(at_bind: list[list[_Test]]) -> tuple[list[tuple], list[tuple | None]]:
+    """The tests of `at_bind` as flat shapes of ints and bools, in the order
+    they are due, with each shape's key and literal if it is a property
+    comparison, else None.
+
+    A test's shape is (kind, the index it is due at, the index it reads,
+    the other index it reads or -1, whether it is `<>`, whether its key is
+    `name`, its literal's index in `_LITERALS`). An OR's is (kind, the index
+    it is due at, the number of tests of each disjunct), followed by the
+    shapes of those tests, disjunct by disjunct.
+    """
+    shapes: list[tuple] = []
+    terms: list[tuple | None] = []
+    for at, tests in enumerate(at_bind):
+        for test in tests:
+            disjuncts = test[0]
+            if type(disjuncts) is list:
+                shapes.append((_OR, at, *map(len, disjuncts)))
+                terms.append(None)
+                pairs = [_test_shape(conjunct, at) for conjuncts in disjuncts for conjunct in conjuncts]
+            else:
+                pairs = [_test_shape(test, at)]
+            for shape, term in pairs:
+                shapes.append(shape)
+                terms.append(term)
+    return shapes, terms
+
+
+def _condition(shape: tuple, t: int) -> str:
+    """The Python condition that test shape `shape`, the `t`-th, holds, on
+    the node variables `n<index>`, the node table `nodes`, and its key and
+    literal as `key<t>` and `literal<t>`. `a <> b` compares the two nodes
+    by value: class, name and properties."""
+    kind, _, left, right, negate, by_name, literal = shape
+    if kind == _SAME:
+        return f"n{left} == n{right}"
+    if kind == _DISTINCT:
+        return (
+            f"n{left} != n{right} and ((a := nodes[n{left}]).class_name != (b := nodes[n{right}]).class_name"
+            " or a.name != b.name or a.properties != b.properties)"
+        )
+    # `name` falls back to the node's display name
+    if by_name:
+        value = f"(node := nodes[n{left}]).properties.get(key{t}, node.name)"
+    else:
+        value = f"nodes[n{left}].properties.get(key{t})"
+    return _COMPARISONS[literal][negate].format(value, f"literal{t}")
+
+
+def _source(count: int, anchor: int, tests: tuple, hops: tuple) -> str:
+    """The Python text of the walk of plan shape `(count, anchor, tests,
+    hops)`: a generator function `walk(graph, seeds, hops, terms)`.
 
     It nests one loop over the anchor's seeds, one per step of a one-step
     or fixed hop (`lo == hi`), over its step lists, and one per range hop,
     over `_range_ends`. Each loop skips an edge an earlier hop of the
     match took, by comparing it with their edge variables and, after a
-    range hop, the used set, then runs the tests due at the index it
-    binds. The innermost loop yields the row. Each group of `_MAX_LOOPS`
-    loops is a function of its own, which the group before calls with
-    the variables bound so far. Only names made from the shape's ints go
-    into the text; the query's labels, types and literals are arguments.
+    range hop, the used set, then skips a node that fails a test due at
+    the index it binds: each test is one inline condition (`_condition`),
+    an OR the disjunction of its disjuncts' conjunctions. The innermost
+    loop yields the row. Each group of `_MAX_LOOPS` loops is a function of
+    its own, which the group before calls with the variables bound so
+    far. Only names made from the shape's ints go into the text; the
+    query's labels, types, keys and literals are arguments.
     """
     setup: list[str] = []
     # per loop: (the lines before it, the loop, the lines inside it, the names it binds)
     levels: list[tuple[list[str], str, list[str], list[str]]] = []
-    bound = {anchor}
     fixed: list[str] = []  # the edge variables of one-step and fixed hops so far
     routes: set[int] = set()  # the relationship patterns of range hops
     # per relationship pattern, its edges, reached nodes and flags in walk order
     parts: dict[int, tuple[list[str], list[str], list[str]]] = {}
 
+    conditions: dict[int, list[str]] = {}  # per index, the conditions due there
+    numbered = iter(enumerate(tests))
+    for t, shape in numbered:
+        condition = _condition(shape, t) if shape[0] != _OR else " or ".join(
+            "(" + " and ".join(_condition(test, u) for u, test in islice(numbered, size)) + ")" for size in shape[2:]
+        )
+        conditions.setdefault(shape[1], []).append(condition)
+    if tests:
+        setup.append("nodes = graph.node_table")
+    setup += [f"key{t}, literal{t} = terms[{t}]" for t, shape in enumerate(tests) if shape[0] == _PROPERTY]
+
     def due(index: int) -> list[str]:
-        if index not in tested:
-            return []
-        setup.append(f"tests{index} = tests[{index}]")
-        nodes = [f"n{i}" if i in bound else "None" for i in range(count)]
-        return [f"if not _passes(graph, tests{index}, {_tuple_text(nodes)}): continue"]
+        return [f"if not ({condition}): continue" for condition in conditions.get(index, ())]
 
     levels.append(([], f"for n{anchor} in seeds:", due(anchor), [f"n{anchor}"]))
     for h, (source, target, r, rightward, lo, hi, labelled) in enumerate(hops):
@@ -427,7 +488,6 @@ def _source(count: int, anchor: int, tested: tuple[int, ...], hops: tuple) -> st
                 f"budgets{h}, used, {_tuple_text(fixed)}, *route{r})"
             )
             routes.add(r)
-            bound.add(target)
             levels.append(([], f"for n{target} in {ends}:", due(target), [f"n{target}"]))
             parts[r] = ([f"*route{r}[0]"], [f"*route{r}[1]"], [f"*route{r}[2]"])
             continue
@@ -453,7 +513,6 @@ def _source(count: int, anchor: int, tested: tuple[int, ...], hops: tuple) -> st
                 inside.append(f"if {edge} in used: continue")
             fixed.append(edge)
             if j == hi - 1:
-                bound.add(target)
                 inside += due(target)
             levels.append((before, f"for {edge}, {there}, {flag} in steps:", inside, [edge, there, flag]))
             for part, name in zip(parts[r], (edge, there, flag)):
@@ -480,7 +539,7 @@ def _source(count: int, anchor: int, tested: tuple[int, ...], hops: tuple) -> st
     else:  # a single node pattern
         last = f"yield (n{anchor},), (), (), ()"
 
-    lines = ["def walk(graph, seeds, hops, tests):"]
+    lines = ["def walk(graph, seeds, hops, terms):"]
     lines += [f"    {line}" for line in setup]
     groups = [levels[i : i + _MAX_LOOPS] for i in range(0, len(levels), _MAX_LOOPS)]
     names: list[str] = []  # the variables the groups so far bind
@@ -500,22 +559,28 @@ def _source(count: int, anchor: int, tested: tuple[int, ...], hops: tuple) -> st
     return "\n".join(lines) + "\n"
 
 
+def _make(source: str, name: str) -> Callable:
+    """The function `name` that `source` defines, run with this module's
+    globals, so it calls the helpers as they are at call time."""
+    made: dict = {}
+    exec(compile(source, f"<{name}>", "exec"), globals(), made)
+    return made[name]
+
+
 @functools.lru_cache(maxsize=256)
-def _compile(count: int, anchor: int, tested: tuple[int, ...], *hops: tuple) -> Callable[..., Iterator[Row]]:
+def _compile(count: int, anchor: int, hop_count: int, *parts: tuple) -> Callable[..., Iterator[Row]]:
     """The walk of a plan shape, compiled once per process: the node
-    pattern count, the anchor, the indices tests are due at, and per hop
-    (source, target, relationship pattern index, rightward, lo, hi,
-    whether the target's label filters steps), all ints, bools or None.
+    pattern count, the anchor, the number of hops, then per hop (source,
+    target, relationship pattern index, rightward, lo, hi, whether the
+    target's label filters steps) and the shape of each test
+    (`_test_shapes`), all ints, bools or None.
 
     The shape is the call's arguments, so the cache keeps each as one
     tuple of flat tuples. The cyclic collector stops tracking a tuple of
     untracked items one nesting level per collection, so a key this
     shallow leaves the tracked objects flat from the second collection
-    after its query on. The walk runs with this module's globals, so it
-    calls the helpers as they are at call time."""
-    made: dict = {}
-    exec(compile(_source(count, anchor, tested, hops), "<walk>", "exec"), globals(), made)
-    return made["walk"]
+    after its query on."""
+    return _make(_source(count, anchor, parts[hop_count:], parts[:hop_count]), "walk")
 
 
 def iter_matches(
@@ -533,10 +598,11 @@ def iter_matches(
 
     The plan is reduced to its shape, which holds only ints, bools and
     None, and the generator is the shape's compiled walk (`_source`),
-    which binds the hops rightward from the anchor, then leftward. The
-    graph, the seeds, each hop's relationship pattern, target members and
-    step memos, and the tests due at each index are its arguments, so no
-    query text is compiled and the cache of walks holds no graph.
+    which binds the hops rightward from the anchor, then leftward, and
+    runs each test inline. The graph, the seeds, each hop's relationship
+    pattern, target members and step memos, and each property test's key
+    and literal are its arguments, so no query text is compiled and the
+    cache of walks holds no graph.
 
     The step lists come from `_expand`, one memo per hop shape: the
     relationship type and direction and the walk's orientation. Where
@@ -579,9 +645,34 @@ def iter_matches(
             budgets += [store.setdefault((*kind, label, b, min(b, hi - lo)), {}) for b in range(1, hi)]
         hops.append((rel, members, inner, budgets))
         shape.append((source, target, r, rightward, lo, hi, members is not None))
-    tested = tuple(i for i, tests in enumerate(plan.at_bind) if tests)
-    walk = _compile(len(ast.node_patterns), plan.anchor, tested, *shape)
-    return walk(graph, plan.candidates[plan.anchor], hops, plan.at_bind)
+    tests, terms = _test_shapes(plan.at_bind)
+    walk = _compile(len(ast.node_patterns), plan.anchor, len(shape), *shape, *tests)
+    return walk(graph, plan.candidates[plan.anchor], hops, terms)
+
+
+def _results_source(path: bool, indices: tuple[int, ...]) -> str:
+    """The Python text of the result builder of shape `(path, indices)`: a
+    function `build(rows, names)` that returns one `MatchResult` per row,
+    binding the `k`-th of `names` to the node at `indices[k]`, with the
+    row's `Path` if `path`."""
+    names = [f"name{k}" for k in range(len(indices))]
+    bindings = "{" + ", ".join(f"{name}: nodes[{i}]" for name, i in zip(names, indices)) + "}"
+    # a single node pattern's path is its one node
+    result = f"MatchResult({bindings}, Path(path or nodes, edges, flags))" if path else f"MatchResult({bindings})"
+    lines = ["def build(rows, names):"]
+    if names:
+        lines.append(f"    {_tuple_text(names)} = names")
+    lines.append(f"    return [{result} for nodes, edges, path, flags in rows]")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=256)
+def _builder(path: bool, *indices: int) -> Callable[[list[Row], tuple[str, ...]], list[MatchResult]]:
+    """The result builder of a shape, compiled once per process: whether
+    results carry a path, and the pattern index each variable binds."""
+    return _make(_results_source(path, indices), "build")
+
+
 def evaluate(
     graph: PropertyGraph,
     ast: QueryAst,
@@ -590,18 +681,14 @@ def evaluate(
     """Every assignment of graph nodes and edge routes to the pattern, as
     results ordered by bound node ids, then edge ids.
 
-    The rows of `iter_matches` are sorted first; each result's bindings
-    and path are built only after the sort, from its row.
+    The rows of `iter_matches` are sorted first; the results are built
+    only after the sort, by the generated builder of the query's shape
+    (`_results_source`), to which the variable names are arguments.
     """
     rows = sorted(iter_matches(graph, ast, star_max), key=itemgetter(0, 1))
     # a repeated variable binds one node at each of its indices
-    variables = list({np.var: i for i, np in enumerate(ast.node_patterns) if np.var is not None}.items())
-    if not ast.path_var:
-        return [MatchResult({var: row[0][i] for var, i in variables}) for row in rows]
-    return [
-        MatchResult({var: nodes[i] for var, i in variables}, Path(path_ids or nodes, edge_ids, forward))
-        for nodes, edge_ids, path_ids, forward in rows
-    ]
+    variables = {np.var: i for i, np in enumerate(ast.node_patterns) if np.var is not None}
+    return _builder(bool(ast.path_var), *variables.values())(rows, tuple(variables))
 
 
 def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MAX) -> str:
@@ -619,11 +706,13 @@ def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MA
         for source, target, _, _, rightward in plan.hops
     ]
     lines.append("expansion order: " + (", ".join(order) or "none (single node pattern)"))
-    lines += [
-        f"  last step to node #{target} expands only to :{label}"
-        for _, target, label, _, _ in plan.hops
-        if label
-    ]
+    for _, target, label, r, _ in plan.hops:
+        if not label:
+            continue
+        if _bounds(ast.rel_patterns[r], star_max)[1] == 1:
+            lines.append(f"  last step to node #{target} expands only to :{label}")
+        else:  # `_budgeted` filters every step of the hop
+            lines.append(f"  every step to node #{target} expands only to nodes from which :{label} can still end the hop")
     for i, rel in enumerate(ast.rel_patterns):
         if not rel.hops.is_single:
             lo, hi = _bounds(rel, star_max)

@@ -5,7 +5,8 @@ traversal code with the engine: labels are matched by walking parent links
 one at a time, matching enumerates assignments left to right with plain
 edge-list scans, and `naive_matches` additionally tries every node
 assignment up front. `reference_rows` is the order oracle: the engine's
-earlier interpreted walk, on the engine's plan and step lists.
+earlier interpreted walk, on the engine's plan and step lists, with the
+plan's tests run one call at a time by `_holds`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from skygraph.errors import GraphError, SkygraphError, UnknownClassError
 from skygraph.graph import EDGE_TYPES, Edge, Node, PropertyGraph, _EXPORT, _SETTINGS
 from skygraph.ontology import ontology_from_documents
 from skygraph.yamlfile import DEFAULT_STAR_MAX, SCALAR, check_fields, check_positive_int
-from skygraph.query.engine import _bounds, _budgeted, _expand, _holds, _plan
+from skygraph.query.engine import _bounds, _budgeted, _expand, _plan
 from skygraph.query.syntax import NodeComparison, PropertyComparison, QueryAst
 
 
@@ -203,6 +204,26 @@ def _oracle_comparison(graph: PropertyGraph, comparison, bindings: dict[str, int
             return False
         return not _nodes_equal(graph, bindings[comparison.left], bindings[comparison.right])
     raise TypeError(comparison)
+
+
+def _holds(graph: PropertyGraph, test, nodes) -> bool:
+    """Whether a test of the engine's plan holds on `nodes`, the bound node
+    ids by pattern index: two indices of one variable bind one node, an OR
+    holds when all tests of one of its disjuncts do, `a <> b` compares by
+    value, and a property comparison reads `property_value`, false if the
+    node lacks the key."""
+    term, left, right = test
+    if term is None:
+        return nodes[left] == nodes[right]
+    if type(term) is list:
+        return any(all(_holds(graph, t, nodes) for t in conjuncts) for conjuncts in term)
+    if right >= 0:
+        return not _nodes_equal(graph, nodes[left], nodes[right])
+    value = graph.property_value(nodes[left], term.key)
+    if value is None:
+        return False
+    equal = _scalar_equal(value, term.literal)
+    return equal if term.op == "=" else not equal
 
 
 def oracle_predicate(graph: PropertyGraph, where, bindings: dict[str, int]) -> bool:

@@ -584,10 +584,10 @@ def test_query_stdout_pinned(testbed, tmp_path, monkeypatch, capsys):
 
 
 def test_render_path_matches_per_element_reference(tmp_path, monkeypatch):
-    """`render_path` reads the node and edge tables; on every path result
-    of the benchmark queries on a shared-paths fleet, with arrows both
-    ways, it prints what rendering through `graph.node`/`graph.edge`
-    prints."""
+    """`render_path` joins the graph's kept node texts and the arrow table;
+    on every path result of the benchmark queries on a shared-paths fleet,
+    with arrows both ways, it prints what rendering through
+    `graph.node`/`graph.edge` prints."""
     monkeypatch.syspath_prepend(str(BENCH))
     expected = importlib.import_module("expected")
     queries = {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
@@ -601,6 +601,27 @@ def test_render_path_matches_per_element_reference(tmp_path, monkeypatch):
     assert {flag for path in paths for flag in path.forward} == {True, False}
     for path in paths:
         assert render_path(graph, path) == reference.render_path(graph, path)
+
+
+def test_kept_node_texts_follow_a_graph_being_built():
+    """On a graph that is not frozen, a node added after paths were rendered
+    renders in a later path as the per-element reference renders it, and
+    the kept texts hold one entry per node rendered."""
+    graph = PropertyGraph(ontology_from_documents(*reference.small_ontology_documents()))
+    graph.add_node("Thing", "a")
+    graph.add_node("Thing", "b")
+    graph.add_edge(0, 1, "DFG")
+    [result] = evaluate(graph, parse_query("MATCH p=(x)-->(y) RETURN p"))
+    assert render_path(graph, result.path) == reference.render_path(graph, result.path) == "a(Thing) -[DFG]-> b(Thing)"
+    assert dict(graph.node_texts) == {0: "a(Thing)", 1: "b(Thing)"}
+    graph.add_node("Sub", "c")
+    graph.add_node("Sub", "never rendered")
+    graph.add_edge(2, 1, "TO")
+    results = evaluate(graph, parse_query("MATCH p=(x)-->(y)<--(z) RETURN p"))
+    rendered = [render_path(graph, result.path) for result in results]
+    assert rendered == [reference.render_path(graph, result.path) for result in results]
+    assert rendered == ["a(Thing) -[DFG]-> b(Thing) <-[TO]- c(Sub)", "c(Sub) -[TO]-> b(Thing) <-[DFG]- a(Thing)"]
+    assert dict(graph.node_texts) == {0: "a(Thing)", 1: "b(Thing)", 2: "c(Sub)"}
 
 
 def test_console_entry_point(tmp_path):

@@ -1,11 +1,13 @@
 """Query results pinned byte for byte.
 
 For each graph, the ordered `evaluate` output (bindings, path node ids,
-edge ids, forward flags) and the `explain` text of the nine benchmark
-queries, at two `star_max` bounds, hash to a pinned sha256. A change to
-the engine or to graph adjacency that is meant to keep results must keep
-these digests; one that changes results on purpose updates them and says
-why. The `skygraph build` export of each fleet is pinned the same way.
+edge ids, forward flags) of the nine benchmark queries, at two `star_max`
+bounds, hashes to a pinned sha256, and so does their `explain` text. A
+change to the engine or to graph adjacency that is meant to keep results
+must keep the results digests; one that changes results on purpose
+updates them and says why. The plan texts are pinned apart, so a change
+to how a plan is described leaves the results digests as they are. The
+`skygraph build` export of each fleet is pinned the same way.
 """
 
 from __future__ import annotations
@@ -34,10 +36,17 @@ GRAPHS = {
 }
 
 RESULTS_SHA256 = {
-    "bookinfo": "5abd720f0183b67e3a0bdfea65e6280f013859f295c53d6108a5f4532c8c8587",
-    "bookinfo_clean": "4a25c6595a5974029acafc4a374bcf2cafefb201be28af7ba2187bfd5cd3bc0e",
-    "fleet-20-unique-9": "da6595f0561cbee92fb677576b64a8f08bb414156f7e5cc3b19597b087abdc72",
-    "fleet-8-shared-4": "c3775c7647554dec5154eda9b4c7e46e3c46fb9447dcdd52c21d5e437211bb59",
+    "bookinfo": "87f711bddf560a0ebea4b1229356575ff711f6db8346c1a92d2160d777d44050",
+    "bookinfo_clean": "f95e50a9c72d8251d97a4e3200a34665eea9a3597f12de1db4579db5861b6648",
+    "fleet-20-unique-9": "79311f6b22ad4100494e8682b49ec217cd3eeed8a80553fb7e1897a4c55edf59",
+    "fleet-8-shared-4": "afafc2c0a3dfc16200eb7f62d6d12e7e3a9436ad0a2784d55c4de92a4b0e8db4",
+}
+
+EXPLAIN_SHA256 = {
+    "bookinfo": "db359cba2521979d4c6dacb5f74545aeb6a3c8a9f8967c63b6498dd442d74de9",
+    "bookinfo_clean": "091184d638dc06482eabfecfbe443039925aa74c325b4a34480030e67beae43f",
+    "fleet-20-unique-9": "a20e414146c05954ed350eda09784a6272af8ca0b60c6ec70a42be37d62d4635",
+    "fleet-8-shared-4": "c78ba051f5865a6f8bf6cbddca4ddd175cf70e87c6dac20d84d29980e63f2349",
 }
 
 # sha256 of each fleet's export as `skygraph build` writes it
@@ -60,7 +69,6 @@ def results_text(graph, queries: dict[str, str]) -> str:
         ast = parse_query(text)
         for star_max in (10, 3):
             lines.append(f"== {name} star_max={star_max}")
-            lines.append(explain(graph, ast, star_max))
             for result in evaluate(graph, ast, star_max):
                 path = result.path
                 shape = None if path is None else (path.node_ids, path.edge_ids, path.forward)
@@ -68,8 +76,18 @@ def results_text(graph, queries: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_results_match_pinned_digest(name, tmp_path, monkeypatch):
+def explain_text(graph, queries: dict[str, str]) -> str:
+    lines = []
+    for name, text in queries.items():
+        ast = parse_query(text)
+        for star_max in (10, 3):
+            lines.append(f"== {name} star_max={star_max}")
+            lines.append(explain(graph, ast, star_max))
+    return "\n".join(lines) + "\n"
+
+
+def benchmark_graph(name, tmp_path, monkeypatch):
+    """The graph `name` and the nine benchmark queries by name."""
     monkeypatch.syspath_prepend(str(BENCH))
     expected = importlib.import_module("expected")
     queries = {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
@@ -77,9 +95,21 @@ def test_results_match_pinned_digest(name, tmp_path, monkeypatch):
         manifest = data_path(f"fixtures/{name}/manifest.yaml")
     else:
         manifest = fleet_manifest(name, tmp_path, monkeypatch)
-    graph = build_graph(load_manifest(manifest))[0]
+    return build_graph(load_manifest(manifest))[0], queries
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_results_match_pinned_digest(name, tmp_path, monkeypatch):
+    graph, queries = benchmark_graph(name, tmp_path, monkeypatch)
     digest = hashlib.sha256(results_text(graph, queries).encode("utf-8")).hexdigest()
     assert digest == RESULTS_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_plans_match_pinned_digest(name, tmp_path, monkeypatch):
+    graph, queries = benchmark_graph(name, tmp_path, monkeypatch)
+    digest = hashlib.sha256(explain_text(graph, queries).encode("utf-8")).hexdigest()
+    assert digest == EXPLAIN_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(EXPORT_SHA256))

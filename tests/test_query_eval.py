@@ -286,6 +286,12 @@ class TestExplain:
         assert "last step to node #3 expands only to :GeoLocation" in plan
         assert "node #2 expands only to :CloudResource" in plan
 
+    @pytest.mark.parametrize("hop", ["*3", "*", ":DFG*"])
+    def test_budget_filter_reported_for_every_step(self, testbed_graph, hop):
+        plan = explain(testbed_graph, parse_query(f"MATCH p=(a:Application)-[{hop}]-(s:Storage) RETURN p"))
+        assert "every step to node #0 expands only to nodes from which :Application can still end the hop" in plan
+        assert "last step" not in plan
+
 
 class TestUnknownNames:
     @pytest.mark.parametrize(

@@ -4,8 +4,8 @@
 be `reference_rows`', the engine's earlier one-stack walk, row for row: on
 random graphs and queries, on a graph that keeps its step lists between
 queries, and on patterns longer than one generated function may nest.
-Query text never reaches the generated code: the shape it is compiled
-from holds only ints, bools and None.
+Query text never reaches the generated code: the shapes walks and result
+builders are compiled from hold only ints, bools and None.
 """
 
 from __future__ import annotations
@@ -168,6 +168,83 @@ class TestLongPatterns:
         assert found == reference_rows(graph, ast, 1000)
 
 
+def where_graph() -> PropertyGraph:
+    """Nodes whose key `v` holds each kind of value, one lacking it, one
+    whose `name` property is not its display name, and four nodes equal
+    by value but for the class of one and a property of another, two of
+    them joined both ways and one by a self-loop."""
+    graph = PropertyGraph(ONTOLOGY)
+    for name, props in [("a", {"v": True}), ("b", {"v": 1}), ("c", {"v": "1"}), ("d", {"v": False}), ("e", {"v": 0})]:
+        graph.add_node("Literal", name, props)
+    graph.add_node("Literal", "f")
+    graph.add_node("Literal", "g", {"name": "named"})
+    for class_name, p in [("Thing", 1), ("Thing", 1), ("Other", 1), ("Thing", 2)]:
+        graph.add_node(class_name, "t", {"p": p, "q": "x"})
+    for source, target in [(7, 8), (8, 7), (7, 9), (8, 8), (0, 7), (7, 10)]:
+        graph.add_edge(source, target, "DFG")
+    graph.freeze()
+    return graph
+
+
+class TestInlineTests:
+    """Each WHERE test and repeated variable runs inline in the walk with
+    the semantics of the interpreted tests: a literal equals only a value
+    of its own kind, a missing key fails `=` and `<>` alike, `name` falls
+    back to the display name, and `a <> b` compares nodes by value."""
+
+    @pytest.mark.parametrize(
+        "where, bound",
+        [
+            ("n.v = true", {0}),
+            ("n.v = 1", {1}),
+            ('n.v = "1"', {2}),
+            ("n.v = false", {3}),
+            ("n.v = 0", {4}),
+            ("n.v <> true", {1, 2, 3, 4}),
+            ("n.v <> 1", {0, 2, 3, 4}),
+            ('n.v <> "1"', {0, 1, 3, 4}),
+            ("n.v <> false", {0, 1, 2, 4}),
+            ("n.v <> 0", {0, 1, 2, 3}),
+            ('n.w = "x"', set()),
+            ('n.w <> "x"', set()),
+            ("n.w <> 0", set()),
+            ('n.name = "f"', {5}),
+            ('n.name = "g"', set()),
+            ('n.name = "named"', {6}),
+            ('n.name <> "a"', {1, 2, 3, 4, 5, 6}),
+            ('n.v = true AND n.name = "a" OR n.v = 0 AND n.name <> "x" OR n.name = "named"', {4, 0, 6}),
+            ('n.v = 1 AND n.name = "a" OR n.w = 0', set()),
+        ],
+    )
+    def test_property_comparisons(self, where, bound):
+        graph = where_graph()
+        ast = parse_query(f"MATCH (n:Literal) WHERE {where} RETURN n")
+        found = rows(graph, ast, 10)
+        assert {row[0][0] for row in found} == bound
+        assert found == reference_rows(graph, ast, 10)
+
+    @pytest.mark.parametrize(
+        "text, bound",
+        [
+            # 7 and 8 are equal by value, 9 differs by class and 10 by a
+            # property, 8 loops to itself
+            ("MATCH p=(a:Thing)-->(b) WHERE a <> b RETURN p", {(7, 9), (7, 10)}),
+            ("MATCH p=(a)-->(b) WHERE a <> b OR b.p = 1 RETURN p", {(7, 8), (8, 7), (7, 9), (8, 8), (0, 7), (7, 10)}),
+            ('MATCH p=(a)-->(b) WHERE a <> b AND a.name = "t" OR a.v = true RETURN p', {(7, 9), (7, 10), (0, 7)}),
+            ("MATCH p=(a)-->(b)-->(a) RETURN p", {(7, 8, 7), (8, 7, 8)}),
+            ("MATCH p=(a)-[*]->(a) RETURN p", {(7, 7), (8, 8)}),
+            ('MATCH p=(a)-->(b)<--(c)-->(a) WHERE a.name <> "a" RETURN p', {(7, 8, 8, 7)}),
+        ],
+    )
+    def test_node_comparisons_and_repeated_variables(self, text, bound):
+        graph = where_graph()
+        ast = parse_query(text)
+        found = rows(graph, ast, 10)
+        assert {row[0] for row in found} == bound
+        assert found == reference_rows(graph, ast, 10)
+        assert row_paths(ast, found) == oracle_paths(graph, ast, star_max=10)
+
+
 def leaves(value):
     if type(value) is tuple:
         for item in value:
@@ -193,15 +270,32 @@ class TestQueryTextStaysData:
 
     @pytest.fixture
     def shapes(self, monkeypatch):
-        compiled = engine._compile
-        keys = []
+        """The shapes of the walks and of the result builders the engine
+        asks for, each as the arguments of its `_source` or
+        `_results_source`."""
+        compile_walk, compile_builder = engine._compile, engine._builder
+        walks, builders = [], []
 
-        def recorded(count, anchor, tested, *hops):
-            keys.append((count, anchor, tested, hops))
-            return compiled(count, anchor, tested, *hops)
+        def walk(count, anchor, hop_count, *parts):
+            walks.append((count, anchor, parts[hop_count:], parts[:hop_count]))
+            return compile_walk(count, anchor, hop_count, *parts)
 
-        monkeypatch.setattr(engine, "_compile", recorded)
-        return keys
+        def builder(path, *indices):
+            builders.append((path, indices))
+            return compile_builder(path, *indices)
+
+        monkeypatch.setattr(engine, "_compile", walk)
+        monkeypatch.setattr(engine, "_builder", builder)
+        return walks, builders
+
+    @staticmethod
+    def assert_data_only(shapes):
+        """Every shape holds only ints, bools and None, and no generated
+        text says `import`."""
+        walks, builders = shapes
+        assert all(type(leaf) in (int, bool, type(None)) for leaf in leaves((tuple(walks), tuple(builders))))
+        texts = [engine._source(*shape) for shape in walks] + [engine._results_source(*shape) for shape in builders]
+        assert all("import" not in text for text in texts)
 
     @pytest.mark.parametrize(
         "text, error",
@@ -226,8 +320,8 @@ class TestQueryTextStaysData:
     )
     def test_literals_and_variables_are_data(self, graph, shapes, text, bindings):
         assert [result.bindings for result in evaluate(graph, parse_query(text))] == bindings
-        assert shapes and all(type(leaf) in (int, bool, type(None)) for leaf in leaves(tuple(shapes)))
-        assert all("import" not in engine._source(*shape) for shape in shapes)
+        assert all(len(compiled) == 1 for compiled in shapes)
+        self.assert_data_only(shapes)
 
     @pytest.mark.parametrize(
         "ast, error",
@@ -246,7 +340,7 @@ class TestQueryTextStaysData:
     def test_hostile_names_in_an_ast_are_unknown(self, graph, shapes, ast, error):
         with pytest.raises(QueryError, match=error):
             evaluate(graph, ast)
-        assert not shapes
+        assert shapes == ([], [])
 
     def test_hostile_literal_and_variables_in_an_ast(self, graph, shapes):
         literal = QueryAst(None, (NodePattern("a", "Thing"),), (), ((PropertyComparison("a", "name", "=", HOSTILE),),), ("a",))
@@ -255,12 +349,13 @@ class TestQueryTextStaysData:
             None, (NodePattern(HOSTILE, "Thing"), NodePattern(HOSTILE)), (RelPattern(var=HOSTILE, direction="right"),), None, (HOSTILE,)
         )
         assert evaluate(graph, repeated) == []
-        assert len(shapes) == 2 and all(type(leaf) in (int, bool, type(None)) for leaf in leaves(tuple(shapes)))
+        assert all(len(compiled) == 2 for compiled in shapes)
+        self.assert_data_only(shapes)
 
     def test_benchmark_shapes_hold_only_ints_bools_and_none(self, testbed_graph, shapes, monkeypatch):
         monkeypatch.syspath_prepend(str(BENCH))
         expected = importlib.import_module("expected")
         for text in [listing_text(q) for q in expected.BUNDLED] + list(expected.OWNED.values()):
             evaluate(testbed_graph, parse_query(text))
-        assert len(shapes) == 9
-        assert all(type(leaf) in (int, bool, type(None)) for leaf in leaves(tuple(shapes)))
+        assert all(len(compiled) == 9 for compiled in shapes)
+        self.assert_data_only(shapes)
