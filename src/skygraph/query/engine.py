@@ -13,11 +13,11 @@ Matching semantics:
 
 `iter_matches` yields one row per match, in walk order: a tuple of the
 bound node ids in pattern order, the edge ids, the path's node ids and its
-forward flags. The walk is compiled per plan shape, the plan reduced to
-ints, bools and None, into one generator of nested loops: one over the
-anchor's seeds, one per step of a one-step or fixed `*k` hop, so a fixed
-hop is unrolled into k loops, and one per range hop, over the routes
-`_range_ends` walks on its own explicit stack. A generated function nests
+forward flags. The walk is compiled per plan shape, the ints, bools and
+None of `_plan`'s hops and tests, into one generator of nested loops: one
+over the anchor's seeds, one per step of a one-step or fixed `*k` hop, so
+a fixed hop is unrolled into k loops, and one per range hop, over the
+routes `_range_ends` walks on its own explicit stack. A generated function nests
 at most `_MAX_LOOPS` loops, so a longer pattern chains functions, and an
 `lru_cache` keeps the walks by shape. The loops bind the row's ids as
 they go, so no bindings dict, `Path` or `MatchResult` is made per match,
@@ -49,11 +49,12 @@ class MatchResult:
     path: Path | None = None
 
 
-# A constraint on a match, read on pattern indices: a WHERE comparison with
-# the index of its node variable (the left one of a `<>`) and the right
-# one's or -1, None with two indices that must bind one node, or an OR's
-# disjuncts, lists of tests, with the lowest and highest index they read.
-_Test = tuple[Comparison | list | None, int, int]
+# The kinds of a test: two indices of one variable bind one node, a WHERE
+# property comparison, `a <> b`, and an OR, whose disjuncts' tests follow it.
+_SAME, _PROPERTY, _DISTINCT, _OR = range(4)
+
+# The kinds of a WHERE literal, by their index in a test's shape.
+_LITERALS = (str, int, bool)
 
 
 @dataclass
@@ -62,30 +63,29 @@ class _Plan:
 
     The anchor pattern is seeded from its candidates; each hop then binds
     its target pattern from its source, rightward from the anchor, then
-    leftward, as (source, target, label, rel, rightward): the pattern
-    indices, the target's label, which filters the steps of the hop's
-    segment, the index of the relationship pattern it walks, and whether
-    it walks that pattern left to right. `candidates[i]` and `members[i]`
-    are the ids and the set of the nodes pattern `i`'s label matches, as
-    the graph keeps them. `at_bind[i]` holds the tests due once pattern
-    `i` is bound: every constraint of a match is one of them.
+    leftward, as (source, target, rel, rightward, lo, hi, label, members):
+    the pattern indices, the index of the relationship pattern it walks,
+    whether it walks that pattern left to right, its bounds, `hi` at most
+    the graph's edge count, and the target's label and the set of nodes
+    it matches, which filter the steps of the hop, both None where the
+    label filters nothing. `candidates[i]` are the ids of the nodes
+    pattern `i`'s label matches, as the graph keeps them.
+
+    `tests` are the constraints of a match as flat shapes of ints and
+    bools, in the order they are due, and `terms[t]` is the parsed
+    comparison of test `t`, None for an OR and for two indices of one
+    variable. A test's shape is (kind, the index it is due at, the index
+    it reads, the other index it reads or -1, whether it is `<>`, whether
+    its key is `name`, its literal's index in `_LITERALS`). An OR's is
+    (kind, the index it is due at, the number of tests of each disjunct),
+    followed by the shapes of those tests, disjunct by disjunct.
     """
 
     anchor: int
     candidates: tuple[tuple[int, ...], ...]
-    members: tuple[frozenset[int], ...]
-    hops: list[tuple[int, int, str | None, int, bool]]
-    at_bind: list[list[_Test]]
-
-
-def _place(tests: list[_Test], anchor: int, at_bind: list[list[_Test]]) -> None:
-    """Add each test to `at_bind` at the index it reads that binds last.
-    The hops bind rightward from the anchor, then leftward, so that is the
-    highest index if all it reads are at or right of the anchor, and the
-    lowest otherwise."""
-    for test in tests:
-        indices = [i for i in test[1:] if i >= 0]
-        at_bind[max(indices) if min(indices) >= anchor else min(indices)].append(test)
+    hops: list[tuple[int, int, int, bool, int, int, str | None, frozenset[int] | None]]
+    tests: tuple[tuple, ...]
+    terms: tuple[Comparison | None, ...]
 
 
 def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int) -> _Plan:
@@ -96,7 +96,8 @@ def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int) -> _Plan:
     Every constraint is a test on pattern indices: each later occurrence
     of a node variable must bind the node of the occurrence before it, a
     WHERE comparison reads its variables' first occurrences, and an OR
-    holds when all the tests of one of its disjuncts do.
+    holds when all the tests of one of its disjuncts do. Each test is due
+    at the index it reads that binds last.
     """
     check_positive_int(star_max, QueryError, "star_max")
     nodes = ast.node_patterns
@@ -119,38 +120,59 @@ def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int) -> _Plan:
                 )
     candidates, members = zip(*(graph.label_members(np.label or "Node") for np in nodes))
     anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
-    hops = [(i, i + 1, nodes[i + 1].label, i, True) for i in range(anchor, len(nodes) - 1)]
-    hops += [(i + 1, i, nodes[i].label, i, False) for i in reversed(range(anchor))]
 
+    def hop(source: int, target: int, r: int, rightward: bool) -> tuple:
+        rel = ast.rel_patterns[r]
+        # a route takes each edge once, so no route is longer than the graph
+        # has edges, and a labelled hop keeps no more budgets than that
+        hi = min(rel.hops.max if rel.hops.max is not None else star_max, max(graph.edge_count, 1))
+        label = nodes[target].label
+        # a label that every node matches filters nothing
+        if label is None or len(members[target]) == graph.node_count:
+            return source, target, r, rightward, rel.hops.min, hi, None, None
+        return source, target, r, rightward, rel.hops.min, hi, label, members[target]
+
+    hops = [hop(i, i + 1, i, True) for i in range(anchor, len(nodes) - 1)]
+    hops += [hop(i + 1, i, i, False) for i in reversed(range(anchor))]
+
+    def due(indices: list[int]) -> int:
+        # the hops bind rightward from the anchor, then leftward, so the
+        # index that binds last is the highest if all are at or right of
+        # the anchor, and the lowest otherwise
+        return max(indices) if min(indices) >= anchor else min(indices)
+
+    placed: list[tuple[tuple, Comparison | None]] = []  # (shape, term)
     first: dict[str, int] = {}
     latest: dict[str, int] = {}
-    tests: list[_Test] = []
     for i, var in enumerate(np.var for np in nodes):
         if var is None:
             continue
         if var in latest:
-            tests.append((None, latest[var], i))
+            at = due([latest[var], i])
+            placed.append(((_SAME, at, latest[var], i, False, False, 0), None))
         first.setdefault(var, i)
         latest[var] = i
 
-    def test(term: Comparison) -> _Test:
-        if isinstance(term, NodeComparison):
-            return term, first[term.left], first[term.right]
-        return term, first[term.var], -1
+    def reads(term: Comparison) -> list[int]:
+        return [first[term.left], first[term.right]] if isinstance(term, NodeComparison) else [first[term.var]]
 
-    disjuncts = [[test(term) for term in terms] for terms in ast.where or ()]
+    def compared(term: Comparison, at: int) -> tuple[tuple, Comparison]:
+        left, *right = reads(term)
+        if right:
+            return (_DISTINCT, at, left, right[0], True, False, 0), term
+        literal = _LITERALS.index(type(term.literal))
+        return (_PROPERTY, at, left, -1, term.op == "<>", term.key == "name", literal), term
+
+    disjuncts = ast.where or ()
     if len(disjuncts) == 1:  # an AND places each comparison on its own
-        tests += disjuncts[0]
+        placed += [compared(term, due(reads(term))) for term in disjuncts[0]]
     elif disjuncts:
-        read = [i for conjuncts in disjuncts for t in conjuncts for i in t[1:] if i >= 0]
-        tests.append((disjuncts, min(read), max(read)))
-    at_bind: list[list[_Test]] = [[] for _ in nodes]
-    _place(tests, anchor, at_bind)
-    return _Plan(anchor, candidates, members, hops, at_bind)
-
-
-def _bounds(rel: RelPattern, star_max: int) -> tuple[int, int]:
-    return rel.hops.min, rel.hops.max if rel.hops.max is not None else star_max
+        at = due([i for terms in disjuncts for term in terms for i in reads(term)])
+        placed.append(((_OR, at, *map(len, disjuncts)), None))
+        placed += [compared(term, at) for terms in disjuncts for term in terms]
+    placed.sort(key=lambda test: test[0][1])  # by due index; stable, so an OR's tests stay after it
+    tests, terms = zip(*placed) if placed else ((), ())
+    return _Plan(anchor, candidates, hops, tests, terms)
 
 
 # A step: (edge id, neighbor, forward).
@@ -358,13 +380,6 @@ def _tuple_text(items: list[str]) -> str:
     return "(" + "".join(f"{item}, " for item in items) + ")"
 
 
-# The kinds of a test: two indices of one variable bind one node, a WHERE
-# property comparison, `a <> b`, and an OR, whose disjuncts' tests follow it.
-_SAME, _PROPERTY, _DISTINCT, _OR = range(4)
-
-# The kinds of a WHERE literal, by their index in a test's shape.
-_LITERALS = (str, int, bool)
-
 # The condition of a property comparison per literal kind, for `=` and for
 # `<>`, on the property's value (None where the node lacks the key, which
 # fails both) and the literal: a bool equals only a bool of its value, and
@@ -377,46 +392,6 @@ _COMPARISONS = (
     ),
     ("{0} is {1}", "(value := {0}) is not None and value is not {1}"),
 )
-
-
-def _test_shape(test: _Test, at: int) -> tuple[tuple, tuple | None]:
-    """The shape of a test other than an OR, due at index `at`, and its key
-    and literal if it is a property comparison, else None."""
-    term, left, right = test
-    if term is None:
-        return (_SAME, at, left, right, False, False, 0), None
-    if right >= 0:
-        return (_DISTINCT, at, left, right, True, False, 0), None
-    literal = _LITERALS.index(type(term.literal))
-    return (_PROPERTY, at, left, -1, term.op == "<>", term.key == "name", literal), (term.key, term.literal)
-
-
-def _test_shapes(at_bind: list[list[_Test]]) -> tuple[list[tuple], list[tuple | None]]:
-    """The tests of `at_bind` as flat shapes of ints and bools, in the order
-    they are due, with each shape's key and literal if it is a property
-    comparison, else None.
-
-    A test's shape is (kind, the index it is due at, the index it reads,
-    the other index it reads or -1, whether it is `<>`, whether its key is
-    `name`, its literal's index in `_LITERALS`). An OR's is (kind, the index
-    it is due at, the number of tests of each disjunct), followed by the
-    shapes of those tests, disjunct by disjunct.
-    """
-    shapes: list[tuple] = []
-    terms: list[tuple | None] = []
-    for at, tests in enumerate(at_bind):
-        for test in tests:
-            disjuncts = test[0]
-            if type(disjuncts) is list:
-                shapes.append((_OR, at, *map(len, disjuncts)))
-                terms.append(None)
-                pairs = [_test_shape(conjunct, at) for conjuncts in disjuncts for conjunct in conjuncts]
-            else:
-                pairs = [_test_shape(test, at)]
-            for shape, term in pairs:
-                shapes.append(shape)
-                terms.append(term)
-    return shapes, terms
 
 
 def _condition(shape: tuple, t: int) -> str:
@@ -473,7 +448,7 @@ def _source(count: int, anchor: int, tests: tuple, hops: tuple) -> str:
         conditions.setdefault(shape[1], []).append(condition)
     if tests:
         setup.append("nodes = graph.node_table")
-    setup += [f"key{t}, literal{t} = terms[{t}]" for t, shape in enumerate(tests) if shape[0] == _PROPERTY]
+    setup += [f"key{t}, literal{t} = terms[{t}].key, terms[{t}].literal" for t, shape in enumerate(tests) if shape[0] == _PROPERTY]
 
     def due(index: int) -> list[str]:
         return [f"if not ({condition}): continue" for condition in conditions.get(index, ())]
@@ -573,7 +548,7 @@ def _compile(count: int, anchor: int, hop_count: int, *parts: tuple) -> Callable
     pattern count, the anchor, the number of hops, then per hop (source,
     target, relationship pattern index, rightward, lo, hi, whether the
     target's label filters steps) and the shape of each test
-    (`_test_shapes`), all ints, bools or None.
+    (`_Plan.tests`), all ints, bools or None.
 
     The shape is the call's arguments, so the cache keeps each as one
     tuple of flat tuples. The cyclic collector stops tracking a tuple of
@@ -581,6 +556,30 @@ def _compile(count: int, anchor: int, hop_count: int, *parts: tuple) -> Callable
     shallow leaves the tracked objects flat from the second collection
     after its query on."""
     return _make(_source(count, anchor, parts[hop_count:], parts[:hop_count]), "walk")
+
+
+def _hop_lists(store: dict, plan: _Plan, ast: QueryAst) -> list[tuple]:
+    """Per hop of `plan`: (its relationship pattern, its target's members,
+    the memo of `_expand`'s unfiltered lists, the memos of the budgeted
+    lists by budget or None without members), the memos kept in `store`.
+
+    One memo serves each hop shape: the relationship type and direction
+    and the walk's orientation, with None for the unfiltered lists. A
+    budgeted list's memo is keyed by the label too, and at budget `b`
+    from 1 on by `b` and `min(b, hi - lo)`; budget 0 is the
+    label-filtered list of the hop's last step.
+    """
+    lists = []
+    for _, _, r, rightward, lo, hi, label, members in plan.hops:
+        rel = ast.rel_patterns[r]
+        kind = (rel.type, rel.direction, rightward)
+        inner = store.setdefault((*kind, None), {})
+        budgets = None
+        if label is not None:
+            budgets = [store.setdefault((*kind, label), {})]
+            budgets += [store.setdefault((*kind, label, b, min(b, hi - lo)), {}) for b in range(1, hi)]
+        lists.append((rel, members, inner, budgets))
+    return lists
 
 
 def iter_matches(
@@ -596,58 +595,30 @@ def iter_matches(
     ids, path node ids, forward flags)`; a single node pattern's row has
     empty edge, path and flag tuples.
 
-    The plan is reduced to its shape, which holds only ints, bools and
-    None, and the generator is the shape's compiled walk (`_source`),
-    which binds the hops rightward from the anchor, then leftward, and
-    runs each test inline. The graph, the seeds, each hop's relationship
-    pattern, target members and step memos, and each property test's key
-    and literal are its arguments, so no query text is compiled and the
-    cache of walks holds no graph.
+    The generator is the compiled walk (`_source`) of the plan's shape:
+    its hops without their label and members, and its tests, which hold
+    only ints, bools and None. The walk binds the hops rightward from the
+    anchor, then leftward, and runs each test inline. The graph, the
+    seeds, each hop's relationship pattern, target members and step
+    memos, and the tests' comparisons are its arguments, so no query text
+    is compiled and the cache of walks holds no graph.
 
-    The step lists come from `_expand`, one memo per hop shape: the
-    relationship type and direction and the walk's orientation. Where
-    the target has a label, every step of the hop takes its list from
+    The step lists come from `_expand`, one memo per hop shape. Where the
+    hop has a label, every step of the hop takes its list from
     `_budgeted` instead: a step with `r` steps still allowed after it
     keeps only neighbours that are the target's candidates, if `r <=
-    hi - lo`, or that have such a step at budget `r - 1`, so no route
-    is walked that could not end within the hop's bounds. Each budget
-    has its own memo, keyed by the label, `r` and `min(r, hi - lo)`; at
-    budget 0 it is the label-filtered memo of a one-step hop. A budgeted
-    list keeps its unfiltered list's order, so the rows come in the same
-    order as without the budgets. The memos are the graph's `hop_steps`
-    store, so a later query reuses every list an earlier one listed,
-    until `add_edge` empties it. Only the lists are shared: the check
-    that no match uses an edge twice is still made for each match.
+    hi - lo`, or that have such a step at budget `r - 1`, so no route is
+    walked that could not end within the hop's bounds. A budgeted list
+    keeps its unfiltered list's order, so the rows come in the same order
+    as without the budgets. The memos (`_hop_lists`) are the graph's
+    `hop_steps` store, so a later query reuses every list an earlier one
+    listed, until `add_edge` empties it. Only the lists are shared: the
+    check that no match uses an edge twice is still made for each match.
     """
     plan = _plan(graph, ast, star_max)
-    store = graph.hop_steps
-    # per hop: (rel, the target's members, the memo of _expand's unfiltered
-    # lists, and the memos of the budgeted lists by budget, None without
-    # members)
-    hops = []
-    shape = []
-    for source, target, label, r, rightward in plan.hops:
-        rel = ast.rel_patterns[r]
-        lo, hi = _bounds(rel, star_max)
-        # a route takes each edge once, so no route is longer than the graph
-        # has edges, and a labelled hop keeps no more budgets than that
-        hi = min(hi, max(graph.edge_count, 1))
-        # a label that every node matches filters nothing
-        members = plan.members[target]
-        if label is None or len(members) == graph.node_count:
-            members = None
-        kind = (rel.type, rel.direction, rightward)
-        inner = store.setdefault((*kind, None), {})
-        budgets = None
-        if members is not None:
-            # budget 0 is the label-filtered list of the hop's last step
-            budgets = [store.setdefault((*kind, label), {})]
-            budgets += [store.setdefault((*kind, label, b, min(b, hi - lo)), {}) for b in range(1, hi)]
-        hops.append((rel, members, inner, budgets))
-        shape.append((source, target, r, rightward, lo, hi, members is not None))
-    tests, terms = _test_shapes(plan.at_bind)
-    walk = _compile(len(ast.node_patterns), plan.anchor, len(shape), *shape, *tests)
-    return walk(graph, plan.candidates[plan.anchor], hops, terms)
+    hops = [(*hop[:6], hop[6] is not None) for hop in plan.hops]
+    walk = _compile(len(ast.node_patterns), plan.anchor, len(hops), *hops, *plan.tests)
+    return walk(graph, plan.candidates[plan.anchor], _hop_lists(graph.hop_steps, plan, ast), plan.terms)
 
 
 def _results_source(path: bool, indices: tuple[int, ...]) -> str:
@@ -703,18 +674,19 @@ def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MA
     lines += [f"  {node_text(i)} candidates={len(c)}" for i, c in enumerate(plan.candidates)]
     order = [
         f"right #{source}" if rightward else f"left #{target}"
-        for source, target, _, _, rightward in plan.hops
+        for source, target, _, rightward, *_ in plan.hops
     ]
     lines.append("expansion order: " + (", ".join(order) or "none (single node pattern)"))
-    for _, target, label, r, _ in plan.hops:
-        if not label:
+    for _, target, _, _, _, hi, label, _ in plan.hops:
+        if label is None:
             continue
-        if _bounds(ast.rel_patterns[r], star_max)[1] == 1:
+        if hi == 1:
             lines.append(f"  last step to node #{target} expands only to :{label}")
         else:  # `_budgeted` filters every step of the hop
             lines.append(f"  every step to node #{target} expands only to nodes from which :{label} can still end the hop")
+    bounds = {r: (lo, hi) for _, _, r, _, lo, hi, _, _ in plan.hops}
     for i, rel in enumerate(ast.rel_patterns):
         if not rel.hops.is_single:
-            lo, hi = _bounds(rel, star_max)
+            lo, hi = bounds[i]
             lines.append(f"variable-length rel #{i} type={rel.type or '(any)'} bounds {lo}..{hi}")
     return "\n".join(lines)

@@ -6,7 +6,8 @@ one at a time, matching enumerates assignments left to right with plain
 edge-list scans, and `naive_matches` additionally tries every node
 assignment up front. `reference_rows` is the order oracle: the engine's
 earlier interpreted walk, on the engine's plan and step lists, with the
-plan's tests run one call at a time by `_holds`.
+plan's tests run one call at a time by `_holds`, which evaluates each
+comparison from the parsed query, not from the plan's flags for it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from skygraph.errors import GraphError, SkygraphError, UnknownClassError
 from skygraph.graph import EDGE_TYPES, Edge, Node, PropertyGraph, _EXPORT, _SETTINGS
 from skygraph.ontology import ontology_from_documents
 from skygraph.yamlfile import DEFAULT_STAR_MAX, SCALAR, check_fields, check_positive_int
-from skygraph.query.engine import _bounds, _budgeted, _expand, _plan
+from skygraph.query.engine import _OR, _hop_lists, _plan, _steps
 from skygraph.query.syntax import NodeComparison, PropertyComparison, QueryAst
 
 
@@ -207,23 +208,38 @@ def _oracle_comparison(graph: PropertyGraph, comparison, bindings: dict[str, int
 
 
 def _holds(graph: PropertyGraph, test, nodes) -> bool:
-    """Whether a test of the engine's plan holds on `nodes`, the bound node
-    ids by pattern index: two indices of one variable bind one node, an OR
-    holds when all tests of one of its disjuncts do, `a <> b` compares by
-    value, and a property comparison reads `property_value`, false if the
-    node lacks the key."""
-    term, left, right = test
-    if term is None:
-        return nodes[left] == nodes[right]
+    """Whether a test of the engine's plan, as `_due` pairs it, holds on
+    `nodes`, the bound node ids by pattern index. Of its shape only the
+    indices are read; the rest comes from its parsed comparison: two
+    indices of one variable bind one node, an OR holds when all tests of
+    one of its disjuncts do, `a <> b` compares by value, and a property
+    comparison reads `property_value`, false if the node lacks the key."""
+    shape, term = test
     if type(term) is list:
         return any(all(_holds(graph, t, nodes) for t in conjuncts) for conjuncts in term)
-    if right >= 0:
+    left, right = shape[2:4]
+    if term is None:
+        return nodes[left] == nodes[right]
+    if isinstance(term, NodeComparison):
         return not _nodes_equal(graph, nodes[left], nodes[right])
     value = graph.property_value(nodes[left], term.key)
     if value is None:
         return False
     equal = _scalar_equal(value, term.literal)
     return equal if term.op == "=" else not equal
+
+
+def _due(plan, count: int) -> list[list]:
+    """Per pattern index, the tests of `plan` due there, each its shape and
+    its comparison; an OR is its shape and its disjuncts, each a list of
+    such tests."""
+    due: list[list] = [[] for _ in range(count)]
+    tests = iter(zip(plan.tests, plan.terms))
+    for shape, term in tests:
+        if shape[0] == _OR:  # (kind, due at, the size of each disjunct)
+            term = [list(itertools.islice(tests, size)) for size in shape[2:]]
+        due[shape[1]].append((shape, term))
+    return due
 
 
 def oracle_predicate(graph: PropertyGraph, where, bindings: dict[str, int]) -> bool:
@@ -353,9 +369,10 @@ def reference_rows(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_
     """The rows of `iter_matches`, in its order, from one interpreted walk
     on one stack: the engine's walk before it was compiled per plan shape.
 
-    It walks the engine's plan over lists made by the engine's `_expand`
-    and `_budgeted`, but keeps them in a store of its own, so a list the
-    graph's `hop_steps` kept from an earlier query is never read here.
+    It walks the engine's plan over the lists the engine's `_steps` makes,
+    but keeps them in a store of its own, laid out by `_hop_lists`, so a
+    list the graph's `hop_steps` kept from an earlier query is never read
+    here. Each test runs on its own, as `_holds` reads it.
     Its frames are `(hop, steps taken in the hop, iterator over the steps
     out of the node reached, held)`: one per hop entered and one per step
     taken below the hop's upper bound. Popping a frame releases the step
@@ -364,45 +381,25 @@ def reference_rows(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_
     the hop's bound takes no frame.
     """
     plan = _plan(graph, ast, star_max)
-    rel_patterns = ast.rel_patterns
-    at_bind, anchor = plan.at_bind, plan.anchor
+    anchor = plan.anchor
+    due = _due(plan, len(ast.node_patterns))
     nodes: list = [None] * len(ast.node_patterns)
-    routes: list[list] = [[] for _ in rel_patterns]
+    routes: list[list] = [[] for _ in ast.rel_patterns]
     left_routes, right_routes = routes[:anchor], routes[anchor:]
     used: set[int] = set()
-    store: dict = {}
-    walks = []
-    for source, target, label, r, rightward in plan.hops:
-        rel = rel_patterns[r]
-        lo, hi = _bounds(rel, star_max)
-        hi = min(hi, max(graph.edge_count, 1))
-        members = plan.members[target]
-        if label is None or len(members) == graph.node_count:
-            members = None
-        shape = (rel.type, rel.direction, rightward)
-        inner = store.setdefault((*shape, None), {})
-        budgets = None
-        if members is not None:
-            budgets = [store.setdefault((*shape, label), {})]
-            budgets += [store.setdefault((*shape, label, b, min(b, hi - lo)), {}) for b in range(1, hi)]
-        walks.append((source, target, rel, rightward, lo, hi, routes[r], members, inner, budgets))
+    # per hop: (source, target, rightward, lo, hi, route, rel, members, inner, budgets)
+    walks = [
+        (source, target, rightward, lo, hi, routes[r], *lists)
+        for (source, target, r, rightward, lo, hi, _, _), lists in zip(plan.hops, _hop_lists({}, plan, ast))
+    ]
 
     def bind(index: int, node_id: int) -> bool:
         nodes[index] = node_id
-        return all(_holds(graph, test, nodes) for test in at_bind[index])
+        return all(_holds(graph, test, nodes) for test in due[index])
 
     def frame(hop: int, depth: int, node_id: int, held) -> tuple:
-        _, _, rel, rightward, lo, hi, _, members, inner, budgets = walks[hop]
-        budget = hi - depth - 1
-        if budgets is None:
-            steps = _expand(graph, node_id, rel, rightward, None, inner)
-        else:
-            steps = budgets[budget].get(node_id)
-            if steps is None:
-                if budget:
-                    steps = _budgeted(graph, node_id, rel, rightward, members, inner, budgets, budget, hi - lo)
-                else:
-                    steps = _expand(graph, node_id, rel, rightward, members, budgets[0])
+        _, _, rightward, lo, hi, _, rel, members, inner, budgets = walks[hop]
+        steps = _steps(graph, node_id, rel, rightward, members, inner, budgets, hi - depth - 1, hi - lo)
         return hop, depth, iter(steps), held
 
     rows = []
@@ -415,7 +412,7 @@ def reference_rows(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_
         stack = [frame(0, 0, seed, None)]
         while stack:
             hop, depth, steps, held = stack[-1]
-            _, target, _, _, lo, hi, route, members, _, _ = walks[hop]
+            _, target, _, lo, hi, route, _, members, _, _ = walks[hop]
             depth += 1
             for step in steps:
                 edge_id, neighbor, _ = step

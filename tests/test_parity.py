@@ -43,10 +43,10 @@ RESULTS_SHA256 = {
 }
 
 EXPLAIN_SHA256 = {
-    "bookinfo": "db359cba2521979d4c6dacb5f74545aeb6a3c8a9f8967c63b6498dd442d74de9",
-    "bookinfo_clean": "091184d638dc06482eabfecfbe443039925aa74c325b4a34480030e67beae43f",
-    "fleet-20-unique-9": "a20e414146c05954ed350eda09784a6272af8ca0b60c6ec70a42be37d62d4635",
-    "fleet-8-shared-4": "c78ba051f5865a6f8bf6cbddca4ddd175cf70e87c6dac20d84d29980e63f2349",
+    "bookinfo": "528750578dae0707af13719bff82d6a799226b6b73a25b20cf1e10e605e19dd2",
+    "bookinfo_clean": "ca101593331d5a67ea8f00dbef53415ee0fc65901d3bf0bdab61deb1d69df5bf",
+    "fleet-20-unique-9": "fe2a98027267b032bd6a4bc3d5365f1252f1f655eb6f0934be67d3fa5f2a5877",
+    "fleet-8-shared-4": "ae3c011db27c53be4c542248785d9340fa3b3314a18a222c1a4cec7e4efef2c3",
 }
 
 # sha256 of each fleet's export as `skygraph build` writes it

@@ -422,7 +422,7 @@ class TestOrPlacement:
         ast = parse_query(f'MATCH p=(x{a})-[:DFG]->(y{b})-[:DFG]->(z{c}) WHERE x.p = 1 OR z.name = "n3" RETURN p')
         plan = engine._plan(graph, ast, 10)
         assert plan.anchor == anchor
-        assert [len(tests) for tests in plan.at_bind] == [int(i == due) for i in range(3)]
+        assert [shape[:2] for shape in plan.tests] == [(engine._OR, due), (engine._PROPERTY, due), (engine._PROPERTY, due)]
         assert result_paths(evaluate(graph, ast)) == oracle_paths(graph, ast)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from skygraph.build import build_graph, load_manifest
 from skygraph.errors import QueryError, QuerySyntaxError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import ontology_from_documents
-from skygraph.query import engine, evaluate, iter_matches, parse_query
+from skygraph.query import engine, evaluate, explain, iter_matches, parse_query
 from skygraph.query.syntax import NodePattern, PropertyComparison, QueryAst, RelPattern
 
 from .conftest import DATA, listing_text
@@ -100,6 +101,54 @@ class TestKeptStepLists:
                 found = rows(graph, ast, 10)
                 assert found == reference_rows(graph, ast, 10), text
         assert graph.hop_steps
+
+
+def filters(graph, ast, star_max) -> tuple[list, list]:
+    """The label filters `explain` prints, as (target, whether only the
+    last step is filtered), and those of the hops the walk is compiled
+    with, as (target, whether `hi` is 1), each in hop order."""
+    text = explain(graph, ast, star_max)
+    printed = [(int(target), kind == "last") for kind, target in re.findall(r"(last|every) step to node #(\d+) expands only", text)]
+    hops = []
+    compile_walk = engine._compile
+
+    def walk(count, anchor, hop_count, *parts):
+        hops.extend(parts[:hop_count])
+        return compile_walk(count, anchor, hop_count, *parts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_compile", walk)
+        iter_matches(graph, ast, star_max)
+    # a hop's shape: (source, target, rel, rightward, lo, hi, labelled)
+    return printed, [(target, hi == 1) for _, target, _, _, _, hi, labelled in hops if labelled]
+
+
+class TestExplainDescribesTheWalk:
+    """`explain` prints a label filter for each hop the walk filters by
+    its target's label and for no other: not for a label every node
+    matches, such as `:Node`, and as a last-step filter where the graph
+    has too few edges for a longer route."""
+
+    QUERIES = {
+        **{q: listing_text(q) for q in ("weak-transport-encryption", "cross-region-resource-flows", "expression-to-public-storage")},
+        "application-node-3hop": "MATCH p=(a:Application)-[*3]-(n:Node) RETURN p",
+        "node-flows-to-storage": "MATCH p=(n:Node)-[:DFG*]->(s:Storage) RETURN p",
+    }
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    @pytest.mark.parametrize("star_max", [1, 10])
+    def test_on_bookinfo(self, testbed_graph, name, star_max):
+        printed, compiled = filters(testbed_graph, parse_query(self.QUERIES[name]), star_max)
+        assert printed == compiled
+
+    def test_on_random_cases(self):
+        for seed in range(200):
+            for narrow in (False, True):
+                graph, text = random_case(seed, narrow)
+                ast = parse_query(text)
+                for star_max in (1, 3):
+                    printed, compiled = filters(graph, ast, star_max)
+                    assert printed == compiled, (seed, text, star_max)
 
 
 def path_graph(length: int = 40, classes=None) -> PropertyGraph:
@@ -277,6 +326,7 @@ class TestQueryTextStaysData:
         walks, builders = [], []
 
         def walk(count, anchor, hop_count, *parts):
+            self.assert_flat_key(parts)
             walks.append((count, anchor, parts[hop_count:], parts[:hop_count]))
             return compile_walk(count, anchor, hop_count, *parts)
 
@@ -287,6 +337,14 @@ class TestQueryTextStaysData:
         monkeypatch.setattr(engine, "_compile", walk)
         monkeypatch.setattr(engine, "_builder", builder)
         return walks, builders
+
+    @staticmethod
+    def assert_flat_key(parts):
+        """Each `_compile` argument after the counts, a hop's or a test's
+        shape, is a flat tuple of ints, bools and None, so the cache keeps
+        each key one tuple of flat tuples."""
+        for part in parts:
+            assert type(part) is tuple and all(type(item) in (int, bool, type(None)) for item in part), part
 
     @staticmethod
     def assert_data_only(shapes):
