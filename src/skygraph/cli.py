@@ -10,31 +10,25 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import getitem
 from pathlib import Path
 
 from skygraph.build import build_graph, graph_counts, load_manifest, render_counts
 from skygraph.errors import GraphError, QueryError, SkygraphError
 from skygraph.graph import Path as GraphPath
-from skygraph.graph import EDGE_TYPES, PropertyGraph, export_graph, import_graph
+from skygraph.graph import PropertyGraph, export_graph, import_graph
 from skygraph.query import evaluate, parse_query
 from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int
 
 
-# the text between two nodes of a path, per edge type, for an edge walked
-# against its direction and along it
-_ARROWS = {kind: (f" <-[{kind}]- ", f" -[{kind}]-> ") for kind in EDGE_TYPES}
-
-
 def render_path(graph: PropertyGraph, path: GraphPath) -> str:
-    """`name(Class) -[TYPE]-> name(Class) ...` with direction-aware arrows,
-    joined from the graph's kept node texts and the arrow table."""
-    texts, edges = graph.node_texts, graph.edge_table
-    node_ids = path.node_ids
-    parts = [texts[node_ids[0]]]
-    for edge_id, forward, node_id in zip(path.edge_ids, path.forward, node_ids[1:]):
-        parts.append(_ARROWS[edges[edge_id].type][forward])
-        parts.append(texts[node_id])
-    return "".join(parts)
+    """`name(Class) -[TYPE]-> name(Class) ...` with direction-aware arrows:
+    the first node's kept text, then each step's kept text, picked from
+    its edge's pair in `graph.step_texts` by the step's forward flag. A
+    step along its edge reaches the edge's `to_id` and one against it the
+    `from_id`, so the edge and the flag fix the step's text."""
+    steps = map(graph.step_texts.__getitem__, path.edge_ids)
+    return graph.node_texts[path.node_ids[0]] + "".join(map(getitem, steps, path.forward))
 
 
 def _cmd_build(args: argparse.Namespace) -> int:

@@ -110,6 +110,27 @@ class _NodeTexts(dict):
         return text
 
 
+class _StepTexts(dict):
+    """Per edge id, the texts a rendered path appends for a step over the
+    edge against its direction and along it: the arrow and the text of the
+    node the step reaches, its `from_id` and its `to_id`. Made on the
+    edge's first lookup and then kept: an edge's type and ends never
+    change."""
+
+    __slots__ = ("_edges", "_node_texts")
+
+    def __init__(self, edges: dict[int, Edge], node_texts: _NodeTexts):
+        super().__init__()
+        self._edges = edges
+        self._node_texts = node_texts
+
+    def __missing__(self, edge_id: int) -> tuple[str, str]:
+        edge = self._edges[edge_id]
+        texts = self._node_texts
+        pair = self[edge_id] = (f" <-[{edge.type}]- {texts[edge.from_id]}", f" -[{edge.type}]-> {texts[edge.to_id]}")
+        return pair
+
+
 def _edge_key(from_id: int, to_id: int, type: str) -> str:
     # A string, not a tuple: strings are not tracked by the cyclic collector,
     # while one long-lived tuple per edge moved a full collection into the
@@ -138,13 +159,15 @@ class PropertyGraph:
         self.settings: dict = {}
         self._nodes: dict[int, Node] = {}
         self._edges: dict[int, Edge] = {}
-        #: read-only views of the node and edge tables by id, for readers
-        #: that look up many elements at once, such as path rendering
+        #: read-only view of the node table by id, for readers that look up
+        #: many nodes at once, such as the compiled walks' WHERE tests
         self.node_table: Mapping[int, Node] = MappingProxyType(self._nodes)
-        self.edge_table: Mapping[int, Edge] = MappingProxyType(self._edges)
         #: `name(Class)` per node id, as paths are rendered, filled on the
         #: first lookup of each node
         self.node_texts: Mapping[int, str] = _NodeTexts(self._nodes)
+        #: per edge id, the texts of a rendered step against and along it,
+        #: filled on the first lookup of each edge
+        self.step_texts: Mapping[int, tuple[str, str]] = _StepTexts(self._edges, self.node_texts)
         self._by_from: dict[int, list[Edge]] = {}
         self._by_to: dict[int, list[Edge]] = {}
         self._label_index: dict[str, list[int]] = {}

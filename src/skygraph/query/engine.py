@@ -621,15 +621,21 @@ def iter_matches(
     return walk(graph, plan.candidates[plan.anchor], _hop_lists(graph.hop_steps, plan, ast), plan.terms)
 
 
+# makes each result's `Path` from its three fields in the generated builders
+_new = tuple.__new__
+
+
 def _results_source(path: bool, indices: tuple[int, ...]) -> str:
     """The Python text of the result builder of shape `(path, indices)`: a
     function `build(rows, names)` that returns one `MatchResult` per row,
     binding the `k`-th of `names` to the node at `indices[k]`, with the
-    row's `Path` if `path`."""
+    row's `Path` if `path`. The `Path` is made by `tuple.__new__`, one C
+    call, not by the named tuple's Python-level constructor; the three
+    fields it is given are its whole arity."""
     names = [f"name{k}" for k in range(len(indices))]
     bindings = "{" + ", ".join(f"{name}: nodes[{i}]" for name, i in zip(names, indices)) + "}"
     # a single node pattern's path is its one node
-    result = f"MatchResult({bindings}, Path(path or nodes, edges, flags))" if path else f"MatchResult({bindings})"
+    result = f"MatchResult({bindings}, _new(Path, (path or nodes, edges, flags)))" if path else f"MatchResult({bindings})"
     lines = ["def build(rows, names):"]
     if names:
         lines.append(f"    {_tuple_text(names)} = names")

@@ -604,9 +604,10 @@ def test_render_path_matches_per_element_reference(tmp_path, monkeypatch):
 
 
 def test_kept_node_texts_follow_a_graph_being_built():
-    """On a graph that is not frozen, a node added after paths were rendered
-    renders in a later path as the per-element reference renders it, and
-    the kept texts hold one entry per node rendered."""
+    """On a graph that is not frozen, a node or edge added after paths were
+    rendered renders in a later path as the per-element reference renders
+    it, a step over a self-loop both ways too, and the kept texts hold one
+    entry per node and one step pair per edge rendered."""
     graph = PropertyGraph(ontology_from_documents(*reference.small_ontology_documents()))
     graph.add_node("Thing", "a")
     graph.add_node("Thing", "b")
@@ -614,6 +615,8 @@ def test_kept_node_texts_follow_a_graph_being_built():
     [result] = evaluate(graph, parse_query("MATCH p=(x)-->(y) RETURN p"))
     assert render_path(graph, result.path) == reference.render_path(graph, result.path) == "a(Thing) -[DFG]-> b(Thing)"
     assert dict(graph.node_texts) == {0: "a(Thing)", 1: "b(Thing)"}
+    dfg = (" <-[DFG]- a(Thing)", " -[DFG]-> b(Thing)")
+    assert dict(graph.step_texts) == {0: dfg}
     graph.add_node("Sub", "c")
     graph.add_node("Sub", "never rendered")
     graph.add_edge(2, 1, "TO")
@@ -622,6 +625,17 @@ def test_kept_node_texts_follow_a_graph_being_built():
     assert rendered == [reference.render_path(graph, result.path) for result in results]
     assert rendered == ["a(Thing) -[DFG]-> b(Thing) <-[TO]- c(Sub)", "c(Sub) -[TO]-> b(Thing) <-[DFG]- a(Thing)"]
     assert dict(graph.node_texts) == {0: "a(Thing)", 1: "b(Thing)", 2: "c(Sub)"}
+    assert dict(graph.step_texts) == {0: dfg, 1: (" <-[TO]- c(Sub)", " -[TO]-> b(Thing)")}
+    graph.add_edge(2, 2, "CALLS")
+    graph.add_edge(3, 0, "LOGS_TO")
+    rendered = []
+    for text in ("MATCH p=(x:Sub)-[:CALLS]-(y) RETURN p", "MATCH p=(x)<-[:CALLS]-(y) RETURN p"):
+        [result] = evaluate(graph, parse_query(text))
+        rendered.append(render_path(graph, result.path))
+        assert rendered[-1] == reference.render_path(graph, result.path)
+    assert rendered == ["c(Sub) -[CALLS]-> c(Sub)", "c(Sub) <-[CALLS]- c(Sub)"]
+    assert dict(graph.node_texts) == {0: "a(Thing)", 1: "b(Thing)", 2: "c(Sub)"}
+    assert sorted(graph.step_texts) == [0, 1, 2]
 
 
 def test_console_entry_point(tmp_path):

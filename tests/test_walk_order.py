@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from skygraph.build import build_graph, load_manifest
 from skygraph.errors import QueryError, QuerySyntaxError
+from skygraph.graph import Path as GraphPath
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import engine, evaluate, explain, iter_matches, parse_query
@@ -149,6 +150,37 @@ class TestExplainDescribesTheWalk:
                 for star_max in (1, 3):
                     printed, compiled = filters(graph, ast, star_max)
                     assert printed == compiled, (seed, text, star_max)
+
+
+class TestStepEnds:
+    """`render_path` takes each step's text from its edge and forward flag
+    alone (`PropertyGraph.step_texts`), which holds while a step along its
+    edge goes from the edge's `from_id` to its `to_id`, and a step against
+    it the other way."""
+
+    def test_on_random_cases(self):
+        flags = set()
+        for seed in range(200):
+            for narrow in (False, True):
+                graph, text = random_case(seed, narrow)
+                for star_max in (1, 3):
+                    for _, edge_ids, path_ids, forward in iter_matches(graph, parse_query(text), star_max):
+                        for i, (edge_id, flag) in enumerate(zip(edge_ids, forward)):
+                            edge = graph.edge(edge_id)
+                            ends = (edge.from_id, edge.to_id) if flag else (edge.to_id, edge.from_id)
+                            assert path_ids[i : i + 2] == ends, (seed, text, star_max)
+                            flags.add(flag)
+        assert flags == {True, False}
+
+    def test_benchmark_paths_are_paths_of_three_fields(self, testbed_graph, monkeypatch):
+        """The builders make each `Path` by `tuple.__new__`, which skips the
+        named tuple's arity check; every result of a query that binds a
+        path carries one of three fields."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        expected = importlib.import_module("expected")
+        asts = [parse_query(text) for text in [listing_text(q) for q in expected.BUNDLED] + list(expected.OWNED.values())]
+        paths = [result.path for ast in asts if ast.path_var for result in evaluate(testbed_graph, ast)]
+        assert paths and all(type(path) is GraphPath and len(path) == 3 for path in paths)
 
 
 def path_graph(length: int = 40, classes=None) -> PropertyGraph:
