@@ -8,7 +8,8 @@ dict. Each resource is classified through the ontology, gets its offered
 security features attached, and is wired to other resources via
 structural links (cluster membership, load-balancer targets, image usage,
 log forwarding). Workflow files contribute container images and
-registries.
+registries. An image is identified by the `image_key` of its reference,
+so references that Docker reads as one image share one node.
 """
 
 from __future__ import annotations
@@ -193,12 +194,18 @@ class Discovery:
 
     def __init__(self, graph: PropertyGraph, registry_locations: dict[str, str] | None = None):
         self.graph = graph
-        self.registry_locations = dict(registry_locations or {})
+        # registry hosts are compared lowercased, as `image_key` gives them
+        self.registry_locations = {
+            host.lower(): region for host, region in (registry_locations or {}).items()
+        }
         # (resource, link key, target id, inventory file or None)
         self._pending_links: list[tuple[int, str, str, str | Path | None]] = []
-        # every tag a scanned build names, and each push as (workflow, image)
-        self._built_images: set[str] = set()
-        self._pushes: list[tuple[str, str]] = []
+        # `image_key` of every reference seen -> its ContainerImage node
+        self._images: dict[str, int] = {}
+        # the key of every tag a scanned build names, and each push as
+        # (workflow, image as written, its key)
+        self._built: set[str] = set()
+        self._pushes: list[tuple[str, str, str]] = []
 
     # -- inventories ----------------------------------------------------
 
@@ -246,7 +253,7 @@ class Discovery:
         """Create structural edges once all inventories are ingested."""
         for resource_id, key, target, path in self._pending_links:
             if key == "image":
-                image_id = self._image_node(target)
+                image_id, _ = self._image_node(target, [image_key(target)])
                 self.graph.add_edge(resource_id, image_id, "USES_IMAGE")
                 continue
             target_id = self.graph.find_by_provider_id(target)
@@ -275,11 +282,18 @@ class Discovery:
 
     # -- workflows ------------------------------------------------------
 
-    def _image_node(self, name: str) -> int:
-        existing = self.graph.find_by_name("ContainerImage", name)
-        if existing is not None:
-            return existing
-        return self.graph.add_node("ContainerImage", name)
+    def _image_node(self, name: str, keys: list[str]) -> tuple[int, bool]:
+        """The one lookup-or-create of ContainerImage nodes: the node that
+        any of `keys` (one reference's, or those of every tag of one build)
+        already indexes, else a new one named `name` as written; and whether
+        it is new. Each key that indexes no node yet is indexed to it."""
+        image_id = next((self._images[key] for key in keys if key in self._images), None)
+        new = image_id is None
+        if new:
+            image_id = self.graph.add_node("ContainerImage", name)
+        for key in keys:
+            self._images.setdefault(key, image_id)
+        return image_id, new
 
     def _registry_node(self, host: str) -> int:
         existing = self.graph.find_by_name("ContainerRegistry", host)
@@ -294,30 +308,32 @@ class Discovery:
 
     def ingest_workflow(self, doc: WorkflowDocument) -> int:
         """Scan job steps for docker build/push commands; returns the
-        number of container image nodes created. A build's image node is
-        named by its first tag; a push of an image that no workflow builds
-        is reported by `link_applications`, once every workflow is read."""
+        number of container image nodes created. A build is one image: its
+        node is the one any of its tags already names, else a new one named
+        by its first tag, and every tag names it from then on. A push of an
+        image that no workflow builds is reported by `link_applications`,
+        once every workflow is read."""
         created = 0
         for command in doc.commands:
             build = command.startswith("docker build")
             if build:
                 names = _build_image_names(command)
-                self._built_images.update(names)
-                name = names[0] if names else None
             elif command.startswith("docker push"):
                 name = _push_image_name(command)
+                names = [] if name is None else [name]
             else:
                 continue
-            if name is None:
+            if not names:
                 continue
-            image_id = self.graph.find_by_name("ContainerImage", name)
-            if image_id is None:
-                image_id = self.graph.add_node("ContainerImage", name)
-                created += 1
+            keys = [image_key(name) for name in names]
+            image_id, new = self._image_node(names[0], keys)
+            created += new
             if build:
+                self._built.update(keys)
                 continue
-            self._pushes.append((doc.name, name))
-            registry_id = self._registry_node(_registry_host(name))
+            self._pushes.append((doc.name, names[0], keys[0]))
+            # a key's text before its first "/" is its registry host
+            registry_id = self._registry_node(keys[0].partition("/")[0])
             self.graph.add_edge_once(image_id, registry_id, "PUSHES_TO")
         return created
 
@@ -329,8 +345,8 @@ class Discovery:
         Returns the number of RUNS_ON edges created. Runs after the last
         workflow is ingested, so it also warns of each pushed image that no
         workflow builds."""
-        for workflow, name in self._pushes:
-            if name not in self._built_images:
+        for workflow, name, key in self._pushes:
+            if key not in self._built:
                 log.warning("workflow %r pushes image %r that no scanned workflow builds", workflow, name)
         self._pushes.clear()
         created = 0
@@ -340,7 +356,7 @@ class Discovery:
             host = app.properties.get("host")
             anchored = False
             if image is not None:
-                image_node = self.graph.find_by_name("ContainerImage", str(image))
+                image_node = self._images.get(image_key(str(image)))
                 if image_node is not None:
                     for edge in self.graph.in_edges(image_node, "USES_IMAGE"):
                         self.graph.add_edge(app_id, edge.from_id, "RUNS_ON")
@@ -414,11 +430,21 @@ def _push_image_name(command: str) -> str | None:
     return None
 
 
-def _registry_host(image_name: str) -> str:
-    """The registry of an image reference: its first path component when
-    that is a host (holds "." or ":", or is "localhost"), as in Docker's
-    reference grammar."""
-    head, slash, _ = image_name.partition("/")
-    if slash and ("." in head or ":" in head or head == "localhost"):
-        return head
-    return DEFAULT_REGISTRY_HOST
+def image_key(ref: str) -> str:
+    """The identity of an image reference, as Docker's reference grammar
+    reads it (`ParseNormalizedNamed`, then `TagNameOnly`): `host/path:tag`,
+    with `@digest` after it when the reference has one. Its first path
+    component is the registry host when it holds "." or ":", is "localhost"
+    or is not lowercase; the host is lowercased, a port stays in it, and a
+    reference that names no host gets `DEFAULT_REGISTRY_HOST`. A reference
+    with neither tag nor digest gets `:latest`; a digest is kept, so it
+    matches only itself. The key's text before its first "/" is the host."""
+    name, at, digest = ref.partition("@")
+    head, slash, path = name.partition("/")
+    if slash and ("." in head or ":" in head or head == "localhost" or head != head.lower()):
+        host = head.lower()
+    else:
+        host, path = DEFAULT_REGISTRY_HOST, name
+    if not at and ":" not in path:
+        path += ":latest"
+    return f"{host}/{path}{at}{digest}"

@@ -10,6 +10,7 @@ from skygraph.discovery import (
     Discovery,
     _split_command,
     attach_security_features,
+    image_key,
     inventory_from_document,
     load_inventory,
     load_workflow,
@@ -399,17 +400,41 @@ class TestIngestWorkflow:
         assert "pushes image" not in caplog.text
 
     def test_every_build_tag_is_built(self, discovery, graph, caplog):
+        # one build is one image: one node, named by the first tag, that a
+        # push of any of its tags reaches
         runs = [
-            "docker build -t ghcr.io/acme/app:1 --tag ghcr.io/acme/app:2 --tag=ghcr.io/acme/app:3 .",
+            "docker build -t ghcr.io/acme/app:1 --tag ghcr.io/acme/app:2 --tag=localhost:5000/acme/app:3 .",
             "docker push ghcr.io/acme/app:2",
-            "docker push ghcr.io/acme/app:3",
+            "docker push localhost:5000/acme/app:3",
         ]
         with caplog.at_level("WARNING"):
-            assert discovery.ingest_workflow(workflow(runs)) == 3
+            assert discovery.ingest_workflow(workflow(runs)) == 1
             discovery.link_applications()
         assert "pushes image" not in caplog.text
-        for tag in "123":
-            assert graph.find_by_name("ContainerImage", f"ghcr.io/acme/app:{tag}") is not None
+        images = graph.nodes_with_class("ContainerImage")
+        assert [graph.node(n).name for n in images] == ["ghcr.io/acme/app:1"]
+        pushed = {graph.node(e.to_id).name for e in graph.out_edges(images[0], "PUSHES_TO")}
+        assert pushed == {"ghcr.io", "localhost:5000"}
+
+    def test_push_of_another_spelling_is_built(self, discovery, graph, caplog):
+        runs = [
+            "docker build -t ghcr.io/acme/app:1.4 -t ghcr.io/acme/app .",
+            "docker push GHCR.io/acme/app:latest",
+        ]
+        with caplog.at_level("WARNING"):
+            assert discovery.ingest_workflow(workflow(runs)) == 1
+            discovery.link_applications()
+        assert "pushes image" not in caplog.text
+
+    def test_host_case_reaches_one_registry(self, graph):
+        discovery = Discovery(graph, {"GHCR.IO": "us"})
+        discovery.ingest_workflow(
+            workflow(["docker push GHCR.io/acme/app", "docker push ghcr.io/acme/app"])
+        )
+        assert len(graph.nodes_with_class("ContainerImage")) == 1
+        [registry] = graph.nodes_with_class("ContainerRegistry")
+        assert graph.node(registry).name == "ghcr.io"
+        assert len(graph.out_edges(registry, "GEO_LOCATION")) == 1
 
     def test_default_registry_host(self, discovery, graph):
         discovery.ingest_workflow(
@@ -446,6 +471,30 @@ def test_split_command_matches_shlex(command):
     assert _split_command(command) == expected
 
 
+# references that share a key are one image; each key's text up to its
+# first "/" is the registry host
+@pytest.mark.parametrize(
+    "ref, key",
+    [
+        ("ghcr.io/acme/app", "ghcr.io/acme/app:latest"),
+        ("ghcr.io/acme/app:latest", "ghcr.io/acme/app:latest"),
+        ("acme/app", "ghcr.io/acme/app:latest"),
+        ("GHCR.io/acme/app", "ghcr.io/acme/app:latest"),
+        ("docker.io/acme/app", "docker.io/acme/app:latest"),
+        ("ghcr.io/acme/app:1", "ghcr.io/acme/app:1"),
+        ("ghcr.io/acme/app:2", "ghcr.io/acme/app:2"),
+        ("localhost:5000/app", "localhost:5000/app:latest"),
+        ("localhost/app:2", "localhost/app:2"),
+        ("Registry/app", "registry/app:latest"),
+        ("app", "ghcr.io/app:latest"),
+        ("ghcr.io/acme/app@sha256:0123abcd", "ghcr.io/acme/app@sha256:0123abcd"),
+        ("ghcr.io/acme/app:1@sha256:0123abcd", "ghcr.io/acme/app:1@sha256:0123abcd"),
+    ],
+)
+def test_image_key(ref, key):
+    assert image_key(ref) == key
+
+
 class TestLinkApplications:
     def app_bundle(self, graph, name, image=None, host=None):
         doc = {"application": name, "language": "x"}
@@ -478,6 +527,37 @@ class TestLinkApplications:
         pod = graph.find_by_name("Container", "productpage-v1")
         assert graph.has_edge(app_id, pod, "RUNS_ON")
         # pull flow: registry feeds the container that uses the image
+        registry = graph.find_by_name("ContainerRegistry", "ghcr.io")
+        assert graph.has_edge(registry, pod, "DFG")
+
+    def test_pull_of_a_second_build_tag(self, discovery, graph):
+        # the pod uses the tag the build names second; the push names the first
+        self.app_bundle(graph, "app", image="ghcr.io/acme/app:latest")
+        discovery.ingest_inventory(
+            inventory(
+                "k8s",
+                [
+                    {
+                        "id": "pod1",
+                        "name": "app-v1",
+                        "provider_type": "Pod",
+                        "links": {"image": "ghcr.io/acme/app:latest"},
+                    }
+                ],
+            )
+        )
+        discovery.resolve_inventory_links()
+        discovery.ingest_workflow(
+            workflow(
+                [
+                    "docker build -t ghcr.io/acme/app:1 -t ghcr.io/acme/app:latest .",
+                    "docker push ghcr.io/acme/app:1",
+                ]
+            )
+        )
+        assert discovery.link_applications() == 1
+        assert len(graph.nodes_with_class("ContainerImage")) == 1
+        pod = graph.find_by_name("Container", "app-v1")
         registry = graph.find_by_name("ContainerRegistry", "ghcr.io")
         assert graph.has_edge(registry, pod, "DFG")
 
