@@ -97,6 +97,9 @@ def bundle_from_document(doc: dict) -> dict:
     """Check a code-facts document, its shape first and then that its
     names, kinds and expression refs resolve; returns `doc` unchanged."""
     check_fields(doc, "bundle", CodeFactsError, *_BUNDLE)
+    # an application runs from its image or on its host, never both
+    if doc.get("image") is not None and doc.get("host") is not None:
+        raise CodeFactsError(f"bundle {doc['application']!r} names both an image and a host")
     functions = _list(doc, "functions")
     calls = _list(doc, "calls")
     for fn in functions:

@@ -200,6 +200,8 @@ class Discovery:
         }
         # (resource, link key, target id, inventory file or None)
         self._pending_links: list[tuple[int, str, str, str | Path | None]] = []
+        # every resource id ingested, as a string -> the file declaring it
+        self._declared: dict[str, str | Path | None] = {}
         # `image_key` of every reference seen -> its ContainerImage node
         self._images: dict[str, int] = {}
         # the key of every tag a scanned build names, and each push as
@@ -214,12 +216,18 @@ class Discovery:
         document already checked by `inventory_from_document`.
 
         An unknown (provider, provider_type) pair raises immediately: an
-        unclassifiable resource must surface, not be skipped. `path`, the
-        file `doc` was read from, prefixes that error and the dangling-link
-        errors `resolve_inventory_links` raises for its resources.
+        unclassifiable resource must surface, not be skipped, and so must a
+        resource id an earlier inventory declared. `path`, the file `doc`
+        was read from, prefixes those errors and the dangling-link errors
+        `resolve_inventory_links` raises for its resources.
         """
         count = 0
         for entry in doc.get("resources") or []:
+            provider_id = str(entry["id"])
+            if provider_id in self._declared:
+                first = self._declared[provider_id] or "an earlier inventory"
+                raise _in_file(path, DiscoveryError(f"resource id {provider_id!r} is already declared in {first}"))
+            self._declared[provider_id] = path
             try:
                 cls = self.graph.ontology.resolve_instance_class(
                     doc["provider"], str(entry["provider_type"])
@@ -227,7 +235,7 @@ class Discovery:
             except UnknownMappingError as exc:
                 raise _in_file(path, exc)
             props = entry.get("properties") or {}
-            node_props: dict = {"provider_id": str(entry["id"])}
+            node_props: dict = {"provider_id": provider_id}
             declared = self.graph.property_keys(cls)
             if "public_access" in props and "public_access" in declared:
                 node_props["public_access"] = props["public_access"]

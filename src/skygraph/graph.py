@@ -2,10 +2,9 @@
 
 Nodes are classed either by an ontology class or by one of the fixed
 code-graph classes; edges carry a type from a closed vocabulary. The graph
-is built single-threaded by the pipeline passes, then frozen. Queries may
-run on a graph that is still being built: the query engine keeps its step
-lists in `hop_steps`, which `add_edge` empties, and reads each label's
-nodes from `label_members`, which every node insert empties.
+is built single-threaded by the pipeline passes, then frozen. Only a
+frozen graph keeps the query engine's memos, in `hop_steps`: a query on a
+graph still being built makes its own, so no insert has a memo to empty.
 """
 
 from __future__ import annotations
@@ -171,9 +170,6 @@ class PropertyGraph:
         self._by_from: dict[int, list[Edge]] = {}
         self._by_to: dict[int, list[Edge]] = {}
         self._label_index: dict[str, list[int]] = {}
-        # label -> (its nodes' ids in id order, their set), from the first
-        # `label_members` call for the label until the next node insert
-        self._label_members: dict[str, tuple[tuple[int, ...], frozenset[int]]] = {}
         # the lookup indexes, from the first `find_by_*` call on
         self._by_provider_id: dict[Scalar, int] | None = None
         # class -> name -> id: no key tuple per node to allocate
@@ -198,7 +194,7 @@ class PropertyGraph:
         self._next_node = 0
         self._next_edge = 0
         self._frozen = False
-        #: the query engine's step lists; `add_edge` empties them
+        #: the query engine's memos, kept only once the graph is frozen
         self.hop_steps: dict = {}
 
     # -- construction ----------------------------------------------------
@@ -250,8 +246,6 @@ class PropertyGraph:
         if node_id in nodes:
             raise GraphError(f"duplicate node id {node_id}")
         nodes[node_id] = Node(node_id, class_name, name, props)
-        if self._label_members:
-            self._label_members.clear()
         self._by_from[node_id] = []
         self._by_to[node_id] = []
         ids = self._label_index.get(class_name)
@@ -273,8 +267,6 @@ class PropertyGraph:
         self, from_id: int, to_id: int, type: str, properties: dict[str, Scalar] | None = None
     ) -> int:
         self._check_mutable()
-        if self.hop_steps:
-            self.hop_steps.clear()
         edge_id = self._next_edge
         self._insert_edge(edge_id, type, from_id, to_id, dict(properties or {}))
         return edge_id
@@ -413,25 +405,13 @@ class PropertyGraph:
         )
 
     def label_candidates(self, label: str) -> list[int]:
-        """Node ids matching `label` with inheritance resolved; each call
-        returns a new list."""
-        return list(self.label_members(label)[0])
-
-    def label_members(self, label: str) -> tuple[tuple[int, ...], frozenset[int]]:
-        """The ids of the nodes matching `label`, in id order (`Node`: in
-        insertion order), and as a set. Both are made on the first call for
-        the label and kept until the next node insert, so queries on a
-        graph do not sort or collect them again."""
-        members = self._label_members.get(label)
-        if members is None:
-            classes = self._classes_of(label)
-            if classes is None:
-                ids = tuple(self._nodes)
-            else:
-                index = self._label_index
-                ids = tuple(sorted(i for cls in classes for i in index.get(cls, ())))
-            members = self._label_members[label] = (ids, frozenset(ids))
-        return members
+        """Node ids matching `label` with inheritance resolved, in id order
+        (`Node`: in insertion order); each call returns a new list."""
+        classes = self._classes_of(label)
+        if classes is None:
+            return list(self._nodes)
+        index = self._label_index
+        return sorted(i for cls in classes for i in index.get(cls, ()))
 
     def node_matches_label(self, node_id: int, label: str) -> bool:
         """Label matching: the universal Node label, the concrete class,

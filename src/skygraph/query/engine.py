@@ -69,7 +69,7 @@ class _Plan:
     the graph's edge count, and the target's label and the set of nodes
     it matches, which filter the steps of the hop, both None where the
     label filters nothing. `candidates[i]` are the ids of the nodes
-    pattern `i`'s label matches, as the graph keeps them.
+    pattern `i`'s label matches, as the query's store keeps them.
 
     `tests` are the constraints of a match as flat shapes of ints and
     bools, in the order they are due, and `terms[t]` is the parsed
@@ -88,10 +88,12 @@ class _Plan:
     terms: tuple[Comparison | None, ...]
 
 
-def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int) -> _Plan:
+def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int, store: dict) -> _Plan:
     """The plan of `ast`; a QueryError for a bad `star_max`, and for a
     label, relationship type, WHERE property key or WHERE literal kind
     that `graph` can never match, which would only ever match nothing.
+    A label's members, its ids and their set, are `store[(label,)]`,
+    made on first use.
 
     Every constraint is a test on pattern indices: each later occurrence
     of a node variable must bind the node of the occurrence before it, a
@@ -118,7 +120,11 @@ def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int) -> _Plan:
                 raise QueryError(
                     f"no node of label {label!r} may carry property {term.key!r} of kind {kind}"
                 )
-    candidates, members = zip(*(graph.label_members(np.label or "Node") for np in nodes))
+    for label in (np.label or "Node" for np in nodes):
+        if (label,) not in store:
+            ids = tuple(graph.label_candidates(label))
+            store[label,] = ids, frozenset(ids)
+    candidates, members = zip(*(store[(np.label or "Node",)] for np in nodes))
     anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
 
     def hop(source: int, target: int, r: int, rightward: bool) -> tuple:
@@ -561,7 +567,8 @@ def _compile(count: int, anchor: int, hop_count: int, *parts: tuple) -> Callable
 def _hop_lists(store: dict, plan: _Plan, ast: QueryAst) -> list[tuple]:
     """Per hop of `plan`: (its relationship pattern, its target's members,
     the memo of `_expand`'s unfiltered lists, the memos of the budgeted
-    lists by budget or None without members), the memos kept in `store`.
+    lists by budget or None without members), the memos kept in `store`,
+    a frozen graph's `hop_steps` or a store of one query.
 
     One memo serves each hop shape: the relationship type and direction
     and the walk's orientation, with None for the unfiltered lists. A
@@ -610,15 +617,16 @@ def iter_matches(
     hi - lo`, or that have such a step at budget `r - 1`, so no route is
     walked that could not end within the hop's bounds. A budgeted list
     keeps its unfiltered list's order, so the rows come in the same order
-    as without the budgets. The memos (`_hop_lists`) are the graph's
-    `hop_steps` store, so a later query reuses every list an earlier one
-    listed, until `add_edge` empties it. Only the lists are shared: the
-    check that no match uses an edge twice is still made for each match.
+    as without the budgets. A frozen graph keeps the memos, `_plan`'s
+    label members and `_hop_lists`' lists, in `hop_steps` for every later
+    query; a graph still being built keeps none. Only the lists are shared:
+    the check that no match uses an edge twice is still made for each match.
     """
-    plan = _plan(graph, ast, star_max)
+    store = graph.hop_steps if graph.frozen else {}
+    plan = _plan(graph, ast, star_max, store)
     hops = [(*hop[:6], hop[6] is not None) for hop in plan.hops]
     walk = _compile(len(ast.node_patterns), plan.anchor, len(hops), *hops, *plan.tests)
-    return walk(graph, plan.candidates[plan.anchor], _hop_lists(graph.hop_steps, plan, ast), plan.terms)
+    return walk(graph, plan.candidates[plan.anchor], _hop_lists(store, plan, ast), plan.terms)
 
 
 # makes each result's `Path` from its three fields in the generated builders
@@ -670,7 +678,7 @@ def evaluate(
 
 def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MAX) -> str:
     """Describe the plan `evaluate` runs: seed choice and expansion order."""
-    plan = _plan(graph, ast, star_max)
+    plan = _plan(graph, ast, star_max, graph.hop_steps if graph.frozen else {})
 
     def node_text(i: int) -> str:
         np = ast.node_patterns[i]

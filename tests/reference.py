@@ -370,9 +370,9 @@ def reference_rows(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_
     on one stack: the engine's walk before it was compiled per plan shape.
 
     It walks the engine's plan over the lists the engine's `_steps` makes,
-    but keeps them in a store of its own, laid out by `_hop_lists`, so a
-    list the graph's `hop_steps` kept from an earlier query is never read
-    here. Each test runs on its own, as `_holds` reads it.
+    but keeps the plan's label members and the lists in fresh stores of
+    its own, the lists laid out by `_hop_lists`, so nothing the graph's
+    `hop_steps` kept from an earlier query is read here. Each test runs on its own, as `_holds` reads it.
     Its frames are `(hop, steps taken in the hop, iterator over the steps
     out of the node reached, held)`: one per hop entered and one per step
     taken below the hop's upper bound. Popping a frame releases the step
@@ -380,7 +380,7 @@ def reference_rows(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_
     enters the next hop, or completes a match on the last one; a step at
     the hop's bound takes no frame.
     """
-    plan = _plan(graph, ast, star_max)
+    plan = _plan(graph, ast, star_max, {})
     anchor = plan.anchor
     due = _due(plan, len(ast.node_patterns))
     nodes: list = [None] * len(ast.node_patterns)

@@ -59,6 +59,17 @@ class TestBundleValidation:
         with pytest.raises(CodeFactsError, match="unknown keys"):
             bundle_from_document({"application": "a", "bogus": 1})
 
+    def test_image_and_host_both_named(self):
+        with pytest.raises(CodeFactsError, match="names both an image and a host"):
+            bundle(image="ghcr.io/acme/app", host="vm-1")
+
+    def test_loader_names_the_file_of_image_and_host(self, tmp_path):
+        path = tmp_path / "app.yaml"
+        path.write_text("application: app\nimage: ghcr.io/acme/app\nhost: vm-1\n", encoding="utf-8")
+        with pytest.raises(CodeFactsError) as info:
+            load_code_facts(path)
+        assert str(info.value) == f"{path}: bundle 'app' names both an image and a host"
+
     def test_unresolved_log_call(self):
         with pytest.raises(CodeFactsError, match="does not resolve"):
             bundle(functions=[{"name": "f", "log_calls": ["missing"]}])

@@ -190,6 +190,25 @@ class TestIngestInventory:
         with pytest.raises(DiscoveryError, match="ghost"):
             discovery.resolve_inventory_links()
 
+    def test_resource_id_declared_in_two_files(self, discovery, tmp_path):
+        # a link to `x` could reach either VM, so the second file is refused
+        first, second = tmp_path / "a.yaml", tmp_path / "b.yaml"
+        first.write_text("provider: aws\nresources:\n  - {id: x, name: vm-a, provider_type: AWS::EC2::Instance}\n")
+        second.write_text(
+            "provider: aws\nresources:\n"
+            "  - {id: x, name: vm-b, provider_type: AWS::EC2::Instance}\n"
+            "  - {id: v, name: vol, provider_type: AWS::EC2::Volume, links: {member_of: x}}\n"
+        )
+        discovery.ingest_inventory(load_inventory(first), first)
+        with pytest.raises(DiscoveryError) as info:
+            discovery.ingest_inventory(load_inventory(second), second)
+        assert str(info.value) == f"{second}: resource id 'x' is already declared in {first}"
+
+    def test_resource_ids_compare_as_strings(self, discovery):
+        discovery.ingest_inventory(inventory("aws", [{"id": 7, "name": "vm", "provider_type": "AWS::EC2::Instance"}]))
+        with pytest.raises(DiscoveryError, match="resource id '7' is already declared in an earlier inventory"):
+            discovery.ingest_inventory(inventory("aws", [{"id": "7", "name": "vm", "provider_type": "AWS::EC2::Instance"}]))
+
     def test_member_of_and_log_forwarding(self, discovery, graph):
         discovery.ingest_inventory(
             inventory(

@@ -420,7 +420,7 @@ class TestOrPlacement:
         graph = chain_graph(tiny_ontology, [(0, 1, "DFG"), (1, 2, "DFG"), (2, 3, "DFG")], classes={1: "Sub"})
         a, b, c = (f":{label}" if label else "" for label in labels)
         ast = parse_query(f'MATCH p=(x{a})-[:DFG]->(y{b})-[:DFG]->(z{c}) WHERE x.p = 1 OR z.name = "n3" RETURN p')
-        plan = engine._plan(graph, ast, 10)
+        plan = engine._plan(graph, ast, 10, {})
         assert plan.anchor == anchor
         assert [shape[:2] for shape in plan.tests] == [(engine._OR, due), (engine._PROPERTY, due), (engine._PROPERTY, due)]
         assert result_paths(evaluate(graph, ast)) == oracle_paths(graph, ast)
@@ -669,7 +669,8 @@ class TestBudgetedSteps:
         results = evaluate(graph, ast, star_max=100_000)
         assert result_paths(results) == oracle_paths(graph, ast, star_max=100_000)
         assert len(results) == 2
-        assert len(graph.hop_steps) <= 1 + graph.edge_count
+        # the store's other keys, `(label,)`, hold the label members
+        assert len([key for key in graph.hop_steps if len(key) > 1]) <= 1 + graph.edge_count
 
     def test_long_chain_within_the_recursion_limit(self, tiny_ontology):
         # budgets above the recursion limit are made without recursing
@@ -842,9 +843,10 @@ class TestHubScaling:
 
 
 class TestHopIndex:
-    """A graph keeps the engine's step lists in `hop_steps`, one memo per
-    hop shape and, for a labelled target, per budget, for every later
-    query; `add_edge` empties them."""
+    """A frozen graph keeps the engine's memos in `hop_steps` for every
+    later query: each label's members, and the step lists, one memo per
+    hop shape and, for a labelled target, per budget. A graph still being
+    built keeps none: each query makes its memos afresh and drops them."""
 
     FLEET = "fleet-8-shared-4"
 
@@ -871,9 +873,9 @@ class TestHopIndex:
         assert warm == cold
         assert not listings
 
-    def test_add_edge_empties_the_lists(self, tmp_path, monkeypatch):
+    def test_an_unfrozen_graph_keeps_no_memos(self, tmp_path, monkeypatch):
         built = build_graph(load_manifest(fleet_manifest(self.FLEET, tmp_path, monkeypatch)))[0]
-        graph = PropertyGraph(built.ontology)
+        graph = PropertyGraph(built.ontology)  # never frozen: still being built
         for node in built.nodes():
             assert graph.add_node(node.class_name, node.name, node.properties) == node.id
         for edge in built.edges():
@@ -881,7 +883,7 @@ class TestHopIndex:
         ast = parse_query(importlib.import_module("expected").OWNED["registry-pulls"])
         assert explain(graph, ast).startswith("seed at node #0 r:ContainerRegistry")
         before = evaluate(graph, ast)
-        assert graph.hop_steps
+        assert before and graph.hop_steps == {}
         # a registry feeds a compute it did not feed, which runs an application
         registry = graph.label_candidates("ContainerRegistry")[0]
         fed = {edge.to_id for edge in graph.out_edges(registry, "DFG")}
@@ -889,10 +891,11 @@ class TestHopIndex:
             c for c in graph.label_candidates("Compute") if c not in fed and graph.in_edges(c, "RUNS_ON")
         )
         edge_id = graph.add_edge(registry, compute, "DFG")
-        assert graph.hop_steps == {}
         after = evaluate(graph, ast)
         new = [result for result in after if edge_id in result.path.edge_ids]
         assert new and len(after) == len(before) + len(new)
+        assert result_paths(after) == oracle_paths(graph, ast)
+        assert graph.hop_steps == {}
 
     @staticmethod
     def ends_within(lists, members, budget, slack):
@@ -910,10 +913,14 @@ class TestHopIndex:
         for text in self.queries().values():
             evaluate(graph, parse_query(text))
         store = graph.hop_steps
-        assert {len(key) for key in store} == {4, 6}
+        assert {len(key) for key in store} == {1, 4, 6}
+        hops = {key: memo for key, memo in store.items() if len(key) > 1}
+        for (label,) in store.keys() - hops.keys():
+            want = graph.label_candidates(label)
+            assert store[label,] == (tuple(want), frozenset(want))
         nodes = [node.id for node in graph.nodes()]
         pruned = 0
-        for (kind, direction, rightward, label, *budgeted), memo in store.items():
+        for (kind, direction, rightward, label, *budgeted), memo in hops.items():
             rel = RelPattern(type=kind, direction=direction)
             unfiltered = {node_id: engine._expand(graph, node_id, rel, rightward, None, {}) for node_id in nodes}
             members = None if label is None else set(graph.label_candidates(label))
@@ -934,14 +941,14 @@ class TestHopIndex:
                 assert all(step in listed for step in steps), "not an in-order sub-list"
                 assert len(steps) <= len(graph.out_edges(node_id)) + len(graph.in_edges(node_id))
         assert pruned
-        cached = sum(len(steps) for memo in store.values() for steps in memo.values())
-        assert 0 < cached <= len(store) * 2 * graph.edge_count
+        cached = sum(len(steps) for memo in hops.values() for steps in memo.values())
+        assert 0 < cached <= len(hops) * 2 * graph.edge_count
 
 
 class TestLabelMembers:
-    """A graph keeps each label's candidate ids and member set from the
-    first query that reads them; a node inserted after it, as on a graph
-    still being built, empties them."""
+    """A label's candidates are its nodes' ids, in id order (`Node`: in
+    insertion order), read from the label index by each query on a graph
+    still being built, so a node inserted between queries is matched."""
 
     def test_a_node_added_between_queries_is_seeded_and_matched(self, tiny_ontology):
         graph = PropertyGraph(tiny_ontology)  # never frozen: still being built
@@ -962,13 +969,36 @@ class TestLabelMembers:
 
     def test_label_candidates_returns_a_new_list(self, tiny_ontology):
         graph = chain_graph(tiny_ontology, [], node_count=3, classes={1: "Sub", 2: "Other"})
-        for label in ("Thing", "Node"):
+        for label, want in (("Thing", [0, 1]), ("Node", [0, 1, 2])):
             first = graph.label_candidates(label)
-            want = list(first)
+            assert first == want
             first.append(99)
             first.reverse()
             assert graph.label_candidates(label) == want
-            assert graph.label_members(label) == (tuple(want), frozenset(want))
+            # the frozen graph's store keeps the members a query read
+            evaluate(graph, parse_query(f"MATCH (n:{label}) RETURN n"))
+            assert graph.hop_steps[label,] == (tuple(want), frozenset(want))
+
+    def test_a_node_and_an_edge_added_between_queries(self, tiny_ontology):
+        graph = PropertyGraph(tiny_ontology)  # never frozen: still being built
+        for cls in ("Thing", "Other", "Sub"):
+            graph.add_node(cls, cls.lower())
+        graph.add_edge(0, 1, "DFG")
+        texts = [
+            "MATCH p=(a:Thing)-[:DFG*]-(b:Other) RETURN p",
+            "MATCH p=(a)-[:DFG]->(b:Sub) RETURN p",
+            "MATCH p=(n:Thing) RETURN p",
+        ]
+        for step in range(3):
+            if step:  # a node of a label the queries read, and an edge to it
+                added = graph.add_node("Other" if step == 1 else "SubSub", f"late{step}")
+                graph.add_edge(added - 1, added, "DFG")
+            for text in texts:
+                ast = parse_query(text)
+                explain(graph, ast)
+                assert result_paths(evaluate(graph, ast)) == oracle_paths(graph, ast), (step, text)
+            assert graph.hop_steps == {}
+        assert [r.bindings["b"] for r in evaluate(graph, parse_query(texts[1]))] == [4]
 
 
 class TestStepsCarryPaths:
