@@ -143,6 +143,15 @@ def _not_scalar(key: str, value) -> GraphError:
     )
 
 
+def _malformed(what: str, row) -> GraphError:
+    if type(row) is dict:
+        return GraphError(
+            f"{what} entries are objects, as older exports wrote them; "
+            "rebuild the export with `skygraph build`"
+        )
+    return GraphError(f"malformed {what} entry {row!r}")
+
+
 class PropertyGraph:
     """Labeled property graph with by-from / by-to adjacency, a
     concrete-class label index (inheritance is resolved at query time), and
@@ -453,62 +462,46 @@ class PropertyGraph:
     def from_document(cls, doc: dict) -> "PropertyGraph":
         """Check an export document and build the frozen graph it holds. The
         graph takes over the document's property mappings: each node and
-        edge keeps its entry's `properties` dict, not a copy of it."""
+        edge keeps its row's `properties` dict, not a copy of it."""
         check_fields(doc, "graph document", GraphError, *_EXPORT)
         graph = cls(ontology_from_documents(doc["ontology"], doc.get("mappings") or []))
         settings = check_fields(doc.get("settings") or {}, "settings", GraphError, *_SETTINGS)
         graph.settings = dict(settings)
         check_positive_int(graph.settings.get("star_max", DEFAULT_STAR_MAX), GraphError, "settings.star_max")
-        # Each entry is read inline: it must hold exactly as many keys as
-        # `export_graph` writes, and every one of them is read, so it holds
-        # exactly those (a key-set comparison made import about 8 % slower).
+        # A row is a list of exactly the fields `export_graph` writes; an id
+        # is an int, never a bool or a float, and not negative.
         insert_node = graph._insert_node
-        for entry in doc["nodes"]:
+        for row in doc["nodes"]:
             try:
-                props = entry["properties"]
-                node_id = entry["id"]
-                if (
-                    type(props) is not dict
-                    or len(entry) != 4
-                    or not (node_id.isascii() and node_id.isdigit())
-                ):
-                    raise ValueError("not a node entry as export_graph writes it")
-                node_id, class_name, name = int(node_id), entry["class"], entry["name"]
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise GraphError(f"malformed node entry {entry!r}") from exc
+                node_id, class_name, name, props = row
+                if type(row) is not list or type(node_id) is not int or node_id < 0 or type(props) is not dict:
+                    raise ValueError("not a node row as export_graph writes it")
+            except (TypeError, ValueError) as exc:
+                raise _malformed("node", row) from exc
             insert_node(node_id, class_name, name, props)
         insert_edge = graph._insert_edge
-        for entry in doc["edges"]:
+        for row in doc["edges"]:
             try:
-                props = entry["properties"]
-                edge_id, from_id, to_id = entry["id"], entry["from"], entry["to"]
+                edge_id, edge_type, from_id, to_id, props = row
                 if (
-                    type(props) is not dict
-                    or len(entry) != 5
-                    or not (edge_id.isascii() and edge_id.isdigit())
-                    or not (from_id.isascii() and from_id.isdigit())
-                    or not (to_id.isascii() and to_id.isdigit())
+                    type(row) is not list
+                    or type(edge_id) is not int or type(from_id) is not int or type(to_id) is not int
+                    or edge_id < 0 or from_id < 0 or to_id < 0
+                    or type(props) is not dict
                 ):
-                    raise ValueError("not an edge entry as export_graph writes it")
-                edge_id, edge_type, from_id, to_id = int(edge_id), entry["type"], int(from_id), int(to_id)
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise GraphError(f"malformed edge entry {entry!r}") from exc
+                    raise ValueError("not an edge row as export_graph writes it")
+            except (TypeError, ValueError) as exc:
+                raise _malformed("edge", row) from exc
             insert_edge(edge_id, edge_type, from_id, to_id, props)
         graph.freeze()
         return graph
 
 
-# Encodes a node's or edge's properties at their depth in the export. With
-# `indent` left at None `encode` runs the C encoder; any `indent` makes the
-# json module fall back to its pure-Python encoder.
-_PROPERTIES = json.JSONEncoder(sort_keys=True, separators=(",\n" + " " * 8, ": "))
+# Encodes a non-empty property dict. With `indent` left at None `encode`
+# runs the C encoder; any `indent` makes the json module fall back to its
+# pure-Python encoder.
+_encode = json.JSONEncoder(sort_keys=True).encode
 _string = json.encoder.encode_basestring_ascii
-
-
-def _properties(props: dict) -> str:
-    if not props:
-        return "{}"
-    return "{\n        " + _PROPERTIES.encode(props)[1:-1] + "\n      }"
 
 
 def _section(value) -> str:
@@ -516,46 +509,36 @@ def _section(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
-def _entries(lines: list[str]) -> str:
-    return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
+def _rows(rows: list[str]) -> str:
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
 
 def export_graph(graph: PropertyGraph) -> str:
     """Serialize to the JSON export format, deterministically ordered.
 
-    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) +
-    "\\n"`` of the document with the graph's `ontology` and `mappings`
-    documents, its `settings`, and one entry per node (`id`, `class`,
-    `name`, `properties`) and per edge (`id`, `type`, `from`, `to`,
-    `properties`) sorted by id, ids as strings. It is laid out here
-    straight from the node and edge tables, so that strings and property
-    dicts go through the C encoder and no document is built.
+    The document holds the graph's `ontology` and `mappings` documents,
+    its `settings`, and one row per node, `[id, class, name, properties]`,
+    and per edge, `[id, type, from, to, properties]`, sorted by id, ids as
+    JSON integers. The text is exactly ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"`` of it, except that each row sits on one
+    line as ``json.dumps(row, sort_keys=True)``. It is laid out here
+    straight from the node and edge tables, so that strings and non-empty
+    property dicts go through the C encoder and no document is built.
     """
     ontology_doc, mapping_docs = graph.ontology.to_documents()
     nodes = [
-        "    {\n"
-        f'      "class": {_string(n.class_name)},\n'
-        f'      "id": "{n.id}",\n'
-        f'      "name": {_string(n.name)},\n'
-        f'      "properties": {_properties(n.properties)}\n'
-        "    }"
+        f"[{n.id}, {_string(n.class_name)}, {_string(n.name)}, {_encode(n.properties) if n.properties else '{}'}]"
         for n in map(graph._nodes.__getitem__, sorted(graph._nodes))
     ]
     edges = [
-        "    {\n"
-        f'      "from": "{e.from_id}",\n'
-        f'      "id": "{e.id}",\n'
-        f'      "properties": {_properties(e.properties)},\n'
-        f'      "to": "{e.to_id}",\n'
-        f'      "type": {_string(e.type)}\n'
-        "    }"
+        f"[{e.id}, {_string(e.type)}, {e.from_id}, {e.to_id}, {_encode(e.properties) if e.properties else '{}'}]"
         for e in map(graph._edges.__getitem__, sorted(graph._edges))
     ]
     return (
         "{\n"
-        f'  "edges": {_entries(edges)},\n'
+        f'  "edges": {_rows(edges)},\n'
         f'  "mappings": {_section(mapping_docs)},\n'
-        f'  "nodes": {_entries(nodes)},\n'
+        f'  "nodes": {_rows(nodes)},\n'
         f'  "ontology": {_section(ontology_doc)},\n'
         f'  "settings": {_section(graph.settings)}\n'
         "}\n"
@@ -581,6 +564,9 @@ def import_graph(text: str | dict) -> PropertyGraph:
                 doc = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise GraphError(f"graph document is not valid JSON: {exc}") from exc
+            # an integer of more digits than `sys.get_int_max_str_digits()`
+            except ValueError as exc:
+                raise GraphError(f"graph document cannot be read: {exc}") from exc
             # the C decoder recurses once per nesting level
             except RecursionError as exc:
                 raise GraphError("graph document is nested too deeply to parse") from exc

@@ -13,7 +13,9 @@ comparison from the parsed query, not from the plan's flags for it.
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import re
 from collections import Counter
 
 from skygraph.errors import GraphError, SkygraphError, UnknownClassError
@@ -26,41 +28,79 @@ from skygraph.query.syntax import NodeComparison, PropertyComparison, QueryAst
 
 def to_document(graph: PropertyGraph) -> dict:
     """The export document of `graph`: the spec that `export_graph`'s text
-    is ``json.dumps(to_document(graph), indent=2, sort_keys=True)``
-    of, and the document `import_graph` reads."""
+    is `export_text` of, and the document `import_graph` reads."""
     ontology_doc, mapping_docs = graph.ontology.to_documents()
     return {
         "ontology": ontology_doc,
         "mappings": mapping_docs,
         "settings": dict(graph.settings),
         "nodes": [
-            {"id": str(n.id), "class": n.class_name, "name": n.name, "properties": dict(n.properties)}
+            [n.id, n.class_name, n.name, dict(n.properties)]
             for n in sorted(graph.nodes(), key=lambda n: n.id)
         ],
         "edges": [
-            {
-                "id": str(e.id),
-                "type": e.type,
-                "from": str(e.from_id),
-                "to": str(e.to_id),
-                "properties": dict(e.properties),
-            }
+            [e.id, e.type, e.from_id, e.to_id, dict(e.properties)]
             for e in sorted(graph.edges(), key=lambda e: e.id)
         ],
     }
 
 
-def _id(text: str) -> int:
-    if text.isascii() and text.isdigit():
-        return int(text)
-    raise ValueError(f"id {text!r} is not a string of digits")
+#: the fields of a node row and of an edge row, in their order
+ROW_FIELDS = {"nodes": ("id", "class", "name", "properties"), "edges": ("id", "type", "from", "to", "properties")}
 
 
-def _entry_properties(entry: dict, keys: tuple[str, ...]) -> dict:
-    props = entry["properties"]
-    if type(props) is not dict or len(entry) != len(keys):
-        raise ValueError("not an entry as export_graph writes it")
-    return dict(props)
+def object_entries(doc: dict) -> dict:
+    """`doc` as exports were written before rows: each node and edge an
+    object of its fields, ids as strings of digits."""
+    return dict(
+        doc,
+        **{
+            section: [
+                {key: str(value) if key in ("id", "from", "to") else value for key, value in zip(fields, row)}
+                for row in doc[section]
+            ]
+            for section, fields in ROW_FIELDS.items()
+        },
+    )
+
+
+def export_text(doc: dict) -> str:
+    """The text `export_graph` writes of `doc`: ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"``, except that each node and edge row sits on
+    one line as ``json.dumps(row, sort_keys=True)``. Each row is dumped in
+    place of a marker string, which no other string of `doc` may equal."""
+    rows = [*doc["nodes"], *doc["edges"]]
+    markers = [f"\0row {i}" for i in range(len(rows))]
+    split = len(doc["nodes"])
+    text = json.dumps(dict(doc, nodes=markers[:split], edges=markers[split:]), indent=2, sort_keys=True)
+    marker = re.compile(r'"\\u0000row (\d+)"')
+    assert len(marker.findall(text)) == len(rows)
+    return marker.sub(lambda match: json.dumps(rows[int(match[1])], sort_keys=True), text) + "\n"
+
+
+def _id(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ValueError(f"id {value!r} is not a non-negative integer")
+
+
+def _fields(row, what: str, width: int, id_slots: tuple[int, ...]) -> list:
+    """The fields of a node or edge row as `export_graph` writes it: a list
+    of `width` fields, ids at `id_slots` and the properties last; else the
+    GraphError `from_document` raises for the row."""
+    if type(row) is dict:
+        raise GraphError(
+            f"{what} entries are objects, as older exports wrote them; "
+            "rebuild the export with `skygraph build`"
+        )
+    try:
+        if type(row) is not list or len(row) != width or type(row[-1]) is not dict:
+            raise ValueError(f"not a {what} row as export_graph writes it")
+        for slot in id_slots:
+            _id(row[slot])
+    except ValueError as exc:
+        raise GraphError(f"malformed {what} entry {row!r}") from exc
+    return row
 
 
 def _not_scalar(key: str, value) -> GraphError:
@@ -113,8 +153,8 @@ def _index(insert, *fields) -> None:
 
 
 def from_document(doc) -> PropertyGraph:
-    """What `PropertyGraph.from_document` reads: a per-entry reader that
-    parses each entry with helper calls and runs the insert checks in their
+    """What `PropertyGraph.from_document` reads: a per-row reader that
+    parses each row with helper calls and runs the insert checks in their
     order before indexing it. The spec the inline reader is compared with;
     a check that only the insert path makes is an AssertionError here."""
     check_fields(doc, "graph document", GraphError, *_EXPORT)
@@ -122,20 +162,14 @@ def from_document(doc) -> PropertyGraph:
     settings = check_fields(doc.get("settings") or {}, "settings", GraphError, *_SETTINGS)
     graph.settings = dict(settings)
     check_positive_int(graph.settings.get("star_max", DEFAULT_STAR_MAX), GraphError, "settings.star_max")
-    for entry in doc["nodes"]:
-        try:
-            props = _entry_properties(entry, ("id", "class", "name", "properties"))
-            node = Node(_id(entry["id"]), entry["class"], entry["name"], props)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise GraphError(f"malformed node entry {entry!r}") from exc
+    for row in doc["nodes"]:
+        node_id, class_name, name, props = _fields(row, "node", 4, (0,))
+        node = Node(node_id, class_name, name, dict(props))
         _check_node(graph, node)
         _index(graph._insert_node, node.id, node.class_name, node.name, node.properties)
-    for entry in doc["edges"]:
-        try:
-            props = _entry_properties(entry, ("id", "type", "from", "to", "properties"))
-            edge = Edge(_id(entry["id"]), entry["type"], _id(entry["from"]), _id(entry["to"]), props)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise GraphError(f"malformed edge entry {entry!r}") from exc
+    for row in doc["edges"]:
+        edge_id, edge_type, from_id, to_id, props = _fields(row, "edge", 5, (0, 2, 3))
+        edge = Edge(edge_id, edge_type, from_id, to_id, dict(props))
         _check_edge(graph, edge)
         _index(graph._insert_edge, edge.id, edge.type, edge.from_id, edge.to_id, edge.properties)
     graph.freeze()

@@ -21,8 +21,8 @@ from .test_parity import BENCH, fleet_manifest
 # sha256 of the `skygraph build` export of each bundled testbed; exports
 # must stay byte-identical unless a change means to alter the graph
 EXPORT_SHA256 = {
-    "bookinfo": "9cc54d6e2531f292315f988c2ef8f274f3d0597622664ff3ff9b1214ea3d65bc",
-    "bookinfo_clean": "8154e3ab5486716ec798a3a15eb07ecb459188de52d0d190f46198658af3fb7e",
+    "bookinfo": "793398d75e3afcf900993511191dfb6f96061423a530ff564793d4b803f4ea96",
+    "bookinfo_clean": "162514b373c232916f8bd1564bab6759b5546ffe575191e178f78b7ab2422f11",
 }
 
 
@@ -218,11 +218,12 @@ MALFORMED_INPUTS = {
     # aws.yaml is not the last inventory, so its link must keep its own file
     "inventory-link-to-unknown-id": (AWS, _set(("resources", 0, "links"), {"member_of": "ghost"})),
     "workflow-jobs-a-list": (WORKFLOW, _jobs_as_list),
-    "export-undeclared-node-property": (EXPORT, _set(("nodes", 0, "properties", "bogus"), 1)),
-    "export-list-node-property": (EXPORT, _set(("nodes", 0, "properties", "image"), ["a"])),
-    "export-dict-node-property": (EXPORT, _set(("nodes", 0, "properties", "image"), {"a": 1})),
-    "export-float-node-property": (EXPORT, _set(("nodes", 0, "properties", "image"), 1.5)),
-    "export-list-edge-property": (EXPORT, _set(("edges", 0, "properties", "weight"), [1])),
+    # a node row's properties are its field 3, an edge row's its field 4
+    "export-undeclared-node-property": (EXPORT, _set(("nodes", 0, 3, "bogus"), 1)),
+    "export-list-node-property": (EXPORT, _set(("nodes", 0, 3, "image"), ["a"])),
+    "export-dict-node-property": (EXPORT, _set(("nodes", 0, 3, "image"), {"a": 1})),
+    "export-float-node-property": (EXPORT, _set(("nodes", 0, 3, "image"), 1.5)),
+    "export-list-edge-property": (EXPORT, _set(("edges", 0, 4, "weight"), [1])),
 }
 
 
@@ -372,16 +373,31 @@ class TestQuery:
         doc = json.loads(built_graph_file.read_text(encoding="utf-8"))
         if key is None:
             doc[section] = value
+        elif key == "extra":
+            doc[section][0].append(value)
         else:
-            doc[section][0][key] = value
+            doc[section][0][reference.ROW_FIELDS[section].index(key)] = value
         built_graph_file.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["query", str(built_graph_file), "MATCH (n) RETURN n"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {built_graph_file}: ")
 
+    def test_export_of_object_entries_asks_for_rebuild(self, built_graph_file, capsys):
+        """An export written before rows fails in one error line that names
+        the file and the command that rebuilds it."""
+        doc = reference.object_entries(json.loads(built_graph_file.read_text(encoding="utf-8")))
+        built_graph_file.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+        assert main(["query", str(built_graph_file), "MATCH (n) RETURN n", "--fail-if-found"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {built_graph_file}: node entries are objects, as older exports wrote them; "
+            "rebuild the export with `skygraph build`\n"
+        )
+
     def test_export_value_of_another_kind_exits_2(self, built_graph_file, capsys):
         doc = json.loads(built_graph_file.read_text(encoding="utf-8"))
-        storage = next(n for n in doc["nodes"] if n["name"] == "am-containerlog")
-        storage["properties"]["public_access"] = "yes"
+        storage = next(row for row in doc["nodes"] if row[2] == "am-containerlog")
+        storage[3]["public_access"] = "yes"
         built_graph_file.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["query", str(built_graph_file), "MATCH (n) RETURN n"]) == 2
         err = capsys.readouterr().err

@@ -16,7 +16,7 @@ from skygraph.query import evaluate, parse_query
 
 from . import reference
 from .conftest import DATA, listing_text
-from .reference import oracle_label_match, to_document
+from .reference import ROW_FIELDS, oracle_label_match, to_document
 from .test_fuzz import DELETE
 from .test_fuzz import VALUES as FUZZ_VALUES
 
@@ -332,7 +332,7 @@ class TestRoundTrip:
         graph.add_node("CloudResource", "r", {})
         graph.freeze()
         doc = to_document(graph)
-        doc["edges"].append({"id": "9", "type": "DFG", "from": "0", "to": "42", "properties": {}})
+        doc["edges"].append([9, "DFG", 0, 42, {}])
         with pytest.raises(GraphError, match="edge target 42 does not exist"):
             import_graph(doc)
 
@@ -341,6 +341,9 @@ class TestRoundTrip:
             import_graph({"nodes": []})
         with pytest.raises(GraphError, match="JSON"):
             import_graph("{not json")
+        # an id of more digits than CPython converts to an int by default
+        with pytest.raises(GraphError):
+            import_graph('{"nodes": [[' + "1" * 5000 + "]]}")
 
     def test_fixture_preserves_structure(self, testbed_graph):
         restored = import_graph(export_graph(testbed_graph))
@@ -379,9 +382,9 @@ class TestRoundTrip:
         text = export_graph(restored)
         assert text == export_graph(testbed_graph)
         exported = json.loads(text)
-        ids = [int(n["id"]) for n in exported["nodes"]]
+        ids = [row[0] for row in exported["nodes"]]
         assert ids == sorted(ids)
-        edge_ids = [int(e["id"]) for e in exported["edges"]]
+        edge_ids = [row[0] for row in exported["edges"]]
         assert edge_ids == sorted(edge_ids)
 
 
@@ -484,11 +487,11 @@ class TestLookupIndexes:
         graph.add_node("ObjectStorage", "s", {"provider_id": "p"})
         graph.freeze()
         doc = to_document(graph)
-        node = doc["nodes"][0]
+        row = doc["nodes"][0]
         if field == "name":
-            node["name"] = ["s"]
+            row[2] = ["s"]
         else:
-            node["properties"]["provider_id"] = {"id": "p"}
+            row[3]["provider_id"] = {"id": "p"}
         with pytest.raises(GraphError, match=f"{field}.* must be"):
             import_graph(doc)
 
@@ -511,7 +514,7 @@ def test_import_rejects_non_string_class_and_type(section, key, value):
     graph.add_edge(a, a, "DFG")
     graph.freeze()
     doc = to_document(graph)
-    doc[section][0][key] = value
+    doc[section][0][ROW_FIELDS[section].index(key)] = value
     with pytest.raises(GraphError):
         import_graph(doc)
 
@@ -531,7 +534,7 @@ def test_import_rejects_unknown_class():
     graph.add_node("A", "a", {})
     graph.freeze()
     doc = to_document(graph)
-    doc["nodes"][0]["class"] = "Mystery"
+    doc["nodes"][0][1] = "Mystery"
     with pytest.raises(UnknownClassError):
         import_graph(doc)
 
@@ -544,43 +547,78 @@ def test_import_rejects_duplicate_ids(section, what):
     graph.add_edge(a, a, "DFG")
     graph.freeze()
     doc = to_document(graph)
-    doc[section].append(dict(doc[section][0]))
+    doc[section].append(list(doc[section][0]))
     with pytest.raises(GraphError, match=f"duplicate {what} id 0"):
         import_graph(doc)
 
 
-@pytest.mark.parametrize("value", [1.9, True, 1, " 1 ", "-1", "+1", "1_0", "\u0661", ""])
-@pytest.mark.parametrize(
-    "section, key", [("nodes", "id"), ("edges", "id"), ("edges", "from"), ("edges", "to")]
-)
-def test_import_accepts_only_digit_string_ids(section, key, value):
-    """An id is read as `export_graph` writes it, a string of ASCII digits;
-    `int` would read `1.9`, `true` or `" 1 "` as node 1."""
+ID_SLOTS = [("nodes", "id"), ("edges", "id"), ("edges", "from"), ("edges", "to")]
+
+
+def two_nodes_and_an_edge():
+    """The document of nodes `a` (id 0) and `b` (id 1) and of edge 0 from
+    `b` to `a`."""
     ontology = ontology_from_documents({"classes": [{"name": "A", "kind": "resource"}]}, [])
     graph = PropertyGraph(ontology)
     graph.add_node("A", "a", {})
-    if section == "edges":
-        graph.add_edge(graph.add_node("A", "b", {}), 0, "DFG")
+    graph.add_edge(graph.add_node("A", "b", {}), 0, "DFG")
     graph.freeze()
-    doc = to_document(graph)
-    doc[section][-1][key] = value
+    return to_document(graph)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 1.9, -1, "1", " 1 ", "-1", "+1", "1_0", "\u0661", "", None])
+@pytest.mark.parametrize("section, key", ID_SLOTS)
+def test_import_accepts_only_non_negative_int_ids(section, key, value):
+    """An id is read as `export_graph` writes it, a JSON integer of no sign;
+    a bool is an int to Python, and `true` or `1.0` would name node 1."""
+    doc = two_nodes_and_an_edge()
+    doc[section][-1][ROW_FIELDS[section].index(key)] = value
     with pytest.raises(GraphError, match=f"malformed {section[:-1]} entry"):
         import_graph(doc)
+
+
+@pytest.mark.parametrize("value", [0, 2**70])
+def test_import_accepts_any_non_negative_int_id(value):
+    """Node `a`'s id, the edge's id and its `to` set to `value`: the graph
+    holds them, and exports them as it read them."""
+    doc = two_nodes_and_an_edge()
+    doc["nodes"][0][0] = doc["edges"][0][0] = doc["edges"][0][3] = value
+    graph = import_graph(doc)
+    assert graph.node(value).name == "a" and graph.edge(value).to_id == value
+    text = export_graph(graph)
+    assert f'[{value}, "A", "a", {{}}]' in text and f'[{value}, "DFG", 1, {value}, {{}}]' in text
+    assert export_graph(import_graph(text)) == text
+
+
+@pytest.mark.parametrize("section", ["nodes", "edges"])
+def test_import_asks_to_rebuild_an_export_of_object_entries(section):
+    """An export written before rows holds one object per node and edge;
+    import names the layout and the command that writes the new one."""
+    doc = reference.object_entries(two_nodes_and_an_edge())
+    if section == "edges":
+        doc["nodes"] = two_nodes_and_an_edge()["nodes"]
+    message = f"{section[:-1]} entries are objects.*rebuild the export with `skygraph build`"
+    with pytest.raises(GraphError, match=message):
+        import_graph(doc)
+    with pytest.raises(GraphError, match=message):
+        import_graph(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
     "change",
     [
-        lambda entry: entry.update(properties=[["k", "v"]]),
-        lambda entry: entry.update(properties=""),
-        lambda entry: entry.update(extra=5),
-        lambda entry: entry.pop("properties"),
+        lambda row: row.__setitem__(-1, [["k", "v"]]),
+        lambda row: row.__setitem__(-1, ""),
+        lambda row: row.append({}),
+        lambda row: row.insert(1, "A"),
+        lambda row: row.pop(),
+        lambda row: row.pop(1),
     ],
-    ids=["properties-pairs", "properties-string", "extra-key", "no-properties"],
+    ids=["properties-pairs", "properties-string", "extra-field", "extra-field-inside", "no-properties", "missing-field"],
 )
 @pytest.mark.parametrize("section", ["nodes", "edges"])
 def test_import_reads_only_what_export_writes(section, change):
-    """An entry holds exactly the keys `export_graph` writes, and its
+    """A row holds exactly the fields `export_graph` writes, and its
     properties are a mapping; `dict(...)` would read a list of pairs."""
     ontology = ontology_from_documents({"classes": [{"name": "A", "kind": "resource"}]}, [])
     graph = PropertyGraph(ontology)
@@ -595,8 +633,7 @@ def test_import_reads_only_what_export_writes(section, change):
 def assert_export_is_json_dumps(graph, settings=None):
     if settings is not None:
         graph.settings = settings
-    expected = json.dumps(to_document(graph), indent=2, sort_keys=True) + "\n"
-    assert export_graph(graph) == expected
+    assert export_graph(graph) == reference.export_text(to_document(graph))
 
 
 # strings that JSON must escape, or write as \u escapes, surrogate pairs included
@@ -645,19 +682,19 @@ def test_fleet_export_is_json_dumps_of_document(tmp_path, monkeypatch, n, paths)
     assert_export_is_json_dumps(graph)
 
 
-# ids as `export_graph` never writes them: not strings, signed, spaced,
-# non-ASCII digits, and digit strings naming a missing or taken id
-IDS = (0, 1, -1, 1.0, "-1", "+1", " 1", "1 ", "1_0", "\u0661", "\uff11", "1.0", "")
-IDS += ("0", "1", "99999", "0" * 5000)
+# ids as `export_graph` never writes them: bools, floats, negative integers
+# and strings, digit strings too; and integers naming a missing or taken id
+IDS = (-1, False, 1.0, -0.0, "0", "1", "-1", "+1", " 1", "1_0", "\u0661", "\uff11", "1.0", "")
+IDS += (0, 1, 99999, 2**70)
 
 
 def _set(doc, section, slot, value):
-    """A copy of `doc` with `slot` of its first `section` entry (the entry,
-    one of its keys, or one of its properties) set to `value` or deleted."""
+    """A copy of `doc` with `slot` of its first `section` row (the row, one
+    of its fields, or one of its properties) set to `value` or deleted."""
     doc = dict(doc, **{section: [json.loads(json.dumps(doc[section][0])), *doc[section][1:]]})
     parent, key = (doc[section], 0) if not slot else (doc[section][0], slot[-1])
     if len(slot) == 2:
-        parent = parent["properties"]
+        parent = parent[slot[0]]
     if value is DELETE:
         del parent[key]
     else:
@@ -666,21 +703,23 @@ def _set(doc, section, slot, value):
 
 
 def _mutations(doc, section):
-    """Every one-slot mutation of the first `section` entry of `doc`, one
-    added key, and every pair of its keys and properties set to one of a
-    few values, which orders the checks that each fail on one of them."""
-    entry = doc[section][0]
-    keys = [(key,) for key in entry] + [("properties", key) for key in entry["properties"]]
+    """Every one-slot mutation of the first `section` row of `doc`, the row
+    with one field added or an object entry in its place, and every pair of
+    its fields and properties set to one of a few values, which orders the
+    checks that each fail on one of them."""
+    row = doc[section][0]
+    fields = ROW_FIELDS[section]
+    keys = [(i,) for i in range(len(row))] + [(len(row) - 1, key) for key in row[-1]]
     for slot in [()] + keys:
-        values = FUZZ_VALUES + IDS if slot in (("id",), ("from",), ("to",)) else FUZZ_VALUES
+        values = FUZZ_VALUES + IDS if slot and fields[slot[0]] in ("id", "from", "to") else FUZZ_VALUES
         for value in values:
             yield _set(doc, section, slot, value)
-    for key in ("extra", "properties "):
-        yield _set(doc, section, (key,), 1)
+    for changed in ([*row, 1], [row[0], *row], dict(zip(fields, row))):
+        yield _set(doc, section, (), changed)
     for first, second in itertools.combinations(keys, 2):
         if second[0] == first[0]:
             continue
-        for values in itertools.product((None, "99999"), repeat=2):
+        for values in itertools.product((None, 99999), repeat=2):
             yield _set(_set(doc, section, first, values[0]), section, second, values[1])
 
 
@@ -707,9 +746,9 @@ def fleet_shared_export(tmp_path_factory):
 def test_inline_reader_agrees_with_per_entry_reference(
     testbed_graph, fleet_shared_export, export, section
 ):
-    """`from_document` reads each entry inline; on every mutation of a
-    first entry it raises what the per-entry reference raises, or exports
-    the same bytes."""
+    """`from_document` reads each row inline; on every mutation of a first
+    row it raises what the per-row reference raises, or exports the same
+    bytes."""
     text = export_graph(testbed_graph) if export == "bookinfo" else fleet_shared_export
     doc = json.loads(text)
     assert _read(PropertyGraph.from_document, doc) == ("export", text)

@@ -155,7 +155,7 @@ def test_chained_walk_read_partway_leaves_no_cyclic_garbage(collector_off):
 
 def malformed_node(text: str) -> str:
     doc = json.loads(text)
-    doc["nodes"][0] = {"id": "x"}
+    doc["nodes"][0] = ["x"]
     return json.dumps(doc)
 
 

@@ -8,7 +8,9 @@ the only oracle. The build must also log the warnings the original does,
 make its 3 image nodes, and as many nodes and edges. The relation is metamorphic
 testing in the sense of Chen, Cheung and Yiu (HKUST CS98-01, 1998): no case
 knows the right findings of its own input, only that they equal the
-original's.
+original's. The single-fault cases go the other way: one weakness put into
+a copy of `bookinfo_clean` must change only the counts it names, by as
+many results as its comment works out by hand.
 """
 
 from __future__ import annotations
@@ -152,3 +154,54 @@ def test_equivalent_inputs_keep_their_findings(expected, tmp_path, caplog, case)
     # a host that addresses nothing still matches on path alone, with a
     # warning, so the warnings show a rewrite the counts do not
     assert build(testbed / "manifest.yaml", queries, caplog) == original
+
+
+def one_change(old: str, new: str) -> Callable[[str], str]:
+    """The rewrite of the one occurrence of `old` by `new`."""
+
+    def rewrite(text: str) -> str:
+        assert text.count(old) == 1
+        return text.replace(old, new)
+
+    return rewrite
+
+
+# single faults put into bookinfo_clean's storage container: (the rewrite,
+# each count it changes, with its count afterwards)
+FAULTS = {
+    # The storage endpoint's TransportEncryption reads TLS1_1.
+    #   weak-transport-encryption 2: the endpoint's two other neighbours,
+    #     the container and its TokenBasedAuthentication, each bind `n`.
+    "storage-tls-1-1": (
+        each("inventories/azure.yaml", one_change("tls_version: TLS1_2", "tls_version: TLS1_1")),
+        {"weak-transport-encryption": 2},
+    ),
+    # The container serves anonymous requests: its endpoint's authenticity
+    # feature becomes a NoAuthentication node.
+    #   public-storage-writes 1: kubernetes-logs-append, sourced at
+    #     kubernetes-logs, into am-containerlog.
+    #   expression-to-public-storage 1: the "login attempt" literal flows
+    #     through productpage-logs and productpage-v1 into the container;
+    #     no other expression has a DFG path to it.
+    "anonymous-storage": (
+        each("inventories/azure.yaml", one_change("auth: token", "auth: none")),
+        {"public-storage-writes": 1, "expression-to-public-storage": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAULTS)
+def test_single_fault_changes_only_its_findings(expected, tmp_path, caplog, case):
+    data = Path(str(DATA))
+    queries = expected.query_texts(data)
+    clean = build(data / "fixtures" / "bookinfo_clean" / "manifest.yaml", queries, caplog)
+    assert clean[0] == expected.EXPECTED["bookinfo_clean"]
+    shutil.copytree(data / "ontology", tmp_path / "ontology")
+    testbed = shutil.copytree(data / "fixtures" / "bookinfo_clean", tmp_path / "fixtures" / "bookinfo_clean")
+    rewrite, changed = FAULTS[case]
+    assert rewrite(testbed) == 1
+    assert all(clean[0][name] == 0 for name in changed)
+    found, *rest = build(testbed / "manifest.yaml", queries, caplog)
+    assert found == clean[0] | changed
+    # the same warnings, image nodes, and node and edge counts
+    assert tuple(rest) == clean[1:]

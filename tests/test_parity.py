@@ -51,8 +51,8 @@ EXPLAIN_SHA256 = {
 
 # sha256 of each fleet's export as `skygraph build` writes it
 EXPORT_SHA256 = {
-    "fleet-20-unique-9": "3979a942a0fcbe21a6c31f74ad1b9d65c100b15cccbc14516aca2571c6b2cc1d",
-    "fleet-8-shared-4": "12bec9b3cd17a70409017afa2575877f07e60f88a7bf85d543c0951f7452aafd",
+    "fleet-20-unique-9": "9be90b96c1cabb698d9d932481215e300c28f8f363816e03ad5b832476a3fae1",
+    "fleet-8-shared-4": "73171317c08f30226358070f390df0e2e1e5a63e196142a19630e20cbc54f4b9",
 }
 
 
