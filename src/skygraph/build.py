@@ -13,10 +13,10 @@ from pathlib import Path
 
 from skygraph import codefacts, dataflow
 from skygraph.discovery import Discovery, load_inventory, load_workflow
-from skygraph.errors import ManifestError
+from skygraph.errors import ManifestError, UnknownClassError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import Ontology, load_ontology
-from skygraph.yamlfile import DEFAULT_STAR_MAX, check_fields, check_positive_int, load_document
+from skygraph.yamlfile import DEFAULT_STAR_MAX, check_fields, check_positive_int, in_file, ingesting, load_document
 
 _FILE_LISTS = ("mappings", "inventories", "workflows", "codefacts")
 # (required, optional) manifest fields; star_max has its own rule
@@ -95,7 +95,9 @@ def graph_counts(graph: PropertyGraph) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def build_graph(manifest: BuildManifest) -> tuple[PropertyGraph, Ontology, BuildReport]:
-    """Run the whole pipeline and freeze the resulting graph."""
+    """Run the whole pipeline and freeze the resulting graph. An error names
+    the input file being ingested, but a class the build writes that the
+    ontology lacks is reported in the ontology file."""
     timings: list[tuple[str, float]] = []
 
     def timed(name: str, fn):
@@ -109,9 +111,9 @@ def build_graph(manifest: BuildManifest) -> tuple[PropertyGraph, Ontology, Build
 
     def run_codefacts() -> None:
         for path in manifest.codefacts:
-            codefacts.ingest_code_facts(graph, codefacts.load_code_facts(path))
-
-    timed("codefacts", run_codefacts)
+            doc = codefacts.load_code_facts(path)
+            with ingesting(path):
+                codefacts.ingest_code_facts(graph, doc)
 
     discovery = Discovery(graph, manifest.registry_locations)
 
@@ -120,14 +122,18 @@ def build_graph(manifest: BuildManifest) -> tuple[PropertyGraph, Ontology, Build
             discovery.ingest_inventory(load_inventory(path), path)
         discovery.resolve_inventory_links()
 
-    timed("inventories", run_inventories)
-    timed(
-        "workflows",
-        lambda: [discovery.ingest_workflow(load_workflow(p)) for p in manifest.workflows],
-    )
-    timed("link_applications", discovery.link_applications)
-    for name in dataflow._PASSES:
-        timed(name, lambda: getattr(dataflow, name)(graph))
+    try:
+        timed("codefacts", run_codefacts)
+        timed("inventories", run_inventories)
+        timed(
+            "workflows",
+            lambda: [discovery.ingest_workflow(load_workflow(p), p) for p in manifest.workflows],
+        )
+        timed("link_applications", discovery.link_applications)
+        for name in dataflow._PASSES:
+            timed(name, lambda: getattr(dataflow, name)(graph))
+    except UnknownClassError as exc:
+        raise in_file(manifest.ontology, exc)
     graph.settings = {"star_max": manifest.star_max}
     graph.freeze()
 

@@ -18,7 +18,7 @@ from skygraph.errors import GraphError, QueryError, SkygraphError
 from skygraph.graph import Path as GraphPath
 from skygraph.graph import PropertyGraph, export_graph, import_graph
 from skygraph.query import evaluate, parse_query
-from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int
+from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int, in_file
 
 
 def render_path(graph: PropertyGraph, path: GraphPath) -> str:
@@ -62,7 +62,7 @@ def _read_graph(path: str) -> PropertyGraph:
         # through the module global, which bench/tracing.py wraps
         return import_graph(text)
     except SkygraphError as exc:
-        raise GraphError(f"{path}: {exc}") from exc
+        raise in_file(path, exc)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:

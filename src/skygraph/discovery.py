@@ -1,10 +1,10 @@
 """Recorded cloud inventories and CI/CD workflow files.
 
 Inventory documents are credential-free snapshots of one provider's
-resources; they replace live provider API discovery. An inventory stays
-the dict its YAML file loads as: `inventory_from_document` checks it and
-returns it unchanged, and `Discovery.ingest_inventory` reads the checked
-dict. Each resource is classified through the ontology, gets its offered
+resources; they replace live provider API discovery. An inventory or a
+workflow stays the dict its YAML file loads as: `inventory_from_document`
+or `workflow_from_document` checks it and returns it unchanged, and
+`Discovery` reads the checked dict. Each resource is classified through the ontology, gets its offered
 security features attached, and is wired to other resources via
 structural links (cluster membership, load-balancer targets, image usage,
 log forwarding). Workflow files contribute container images and
@@ -17,14 +17,14 @@ from __future__ import annotations
 import logging
 import re
 import shlex
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
-from skygraph.errors import DiscoveryError, SkygraphError, UnknownMappingError
+from skygraph.errors import DiscoveryError
 from skygraph.graph import PropertyGraph
 from skygraph.ontology import Ontology
-from skygraph.yamlfile import SCALAR, check_fields, load_document
+from skygraph.yamlfile import SCALAR, check_fields, in_file, ingesting, load_document
 
 log = logging.getLogger(__name__)
 
@@ -74,19 +74,12 @@ _RECORDED_FEATURES = {
 }
 
 
-@dataclass
-class WorkflowDocument:
-    name: str
-    #: every line of every step's `run:` script, stripped
-    commands: list[str]
-
-
 # -- document loading ---------------------------------------------------------
 
 
 def inventory_from_document(doc: dict) -> dict:
-    """Check an inventory document; returns `doc` unchanged. Resource ids
-    are compared as strings, as `ingest_inventory` records them."""
+    """Check an inventory document; returns `doc` unchanged. Duplicate
+    resource ids are found by `Discovery.ingest_inventory`."""
     check_fields(doc, "inventory", DiscoveryError, *_INVENTORY)
     for entry in doc.get("resources") or []:
         check_fields(entry, "resource entry", DiscoveryError, *_RESOURCE)
@@ -97,12 +90,6 @@ def inventory_from_document(doc: dict) -> dict:
             raise DiscoveryError(f"{where} has unknown auth value {props['auth']!r}")
         links = entry.get("links") or {}
         check_fields(links, f"links of {where}", DiscoveryError, {}, RECOGNIZED_LINKS)
-    seen: set[str] = set()
-    for entry in doc.get("resources") or []:
-        resource_id = str(entry["id"])
-        if resource_id in seen:
-            raise DiscoveryError(f"duplicate resource id {resource_id!r}")
-        seen.add(resource_id)
     return doc
 
 
@@ -110,22 +97,28 @@ def load_inventory(path: str | Path) -> dict:
     return load_document(path, DiscoveryError, inventory_from_document)
 
 
-def workflow_from_document(doc: dict) -> WorkflowDocument:
-    """A GitHub Actions workflow: `jobs` maps job ids to jobs. As in the
-    shell, a backslash at the end of a script line joins the next."""
+def workflow_from_document(doc: dict) -> dict:
+    """Check a GitHub Actions workflow, in which `jobs` maps job ids to
+    jobs; returns `doc` unchanged."""
     check_fields(doc, "workflow", DiscoveryError, *_WORKFLOW, open=True)
-    commands = []
     for job in (doc.get("jobs") or {}).values():
         check_fields(job, "workflow job", DiscoveryError, *_JOB, open=True)
         for step in job.get("steps") or []:
             check_fields(step, "workflow step", DiscoveryError, *_STEP, open=True)
-            script = str(step.get("run", ""))
-            commands.extend(line.strip() for line in script.replace("\\\n", "").splitlines())
-    return WorkflowDocument(name=str(doc.get("name", "")), commands=commands)
+    return doc
 
 
-def load_workflow(path: str | Path) -> WorkflowDocument:
+def load_workflow(path: str | Path) -> dict:
     return load_document(path, DiscoveryError, workflow_from_document)
+
+
+def run_lines(doc: dict) -> Iterator[str]:
+    """Every line, stripped, of every step's `run:` script of a checked
+    workflow; as in the shell, a backslash at the end of a line joins the next."""
+    for job in (doc.get("jobs") or {}).values():
+        for step in job.get("steps") or []:
+            script = str(step.get("run", ""))
+            yield from (line.strip() for line in script.replace("\\\n", "").splitlines())
 
 
 # -- security feature attachment ----------------------------------------------
@@ -217,44 +210,38 @@ class Discovery:
 
         An unknown (provider, provider_type) pair raises immediately: an
         unclassifiable resource must surface, not be skipped, and so must a
-        resource id an earlier inventory declared. `path`, the file `doc`
-        was read from, prefixes those errors and the dangling-link errors
-        `resolve_inventory_links` raises for its resources.
+        resource id, compared as a string, that this or an earlier
+        inventory declared. Errors raised here name `path`, the file `doc`
+        was read from, as do those `resolve_inventory_links` raises for it.
         """
         count = 0
-        for entry in doc.get("resources") or []:
-            provider_id = str(entry["id"])
-            if provider_id in self._declared:
-                first = self._declared[provider_id] or "an earlier inventory"
-                raise _in_file(path, DiscoveryError(f"resource id {provider_id!r} is already declared in {first}"))
-            self._declared[provider_id] = path
-            try:
-                cls = self.graph.ontology.resolve_instance_class(
-                    doc["provider"], str(entry["provider_type"])
-                )
-            except UnknownMappingError as exc:
-                raise _in_file(path, exc)
-            props = entry.get("properties") or {}
-            node_props: dict = {"provider_id": provider_id}
-            declared = self.graph.property_keys(cls)
-            if "public_access" in props and "public_access" in declared:
-                node_props["public_access"] = props["public_access"]
-            if "http_url" in props and "url" in declared:
-                node_props["url"] = props["http_url"]
-            resource_id = self.graph.add_node(cls, str(entry["name"]), node_props)
-            if "http_url" in props:
-                endpoint = self.graph.add_node(
-                    "HttpEndpoint",
-                    str(props["http_url"]),
-                    {"url": props["http_url"], "method": "ANY"},
-                )
-                self.graph.add_edge(resource_id, endpoint, "HAS_ENDPOINT")
-            attach_security_features(self.graph, resource_id, entry)
-            for key, targets in (entry.get("links") or {}).items():
-                # a link names one resource id or a list of them
-                for target in [targets] if isinstance(targets, str) else targets or []:
-                    self._pending_links.append((resource_id, key, target, path))
-            count += 1
+        with ingesting(path):
+            for entry in doc.get("resources") or []:
+                provider_id = str(entry["id"])
+                if provider_id in self._declared:
+                    first = self._declared[provider_id] or "an earlier inventory"
+                    where = "this file" if first == path else first
+                    raise DiscoveryError(f"resource id {provider_id!r} is already declared in {where}")
+                self._declared[provider_id] = path
+                cls = self.graph.ontology.resolve_instance_class(doc["provider"], str(entry["provider_type"]))
+                props = entry.get("properties") or {}
+                node_props: dict = {"provider_id": provider_id}
+                declared = self.graph.property_keys(cls)
+                if "public_access" in props and "public_access" in declared:
+                    node_props["public_access"] = props["public_access"]
+                if "http_url" in props and "url" in declared:
+                    node_props["url"] = props["http_url"]
+                resource_id = self.graph.add_node(cls, str(entry["name"]), node_props)
+                if "http_url" in props:
+                    url = props["http_url"]
+                    endpoint = self.graph.add_node("HttpEndpoint", str(url), {"url": url, "method": "ANY"})
+                    self.graph.add_edge(resource_id, endpoint, "HAS_ENDPOINT")
+                attach_security_features(self.graph, resource_id, entry)
+                for key, targets in (entry.get("links") or {}).items():
+                    # a link names one resource id or a list of them
+                    for target in [targets] if isinstance(targets, str) else targets or []:
+                        self._pending_links.append((resource_id, key, target, path))
+                count += 1
         return count
 
     def resolve_inventory_links(self) -> None:
@@ -266,13 +253,8 @@ class Discovery:
                 continue
             target_id = self.graph.find_by_provider_id(target)
             if target_id is None:
-                raise _in_file(
-                    path,
-                    DiscoveryError(
-                        f"resource {self.graph.node(resource_id).name!r} links to "
-                        f"unknown resource id {target!r}"
-                    ),
-                )
+                name = self.graph.node(resource_id).name
+                raise in_file(path, DiscoveryError(f"resource {name!r} links to unknown resource id {target!r}"))
             if key == "member_of":
                 self.graph.add_edge(target_id, resource_id, "CONTAINS")
             elif key == "targets":
@@ -314,35 +296,31 @@ class Discovery:
             self.graph.add_edge(registry, geo, "GEO_LOCATION")
         return registry
 
-    def ingest_workflow(self, doc: WorkflowDocument) -> int:
-        """Scan job steps for docker build/push commands; returns the
+    def ingest_workflow(self, doc: dict, path: str | Path | None = None) -> int:
+        """Scan the `run_lines` of a workflow checked by
+        `workflow_from_document` for docker build/push commands; returns the
         number of container image nodes created. A build is one image: its
         node is the one any of its tags already names, else a new one named
         by its first tag, and every tag names it from then on. A push of an
         image that no workflow builds is reported by `link_applications`,
-        once every workflow is read."""
+        once every workflow is read. Errors raised here name `path`, the
+        file `doc` was read from."""
         created = 0
-        for command in doc.commands:
-            build = command.startswith("docker build")
-            if build:
-                names = _build_image_names(command)
-            elif command.startswith("docker push"):
-                name = _push_image_name(command)
-                names = [] if name is None else [name]
-            else:
-                continue
-            if not names:
-                continue
-            keys = [image_key(name) for name in names]
-            image_id, new = self._image_node(names[0], keys)
-            created += new
-            if build:
-                self._built.update(keys)
-                continue
-            self._pushes.append((doc.name, names[0], keys[0]))
-            # a key's text before its first "/" is its registry host
-            registry_id = self._registry_node(keys[0].partition("/")[0])
-            self.graph.add_edge_once(image_id, registry_id, "PUSHES_TO")
+        with ingesting(path):
+            for command in run_lines(doc):
+                build, names = _image_names(command)
+                if not names:
+                    continue
+                keys = [image_key(name) for name in names]
+                image_id, new = self._image_node(names[0], keys)
+                created += new
+                if build:
+                    self._built.update(keys)
+                    continue
+                self._pushes.append((str(doc.get("name", "")), names[0], keys[0]))
+                # a key's text before its first "/" is its registry host
+                registry_id = self._registry_node(keys[0].partition("/")[0])
+                self.graph.add_edge_once(image_id, registry_id, "PUSHES_TO")
         return created
 
     # -- application anchoring -------------------------------------------
@@ -389,14 +367,6 @@ class Discovery:
         return created
 
 
-def _in_file(path: str | Path | None, exc: SkygraphError) -> SkygraphError:
-    """`exc` with its message prefixed by `path`, as `load_document` names a
-    file; its type and attributes are kept."""
-    if path is not None:
-        exc.args = (f"{path}: {exc}",)
-    return exc
-
-
 # What makes `shlex.split` differ from `str.split`: quotes, the escape
 # character, and whitespace other than the four shlex splits on
 _SHELL_SYNTAX = re.compile(r"[\"'\\]|[^\S \t\r\n]")
@@ -414,28 +384,28 @@ def _split_command(command: str) -> list[str]:
         return []
 
 
-def _build_image_names(command: str) -> list[str]:
-    """Every tag of a `docker build`, in command order."""
-    args = iter(_split_command(command))
+def _image_names(command: str) -> tuple[bool, list[str]]:
+    """Whether a script line is a `docker build`, and the images it names:
+    every tag of a build, in command order, or the image of `docker push
+    [OPTIONS] NAME`, its first argument that is not an option (`--platform`
+    is the one option that takes a value). Any other line names none."""
+    build = command.startswith("docker build")
+    if not build and not command.startswith("docker push"):
+        return False, []
+    # the first two words are `docker` and the subcommand
+    args = iter(_split_command(command)[2:])
     names = []
     for arg in args:
-        if arg in ("-t", "--tag"):
+        if not build:
+            if arg == "--platform":
+                next(args, None)
+            elif not arg.startswith("-"):
+                return False, [arg]
+        elif arg in ("-t", "--tag"):
             names.extend(islice(args, 1))  # its value, if there is one
         elif arg.startswith("--tag="):
             names.append(arg.split("=", 1)[1])
-    return names
-
-
-def _push_image_name(command: str) -> str | None:
-    """The image of `docker push [OPTIONS] NAME`: the first argument that
-    is not an option; `--platform` is the one option that takes a value."""
-    args = iter(_split_command(command)[2:])
-    for arg in args:
-        if arg == "--platform":
-            next(args, None)
-        elif not arg.startswith("-"):
-            return arg
-    return None
+    return build, names
 
 
 def image_key(ref: str) -> str:

@@ -1,6 +1,6 @@
 """The one reader of skygraph's YAML inputs (manifests, ontology and
-mapping files, code facts, inventories and workflows) and the one check of
-every input document's shape.
+mapping files, code facts, inventories and workflows), the one check of
+every input document's shape, and the one way an error names its file.
 
 Parsing and composing use libyaml (`yaml.CSafeLoader`) when PyYAML was
 built with it, and the pure-Python `yaml.SafeLoader` otherwise. Scalars
@@ -20,13 +20,14 @@ mapping.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
 import yaml
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
-from skygraph.errors import SkygraphError
+from skygraph.errors import SkygraphError, UnknownClassError
 
 #: Spec of a property value: string, boolean or integer.
 SCALAR = (str, bool, int)
@@ -179,14 +180,35 @@ def load_yaml(path: str | Path, error_cls: type[SkygraphError]):
         raise error_cls(f"cannot load {path}: nested too deeply to parse") from exc
 
 
+def in_file(path: str | Path | None, exc: SkygraphError) -> SkygraphError:
+    """`exc` with its message prefixed by `path`, unless None: the one way an
+    error names the file it is about. Its type and attributes are kept."""
+    if path is not None:
+        exc.args = (f"{path}: {exc}",)
+    return exc
+
+
+@contextmanager
+def ingesting(path: str | Path | None):
+    """Name `path` in every `SkygraphError` the block raises but an
+    `UnknownClassError`: a class the build writes that the ontology lacks,
+    which `build_graph` reports in the ontology file."""
+    try:
+        yield
+    except UnknownClassError:
+        raise
+    except SkygraphError as exc:
+        raise in_file(path, exc)
+
+
 def load_document(path: str | Path, error_cls: type[SkygraphError], read: Callable):
     """Load one YAML file and turn it into a value with `read`; every
-    `error_cls` raised on the way names the file."""
+    error raised on the way names the file."""
     doc = load_yaml(path, error_cls)
     try:
         return read(doc)
-    except error_cls as exc:
-        raise error_cls(f"{path}: {exc}") from exc
+    except SkygraphError as exc:
+        raise in_file(path, exc)
 
 
 def _conforms(value, spec) -> bool:

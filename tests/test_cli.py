@@ -252,6 +252,59 @@ def test_malformed_input_exits_2(bookinfo_copy, tmp_path, capsys, case):
         assert f"error: {bookinfo_copy / target}: " in err
 
 
+def _without_class(name):
+    """A mutation that deletes class `name` from an ontology document."""
+
+    def mutate(doc):
+        doc["classes"] = [entry for entry in doc["classes"] if entry["name"] != name]
+
+    return mutate
+
+
+def _without_data_property(class_name, key):
+    """A mutation that deletes data property `key` of class `class_name`."""
+
+    def mutate(doc):
+        (entry,) = (entry for entry in doc["classes"] if entry["name"] == class_name)
+        del entry["data_properties"][key]
+
+    return mutate
+
+
+# errors that name the file they are about: (file under the bookinfo
+# testbed, mutation, file the error names)
+NAMED_ERRORS = {
+    # a class the build writes, missing from the ontology while a bundle is
+    # ingested and while a resolution pass runs
+    "ontology-without-LogOutput": (CORE, _without_class("LogOutput"), CORE),
+    "ontology-without-ProxiedEndpoint": (CORE, _without_class("ProxiedEndpoint"), CORE),
+    # a property the bundle records that its class does not declare
+    "bundle-language-undeclared": (CORE, _without_data_property("Application", "language"), CODEFACTS),
+    # a property the inventory records that its feature's class does not declare
+    "inventory-region-undeclared": (
+        CORE,
+        _without_data_property("GeoLocation", "region"),
+        "inventories/azure.yaml",
+    ),
+    "bundle-function-without-name": (CODEFACTS, _drop("functions", 0, "name"), CODEFACTS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_ERRORS))
+def test_build_error_names_its_file_once(bookinfo_copy, tmp_path, capsys, case):
+    target, mutate, named = NAMED_ERRORS[case]
+    path = bookinfo_copy / target
+    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    mutate(doc)
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["build", str(bookinfo_copy / "manifest.yaml"), "--out", str(tmp_path / "graph.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bookinfo_copy / named}: ") and err.count("\n") == 1
+    # the one file named, and named once
+    assert err.count(".yaml") == 1 and "Traceback" not in err
+
+
 class TestQuery:
     def test_weak_encryption_shows_tls_version_endpoint(self, built_graph_file, tmp_path, capsys):
         query_file = write_query(tmp_path, "weak-transport-encryption")

@@ -14,6 +14,7 @@ from skygraph.discovery import (
     inventory_from_document,
     load_inventory,
     load_workflow,
+    run_lines,
     workflow_from_document,
 )
 from skygraph.errors import DiscoveryError, UnknownMappingError
@@ -42,15 +43,17 @@ def workflow(runs):
 
 
 class TestDocumentValidation:
-    def test_duplicate_resource_id(self):
-        with pytest.raises(DiscoveryError, match="duplicate"):
-            inventory(
-                "aws",
-                [
-                    {"id": "a", "name": "x", "provider_type": "T"},
-                    {"id": "a", "name": "y", "provider_type": "T"},
-                ],
-            )
+    def test_duplicate_resource_id(self, discovery, tmp_path):
+        path = tmp_path / "inventory.yaml"
+        path.write_text(
+            "provider: aws\nresources:\n"
+            "  - {id: a, name: x, provider_type: AWS::EC2::Instance}\n"
+            "  - {id: a, name: y, provider_type: AWS::EC2::Instance}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DiscoveryError) as info:
+            discovery.ingest_inventory(load_inventory(path), path)
+        assert str(info.value) == f"{path}: resource id 'a' is already declared in this file"
 
     def test_unrecognized_property(self):
         with pytest.raises(DiscoveryError, match=r"unknown keys \['nope'\] in properties"):
@@ -104,6 +107,10 @@ class TestDocumentValidation:
     def test_workflow_job_or_step_not_a_mapping(self, jobs, what):
         with pytest.raises(DiscoveryError, match=f"workflow {what} must be a mapping"):
             workflow_from_document({"name": "wf", "jobs": jobs})
+
+    def test_checked_workflow_is_the_document(self):
+        doc = {"name": "wf", "on": "push", "jobs": {"j": {"steps": [{"uses": "actions/checkout@v4"}]}}}
+        assert workflow_from_document(doc) is doc
 
     def test_list_of_jobs_rejected(self):
         jobs = [{"name": "build", "steps": [{"run": "docker build -t x ."}]}]
@@ -360,9 +367,10 @@ class TestIngestWorkflow:
     def test_repository_ci_workflow(self, discovery, graph):
         # YAML reads its `on:` as True; it has uses/with steps and multi-line scripts
         doc = load_workflow(Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml")
-        assert doc.name == "ci"
-        assert "python -m pip install ." in doc.commands
-        assert 'cd "$RUNNER_TEMP"' in doc.commands
+        assert doc["name"] == "ci"
+        lines = list(run_lines(doc))
+        assert "python -m pip install ." in lines
+        assert 'cd "$RUNNER_TEMP"' in lines
         assert discovery.ingest_workflow(doc) == 0
         assert graph.nodes_with_class("ContainerImage") == []
 
@@ -474,7 +482,7 @@ class TestIngestWorkflow:
 BUNDLED_COMMANDS = sorted(
     command
     for testbed in ("bookinfo", "bookinfo_clean")
-    for command in load_workflow(data_path(f"fixtures/{testbed}/workflows/deploy.yaml")).commands
+    for command in run_lines(load_workflow(data_path(f"fixtures/{testbed}/workflows/deploy.yaml")))
 )
 # shell syntax, and whitespace that str.split splits on and shlex does not
 COMMAND_ALPHABET = "ab -=/:.'\"\\#\x0b\x0c\x1c\x85\xa0\u2028\r\n\t\u00e9\U0001d11e"
