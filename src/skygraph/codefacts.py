@@ -226,13 +226,8 @@ def ingest_code_facts(graph: PropertyGraph, doc: dict) -> int:
 
     # materialize every referenced expression before wiring flows
     for call in _list(doc, "calls"):
-        if call.get("arguments"):
-            arg_ids = [node_for_ref(arg) for arg in call["arguments"]]
-            # kept only for the export format: argument nodes get their ids
-            # after every CallExpression, and nothing reads this back
-            graph.node(ref_nodes[call["id"]]).properties["argument_nodes"] = ",".join(
-                str(i) for i in arg_ids
-            )
+        for arg in _list(call, "arguments"):
+            node_for_ref(arg)
     dfg = [(pair["from"], pair["to"]) for pair in _list(doc, "dfg")]
     for src, dst in dfg:
         node_for_ref(src)

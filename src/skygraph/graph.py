@@ -57,9 +57,10 @@ EDGE_TYPES = frozenset(
 UNIVERSAL_PROPERTY_KEYS = {"name": str, "provider_id": str}
 
 # (required, optional) sections of an export and its settings; the
-# ontology is read by `ontology_from_documents`, star_max by its own rule
+# ontology is read by `ontology_from_documents`, the row groups by
+# `from_document` and star_max by its own rule
 _EXPORT = (
-    {"ontology": object, "nodes": list, "edges": list},
+    {"ontology": object, "nodes": object, "edges": object},
     {"mappings": list, "settings": object},
 )
 _SETTINGS = ({}, {"star_max": object})
@@ -143,13 +144,15 @@ def _not_scalar(key: str, value) -> GraphError:
     )
 
 
-def _malformed(what: str, row) -> GraphError:
-    if type(row) is dict:
+def _not_grouped(section: str, groups) -> GraphError:
+    """The error for a `nodes` or `edges` section that is not a mapping of
+    row groups; one list of entries is how older exports wrote it."""
+    if type(groups) is list:
         return GraphError(
-            f"{what} entries are objects, as older exports wrote them; "
+            f"{section} are one list, as older exports wrote them; "
             "rebuild the export with `skygraph build`"
         )
-    return GraphError(f"malformed {what} entry {row!r}")
+    return GraphError(f"{section} must be a mapping of groups of rows, got {type(groups).__name__}")
 
 
 class PropertyGraph:
@@ -227,85 +230,113 @@ class PropertyGraph:
     ) -> int:
         self._check_mutable()
         node_id = self._next_node
-        self._insert_node(node_id, class_name, name, dict(properties or {}))
+        self._insert_nodes(class_name, [[node_id, name, dict(properties) if properties else {}]])
         return node_id
 
-    def _insert_node(self, node_id: int, class_name: str, name: str, props: dict[str, Scalar]) -> None:
-        """The one way into the node table: check the fields, then make the
-        node, which keeps `props` itself, and index it; a lookup-index entry
-        already taken by an earlier node is kept."""
+    def _insert_nodes(self, class_name: str, rows: list) -> None:
+        """The one way into the node table: resolve `class_name` once, then
+        check each `[id, name, properties]` row of `rows` in turn and only
+        then make its node, which keeps the row's properties dict itself,
+        and index it; a lookup-index entry already taken by an earlier node
+        is kept. A row that fails a check raises before any of it is
+        inserted; `from_document` then drops the whole graph."""
         if not isinstance(class_name, str):
-            raise GraphError(f"node {node_id} class must be a string, got {class_name!r}")
+            raise GraphError(f"node class must be a string, got {class_name!r}")
         allowed = self.property_keys(class_name)
-        if not isinstance(name, str):
-            raise GraphError(f"node {node_id} name must be a string, got {name!r}")
-        if props:
-            for key, value in props.items():
-                if allowed is None:
-                    if not isinstance(value, SCALAR):
-                        raise _not_scalar(key, value)
-                elif type(value) is not allowed.get(key):
-                    if key not in allowed:
-                        raise GraphError(f"property {key!r} not allowed on class {class_name!r}")
-                    raise GraphError(
-                        f"property {key!r} of class {class_name!r} must be "
-                        f"{KIND_OF[allowed[key]]}, got {type(value).__name__}"
-                    )
-        nodes = self._nodes
-        if node_id in nodes:
-            raise GraphError(f"duplicate node id {node_id}")
-        nodes[node_id] = Node(node_id, class_name, name, props)
-        self._by_from[node_id] = []
-        self._by_to[node_id] = []
-        ids = self._label_index.get(class_name)
-        if ids is None:
-            ids = self._label_index[class_name] = []
-        ids.append(node_id)
-        if self._by_name is not None:
-            names = self._by_name.get(class_name)
-            if names is None:
-                names = self._by_name[class_name] = {}
-            if name not in names:
+        if type(rows) is not list:
+            raise GraphError(f"{class_name!r} nodes must be a list of rows, got {type(rows).__name__}")
+        nodes, by_from, by_to = self._nodes, self._by_from, self._by_to
+        ids = self._label_index.setdefault(class_name, [])
+        names = None if self._by_name is None else self._by_name.setdefault(class_name, {})
+        by_provider_id = self._by_provider_id
+        next_node = self._next_node
+        for row in rows:
+            # A row is a list of exactly the fields `export_graph` writes; an
+            # id is an int, never a bool or a float, and not negative.
+            try:
+                node_id, name, props = row
+                if type(row) is not list or type(node_id) is not int or node_id < 0 or type(props) is not dict:
+                    raise ValueError("not a node row as export_graph writes it")
+            except (TypeError, ValueError) as exc:
+                raise GraphError(f"malformed node entry {row!r}") from exc
+            if not isinstance(name, str):
+                raise GraphError(f"node {node_id} name must be a string, got {name!r}")
+            if props:
+                for key, value in props.items():
+                    if allowed is None:
+                        if not isinstance(value, SCALAR):
+                            raise _not_scalar(key, value)
+                    elif type(value) is not allowed.get(key):
+                        if key not in allowed:
+                            raise GraphError(f"property {key!r} not allowed on class {class_name!r}")
+                        raise GraphError(
+                            f"property {key!r} of class {class_name!r} must be "
+                            f"{KIND_OF[allowed[key]]}, got {type(value).__name__}"
+                        )
+            if node_id in nodes:
+                raise GraphError(f"duplicate node id {node_id}")
+            nodes[node_id] = Node(node_id, class_name, name, props)
+            by_from[node_id] = []
+            by_to[node_id] = []
+            ids.append(node_id)
+            if names is not None and name not in names:
                 names[name] = node_id
-        if self._by_provider_id is not None and props and "provider_id" in props:
-            self._by_provider_id.setdefault(props["provider_id"], node_id)
-        if node_id >= self._next_node:
-            self._next_node = node_id + 1
+            if by_provider_id is not None and props and "provider_id" in props:
+                by_provider_id.setdefault(props["provider_id"], node_id)
+            if node_id >= next_node:
+                next_node = node_id + 1
+        self._next_node = next_node
 
     def add_edge(
         self, from_id: int, to_id: int, type: str, properties: dict[str, Scalar] | None = None
     ) -> int:
         self._check_mutable()
         edge_id = self._next_edge
-        self._insert_edge(edge_id, type, from_id, to_id, dict(properties or {}))
+        self._insert_edges(type, [[edge_id, from_id, to_id, dict(properties) if properties else {}]])
         return edge_id
 
-    def _insert_edge(
-        self, edge_id: int, edge_type: str, from_id: int, to_id: int, props: dict[str, Scalar]
-    ) -> None:
-        """The one way into the edge table: check the fields, then make the
-        edge, which keeps `props` itself, and index it."""
+    def _insert_edges(self, edge_type: str, rows: list) -> None:
+        """The one way into the edge table: check `edge_type` once, then
+        each `[id, from, to, properties]` row of `rows` in turn, as
+        `_insert_nodes` does, and only then make its edge, which keeps the
+        row's properties dict itself, and index it."""
         if not isinstance(edge_type, str) or edge_type not in EDGE_TYPES:
             raise GraphError(f"unregistered edge type {edge_type!r}")
-        nodes = self._nodes
-        if from_id not in nodes:
-            raise GraphError(f"edge source {from_id!r} does not exist")
-        if to_id not in nodes:
-            raise GraphError(f"edge target {to_id!r} does not exist")
-        if props:
-            for key, value in props.items():
-                if not isinstance(value, SCALAR):
-                    raise _not_scalar(key, value)
-        edges = self._edges
-        if edge_id in edges:
-            raise GraphError(f"duplicate edge id {edge_id}")
-        edge = edges[edge_id] = Edge(edge_id, edge_type, from_id, to_id, props)
-        self._by_from[from_id].append(edge)
-        self._by_to[to_id].append(edge)
-        if self._edge_keys is not None:
-            self._edge_keys.add(_edge_key(from_id, to_id, edge_type))
-        if edge_id >= self._next_edge:
-            self._next_edge = edge_id + 1
+        if type(rows) is not list:
+            raise GraphError(f"{edge_type!r} edges must be a list of rows, got {type(rows).__name__}")
+        nodes, edges, by_from, by_to = self._nodes, self._edges, self._by_from, self._by_to
+        edge_keys = self._edge_keys
+        next_edge = self._next_edge
+        for row in rows:
+            try:
+                edge_id, from_id, to_id, props = row
+                if (
+                    type(row) is not list
+                    or type(edge_id) is not int or type(from_id) is not int or type(to_id) is not int
+                    or edge_id < 0 or from_id < 0 or to_id < 0
+                    or type(props) is not dict
+                ):
+                    raise ValueError("not an edge row as export_graph writes it")
+            except (TypeError, ValueError) as exc:
+                raise GraphError(f"malformed edge entry {row!r}") from exc
+            if from_id not in nodes:
+                raise GraphError(f"edge source {from_id!r} does not exist")
+            if to_id not in nodes:
+                raise GraphError(f"edge target {to_id!r} does not exist")
+            if props:
+                for key, value in props.items():
+                    if not isinstance(value, SCALAR):
+                        raise _not_scalar(key, value)
+            if edge_id in edges:
+                raise GraphError(f"duplicate edge id {edge_id}")
+            edge = edges[edge_id] = Edge(edge_id, edge_type, from_id, to_id, props)
+            by_from[from_id].append(edge)
+            by_to[to_id].append(edge)
+            if edge_keys is not None:
+                edge_keys.add(_edge_key(from_id, to_id, edge_type))
+            if edge_id >= next_edge:
+                next_edge = edge_id + 1
+        self._next_edge = next_edge
 
     def add_edge_once(self, from_id: int, to_id: int, type: str) -> bool:
         """Add an edge of `type` from `from_id` to `to_id` unless one exists;
@@ -414,11 +445,11 @@ class PropertyGraph:
         )
 
     def label_candidates(self, label: str) -> list[int]:
-        """Node ids matching `label` with inheritance resolved, in id order
-        (`Node`: in insertion order); each call returns a new list."""
+        """Node ids matching `label` with inheritance resolved, in id order;
+        each call returns a new list."""
         classes = self._classes_of(label)
         if classes is None:
-            return list(self._nodes)
+            return sorted(self._nodes)
         index = self._label_index
         return sorted(i for cls in classes for i in index.get(cls, ()))
 
@@ -468,31 +499,13 @@ class PropertyGraph:
         settings = check_fields(doc.get("settings") or {}, "settings", GraphError, *_SETTINGS)
         graph.settings = dict(settings)
         check_positive_int(graph.settings.get("star_max", DEFAULT_STAR_MAX), GraphError, "settings.star_max")
-        # A row is a list of exactly the fields `export_graph` writes; an id
-        # is an int, never a bool or a float, and not negative.
-        insert_node = graph._insert_node
-        for row in doc["nodes"]:
-            try:
-                node_id, class_name, name, props = row
-                if type(row) is not list or type(node_id) is not int or node_id < 0 or type(props) is not dict:
-                    raise ValueError("not a node row as export_graph writes it")
-            except (TypeError, ValueError) as exc:
-                raise _malformed("node", row) from exc
-            insert_node(node_id, class_name, name, props)
-        insert_edge = graph._insert_edge
-        for row in doc["edges"]:
-            try:
-                edge_id, edge_type, from_id, to_id, props = row
-                if (
-                    type(row) is not list
-                    or type(edge_id) is not int or type(from_id) is not int or type(to_id) is not int
-                    or edge_id < 0 or from_id < 0 or to_id < 0
-                    or type(props) is not dict
-                ):
-                    raise ValueError("not an edge row as export_graph writes it")
-            except (TypeError, ValueError) as exc:
-                raise _malformed("edge", row) from exc
-            insert_edge(edge_id, edge_type, from_id, to_id, props)
+        # every node group before any edge group, whose rows name the nodes
+        for section, insert in (("nodes", graph._insert_nodes), ("edges", graph._insert_edges)):
+            groups = doc[section]
+            if type(groups) is not dict:
+                raise _not_grouped(section, groups)
+            for key, rows in groups.items():
+                insert(key, rows)
         graph.freeze()
         return graph
 
@@ -509,36 +522,49 @@ def _section(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
-def _rows(rows: list[str]) -> str:
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+def _groups(groups: dict[str, list[str]]) -> str:
+    """A section of row groups, each row on one line, keys sorted."""
+    if not groups:
+        return "{}"
+    return "{\n" + ",\n".join(
+        f"    {_string(key)}: [\n      " + ",\n      ".join(groups[key]) + "\n    ]" for key in sorted(groups)
+    ) + "\n  }"
 
 
 def export_graph(graph: PropertyGraph) -> str:
     """Serialize to the JSON export format, deterministically ordered.
 
     The document holds the graph's `ontology` and `mappings` documents,
-    its `settings`, and one row per node, `[id, class, name, properties]`,
-    and per edge, `[id, type, from, to, properties]`, sorted by id, ids as
-    JSON integers. The text is exactly ``json.dumps(doc, indent=2,
-    sort_keys=True) + "\\n"`` of it, except that each row sits on one
-    line as ``json.dumps(row, sort_keys=True)``. It is laid out here
-    straight from the node and edge tables, so that strings and non-empty
-    property dicts go through the C encoder and no document is built.
+    its `settings`, one group of node rows per concrete class,
+    `{class: [[id, name, properties], ...]}`, and one group of edge rows
+    per type, `{type: [[id, from, to, properties], ...]}`; groups are
+    sorted by key, rows by id, and ids are JSON integers. The text is
+    exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of it,
+    except that each row sits on one line as ``json.dumps(row,
+    sort_keys=True)``. It is laid out here straight from the label index
+    and the edge table, so that strings and non-empty property dicts go
+    through the C encoder and no document is built.
     """
     ontology_doc, mapping_docs = graph.ontology.to_documents()
-    nodes = [
-        f"[{n.id}, {_string(n.class_name)}, {_string(n.name)}, {_encode(n.properties) if n.properties else '{}'}]"
-        for n in map(graph._nodes.__getitem__, sorted(graph._nodes))
-    ]
-    edges = [
-        f"[{e.id}, {_string(e.type)}, {e.from_id}, {e.to_id}, {_encode(e.properties) if e.properties else '{}'}]"
-        for e in map(graph._edges.__getitem__, sorted(graph._edges))
-    ]
+    nodes = graph._nodes
+    node_groups = {
+        class_name: [
+            f"[{n.id}, {_string(n.name)}, {_encode(n.properties) if n.properties else '{}'}]"
+            for n in map(nodes.__getitem__, sorted(ids))
+        ]
+        for class_name, ids in graph._label_index.items()
+        if ids
+    }
+    edge_groups: dict[str, list[str]] = {}
+    for e in map(graph._edges.__getitem__, sorted(graph._edges)):
+        edge_groups.setdefault(e.type, []).append(
+            f"[{e.id}, {e.from_id}, {e.to_id}, {_encode(e.properties) if e.properties else '{}'}]"
+        )
     return (
         "{\n"
-        f'  "edges": {_rows(edges)},\n'
+        f'  "edges": {_groups(edge_groups)},\n'
         f'  "mappings": {_section(mapping_docs)},\n'
-        f'  "nodes": {_rows(nodes)},\n'
+        f'  "nodes": {_groups(node_groups)},\n'
         f'  "ontology": {_section(ontology_doc)},\n'
         f'  "settings": {_section(graph.settings)}\n'
         "}\n"

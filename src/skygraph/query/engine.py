@@ -203,7 +203,10 @@ def _expand(
     Lists (edge id, neighbor, forward) in one pass over each of
     `out_edges` and `in_edges` of `node_id`: first the edges that point
     along the pattern's left-to-right orientation (`forward`), then those
-    against it. An undirected self-loop comes once, as forward. The list
+    against it, each part in edge id order. Adjacency lists keep insertion
+    order, which on an imported graph is the export's group order, so the
+    sort keeps the walk order of a graph what it was when it was built. An
+    undirected self-loop comes once, as forward. The list
     is kept in `memo`, which must belong to this hop shape: the list
     depends only on `rel`'s type and direction, `rightward` and `members`.
     Without `members` it is the list `_budgeted` filters for every step of
@@ -220,8 +223,10 @@ def _expand(
             neighbor = edge.to_id if rightward else edge.from_id
             if (kind is None or edge.type == kind) and (members is None or neighbor in members):
                 steps.append((edge.id, neighbor, True))
+        steps.sort()
     if rel.direction != "right":
         undirected = rel.direction == "undirected"
+        against = []
         for edge in graph.in_edges(node_id) if rightward else graph.out_edges(node_id):
             neighbor = edge.from_id if rightward else edge.to_id
             if (
@@ -229,7 +234,9 @@ def _expand(
                 and (members is None or neighbor in members)
                 and not (undirected and neighbor == node_id)
             ):
-                steps.append((edge.id, neighbor, False))
+                against.append((edge.id, neighbor, False))
+        against.sort()
+        steps += against
     memo[node_id] = steps
     return steps
 
@@ -423,7 +430,7 @@ def _condition(shape: tuple, t: int) -> str:
 
 def _source(count: int, anchor: int, tests: tuple, hops: tuple) -> str:
     """The Python text of the walk of plan shape `(count, anchor, tests,
-    hops)`: a generator function `walk(graph, seeds, hops, terms)`.
+    hops)`: a generator function `walk(graph, seeds, hops, terms, held)`.
 
     It nests one loop over the anchor's seeds, one per step of a one-step
     or fixed hop (`lo == hi`), over its step lists, and one per range hop,
@@ -469,7 +476,7 @@ def _source(count: int, anchor: int, tests: tuple, hops: tuple) -> str:
                 f"budgets{h}, used, {_tuple_text(fixed)}, *route{r})"
             )
             routes.add(r)
-            levels.append(([], f"for n{target} in {ends}:", due(target), [f"n{target}"]))
+            levels.append(([f"held[{h}] = {ends}"], f"for n{target} in held[{h}]:", due(target), [f"n{target}"]))
             parts[r] = ([f"*route{r}[0]"], [f"*route{r}[1]"], [f"*route{r}[2]"])
             continue
         parts[r] = ([], [], [])
@@ -520,7 +527,7 @@ def _source(count: int, anchor: int, tests: tuple, hops: tuple) -> str:
     else:  # a single node pattern
         last = f"yield (n{anchor},), (), (), ()"
 
-    lines = ["def walk(graph, seeds, hops, terms):"]
+    lines = ["def walk(graph, seeds, hops, terms, held):"]
     lines += [f"    {line}" for line in setup]
     groups = [levels[i : i + _MAX_LOOPS] for i in range(0, len(levels), _MAX_LOOPS)]
     names: list[str] = []  # the variables the groups so far bind
@@ -622,11 +629,18 @@ def iter_matches(
     query; a graph still being built keeps none. Only the lists are shared:
     the check that no match uses an edge twice is still made for each match.
     """
+    return _walk(graph, ast, star_max, {})
+
+
+def _walk(graph: PropertyGraph, ast: QueryAst, star_max: int, held: dict) -> Iterator[Row]:
+    """`iter_matches`' walk, which keeps each range hop's generator of
+    routes in `held` under the hop's index while it walks them, so a
+    caller that keeps `held` decides when a walk cut short closes them."""
     store = graph.hop_steps if graph.frozen else {}
     plan = _plan(graph, ast, star_max, store)
     hops = [(*hop[:6], hop[6] is not None) for hop in plan.hops]
     walk = _compile(len(ast.node_patterns), plan.anchor, len(hops), *hops, *plan.tests)
-    return walk(graph, plan.candidates[plan.anchor], _hop_lists(store, plan, ast), plan.terms)
+    return walk(graph, plan.candidates[plan.anchor], _hop_lists(store, plan, ast), plan.terms, held)
 
 
 # makes each result's `Path` from its three fields in the generated builders
@@ -670,7 +684,13 @@ def evaluate(
     only after the sort, by the generated builder of the query's shape
     (`_results_source`), to which the variable names are arguments.
     """
-    rows = sorted(iter_matches(graph, ast, star_max), key=itemgetter(0, 1))
+    # Should the walk or the rows run out of memory, the walk and its
+    # routes are closed only once these locals go, after the rows are
+    # freed: closing a suspended generator makes objects, so closing it
+    # while memory is still short would fail.
+    held: dict = {}
+    walk = _walk(graph, ast, star_max, held)
+    rows = sorted(walk, key=itemgetter(0, 1))
     # a repeated variable binds one node at each of its indices
     variables = {np.var: i for i, np in enumerate(ast.node_patterns) if np.var is not None}
     return _builder(bool(ast.path_var), *variables.values())(rows, tuple(variables))

@@ -28,40 +28,65 @@ from skygraph.query.syntax import NodeComparison, PropertyComparison, QueryAst
 
 def to_document(graph: PropertyGraph) -> dict:
     """The export document of `graph`: the spec that `export_graph`'s text
-    is `export_text` of, and the document `import_graph` reads."""
+    is `export_text` of, and the document `import_graph` reads. Node rows
+    are grouped by class and edge rows by type, each group in id order."""
     ontology_doc, mapping_docs = graph.ontology.to_documents()
+    nodes: dict[str, list] = {}
+    for n in sorted(graph.nodes(), key=lambda n: n.id):
+        nodes.setdefault(n.class_name, []).append([n.id, n.name, dict(n.properties)])
+    edges: dict[str, list] = {}
+    for e in sorted(graph.edges(), key=lambda e: e.id):
+        edges.setdefault(e.type, []).append([e.id, e.from_id, e.to_id, dict(e.properties)])
     return {
         "ontology": ontology_doc,
         "mappings": mapping_docs,
         "settings": dict(graph.settings),
-        "nodes": [
-            [n.id, n.class_name, n.name, dict(n.properties)]
-            for n in sorted(graph.nodes(), key=lambda n: n.id)
-        ],
-        "edges": [
-            [e.id, e.type, e.from_id, e.to_id, dict(e.properties)]
-            for e in sorted(graph.edges(), key=lambda e: e.id)
-        ],
+        "nodes": nodes,
+        "edges": edges,
     }
 
 
-#: the fields of a node row and of an edge row, in their order
-ROW_FIELDS = {"nodes": ("id", "class", "name", "properties"), "edges": ("id", "type", "from", "to", "properties")}
+#: the fields of a node row and of an edge row, in their order, and what
+#: the key of the group that holds the row names
+ROW_FIELDS = {"nodes": ("id", "name", "properties"), "edges": ("id", "from", "to", "properties")}
+GROUP_KEY = {"nodes": "class", "edges": "type"}
+
+
+def first_group(doc: dict, section: str) -> list:
+    """The rows of the first group of `section`."""
+    return next(iter(doc[section].values()))
+
+
+def reversed_rows(doc: dict) -> dict:
+    """`doc` with its groups, and the rows in each, in reverse order."""
+    for section in ROW_FIELDS:
+        doc[section] = {key: rows[::-1] for key, rows in reversed(doc[section].items())}
+    return doc
+
+
+def row_lists(doc: dict) -> dict:
+    """`doc` as exports were written before rows were grouped: one list
+    of rows per section, in id order, each row with its class or type as
+    its second field."""
+    flat = {}
+    for section in ROW_FIELDS:
+        rows = [[row[0], key, *row[1:]] for key, group in doc[section].items() for row in group]
+        flat[section] = sorted(rows, key=lambda row: row[0])
+    return dict(doc, **flat)
 
 
 def object_entries(doc: dict) -> dict:
     """`doc` as exports were written before rows: each node and edge an
     object of its fields, ids as strings of digits."""
-    return dict(
-        doc,
-        **{
-            section: [
-                {key: str(value) if key in ("id", "from", "to") else value for key, value in zip(fields, row)}
-                for row in doc[section]
-            ]
-            for section, fields in ROW_FIELDS.items()
-        },
-    )
+    flat = row_lists(doc)
+    entries = {}
+    for section, (id_field, *rest) in ROW_FIELDS.items():
+        fields = (id_field, GROUP_KEY[section], *rest)
+        entries[section] = [
+            {key: str(value) if key in ("id", "from", "to") else value for key, value in zip(fields, row)}
+            for row in flat[section]
+        ]
+    return dict(flat, **entries)
 
 
 def export_text(doc: dict) -> str:
@@ -69,13 +94,20 @@ def export_text(doc: dict) -> str:
     sort_keys=True) + "\\n"``, except that each node and edge row sits on
     one line as ``json.dumps(row, sort_keys=True)``. Each row is dumped in
     place of a marker string, which no other string of `doc` may equal."""
-    rows = [*doc["nodes"], *doc["edges"]]
-    markers = [f"\0row {i}" for i in range(len(rows))]
-    split = len(doc["nodes"])
-    text = json.dumps(dict(doc, nodes=markers[:split], edges=markers[split:]), indent=2, sort_keys=True)
-    marker = re.compile(r'"\\u0000row (\d+)"')
-    assert len(marker.findall(text)) == len(rows)
-    return marker.sub(lambda match: json.dumps(rows[int(match[1])], sort_keys=True), text) + "\n"
+    rows = []
+
+    def marker(row) -> str:
+        rows.append(row)
+        return f"\0row {len(rows) - 1}"
+
+    marked = {
+        section: {key: [marker(row) for row in group] for key, group in doc[section].items()}
+        for section in ROW_FIELDS
+    }
+    text = json.dumps(dict(doc, **marked), indent=2, sort_keys=True)
+    pattern = re.compile(r'"\\u0000row (\d+)"')
+    assert len(pattern.findall(text)) == len(rows)
+    return pattern.sub(lambda match: json.dumps(rows[int(match[1])], sort_keys=True), text) + "\n"
 
 
 def _id(value) -> int:
@@ -84,15 +116,30 @@ def _id(value) -> int:
     raise ValueError(f"id {value!r} is not a non-negative integer")
 
 
+def _groups(doc: dict, section: str):
+    """The (key, rows) groups of `section` as `export_graph` writes it: a
+    mapping; else the GraphError `from_document` raises for it."""
+    groups = doc[section]
+    if type(groups) is list:
+        raise GraphError(
+            f"{section} are one list, as older exports wrote them; "
+            "rebuild the export with `skygraph build`"
+        )
+    if type(groups) is not dict:
+        raise GraphError(f"{section} must be a mapping of groups of rows, got {type(groups).__name__}")
+    return groups.items()
+
+
+def _rows(rows, what: str, key) -> list:
+    if type(rows) is not list:
+        raise GraphError(f"{key!r} {what}s must be a list of rows, got {type(rows).__name__}")
+    return rows
+
+
 def _fields(row, what: str, width: int, id_slots: tuple[int, ...]) -> list:
     """The fields of a node or edge row as `export_graph` writes it: a list
     of `width` fields, ids at `id_slots` and the properties last; else the
     GraphError `from_document` raises for the row."""
-    if type(row) is dict:
-        raise GraphError(
-            f"{what} entries are objects, as older exports wrote them; "
-            "rebuild the export with `skygraph build`"
-        )
     try:
         if type(row) is not list or len(row) != width or type(row[-1]) is not dict:
             raise ValueError(f"not a {what} row as export_graph writes it")
@@ -109,12 +156,16 @@ def _not_scalar(key: str, value) -> GraphError:
     )
 
 
+def _check_class(graph: PropertyGraph, class_name) -> None:
+    if not isinstance(class_name, str):
+        raise GraphError(f"node class must be a string, got {class_name!r}")
+    graph.property_keys(class_name)
+
+
 def _check_node(graph: PropertyGraph, node: Node) -> None:
-    if not isinstance(node.class_name, str):
-        raise GraphError(f"node {node.id} class must be a string, got {node.class_name!r}")
-    allowed = graph.property_keys(node.class_name)
     if not isinstance(node.name, str):
         raise GraphError(f"node {node.id} name must be a string, got {node.name!r}")
+    allowed = graph.property_keys(node.class_name)
     kinds = {str: "string", bool: "boolean", int: "integer"}
     for key, value in node.properties.items():
         if allowed is None:
@@ -131,9 +182,12 @@ def _check_node(graph: PropertyGraph, node: Node) -> None:
         raise GraphError(f"duplicate node id {node.id}")
 
 
+def _check_type(edge_type) -> None:
+    if not isinstance(edge_type, str) or edge_type not in EDGE_TYPES:
+        raise GraphError(f"unregistered edge type {edge_type!r}")
+
+
 def _check_edge(graph: PropertyGraph, edge: Edge) -> None:
-    if not isinstance(edge.type, str) or edge.type not in EDGE_TYPES:
-        raise GraphError(f"unregistered edge type {edge.type!r}")
     if edge.from_id not in graph._nodes:
         raise GraphError(f"edge source {edge.from_id!r} does not exist")
     if edge.to_id not in graph._nodes:
@@ -154,24 +208,29 @@ def _index(insert, *fields) -> None:
 
 def from_document(doc) -> PropertyGraph:
     """What `PropertyGraph.from_document` reads: a per-row reader that
-    parses each row with helper calls and runs the insert checks in their
-    order before indexing it. The spec the inline reader is compared with;
-    a check that only the insert path makes is an AssertionError here."""
+    checks each group's key and then parses each of its rows with helper
+    calls and runs the insert checks in their order before indexing it,
+    one row at a time. The spec the batched reader is compared with; a
+    check that only the insert path makes is an AssertionError here."""
     check_fields(doc, "graph document", GraphError, *_EXPORT)
     graph = PropertyGraph(ontology_from_documents(doc["ontology"], doc.get("mappings") or []))
     settings = check_fields(doc.get("settings") or {}, "settings", GraphError, *_SETTINGS)
     graph.settings = dict(settings)
     check_positive_int(graph.settings.get("star_max", DEFAULT_STAR_MAX), GraphError, "settings.star_max")
-    for row in doc["nodes"]:
-        node_id, class_name, name, props = _fields(row, "node", 4, (0,))
-        node = Node(node_id, class_name, name, dict(props))
-        _check_node(graph, node)
-        _index(graph._insert_node, node.id, node.class_name, node.name, node.properties)
-    for row in doc["edges"]:
-        edge_id, edge_type, from_id, to_id, props = _fields(row, "edge", 5, (0, 2, 3))
-        edge = Edge(edge_id, edge_type, from_id, to_id, dict(props))
-        _check_edge(graph, edge)
-        _index(graph._insert_edge, edge.id, edge.type, edge.from_id, edge.to_id, edge.properties)
+    for class_name, rows in _groups(doc, "nodes"):
+        _check_class(graph, class_name)
+        for row in _rows(rows, "node", class_name):
+            node_id, name, props = _fields(row, "node", 3, (0,))
+            node = Node(node_id, class_name, name, dict(props))
+            _check_node(graph, node)
+            _index(graph._insert_nodes, node.class_name, [[node.id, node.name, node.properties]])
+    for edge_type, rows in _groups(doc, "edges"):
+        _check_type(edge_type)
+        for row in _rows(rows, "edge", edge_type):
+            edge_id, from_id, to_id, props = _fields(row, "edge", 4, (0, 1, 2))
+            edge = Edge(edge_id, edge_type, from_id, to_id, dict(props))
+            _check_edge(graph, edge)
+            _index(graph._insert_edges, edge.type, [[edge.id, edge.from_id, edge.to_id, edge.properties]])
     graph.freeze()
     return graph
 

@@ -21,8 +21,8 @@ from .test_parity import BENCH, fleet_manifest
 # sha256 of the `skygraph build` export of each bundled testbed; exports
 # must stay byte-identical unless a change means to alter the graph
 EXPORT_SHA256 = {
-    "bookinfo": "793398d75e3afcf900993511191dfb6f96061423a530ff564793d4b803f4ea96",
-    "bookinfo_clean": "162514b373c232916f8bd1564bab6759b5546ffe575191e178f78b7ab2422f11",
+    "bookinfo": "fc7d95d483e9c94f49f1417f3babdc5b366df5590bfad6dff4d186210421c62d",
+    "bookinfo_clean": "3237a79cd1b3b9495c0f41b3d72cd2f67fd4ac0ab78fc7d3ff4837e04b7327f2",
 }
 
 
@@ -218,12 +218,12 @@ MALFORMED_INPUTS = {
     # aws.yaml is not the last inventory, so its link must keep its own file
     "inventory-link-to-unknown-id": (AWS, _set(("resources", 0, "links"), {"member_of": "ghost"})),
     "workflow-jobs-a-list": (WORKFLOW, _jobs_as_list),
-    # a node row's properties are its field 3, an edge row's its field 4
-    "export-undeclared-node-property": (EXPORT, _set(("nodes", 0, 3, "bogus"), 1)),
-    "export-list-node-property": (EXPORT, _set(("nodes", 0, 3, "image"), ["a"])),
-    "export-dict-node-property": (EXPORT, _set(("nodes", 0, 3, "image"), {"a": 1})),
-    "export-float-node-property": (EXPORT, _set(("nodes", 0, 3, "image"), 1.5)),
-    "export-list-edge-property": (EXPORT, _set(("edges", 0, 4, "weight"), [1])),
+    # a node row's properties are its field 2, an edge row's its field 3
+    "export-undeclared-node-property": (EXPORT, _set(("nodes", "Application", 0, 2, "bogus"), 1)),
+    "export-list-node-property": (EXPORT, _set(("nodes", "Application", 0, 2, "image"), ["a"])),
+    "export-dict-node-property": (EXPORT, _set(("nodes", "Application", 0, 2, "image"), {"a": 1})),
+    "export-float-node-property": (EXPORT, _set(("nodes", "Application", 0, 2, "image"), 1.5)),
+    "export-list-edge-property": (EXPORT, _set(("edges", "DFG", 0, 3, "weight"), [1])),
 }
 
 
@@ -415,8 +415,9 @@ class TestQuery:
     @pytest.mark.parametrize(
         "section, key, value",
         [
-            ("nodes", "class", ["Storage"]),
-            ("edges", "type", ["DFG"]),
+            ("nodes", "class", "Storge"),
+            ("edges", "type", "DFGX"),
+            ("nodes", "group", {"0": []}),
             ("settings", None, ["star_max", 3]),
             ("nodes", "properties", [["k", "v"]]),
             ("edges", "extra", 5),
@@ -424,33 +425,40 @@ class TestQuery:
     )
     def test_malformed_export_exits_2(self, built_graph_file, capsys, section, key, value):
         doc = json.loads(built_graph_file.read_text(encoding="utf-8"))
+        rows = reference.first_group(doc, section) if key else None
         if key is None:
             doc[section] = value
+        elif key == reference.GROUP_KEY[section]:
+            doc[section][value] = rows
+        elif key == "group":
+            doc[section][next(iter(doc[section]))] = value
         elif key == "extra":
-            doc[section][0].append(value)
+            rows[0].append(value)
         else:
-            doc[section][0][reference.ROW_FIELDS[section].index(key)] = value
+            rows[0][reference.ROW_FIELDS[section].index(key)] = value
         built_graph_file.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["query", str(built_graph_file), "MATCH (n) RETURN n"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {built_graph_file}: ")
 
-    def test_export_of_object_entries_asks_for_rebuild(self, built_graph_file, capsys):
-        """An export written before rows fails in one error line that names
-        the file and the command that rebuilds it."""
-        doc = reference.object_entries(json.loads(built_graph_file.read_text(encoding="utf-8")))
+    @pytest.mark.parametrize("layout", [reference.row_lists, reference.object_entries])
+    def test_export_of_an_older_layout_asks_for_rebuild(self, built_graph_file, capsys, layout):
+        """An export written before rows were grouped, of row lists or of
+        object entries, fails in one error line that names the file and
+        the command that rebuilds it."""
+        doc = layout(json.loads(built_graph_file.read_text(encoding="utf-8")))
         built_graph_file.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
         assert main(["query", str(built_graph_file), "MATCH (n) RETURN n", "--fail-if-found"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            f"error: {built_graph_file}: node entries are objects, as older exports wrote them; "
+            f"error: {built_graph_file}: nodes are one list, as older exports wrote them; "
             "rebuild the export with `skygraph build`\n"
         )
 
     def test_export_value_of_another_kind_exits_2(self, built_graph_file, capsys):
         doc = json.loads(built_graph_file.read_text(encoding="utf-8"))
-        storage = next(row for row in doc["nodes"] if row[2] == "am-containerlog")
-        storage[3]["public_access"] = "yes"
+        storage = next(row for row in doc["nodes"]["ObjectStorage"] if row[1] == "am-containerlog")
+        storage[2]["public_access"] = "yes"
         built_graph_file.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["query", str(built_graph_file), "MATCH (n) RETURN n"]) == 2
         err = capsys.readouterr().err

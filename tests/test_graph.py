@@ -16,7 +16,7 @@ from skygraph.query import evaluate, parse_query
 
 from . import reference
 from .conftest import DATA, listing_text
-from .reference import ROW_FIELDS, oracle_label_match, to_document
+from .reference import ROW_FIELDS, first_group, oracle_label_match, reversed_rows, to_document
 from .test_fuzz import DELETE
 from .test_fuzz import VALUES as FUZZ_VALUES
 
@@ -318,7 +318,7 @@ class TestRoundTrip:
         graph.freeze()
         text = export_graph(graph)
         doc = json.loads(text)
-        assert doc["nodes"] == [] and doc["edges"] == []
+        assert doc["nodes"] == {} and doc["edges"] == {}
         restored = import_graph(text)
         assert restored.node_count == 0 and restored.edge_count == 0
 
@@ -332,7 +332,7 @@ class TestRoundTrip:
         graph.add_node("CloudResource", "r", {})
         graph.freeze()
         doc = to_document(graph)
-        doc["edges"].append([9, "DFG", 0, 42, {}])
+        doc["edges"]["DFG"] = [[9, 0, 42, {}]]
         with pytest.raises(GraphError, match="edge target 42 does not exist"):
             import_graph(doc)
 
@@ -375,17 +375,30 @@ class TestRoundTrip:
             assert before == after
 
     def test_deterministic_export_ordering(self, testbed_graph):
-        doc = to_document(testbed_graph)
-        doc["nodes"].reverse()
-        doc["edges"].reverse()
-        restored = import_graph(doc)  # node and edge tables in reverse id order
+        restored = import_graph(reversed_rows(to_document(testbed_graph)))
         text = export_graph(restored)
         assert text == export_graph(testbed_graph)
         exported = json.loads(text)
-        ids = [row[0] for row in exported["nodes"]]
-        assert ids == sorted(ids)
-        edge_ids = [row[0] for row in exported["edges"]]
-        assert edge_ids == sorted(edge_ids)
+        for section in ("nodes", "edges"):
+            assert list(exported[section]) == sorted(exported[section])
+            for rows in exported[section].values():
+                ids = [row[0] for row in rows]
+                assert ids == sorted(ids)
+
+    def test_imported_graph_holds_rows_in_group_order(self, testbed_graph):
+        """Import inserts group by group, so the node table and each
+        adjacency list follow the document, not id order; label candidates
+        stay in id order."""
+        doc = to_document(testbed_graph)
+        restored = import_graph(doc)
+        node_ids = [row[0] for rows in doc["nodes"].values() for row in rows]
+        assert [n.id for n in restored.nodes()] == node_ids != sorted(node_ids)
+        assert restored.label_candidates("Node") == sorted(node_ids)
+        edge_ids = [row[0] for rows in doc["edges"].values() for row in rows]
+        assert [e.id for e in restored.edges()] == edge_ids
+        for node in restored.nodes():
+            out = [e.id for e in restored.out_edges(node.id)]
+            assert out == sorted(out, key=edge_ids.index)
 
 
 class TestLookupIndexes:
@@ -414,8 +427,7 @@ class TestLookupIndexes:
         assert restored.find_by_provider_id("p") == first
         assert restored.find_by_name("BlockStorage", "s") == other
         # nodes are inserted in document order, not id order
-        doc["nodes"].reverse()
-        restored = import_graph(doc)
+        restored = import_graph(reversed_rows(doc))
         assert restored.find_by_name("ObjectStorage", "s") == second
         assert restored.find_by_provider_id("p") == second
 
@@ -478,20 +490,18 @@ class TestLookupIndexes:
         graph.freeze()
         doc = json.loads(export_graph(graph))
         assert_lookups(import_graph(doc), every_key)
-        doc = json.loads(export_graph(graph))
-        doc["nodes"].reverse()
-        assert_lookups(import_graph(doc), every_key)
+        assert_lookups(import_graph(reversed_rows(json.loads(export_graph(graph)))), every_key)
 
     @pytest.mark.parametrize("field", ["name", "provider_id"])
     def test_unhashable_key_in_document(self, graph, field):
         graph.add_node("ObjectStorage", "s", {"provider_id": "p"})
         graph.freeze()
         doc = to_document(graph)
-        row = doc["nodes"][0]
+        row = doc["nodes"]["ObjectStorage"][0]
         if field == "name":
-            row[2] = ["s"]
+            row[1] = ["s"]
         else:
-            row[3]["provider_id"] = {"id": "p"}
+            row[2]["provider_id"] = {"id": "p"}
         with pytest.raises(GraphError, match=f"{field}.* must be"):
             import_graph(doc)
 
@@ -504,18 +514,14 @@ def test_property_value_name_fallback(core_ontology):
 
 
 @pytest.mark.parametrize(
-    "section, key, value",
-    [("nodes", "class", ["A"]), ("edges", "type", ["DFG"]), ("edges", "type", {"DFG": 1})],
+    "section, value",
+    [("nodes", ("A",)), ("nodes", 1), ("nodes", None), ("edges", ("DFG",)), ("edges", 1)],
 )
-def test_import_rejects_non_string_class_and_type(section, key, value):
-    ontology = ontology_from_documents({"classes": [{"name": "A", "kind": "resource"}]}, [])
-    graph = PropertyGraph(ontology)
-    a = graph.add_node("A", "a", {})
-    graph.add_edge(a, a, "DFG")
-    graph.freeze()
-    doc = to_document(graph)
-    doc[section][0][ROW_FIELDS[section].index(key)] = value
-    with pytest.raises(GraphError):
+def test_import_rejects_non_string_class_and_type(section, value):
+    """A document passed as a dict may key a group by any hashable value."""
+    doc = two_nodes_and_an_edge()
+    doc[section] = {value: first_group(doc, section)}
+    with pytest.raises(GraphError, match="class must be a string|unregistered edge type"):
         import_graph(doc)
 
 
@@ -534,8 +540,19 @@ def test_import_rejects_unknown_class():
     graph.add_node("A", "a", {})
     graph.freeze()
     doc = to_document(graph)
-    doc["nodes"][0][1] = "Mystery"
+    doc["nodes"] = {"Mystery": doc["nodes"]["A"]}
     with pytest.raises(UnknownClassError):
+        import_graph(doc)
+    # a group of no rows still names its class
+    doc["nodes"] = {"A": doc["nodes"]["Mystery"], "Mystery": []}
+    with pytest.raises(UnknownClassError):
+        import_graph(doc)
+
+
+def test_import_rejects_unregistered_edge_type():
+    doc = two_nodes_and_an_edge()
+    doc["edges"] = {"DFGX": doc["edges"]["DFG"]}
+    with pytest.raises(GraphError, match="unregistered edge type 'DFGX'"):
         import_graph(doc)
 
 
@@ -547,8 +564,35 @@ def test_import_rejects_duplicate_ids(section, what):
     graph.add_edge(a, a, "DFG")
     graph.freeze()
     doc = to_document(graph)
-    doc[section].append(list(doc[section][0]))
+    rows = first_group(doc, section)
+    rows.append(list(rows[0]))
     with pytest.raises(GraphError, match=f"duplicate {what} id 0"):
+        import_graph(doc)
+
+
+def test_import_rejects_an_id_repeated_across_groups():
+    ontology_doc = {"classes": [{"name": "A", "kind": "resource"}, {"name": "B", "kind": "resource"}]}
+    graph = PropertyGraph(ontology_from_documents(ontology_doc, []))
+    graph.add_node("A", "a", {})
+    graph.add_node("B", "b", {})
+    graph.freeze()
+    doc = to_document(graph)
+    doc["nodes"]["B"][0][0] = 0
+    with pytest.raises(GraphError, match="duplicate node id 0"):
+        import_graph(doc)
+    doc["edges"] = {"DFG": [[0, 0, 1, {}]], "TO": [[0, 1, 0, {}]]}
+    doc["nodes"]["B"][0][0] = 1
+    with pytest.raises(GraphError, match="duplicate edge id 0"):
+        import_graph(doc)
+
+
+@pytest.mark.parametrize("section", ["nodes", "edges"])
+@pytest.mark.parametrize("value", ["rows", {"0": ["a", {}]}, None, 5])
+def test_import_rejects_a_group_that_is_not_a_list(section, value):
+    doc = two_nodes_and_an_edge()
+    key = next(iter(doc[section]))
+    doc[section][key] = value
+    with pytest.raises(GraphError, match=f"{key!r} {section[:-1]}s must be a list of rows, got {type(value).__name__}"):
         import_graph(doc)
 
 
@@ -572,7 +616,7 @@ def test_import_accepts_only_non_negative_int_ids(section, key, value):
     """An id is read as `export_graph` writes it, a JSON integer of no sign;
     a bool is an int to Python, and `true` or `1.0` would name node 1."""
     doc = two_nodes_and_an_edge()
-    doc[section][-1][ROW_FIELDS[section].index(key)] = value
+    first_group(doc, section)[-1][ROW_FIELDS[section].index(key)] = value
     with pytest.raises(GraphError, match=f"malformed {section[:-1]} entry"):
         import_graph(doc)
 
@@ -582,22 +626,24 @@ def test_import_accepts_any_non_negative_int_id(value):
     """Node `a`'s id, the edge's id and its `to` set to `value`: the graph
     holds them, and exports them as it read them."""
     doc = two_nodes_and_an_edge()
-    doc["nodes"][0][0] = doc["edges"][0][0] = doc["edges"][0][3] = value
+    doc["nodes"]["A"][0][0] = doc["edges"]["DFG"][0][0] = doc["edges"]["DFG"][0][2] = value
     graph = import_graph(doc)
     assert graph.node(value).name == "a" and graph.edge(value).to_id == value
     text = export_graph(graph)
-    assert f'[{value}, "A", "a", {{}}]' in text and f'[{value}, "DFG", 1, {value}, {{}}]' in text
+    assert f'[{value}, "a", {{}}]' in text and f'[{value}, 1, {value}, {{}}]' in text
     assert export_graph(import_graph(text)) == text
 
 
+@pytest.mark.parametrize("layout", [reference.row_lists, reference.object_entries])
 @pytest.mark.parametrize("section", ["nodes", "edges"])
-def test_import_asks_to_rebuild_an_export_of_object_entries(section):
-    """An export written before rows holds one object per node and edge;
-    import names the layout and the command that writes the new one."""
-    doc = reference.object_entries(two_nodes_and_an_edge())
+def test_import_asks_to_rebuild_an_export_of_an_older_layout(section, layout):
+    """An export written before rows were grouped holds one list of rows,
+    or earlier one list of objects, per section; import names the layout
+    and the command that writes the new one, and prints no section."""
+    doc = layout(two_nodes_and_an_edge())
     if section == "edges":
         doc["nodes"] = two_nodes_and_an_edge()["nodes"]
-    message = f"{section[:-1]} entries are objects.*rebuild the export with `skygraph build`"
+    message = f"^{section} are one list, as older exports wrote them; rebuild the export with `skygraph build`$"
     with pytest.raises(GraphError, match=message):
         import_graph(doc)
     with pytest.raises(GraphError, match=message):
@@ -625,7 +671,7 @@ def test_import_reads_only_what_export_writes(section, change):
     graph.add_edge(graph.add_node("A", "a", {}), 0, "DFG")
     graph.freeze()
     doc = to_document(graph)
-    change(doc[section][0])
+    change(first_group(doc, section)[0])
     with pytest.raises(GraphError, match=f"malformed {section[:-1]} entry"):
         import_graph(doc)
 
@@ -689,25 +735,37 @@ IDS += (0, 1, 99999, 2**70)
 
 
 def _set(doc, section, slot, value):
-    """A copy of `doc` with `slot` of its first `section` row (the row, one
-    of its fields, or one of its properties) set to `value` or deleted."""
-    doc = dict(doc, **{section: [json.loads(json.dumps(doc[section][0])), *doc[section][1:]]})
-    parent, key = (doc[section], 0) if not slot else (doc[section][0], slot[-1])
+    """A copy of `doc` with `slot` of the first row of its first `section`
+    group (the row, one of its fields, or one of its properties) set to
+    `value` or deleted."""
+    key, rows = next(iter(doc[section].items()))
+    rows = [json.loads(json.dumps(rows[0])), *rows[1:]]
+    doc = dict(doc, **{section: {**doc[section], key: rows}})
+    parent, index = (rows, 0) if not slot else (rows[0], slot[-1])
     if len(slot) == 2:
         parent = parent[slot[0]]
     if value is DELETE:
-        del parent[key]
+        del parent[index]
     else:
-        parent[key] = value
+        parent[index] = value
     return doc
 
 
+def _regroup(doc, section, key, rows):
+    """A copy of `doc` whose first `section` group is `key: rows` instead."""
+    _, *rest = doc[section].items()
+    return dict(doc, **{section: dict([(key, rows), *rest])})
+
+
 def _mutations(doc, section):
-    """Every one-slot mutation of the first `section` row of `doc`, the row
-    with one field added or an object entry in its place, and every pair of
-    its fields and properties set to one of a few values, which orders the
-    checks that each fail on one of them."""
-    row = doc[section][0]
+    """Every one-slot mutation of the first row of the first `section`
+    group of `doc`, the row with one field added or an object entry in its
+    place, and every pair of its fields and properties set to one of a few
+    values, which orders the checks that each fail on one of them; then
+    the group under another key or holding another value, and the section
+    replaced."""
+    group_key, rows = next(iter(doc[section].items()))
+    row = rows[0]
     fields = ROW_FIELDS[section]
     keys = [(i,) for i in range(len(row))] + [(len(row) - 1, key) for key in row[-1]]
     for slot in [()] + keys:
@@ -721,6 +779,13 @@ def _mutations(doc, section):
             continue
         for values in itertools.product((None, 99999), repeat=2):
             yield _set(_set(doc, section, first, values[0]), section, second, values[1])
+    for other in [*doc[section], "Mystery", "", None, 5, True, ("DFG",)]:
+        yield _regroup(doc, section, other, rows)
+    for value in FUZZ_VALUES:
+        if value is not DELETE:
+            yield _regroup(doc, section, group_key, value)
+            yield dict(doc, **{section: value})
+    yield dict(doc, **{section: reference.row_lists(doc)[section]})
 
 
 def _read(reader, doc):

@@ -153,9 +153,52 @@ def test_chained_walk_read_partway_leaves_no_cyclic_garbage(collector_off):
     assert gc.collect() == 0
 
 
+@pytest.mark.parametrize("where", ["walk", "rows"])
+def test_routes_cut_short_by_memory_are_closed_after_the_error(monkeypatch, where):
+    """A query that runs out of memory, in the walk or while its rows are
+    collected, leaves a `*` hop's route generator suspended. Closing a
+    generator makes objects, so the walk's and `evaluate`'s locals keep
+    the generators until the error's traceback goes, after the rows it
+    cut short are freed, instead of closing them while memory is short."""
+    closed = []
+    routes = engine._range_ends
+
+    def spy(*args):
+        try:
+            yield from routes(*args)
+        finally:
+            closed.append(True)
+
+    monkeypatch.setattr(engine, "_range_ends", spy)
+    graph = path_graph(6, {0: "Sub"})
+    ast = parse_query("MATCH p=(a:Sub)-[:DFG*]->(b)-[:DFG]->(c) RETURN p")
+    if where == "walk":
+        expand = engine._expand
+
+        def short(graph, node_id, rel, *args):
+            if rel is ast.rel_patterns[1]:
+                raise MemoryError
+            return expand(graph, node_id, rel, *args)
+
+        monkeypatch.setattr(engine, "_expand", short)
+    else:
+
+        def short(rows, key):  # `sorted` after one row, dropping the walk as it does
+            next(rows)
+            del rows
+            raise MemoryError
+
+        monkeypatch.setattr(engine, "sorted", short, raising=False)
+    try:
+        evaluate(graph, ast)
+    except MemoryError:
+        assert not closed
+    assert closed == [True]
+
+
 def malformed_node(text: str) -> str:
     doc = json.loads(text)
-    doc["nodes"][0] = ["x"]
+    next(iter(doc["nodes"].values()))[0] = ["x"]
     return json.dumps(doc)
 
 

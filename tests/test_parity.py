@@ -2,8 +2,9 @@
 
 For each graph, the ordered `evaluate` output (bindings, path node ids,
 edge ids, forward flags) of the nine benchmark queries, at two `star_max`
-bounds, hashes to a pinned sha256, and so does their `explain` text. A
-change to the engine or to graph adjacency that is meant to keep results
+bounds, hashes to a pinned sha256, and so does their `explain` text,
+both on the graph as built and on the graph `import_graph` makes of its
+export, as every `skygraph query` command reads it. A change to the engine or to graph adjacency that is meant to keep results
 must keep the results digests; one that changes results on purpose
 updates them and says why. The plan texts are pinned apart, so a change
 to how a plan is described leaves the results digests as they are. The
@@ -20,6 +21,7 @@ import pytest
 
 from skygraph.build import build_graph, load_manifest
 from skygraph.cli import main
+from skygraph.graph import export_graph, import_graph
 from skygraph.query import evaluate, explain, parse_query
 
 from .conftest import DATA, data_path, listing_text
@@ -51,8 +53,8 @@ EXPLAIN_SHA256 = {
 
 # sha256 of each fleet's export as `skygraph build` writes it
 EXPORT_SHA256 = {
-    "fleet-20-unique-9": "9be90b96c1cabb698d9d932481215e300c28f8f363816e03ad5b832476a3fae1",
-    "fleet-8-shared-4": "73171317c08f30226358070f390df0e2e1e5a63e196142a19630e20cbc54f4b9",
+    "fleet-20-unique-9": "31ea4a2e29f2cf4fdfdff8657c22dae0807fb1980c50fe8d091451d39fc46863",
+    "fleet-8-shared-4": "c188610265c09a7f7554482c8b8eea0cbff02bc3e0dac79d8f4ec6a2421a3771",
 }
 
 
@@ -86,8 +88,9 @@ def explain_text(graph, queries: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def benchmark_graph(name, tmp_path, monkeypatch):
-    """The graph `name` and the nine benchmark queries by name."""
+def benchmark_graph(name, tmp_path, monkeypatch, form="built"):
+    """The graph `name`, as built or as imported from its export, and the
+    nine benchmark queries by name."""
     monkeypatch.syspath_prepend(str(BENCH))
     expected = importlib.import_module("expected")
     queries = {q: listing_text(q) for q in expected.BUNDLED} | expected.OWNED
@@ -95,21 +98,35 @@ def benchmark_graph(name, tmp_path, monkeypatch):
         manifest = data_path(f"fixtures/{name}/manifest.yaml")
     else:
         manifest = fleet_manifest(name, tmp_path, monkeypatch)
-    return build_graph(load_manifest(manifest))[0], queries
+    graph = build_graph(load_manifest(manifest))[0]
+    return (graph if form == "built" else import_graph(export_graph(graph))), queries
 
 
+# an imported graph holds its nodes and edges in the export's group order,
+# not in id order; `evaluate` sorts its rows, so its results must not move
+FORMS = ["built", "imported"]
+
+
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_results_match_pinned_digest(name, tmp_path, monkeypatch):
-    graph, queries = benchmark_graph(name, tmp_path, monkeypatch)
+def test_results_match_pinned_digest(name, form, tmp_path, monkeypatch):
+    graph, queries = benchmark_graph(name, tmp_path, monkeypatch, form)
     digest = hashlib.sha256(results_text(graph, queries).encode("utf-8")).hexdigest()
     assert digest == RESULTS_SHA256[name]
 
 
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_plans_match_pinned_digest(name, tmp_path, monkeypatch):
-    graph, queries = benchmark_graph(name, tmp_path, monkeypatch)
+def test_plans_match_pinned_digest(name, form, tmp_path, monkeypatch):
+    graph, queries = benchmark_graph(name, tmp_path, monkeypatch, form)
     digest = hashlib.sha256(explain_text(graph, queries).encode("utf-8")).hexdigest()
     assert digest == EXPLAIN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_export_survives_import(name, tmp_path, monkeypatch):
+    text = export_graph(benchmark_graph(name, tmp_path, monkeypatch)[0])
+    assert export_graph(import_graph(text)) == text
 
 
 @pytest.mark.parametrize("name", sorted(EXPORT_SHA256))

@@ -946,9 +946,9 @@ class TestHopIndex:
 
 
 class TestLabelMembers:
-    """A label's candidates are its nodes' ids, in id order (`Node`: in
-    insertion order), read from the label index by each query on a graph
-    still being built, so a node inserted between queries is matched."""
+    """A label's candidates are its nodes' ids, in id order, read from the
+    label index by each query on a graph still being built, so a node
+    inserted between queries is matched."""
 
     def test_a_node_added_between_queries_is_seeded_and_matched(self, tiny_ontology):
         graph = PropertyGraph(tiny_ontology)  # never frozen: still being built

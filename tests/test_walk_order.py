@@ -22,14 +22,23 @@ from hypothesis import strategies as st
 from skygraph.build import build_graph, load_manifest
 from skygraph.errors import QueryError, QuerySyntaxError
 from skygraph.graph import Path as GraphPath
-from skygraph.graph import PropertyGraph
+from skygraph.graph import PropertyGraph, export_graph, import_graph
 from skygraph.ontology import ontology_from_documents
 from skygraph.query import engine, evaluate, explain, iter_matches, parse_query
 from skygraph.query.syntax import NodePattern, PropertyComparison, QueryAst, RelPattern
 
 from .conftest import DATA, listing_text
-from .reference import oracle_paths, random_graph, random_query, reference_rows, row_paths, small_ontology_documents
-from .test_parity import BENCH
+from .reference import (
+    oracle_paths,
+    random_graph,
+    random_query,
+    reference_rows,
+    reversed_rows,
+    row_paths,
+    small_ontology_documents,
+    to_document,
+)
+from .test_parity import BENCH, GRAPHS, benchmark_graph
 
 ONTOLOGY = ontology_from_documents(*small_ontology_documents())
 
@@ -102,6 +111,22 @@ class TestKeptStepLists:
                 found = rows(graph, ast, 10)
                 assert found == reference_rows(graph, ast, 10), text
         assert graph.hop_steps
+
+
+class TestImportKeepsTheWalk:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_imported_graph_walks_as_built(self, name, tmp_path, monkeypatch):
+        """An imported graph holds its nodes and edges in the export's
+        group order, or in any order a document gives, not in id order;
+        the walk still yields the built graph's rows, in its order, on the
+        export and on a document whose groups and rows are reversed."""
+        built, queries = benchmark_graph(name, tmp_path, monkeypatch)
+        for graph in (import_graph(export_graph(built)), import_graph(reversed_rows(to_document(built)))):
+            assert [n.id for n in graph.nodes()] != [n.id for n in built.nodes()]
+            for text in queries.values():
+                ast = parse_query(text)
+                for star_max in (10, 3):
+                    assert rows(graph, ast, star_max) == rows(built, ast, star_max), text
 
 
 def filters(graph, ast, star_max) -> tuple[list, list]:
