@@ -18,7 +18,7 @@ from skygraph.errors import GraphError, QueryError, SkygraphError
 from skygraph.graph import Path as GraphPath
 from skygraph.graph import PropertyGraph, export_graph, import_graph
 from skygraph.query import evaluate, parse_query
-from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int, in_file
+from skygraph.yamlfile import DEFAULT_STAR_MAX, check_positive_int, in_file, input_file
 
 
 def render_path(graph: PropertyGraph, path: GraphPath) -> str:
@@ -41,23 +41,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_text(path: str, error_cls: type[SkygraphError]) -> str:
-    """The text of the UTF-8 file at `path`; a file that cannot be read or
-    decoded raises `error_cls` naming it."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    # ValueError covers UnicodeDecodeError
-    except (OSError, ValueError) as exc:
-        raise error_cls(f"cannot load {path}: {exc}") from exc
-
-
 def _load_query_text(raw: str) -> str:
-    return _read_text(raw[1:], QueryError) if raw.startswith("@") else raw
+    if not raw.startswith("@"):
+        return raw
+    with input_file(raw[1:], QueryError) as fh:
+        return fh.read()
 
 
 def _read_graph(path: str) -> PropertyGraph:
     """Import the export at `path`; every error raised names the file."""
-    text = _read_text(path, GraphError)
+    with input_file(path, GraphError) as fh:
+        text = fh.read()
     try:
         # through the module global, which bench/tracing.py wraps
         return import_graph(text)

@@ -63,12 +63,15 @@ class _Plan:
 
     The anchor pattern is seeded from its candidates; each hop then binds
     its target pattern from its source, rightward from the anchor, then
-    leftward, as (source, target, rel, rightward, lo, hi, label, members):
-    the pattern indices, the index of the relationship pattern it walks,
-    whether it walks that pattern left to right, its bounds, `hi` at most
-    the graph's edge count, and the target's label and the set of nodes
-    it matches, which filter the steps of the hop, both None where the
-    label filters nothing. `candidates[i]` are the ids of the nodes
+    leftward. Its record, the walk's compile key, is (source, target, rel,
+    rightward, lo, hi, labelled): the pattern indices, the index of the
+    relationship pattern it walks, whether it walks that pattern left to
+    right, its bounds, `hi` at most the graph's edge count, and whether
+    the target's label filters the steps of the hop. Its `lists` are
+    (rel, members, inner, budgets): the relationship pattern, the nodes
+    the label matches, the memo of `_expand`'s unfiltered lists and the
+    memos of the budgeted lists by budget, members and budgets None where
+    the label filters nothing. `candidates[i]` are the ids of the nodes
     pattern `i`'s label matches, as the query's store keeps them.
 
     `tests` are the constraints of a match as flat shapes of ints and
@@ -83,7 +86,8 @@ class _Plan:
 
     anchor: int
     candidates: tuple[tuple[int, ...], ...]
-    hops: list[tuple[int, int, int, bool, int, int, str | None, frozenset[int] | None]]
+    hops: tuple[tuple[int, int, int, bool, int, int, bool], ...]
+    lists: tuple[tuple[RelPattern, frozenset[int] | None, dict, list[dict] | None], ...]
     tests: tuple[tuple, ...]
     terms: tuple[Comparison | None, ...]
 
@@ -93,7 +97,13 @@ def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int, store: dict) -> _P
     label, relationship type, WHERE property key or WHERE literal kind
     that `graph` can never match, which would only ever match nothing.
     A label's members, its ids and their set, are `store[(label,)]`,
-    made on first use.
+    made on first use, and so is each memo of a hop's step lists.
+
+    One memo serves each hop shape: the relationship type and direction
+    and the walk's orientation, with None for the unfiltered lists. A
+    budgeted list's memo is keyed by the label too, and at budget `b`
+    from 1 on by `b` and `min(b, hi - lo)`; budget 0 is the
+    label-filtered list of the hop's last step.
 
     Every constraint is a test on pattern indices: each later occurrence
     of a node variable must bind the node of the occurrence before it, a
@@ -127,19 +137,26 @@ def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int, store: dict) -> _P
     candidates, members = zip(*(store[(np.label or "Node",)] for np in nodes))
     anchor = min(range(len(nodes)), key=lambda i: (len(candidates[i]), i))
 
-    def hop(source: int, target: int, r: int, rightward: bool) -> tuple:
+    def hop(source: int, target: int, r: int, rightward: bool) -> tuple[tuple, tuple]:
         rel = ast.rel_patterns[r]
+        lo = rel.hops.min
         # a route takes each edge once, so no route is longer than the graph
         # has edges, and a labelled hop keeps no more budgets than that
         hi = min(rel.hops.max if rel.hops.max is not None else star_max, max(graph.edge_count, 1))
         label = nodes[target].label
         # a label that every node matches filters nothing
-        if label is None or len(members[target]) == graph.node_count:
-            return source, target, r, rightward, rel.hops.min, hi, None, None
-        return source, target, r, rightward, rel.hops.min, hi, label, members[target]
+        labelled = label is not None and len(members[target]) != graph.node_count
+        kind = (rel.type, rel.direction, rightward)
+        inner = store.setdefault((*kind, None), {})
+        if not labelled:
+            return (source, target, r, rightward, lo, hi, False), (rel, None, inner, None)
+        budgets = [store.setdefault((*kind, label), {})]
+        budgets += [store.setdefault((*kind, label, b, min(b, hi - lo)), {}) for b in range(1, hi)]
+        return (source, target, r, rightward, lo, hi, True), (rel, members[target], inner, budgets)
 
-    hops = [hop(i, i + 1, i, True) for i in range(anchor, len(nodes) - 1)]
-    hops += [hop(i + 1, i, i, False) for i in reversed(range(anchor))]
+    walked = [hop(i, i + 1, i, True) for i in range(anchor, len(nodes) - 1)]
+    walked += [hop(i + 1, i, i, False) for i in reversed(range(anchor))]
+    hops, lists = zip(*walked) if walked else ((), ())
 
     def due(indices: list[int]) -> int:
         # the hops bind rightward from the anchor, then leftward, so the
@@ -178,7 +195,7 @@ def _plan(graph: PropertyGraph, ast: QueryAst, star_max: int, store: dict) -> _P
         placed += [compared(term, at) for terms in disjuncts for term in terms]
     placed.sort(key=lambda test: test[0][1])  # by due index; stable, so an OR's tests stay after it
     tests, terms = zip(*placed) if placed else ((), ())
-    return _Plan(anchor, candidates, hops, tests, terms)
+    return _Plan(anchor, candidates, hops, lists, tests, terms)
 
 
 # A step: (edge id, neighbor, forward).
@@ -433,16 +450,18 @@ def _source(count: int, anchor: int, tests: tuple, hops: tuple) -> str:
     hops)`: a generator function `walk(graph, seeds, hops, terms, held)`.
 
     It nests one loop over the anchor's seeds, one per step of a one-step
-    or fixed hop (`lo == hi`), over its step lists, and one per range hop,
-    over `_range_ends`. Each loop skips an edge an earlier hop of the
-    match took, by comparing it with their edge variables and, after a
-    range hop, the used set, then skips a node that fails a test due at
-    the index it binds: each test is one inline condition (`_condition`),
-    an OR the disjunction of its disjuncts' conjunctions. The innermost
-    loop yields the row. Each group of `_MAX_LOOPS` loops is a function of
-    its own, which the group before calls with the variables bound so
-    far. Only names made from the shape's ints go into the text; the
-    query's labels, types, keys and literals are arguments.
+    or fixed hop (`lo == hi`), over its step lists, which a labelled hop
+    reads from the memo of the step's budget and makes through `_steps`
+    on a miss, and one per range hop, over `_range_ends`. Each loop skips
+    an edge an earlier hop of the match took, by comparing it with their
+    edge variables and, after a range hop, the used set, then skips a
+    node that fails a test due at the index it binds: each test is one
+    inline condition (`_condition`), an OR the disjunction of its
+    disjuncts' conjunctions. The innermost loop yields the row. Each
+    group of `_MAX_LOOPS` loops is a function of its own, which the group
+    before calls with the variables bound so far. Only names made from
+    the shape's ints go into the text; the query's labels, types, keys
+    and literals are arguments.
     """
     setup: list[str] = []
     # per loop: (the lines before it, the loop, the lines inside it, the names it binds)
@@ -489,10 +508,7 @@ def _source(count: int, anchor: int, tests: tuple, hops: tuple) -> str:
                 before = [f"steps = _expand(graph, {here}, rel{h}, {rightward}, None, inner{h})"]
             else:
                 setup.append(f"memo{h}_{budget} = budgets{h}[{budget}]")
-                if budget:
-                    made = f"_budgeted(graph, {here}, rel{h}, {rightward}, members{h}, inner{h}, budgets{h}, {budget}, 0)"
-                else:
-                    made = f"_expand(graph, {here}, rel{h}, {rightward}, members{h}, memo{h}_0)"
+                made = f"_steps(graph, {here}, rel{h}, {rightward}, members{h}, inner{h}, budgets{h}, {budget}, 0)"
                 before = [f"steps = memo{h}_{budget}.get({here})", "if steps is None:", f"    steps = {made}"]
             inside = []
             if fixed:
@@ -571,31 +587,6 @@ def _compile(count: int, anchor: int, hop_count: int, *parts: tuple) -> Callable
     return _make(_source(count, anchor, parts[hop_count:], parts[:hop_count]), "walk")
 
 
-def _hop_lists(store: dict, plan: _Plan, ast: QueryAst) -> list[tuple]:
-    """Per hop of `plan`: (its relationship pattern, its target's members,
-    the memo of `_expand`'s unfiltered lists, the memos of the budgeted
-    lists by budget or None without members), the memos kept in `store`,
-    a frozen graph's `hop_steps` or a store of one query.
-
-    One memo serves each hop shape: the relationship type and direction
-    and the walk's orientation, with None for the unfiltered lists. A
-    budgeted list's memo is keyed by the label too, and at budget `b`
-    from 1 on by `b` and `min(b, hi - lo)`; budget 0 is the
-    label-filtered list of the hop's last step.
-    """
-    lists = []
-    for _, _, r, rightward, lo, hi, label, members in plan.hops:
-        rel = ast.rel_patterns[r]
-        kind = (rel.type, rel.direction, rightward)
-        inner = store.setdefault((*kind, None), {})
-        budgets = None
-        if label is not None:
-            budgets = [store.setdefault((*kind, label), {})]
-            budgets += [store.setdefault((*kind, label, b, min(b, hi - lo)), {}) for b in range(1, hi)]
-        lists.append((rel, members, inner, budgets))
-    return lists
-
-
 def iter_matches(
     graph: PropertyGraph,
     ast: QueryAst,
@@ -610,12 +601,11 @@ def iter_matches(
     empty edge, path and flag tuples.
 
     The generator is the compiled walk (`_source`) of the plan's shape:
-    its hops without their label and members, and its tests, which hold
-    only ints, bools and None. The walk binds the hops rightward from the
-    anchor, then leftward, and runs each test inline. The graph, the
-    seeds, each hop's relationship pattern, target members and step
-    memos, and the tests' comparisons are its arguments, so no query text
-    is compiled and the cache of walks holds no graph.
+    its hop records and its tests, which hold only ints and bools. The
+    walk binds the hops rightward from the anchor, then leftward, and
+    runs each test inline. The graph, the seeds, each hop's step lists
+    (`_Plan.lists`) and the tests' comparisons are its arguments, so no
+    query text is compiled and the cache of walks holds no graph.
 
     The step lists come from `_expand`, one memo per hop shape. Where the
     hop has a label, every step of the hop takes its list from
@@ -624,8 +614,8 @@ def iter_matches(
     hi - lo`, or that have such a step at budget `r - 1`, so no route is
     walked that could not end within the hop's bounds. A budgeted list
     keeps its unfiltered list's order, so the rows come in the same order
-    as without the budgets. A frozen graph keeps the memos, `_plan`'s
-    label members and `_hop_lists`' lists, in `hop_steps` for every later
+    as without the budgets. A frozen graph keeps the memos `_plan` lays
+    out, its label members and its lists, in `hop_steps` for every later
     query; a graph still being built keeps none. Only the lists are shared:
     the check that no match uses an edge twice is still made for each match.
     """
@@ -636,11 +626,9 @@ def _walk(graph: PropertyGraph, ast: QueryAst, star_max: int, held: dict) -> Ite
     """`iter_matches`' walk, which keeps each range hop's generator of
     routes in `held` under the hop's index while it walks them, so a
     caller that keeps `held` decides when a walk cut short closes them."""
-    store = graph.hop_steps if graph.frozen else {}
-    plan = _plan(graph, ast, star_max, store)
-    hops = [(*hop[:6], hop[6] is not None) for hop in plan.hops]
-    walk = _compile(len(ast.node_patterns), plan.anchor, len(hops), *hops, *plan.tests)
-    return walk(graph, plan.candidates[plan.anchor], _hop_lists(store, plan, ast), plan.terms, held)
+    plan = _plan(graph, ast, star_max, graph.hop_steps if graph.frozen else {})
+    walk = _compile(len(ast.node_patterns), plan.anchor, len(plan.hops), *plan.hops, *plan.tests)
+    return walk(graph, plan.candidates[plan.anchor], plan.lists, plan.terms, held)
 
 
 # makes each result's `Path` from its three fields in the generated builders
@@ -711,14 +699,15 @@ def explain(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_STAR_MA
         for source, target, _, rightward, *_ in plan.hops
     ]
     lines.append("expansion order: " + (", ".join(order) or "none (single node pattern)"))
-    for _, target, _, _, _, hi, label, _ in plan.hops:
-        if label is None:
+    for _, target, _, _, _, hi, labelled in plan.hops:
+        if not labelled:
             continue
+        label = ast.node_patterns[target].label
         if hi == 1:
             lines.append(f"  last step to node #{target} expands only to :{label}")
         else:  # `_budgeted` filters every step of the hop
             lines.append(f"  every step to node #{target} expands only to nodes from which :{label} can still end the hop")
-    bounds = {r: (lo, hi) for _, _, r, _, lo, hi, _, _ in plan.hops}
+    bounds = {r: (lo, hi) for _, _, r, _, lo, hi, _ in plan.hops}
     for i, rel in enumerate(ast.rel_patterns):
         if not rel.hops.is_single:
             lo, hi = bounds[i]

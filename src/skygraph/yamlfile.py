@@ -19,6 +19,7 @@ mapping.
 
 from __future__ import annotations
 
+import reprlib
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
@@ -162,22 +163,29 @@ def _loader() -> type:
     return _CLoader if hasattr(yaml, "CSafeLoader") else _PyLoader
 
 
-def load_yaml(path: str | Path, error_cls: type[SkygraphError]):
-    """Parse one YAML file. A file that cannot be read, decoded as UTF-8
-    or parsed (nesting too deep for PyYAML without libyaml included), or
-    that holds an impossible date, raises `error_cls` with a message naming
-    the file."""
-    loader = _loader()
+@contextmanager
+def input_file(path: str | Path, error_cls: type[SkygraphError]):
+    """The UTF-8 file at `path`, open for the block, the one place an input
+    file is opened; failing to read, decode or parse it raises `error_cls`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            # through the module attribute, so a wrapped `yaml.load` sees every file
-            return yaml.load(fh, Loader=loader)
+            yield fh
     # ValueError covers UnicodeDecodeError and PyYAML's `datetime.date(2001, 2, 30)`
     except (OSError, ValueError, yaml.YAMLError) as exc:
         raise error_cls(f"cannot load {path}: {exc}") from exc
     # without libyaml, PyYAML's pure-Python parser recurses once per nesting level
     except RecursionError as exc:
         raise error_cls(f"cannot load {path}: nested too deeply to parse") from exc
+
+
+def load_yaml(path: str | Path, error_cls: type[SkygraphError]):
+    """Parse one YAML file. A file that cannot be read, decoded as UTF-8
+    or parsed (nesting too deep for PyYAML without libyaml included), or
+    that holds an impossible date, raises `error_cls` with a message naming
+    the file."""
+    with input_file(path, error_cls) as fh:
+        # through the module attribute, so a wrapped `yaml.load` sees every file
+        return yaml.load(fh, Loader=_loader())
 
 
 def in_file(path: str | Path | None, exc: SkygraphError) -> SkygraphError:
@@ -209,6 +217,11 @@ def load_document(path: str | Path, error_cls: type[SkygraphError], read: Callab
         return read(doc)
     except SkygraphError as exc:
         raise in_file(path, exc)
+
+
+# shows a value a check got: a short one in full, a huge or deep one cut short
+_shown = reprlib.Repr()
+_shown.maxlevel = 1
 
 
 def _conforms(value, spec) -> bool:
@@ -243,7 +256,7 @@ def check_fields(
     each declared key that is not None of its spec. Returns `value`;
     raises `error_cls` whose message names `where` and the offending key."""
     if not isinstance(value, dict):
-        raise error_cls(f"{where} must be a mapping, got {value!r}")
+        raise error_cls(f"{where} must be a mapping, got {_shown.repr(value)}")
     for key in required:
         if value.get(key) is None:
             raise error_cls(f"{where} is missing {[k for k in required if value.get(k) is None]}")
@@ -254,7 +267,7 @@ def check_fields(
                 unknown = sorted(value.keys() - required.keys() - optional.keys(), key=str)
                 raise error_cls(f"unknown keys {unknown} in {where}")
         elif item is not None and not _conforms(item, spec):
-            raise error_cls(f"{key!r} in {where} must be of type {_describe(spec)}, got {item!r}")
+            raise error_cls(f"{key!r} in {where} must be of type {_describe(spec)}, got {_shown.repr(item)}")
     return value
 
 
@@ -266,5 +279,5 @@ DEFAULT_STAR_MAX = 10
 def check_positive_int(value, error_cls: type[Exception], name: str = "") -> int:
     """The one rule for a bound such as `star_max`: an int >= 1, not a bool."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise error_cls(f"{name} must be a positive integer, got {value!r}".lstrip())
+        raise error_cls(f"{name} must be a positive integer, got {_shown.repr(value)}".lstrip())
     return value

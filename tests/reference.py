@@ -22,7 +22,7 @@ from skygraph.errors import GraphError, SkygraphError, UnknownClassError
 from skygraph.graph import EDGE_TYPES, Edge, Node, PropertyGraph, _EXPORT, _SETTINGS
 from skygraph.ontology import ontology_from_documents
 from skygraph.yamlfile import DEFAULT_STAR_MAX, SCALAR, check_fields, check_positive_int
-from skygraph.query.engine import _OR, _hop_lists, _plan, _steps
+from skygraph.query.engine import _OR, _plan, _steps
 from skygraph.query.syntax import NodeComparison, PropertyComparison, QueryAst
 
 
@@ -463,9 +463,10 @@ def reference_rows(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_
     on one stack: the engine's walk before it was compiled per plan shape.
 
     It walks the engine's plan over the lists the engine's `_steps` makes,
-    but keeps the plan's label members and the lists in fresh stores of
-    its own, the lists laid out by `_hop_lists`, so nothing the graph's
-    `hop_steps` kept from an earlier query is read here. Each test runs on its own, as `_holds` reads it.
+    but gives `_plan` a fresh store of its own for the label members and
+    the plan's step lists, so nothing the graph's `hop_steps` kept from
+    an earlier query is read here. Each test runs on its own, as `_holds`
+    reads it.
     Its frames are `(hop, steps taken in the hop, iterator over the steps
     out of the node reached, held)`: one per hop entered and one per step
     taken below the hop's upper bound. Popping a frame releases the step
@@ -483,7 +484,7 @@ def reference_rows(graph: PropertyGraph, ast: QueryAst, star_max: int = DEFAULT_
     # per hop: (source, target, rightward, lo, hi, route, rel, members, inner, budgets)
     walks = [
         (source, target, rightward, lo, hi, routes[r], *lists)
-        for (source, target, r, rightward, lo, hi, _, _), lists in zip(plan.hops, _hop_lists({}, plan, ast))
+        for (source, target, r, rightward, lo, hi, _), lists in zip(plan.hops, plan.lists)
     ]
 
     def bind(index: int, node_id: int) -> bool:

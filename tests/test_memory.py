@@ -16,6 +16,7 @@ import gc
 import importlib
 import itertools
 import json
+import sys
 import weakref
 from pathlib import Path
 
@@ -54,6 +55,12 @@ def export_text(request, bench_modules, tmp_path_factory):
 @pytest.fixture
 def collector_off():
     was = gc.isenabled()
+    # pytest keeps a failed test's exception for post-mortem debugging; its
+    # traceback's frames would keep what that test built for the collection
+    # these tests count
+    for name in ("last_type", "last_value", "last_traceback", "last_exc"):
+        if hasattr(sys, name):
+            delattr(sys, name)
     gc.collect()
     gc.disable()
     try:

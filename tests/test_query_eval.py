@@ -850,6 +850,14 @@ class TestHopIndex:
 
     FLEET = "fleet-8-shared-4"
 
+    # sha256 of the sorted reprs of the fleet's `hop_steps` keys once the
+    # nine benchmark queries have run
+    KEYS_SHA256 = "2ca7aed9cabaf7004bda1e58ad266083191466bf3450948c6d29377329b3517b"
+
+    @staticmethod
+    def keys_digest(store: dict) -> str:
+        return hashlib.sha256("\n".join(sorted(map(repr, store))).encode("utf-8")).hexdigest()
+
     @staticmethod
     def queries():
         expected = importlib.import_module("expected")
@@ -914,6 +922,7 @@ class TestHopIndex:
             evaluate(graph, parse_query(text))
         store = graph.hop_steps
         assert {len(key) for key in store} == {1, 4, 6}
+        assert self.keys_digest(store) == self.KEYS_SHA256
         hops = {key: memo for key, memo in store.items() if len(key) > 1}
         for (label,) in store.keys() - hops.keys():
             want = graph.label_candidates(label)
@@ -943,6 +952,52 @@ class TestHopIndex:
         assert pruned
         cached = sum(len(steps) for memo in hops.values() for steps in memo.values())
         assert 0 < cached <= len(hops) * 2 * graph.edge_count
+
+    def test_plan_lists_are_the_kept_memos(self, tmp_path, monkeypatch):
+        """`_plan` takes each hop's memos from the store under the keys the
+        walk fills, so `explain` leaves a frozen graph the memos, still
+        empty, that the nine queries' walks would fill."""
+        graph = build_graph(load_manifest(fleet_manifest(self.FLEET, tmp_path, monkeypatch)))[0]
+        store = graph.hop_steps
+        asts = [parse_query(text) for text in self.queries().values()]
+        for ast in asts:
+            explain(graph, ast)
+        assert self.keys_digest(store) == self.KEYS_SHA256
+        assert not any(memo for key, memo in store.items() if len(key) > 1)
+        for ast in asts:
+            plan = engine._plan(graph, ast, engine.DEFAULT_STAR_MAX, store)
+            for (_, target, r, rightward, lo, hi, labelled), (rel, members, inner, budgets) in zip(plan.hops, plan.lists):
+                kind = (rel.type, rel.direction, rightward)
+                assert rel is ast.rel_patterns[r]
+                assert inner is store[(*kind, None)]
+                if not labelled:
+                    assert members is None and budgets is None
+                    continue
+                label = ast.node_patterns[target].label
+                assert members is store[label,][1]
+                assert len(budgets) == hi and budgets[0] is store[(*kind, label)]
+                assert all(budgets[b] is store[(*kind, label, b, min(b, hi - lo))] for b in range(1, hi))
+        assert self.keys_digest(store) == self.KEYS_SHA256
+
+    def test_a_labelled_step_makes_its_list_through_steps(self, monkeypatch):
+        """The walk unrolls a fixed hop into one loop per step; a labelled
+        one's step reads its budget's memo and, on a miss, asks `_steps`,
+        while an unlabelled step reads `_expand`'s memo itself."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        fixed = parse_query(importlib.import_module("expected").OWNED["application-storage-3hop"])
+        single = parse_query("MATCH p=(a)-[:DFG]->(b) RETURN p")
+        graph = build_graph(load_manifest(data_path("fixtures/bookinfo/manifest.yaml")))[0]
+
+        def refuse(graph, node_id, rel, rightward, members, inner, budgets, budget, slack):
+            raise LookupError(budget, slack)
+
+        monkeypatch.setattr(engine, "_steps", refuse)
+        with pytest.raises(LookupError) as info:
+            next(iter_matches(graph, fixed))
+        assert info.value.args == (2, 0)  # the first of three steps, with no slack
+        assert result_paths(evaluate(graph, single)) == oracle_paths(graph, single) != Counter()
+        monkeypatch.undo()
+        assert len(evaluate(graph, fixed)) == 8
 
 
 class TestLabelMembers:

@@ -44,6 +44,27 @@ def test_unreadable_yaml_raises_typed_error_naming_file(tmp_path, kind, bad):
         load(path)
 
 
+HUGE_VALUES = {
+    "5000-key mapping": lambda: {f"inventories/region-{i}.yaml": f"inventory {i}" for i in range(5000)},
+    "nested lists": lambda: [[["inventories/aws.yaml" for _ in range(6)] for _ in range(6)] for _ in range(6)],
+}
+
+
+@pytest.mark.parametrize("huge", sorted(HUGE_VALUES))
+def test_huge_wrong_value_makes_a_short_message(tmp_path, monkeypatch, huge):
+    """A check message abridges the value it got, so a manifest whose
+    `inventories` is huge, or deeply nested, fails in one short line."""
+    doc = yaml.safe_load(Path(data_path("fixtures/bookinfo/manifest.yaml")).read_text(encoding="utf-8"))
+    doc["inventories"] = HUGE_VALUES[huge]()
+    (tmp_path / "manifest.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # the message names the file as it was given
+    with pytest.raises(ManifestError) as info:
+        load_manifest("manifest.yaml")
+    message = str(info.value)
+    assert len(message) < 300 and "\n" not in message
+    assert "'inventories'" in message and "manifest" in message and "list of str" in message
+
+
 @pytest.fixture(params=["libyaml", "pure-python"])
 def loader(request, monkeypatch):
     """The loader `load_yaml` picks, with and without libyaml."""
